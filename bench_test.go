@@ -1,7 +1,7 @@
 package repro
 
 // One benchmark per table and figure of the paper, plus ablations for
-// the design choices DESIGN.md calls out. Each benchmark runs the
+// the reproduction's design choices. Each benchmark runs the
 // same harness the cmd/figures tool uses and reports the simulated
 // measurement as custom benchmark metrics, so `go test -bench=.`
 // regenerates the paper's dataset shapes in one pass:
@@ -207,7 +207,7 @@ func BenchmarkTable1Capabilities(b *testing.B) {
 	}
 }
 
-// ---- Ablations: isolate each design choice DESIGN.md calls out ----
+// ---- Ablations: isolate each design choice ----
 
 // ablate runs one workload on a Dropbox variant with a profile tweak.
 func ablate(b *testing.B, w workload.Batch, tweak func(*client.Profile)) core.Metrics {

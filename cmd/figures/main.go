@@ -1,6 +1,6 @@
 // Command figures regenerates every figure and table dataset in the
 // paper in one run, printing plottable CSV/text blocks. It is the
-// one-stop reproduction entry point used to fill EXPERIMENTS.md.
+// one-stop reproduction entry point.
 //
 // Usage:
 //

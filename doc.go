@@ -9,8 +9,6 @@
 // DNS and measurement substrates in internal/{netem,tcpsim,httpsim,
 // dnssim,trace,geo,whois,sim}; and the real data-plane algorithms in
 // internal/{chunker,dedup,deltaenc,compressor,cryptobox,workload}.
-// See DESIGN.md for the system inventory and the per-experiment index,
-// and EXPERIMENTS.md for paper-vs-measured results.
 //
 // # Measurement engine
 //
@@ -94,11 +92,17 @@
 //     (generator, seed, size, chunk window) — no hashing, and on
 //     repeats no generation — while ad-hoc bytes fall back to the
 //     SHA-256 hash cache (still ~10x cheaper than the level-6 flate it
-//     skips). Sizes stay exact either way, so campaigns that re-plan
-//     identical content — repeated engine timings, the
-//     parallel-vs-sequential identity checks, the Fig. 6 matrix whose
-//     per-(workload, repetition) contents are shared across services —
-//     stop paying for recompression.
+//     skips). Both caches are policy-free: an entry holds only facts
+//     about the content — the deflated size and, for keyed entries,
+//     the sniff verdict, with the size filled lazily so Smart never
+//     deflates sniffed content — and answers Always and Smart alike.
+//     Each cache is two bounded generations: when the current map
+//     fills it becomes the previous one, lookups consult both, and an
+//     entry survives at least 4096 later insertions. So the Fig. 6
+//     matrix, whose per-(workload, repetition) contents are shared
+//     across services, deflates each content once for Dropbox and
+//     Google Drive together, as do repeated engine timings and the
+//     parallel-vs-sequential identity checks; sizes stay exact.
 //   - core.RunN is the parallel experiment scheduler: a generic
 //     bounded-pool fan-out over arbitrary index spaces. Every
 //     campaign-of-campaigns loop rides on it — RunCampaign over

@@ -135,32 +135,56 @@ func TransmitSize(p Policy, data []byte) int64 {
 	return deflatedSize(data)
 }
 
-// Size-only DEFLATE dominates the wall-clock of campaigns against
-// always-compress services (level-6 flate over every uploaded chunk,
-// ~38% of a Dropbox campaign repetition), and benchmark harnesses
-// routinely re-plan identical content: repeated engine timings over
-// one seed, the parallel-vs-sequential bit-identity checks, and the
-// Fig. 6 matrix, whose (workload, repetition) seeds — and therefore
-// file contents — are shared by every service. The cache keys the
-// deflated size by content hash; SHA-256 is an order of magnitude
-// cheaper than the DEFLATE it saves, and collisions are not a
-// practical concern, so sizes stay exact.
+// Size-only DEFLATE dominates the CPU of campaigns against compressing
+// services: level-6 flate over every uploaded chunk was 77% of a Fig. 6
+// matrix's CPU while Dropbox and Google Drive each deflated their own
+// copy of the contents the matrix shares across services. Harnesses
+// also re-plan identical content: repeated engine timings over one
+// seed and the parallel-vs-sequential bit-identity checks. The caches
+// below hold only pure functions of the content (sniff verdict,
+// deflated size), never a policy's answer, so one entry serves every
+// policy and sizes stay exact. The hash cache keys by SHA-256, an order
+// of magnitude cheaper than the DEFLATE it saves; collisions are not a
+// practical concern.
 const (
 	// sizeCacheMinLen keeps tiny payloads (delta literal runs, sub-kB
-	// files) out of the cache: hashing overhead and map churn would
-	// rival the DEFLATE they save.
+	// files) out of the hash cache: hashing overhead and map churn
+	// would rival the DEFLATE they save.
 	sizeCacheMinLen = 4 << 10
-	// sizeCacheMaxEntries bounds cache memory (~40 B/entry). When the
-	// bound is hit the cache resets wholesale — campaigns reuse a
-	// small working set of contents, so a generation that overflows is
-	// mostly dead weight anyway.
+	// sizeCacheMaxEntries bounds one generation of a memo.
 	sizeCacheMaxEntries = 4096
 )
 
-var sizeCache struct {
-	sync.RWMutex
-	m map[[sha256.Size]byte]int64
+// memo is a bounded concurrent map kept as two generations. When the
+// current map reaches sizeCacheMaxEntries it becomes the previous map
+// and a fresh one starts; lookups consult both. So an entry survives at
+// least sizeCacheMaxEntries later insertions — enough for one service's
+// cells to hand a campaign repetition's contents to the next service's
+// — and the memo never holds more than twice the bound.
+type memo[K comparable, V any] struct {
+	mu        sync.RWMutex
+	cur, prev map[K]V
 }
+
+func (m *memo[K, V]) get(k K) (v V, ok bool) {
+	m.mu.RLock()
+	if v, ok = m.cur[k]; !ok {
+		v, ok = m.prev[k]
+	}
+	m.mu.RUnlock()
+	return v, ok
+}
+
+func (m *memo[K, V]) put(k K, v V) {
+	m.mu.Lock()
+	if m.cur == nil || len(m.cur) >= sizeCacheMaxEntries {
+		m.prev, m.cur = m.cur, make(map[K]V, 256)
+	}
+	m.cur[k] = v
+	m.mu.Unlock()
+}
+
+var hashSizes memo[[sha256.Size]byte, int64]
 
 // deflatedSize is the counting DEFLATE behind TransmitSize, memoised
 // by content hash for payloads worth caching.
@@ -169,19 +193,11 @@ func deflatedSize(data []byte) int64 {
 		return countDeflate(data)
 	}
 	key := sha256.Sum256(data)
-	sizeCache.RLock()
-	n, ok := sizeCache.m[key]
-	sizeCache.RUnlock()
-	if ok {
+	if n, ok := hashSizes.get(key); ok {
 		return n
 	}
-	n = countDeflate(data)
-	sizeCache.Lock()
-	if sizeCache.m == nil || len(sizeCache.m) >= sizeCacheMaxEntries {
-		sizeCache.m = make(map[[sha256.Size]byte]int64, 256)
-	}
-	sizeCache.m[key] = n
-	sizeCache.Unlock()
+	n := countDeflate(data)
+	hashSizes.put(key, n)
 	return n
 }
 
@@ -199,61 +215,44 @@ type ContentKey struct {
 	Len  int64  // chunk length
 }
 
-// keyedSizeCache memoises transmit sizes by (policy, ContentKey). It
-// is bounded like the hash cache and resets wholesale when full.
-var keyedSizeCache struct {
-	sync.RWMutex
-	m map[keyedSizeKey]int64
+// keyedSize is what any policy needs to know about one keyed payload:
+// its sniff verdict and, once a policy has needed it, its deflated
+// size (-1 until then, which only a sniffed payload can be — Smart
+// skips its DEFLATE).
+type keyedSize struct {
+	sniffed  bool
+	deflated int64
 }
 
-type keyedSizeKey struct {
-	policy Policy
-	key    ContentKey
-}
+var keyedSizes memo[ContentKey, keyedSize]
 
 // TransmitSizeKeyed returns the transmitted byte count Apply would
 // produce for a payload identified by key, materialising the payload
 // via data() only on a cache miss. rawLen is the payload length (known
 // without materialising); policies that never compress return it
-// directly. Sizes are exact: the cache can only skip recomputing, and
-// the Smart policy's sniff verdict is part of the cached result.
+// directly. Sizes are exact: one entry per key serves every policy,
+// and it records only facts about the content.
 func TransmitSizeKeyed(p Policy, key ContentKey, rawLen int64, data func() []byte) int64 {
-	if p == None {
-		return rawLen
-	}
-	k := keyedSizeKey{policy: p, key: key}
-	keyedSizeCache.RLock()
-	n, ok := keyedSizeCache.m[k]
-	keyedSizeCache.RUnlock()
-	if ok {
-		return n
-	}
-	n = transmitSizeUncached(p, data())
-	keyedSizeCache.Lock()
-	if keyedSizeCache.m == nil || len(keyedSizeCache.m) >= sizeCacheMaxEntries {
-		keyedSizeCache.m = make(map[keyedSizeKey]int64, 256)
-	}
-	keyedSizeCache.m[k] = n
-	keyedSizeCache.Unlock()
-	return n
-}
-
-// transmitSizeUncached is TransmitSize minus the hash cache: the keyed
-// cache already provides identity, so hashing the content on a miss
-// would be pure overhead.
-func transmitSizeUncached(p Policy, data []byte) int64 {
 	switch p {
 	case None:
-		return int64(len(data))
-	case Smart:
-		if LooksCompressed(data) {
-			return int64(len(data))
-		}
-	case Always:
+		return rawLen
+	case Always, Smart:
 	default:
 		panic(fmt.Sprintf("compressor: unknown policy %d", int(p)))
 	}
-	return countDeflate(data)
+	e, ok := keyedSizes.get(key)
+	if !ok || (e.deflated < 0 && p == Always) {
+		b := data()
+		e = keyedSize{sniffed: LooksCompressed(b), deflated: -1}
+		if p == Always || !e.sniffed {
+			e.deflated = countDeflate(b)
+		}
+		keyedSizes.put(key, e)
+	}
+	if p == Smart && e.sniffed {
+		return rawLen
+	}
+	return e.deflated
 }
 
 // countDeflate runs the real level-6 DEFLATE into a counting sink.

@@ -6,7 +6,7 @@
 // discovery (Sect. 2.1/3.2), deriving every metric exclusively from
 // the packet trace — the same information boundary the paper's passive
 // sniffer had. Each figure and table of the paper maps to a function
-// here; see DESIGN.md for the experiment index.
+// here.
 package core
 
 import (
