@@ -328,20 +328,20 @@ func BenchmarkCampaignEngine(b *testing.B) {
 	batch := workload.Batch{Count: 100, Size: 10_000, Kind: workload.Binary}
 	for _, svc := range []string{"clouddrive", "dropbox"} {
 		p, _ := client.ProfileFor(svc)
-		b.Run(svc+"/parallel", func(b *testing.B) {
-			var s core.Summary
-			for i := 0; i < b.N; i++ {
-				s = core.RunCampaignParallel(p, batch, 24, 42, 0)
-			}
-			b.ReportMetric(s.MeanCompletion.Seconds(), "completion_s")
-		})
-		b.Run(svc+"/sequential", func(b *testing.B) {
-			var s core.Summary
-			for i := 0; i < b.N; i++ {
-				s = core.RunCampaignParallel(p, batch, 24, 42, 1)
-			}
-			b.ReportMetric(s.MeanCompletion.Seconds(), "completion_s")
-		})
+		for _, mode := range []struct {
+			name    string
+			workers int
+		}{{"parallel", 0}, {"sequential", 1}} {
+			b.Run(svc+"/"+mode.name, func(b *testing.B) {
+				defer func(old int) { core.CampaignWorkers = old }(core.CampaignWorkers)
+				core.CampaignWorkers = mode.workers
+				var s core.Summary
+				for i := 0; i < b.N; i++ {
+					s = core.RunCampaign(p, batch, 24, 42)
+				}
+				b.ReportMetric(s.MeanCompletion.Seconds(), "completion_s")
+			})
+		}
 	}
 }
 

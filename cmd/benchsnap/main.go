@@ -154,7 +154,7 @@ type transportLossyMicro struct {
 	DrawReductionX   float64 `json:"draw_reduction_x"`
 }
 
-// adaptiveMicro pins the adaptive sampling engine's headline claim:
+// adaptiveMicro pins adaptive sampling's headline claim:
 // at the precision the fixed 24-rep Cloud Drive campaign achieves,
 // the antithetic sequential design stops with fewer repetitions and
 // less wall-clock. TargetRelHW is the fixed run's achieved relative
@@ -256,8 +256,10 @@ func main() {
 	batch := workload.Batch{Count: 100, Size: 10_000, Kind: workload.Binary}
 	for _, svc := range []string{"clouddrive", "dropbox"} {
 		p, _ := client.ProfileFor(svc)
-		par := minWall(3, func() { core.RunCampaignParallel(p, batch, 24, *seed, 0) })
-		seq := minWall(3, func() { core.RunCampaignParallel(p, batch, 24, *seed, 1) })
+		par := minWall(3, func() { core.RunCampaign(p, batch, 24, *seed) })
+		core.CampaignWorkers = 1
+		seq := minWall(3, func() { core.RunCampaign(p, batch, 24, *seed) })
+		core.CampaignWorkers = 0
 		snap.Micro.Campaign = append(snap.Micro.Campaign, campaignMicro{
 			Service:          svc,
 			ParallelNs:       par.Nanoseconds(),
@@ -342,7 +344,7 @@ func main() {
 
 // adaptiveMicroBench runs the fixed-24 Cloud Drive campaign, takes
 // its achieved precision as the target, and times the antithetic
-// adaptive engine getting there.
+// adaptive run getting there.
 func adaptiveMicroBench(seed int64) adaptiveMicro {
 	p := client.CloudDrive()
 	batch := workload.Batch{Count: 100, Size: 10_000, Kind: workload.Binary}

@@ -41,6 +41,11 @@ func main() {
 		os.Exit(2)
 	}
 	core.CampaignWorkers = *parallel
+	rule := core.StopRule{TargetRelHW: *precision, MaxReps: *maxReps}
+	if err := rule.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "-precision/-max-reps: %v\n", err)
+		os.Exit(2)
+	}
 
 	var profiles []client.Profile
 	if *service == "all" {
@@ -55,7 +60,6 @@ func main() {
 	}
 
 	if *precision > 0 {
-		rule := core.StopRule{TargetRelHW: *precision, MaxReps: *maxReps}
 		fmt.Printf("%-14s%12s%12s%12s\n", "service", "unanimous", "probes", "achieved")
 		caps := map[string]core.Capabilities{}
 		var order []string

@@ -15,15 +15,17 @@
 // selected services, each cell a summarized set of lossy upload
 // repetitions through the analytic lossy transport engine.
 //
-// -precision switches the repeated experiments (fig6, locations, the
-// loss sweep) to the adaptive sampling engine: each cell runs until
-// the relative CI95 half-width of its headline metrics is at most the
-// target (e.g. 0.05 for ±5%), bounded by -min-reps/-max-reps, instead
-// of burning a fixed -reps budget. -antithetic pairs repetitions on
-// mirrored random streams and -crn gives every service a common
-// random-number stream — both shrink the variance so the target is
-// hit with fewer repetitions. Adaptive runs stay bit-identical at any
-// -parallel setting, including the number of repetitions executed.
+// The repeated experiments (fig6, locations, the loss sweep) run every
+// cell through one campaign driver. By default each cell repeats a
+// fixed -reps times (0 = the paper's 24). -precision gives the driver
+// a stopping rule instead: each cell runs until the relative CI95
+// half-width of its headline metrics is at most the target (e.g. 0.05
+// for ±5%), bounded by -min-reps/-max-reps. -antithetic pairs
+// repetitions on mirrored random streams and -crn gives every service
+// a common random-number stream — both shrink the variance so the
+// target is hit with fewer repetitions; both require -precision.
+// Either way results, including the number of repetitions executed,
+// are bit-identical at any -parallel setting.
 //
 // -parallel sets the fan-out of the whole experiment matrix: every
 // independent cell — benchmark repetitions, Fig. 4/5 sweep sizes,
@@ -71,16 +73,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-parallel must be >= 0 (got %d)\n", *parallel)
 		os.Exit(2)
 	}
-	core.CampaignWorkers = *parallel
-	if *precision < 0 || *precision >= 1 {
-		if *precision != 0 {
-			fmt.Fprintf(os.Stderr, "-precision must be in (0, 1) (got %g)\n", *precision)
-			os.Exit(2)
-		}
+	if *reps < 0 {
+		fmt.Fprintf(os.Stderr, "-reps must be >= 0 (got %d)\n", *reps)
+		os.Exit(2)
 	}
-	rule := core.StopRule{TargetRelHW: *precision, MinReps: *minReps, MaxReps: *maxReps}
-	vr := core.VarianceReduction{Antithetic: *antithetic, CRN: *crn}
-	adaptive := *precision > 0
+	core.CampaignWorkers = *parallel
+	d := design{
+		reps: *reps,
+		rule: core.StopRule{TargetRelHW: *precision, MinReps: *minReps, MaxReps: *maxReps},
+		vr:   core.VarianceReduction{Antithetic: *antithetic, CRN: *crn},
+	}
+	if err := d.rule.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "-precision/-min-reps/-max-reps: %v\n", err)
+		os.Exit(2)
+	}
+	if (*antithetic || *crn) && !d.adaptive() {
+		fmt.Fprintln(os.Stderr, "-antithetic and -crn require -precision")
+		os.Exit(2)
+	}
 
 	profiles, err := selectProfiles(*service)
 	if err != nil {
@@ -93,11 +103,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		if adaptive {
-			lossSweepAdaptive(profiles, rates, rule, vr, *seed)
-		} else {
-			lossSweep(profiles, rates, *reps, *seed)
-		}
+		lossSweep(profiles, rates, d, *seed)
 		return
 	}
 	run := func(name string) bool { return *experiment == "all" || *experiment == name }
@@ -125,11 +131,7 @@ func main() {
 	}
 	if run("fig6") {
 		any = true
-		if adaptive {
-			fig6Adaptive(profiles, rule, vr, *seed, *doPlot)
-		} else {
-			fig6(profiles, *reps, *seed, *doPlot)
-		}
+		fig6(profiles, d, *seed, *doPlot)
 	}
 	if run("discover") {
 		any = true
@@ -153,11 +155,7 @@ func main() {
 	}
 	if run("locations") {
 		any = true
-		if adaptive {
-			locationsAdaptive(rule, vr, *seed)
-		} else {
-			locations(*seed)
-		}
+		locations(d, *seed)
 	}
 	if run("whatif") {
 		any = true
@@ -167,6 +165,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		os.Exit(2)
 	}
+}
+
+// design is how the repeated experiments sample each cell: a fixed
+// -reps budget or, with -precision, a stopping rule.
+type design struct {
+	reps int
+	rule core.StopRule
+	vr   core.VarianceReduction
+}
+
+func (d design) adaptive() bool { return d.rule.TargetRelHW > 0 }
+
+// label describes the design in a section header: the repetitions
+// each unit ran, or the precision target and cap.
+func (d design) label(ran int, unit string) string {
+	if d.adaptive() {
+		return fmt.Sprintf("adaptive to ±%.1f%% (max %d reps)", d.rule.TargetRelHW*100, d.rule.MaxReps)
+	}
+	return fmt.Sprintf("%d repetitions per %s", ran, unit)
 }
 
 func selectProfiles(service string) ([]client.Profile, error) {
@@ -304,11 +321,19 @@ func fig5(profiles []client.Profile, seed int64) {
 	fmt.Println()
 }
 
-func fig6(profiles []client.Profile, reps int, seed int64, doPlot bool) {
-	fmt.Printf("== Fig 6: benchmarks, %d repetitions per workload ==\n", reps)
-	results := core.Fig6Matrix(profiles, reps, seed)
+func fig6(profiles []client.Profile, d design, seed int64, doPlot bool) {
+	var results []core.Fig6Result
+	if d.adaptive() {
+		results = core.Fig6MatrixAdaptive(profiles, d.rule, d.vr, seed)
+	} else {
+		results = core.Fig6Matrix(profiles, d.reps, seed)
+	}
+	fmt.Printf("== Fig 6: benchmarks, %s ==\n", d.label(results[0].Summaries[0].Reps, "workload"))
 	fmt.Print(core.Fig6Report(results))
-	if doPlot && len(results) > 0 {
+	if d.adaptive() {
+		fmt.Print(core.PrecisionReport(results))
+	}
+	if doPlot {
 		var labels []string
 		for _, r := range results {
 			labels = append(labels, r.Service)
@@ -325,72 +350,6 @@ func fig6(profiles []client.Profile, reps int, seed int64, doPlot bool) {
 		fmt.Print(plot.Bars(groups, labels, plot.Options{
 			Title: "Fig 6(b): completion time (s)", Width: 48, LogY: true,
 		}))
-	}
-	fmt.Println()
-}
-
-// fig6Adaptive is fig6 under a stopping rule: same tables, plus the
-// sampling matrix showing where the repetition budget went.
-func fig6Adaptive(profiles []client.Profile, rule core.StopRule, vr core.VarianceReduction, seed int64, doPlot bool) {
-	fmt.Printf("== Fig 6: benchmarks, adaptive to ±%.1f%% (max %d reps) ==\n",
-		rule.TargetRelHW*100, rule.MaxReps)
-	results := core.Fig6MatrixAdaptive(profiles, rule, vr, seed)
-	fmt.Print(core.Fig6Report(results))
-	fmt.Print(core.PrecisionReport(results))
-	if doPlot && len(results) > 0 {
-		var labels []string
-		for _, r := range results {
-			labels = append(labels, r.Service)
-		}
-		var groups []plot.BarGroup
-		for wi, w := range results[0].Workloads {
-			g := plot.BarGroup{Label: w.String()}
-			for _, r := range results {
-				g.Values = append(g.Values, r.Summaries[wi].MeanCompletion.Seconds())
-			}
-			groups = append(groups, g)
-		}
-		fmt.Println()
-		fmt.Print(plot.Bars(groups, labels, plot.Options{
-			Title: "Fig 6(b): completion time (s)", Width: 48, LogY: true,
-		}))
-	}
-	fmt.Println()
-}
-
-func locationsAdaptive(rule core.StopRule, vr core.VarianceReduction, seed int64) {
-	fmt.Printf("== Location study: 1x1MB completion, adaptive to ±%.1f%% ==\n", rule.TargetRelHW*100)
-	var vantages []core.Vantage
-	for _, name := range []string{"twente", "SEA", "IAD", "SIN", "SYD"} {
-		v, ok := core.VantageByName(name)
-		if !ok {
-			continue
-		}
-		vantages = append(vantages, v)
-	}
-	batch := workload.Batch{Count: 1, Size: 1 << 20, Kind: workload.Binary}
-	cells := core.LocationStudyAdaptive(batch, vantages, rule, vr, seed)
-	fmt.Print(core.LocationSummaryReport(cells, vantages))
-	fmt.Println()
-}
-
-func lossSweepAdaptive(profiles []client.Profile, rates []float64, rule core.StopRule, vr core.VarianceReduction, seed int64) {
-	fmt.Printf("== Loss sweep: %s, adaptive to ±%.1f%% (max %d reps) ==\n",
-		core.DefaultLossBatch, rule.TargetRelHW*100, rule.MaxReps)
-	cells := core.LossSweepAdaptive(profiles, rates, core.DefaultLossBatch, core.Twente, rule, vr, seed)
-	fmt.Printf("%-14s%10s%14s%12s%12s%8s%12s\n", "service", "loss", "completion", "startup", "overhead", "reps", "achieved")
-	for _, c := range cells {
-		fmt.Printf("%-14s%9.2f%%%13.1fs%11.1fs%11.2fx%8d%11.2f%%\n",
-			c.Service, c.LossRate*100,
-			c.Summary.MeanCompletion.Seconds(), c.Summary.MeanStartup.Seconds(),
-			c.Summary.MeanOverhead, c.Summary.RepsUsed, c.Summary.AchievedRelHW*100)
-	}
-	fmt.Println("\nCSV: service,loss_rate,completion_s,startup_s,overhead_x,reps_used,achieved_rel_hw")
-	for _, c := range cells {
-		fmt.Printf("%s,%g,%.3f,%.3f,%.3f,%d,%.5f\n",
-			c.Service, c.LossRate,
-			c.Summary.MeanCompletion.Seconds(), c.Summary.MeanStartup.Seconds(),
-			c.Summary.MeanOverhead, c.Summary.RepsUsed, c.Summary.AchievedRelHW)
 	}
 	fmt.Println()
 }
@@ -458,8 +417,7 @@ func propagation(profiles []client.Profile, seed int64) {
 	fmt.Println()
 }
 
-func locations(seed int64) {
-	fmt.Println("== Location study: 1x1MB completion time per vantage ==")
+func locations(d design, seed int64) {
 	var vantages []core.Vantage
 	for _, name := range []string{"twente", "SEA", "IAD", "SIN", "SYD"} {
 		v, ok := core.VantageByName(name)
@@ -469,8 +427,13 @@ func locations(seed int64) {
 		vantages = append(vantages, v)
 	}
 	batch := workload.Batch{Count: 1, Size: 1 << 20, Kind: workload.Binary}
-	cells := core.LocationStudy(batch, vantages, seed)
-	fmt.Print(core.LocationReport(cells, vantages))
+	if d.adaptive() {
+		fmt.Printf("== Location study: 1x1MB completion, adaptive to ±%.1f%% ==\n", d.rule.TargetRelHW*100)
+		fmt.Print(core.LocationSummaryReport(core.LocationStudyAdaptive(batch, vantages, d.rule, d.vr, seed), vantages))
+	} else {
+		fmt.Println("== Location study: 1x1MB completion time per vantage ==")
+		fmt.Print(core.LocationReport(core.LocationStudy(batch, vantages, seed), vantages))
+	}
 	fmt.Println()
 }
 
@@ -493,23 +456,41 @@ func parseLossRates(s string) ([]float64, error) {
 	return rates, nil
 }
 
-func lossSweep(profiles []client.Profile, rates []float64, reps int, seed int64) {
-	fmt.Printf("== Loss sweep: %s, %d repetitions per cell ==\n",
-		core.DefaultLossBatch, reps)
-	cells := core.LossSweep(profiles, rates, core.DefaultLossBatch, core.Twente, reps, seed)
-	fmt.Printf("%-14s%10s%14s%12s%12s\n", "service", "loss", "completion", "startup", "overhead")
-	for _, c := range cells {
-		fmt.Printf("%-14s%9.2f%%%13.1fs%11.1fs%11.2fx\n",
-			c.Service, c.LossRate*100,
-			c.Summary.MeanCompletion.Seconds(), c.Summary.MeanStartup.Seconds(),
-			c.Summary.MeanOverhead)
+func lossSweep(profiles []client.Profile, rates []float64, d design, seed int64) {
+	var cells []core.LossCell
+	if d.adaptive() {
+		cells = core.LossSweepAdaptive(profiles, rates, core.DefaultLossBatch, core.Twente, d.rule, d.vr, seed)
+	} else {
+		cells = core.LossSweep(profiles, rates, core.DefaultLossBatch, core.Twente, d.reps, seed)
 	}
-	fmt.Println("\nCSV: service,loss_rate,completion_s,startup_s,overhead_x")
+	fmt.Printf("== Loss sweep: %s, %s ==\n", core.DefaultLossBatch, d.label(cells[0].Summary.Reps, "cell"))
+	fmt.Printf("%-14s%10s%14s%12s%12s", "service", "loss", "completion", "startup", "overhead")
+	if d.adaptive() {
+		fmt.Printf("%8s%12s", "reps", "achieved")
+	}
+	fmt.Println()
 	for _, c := range cells {
-		fmt.Printf("%s,%g,%.3f,%.3f,%.3f\n",
-			c.Service, c.LossRate,
-			c.Summary.MeanCompletion.Seconds(), c.Summary.MeanStartup.Seconds(),
-			c.Summary.MeanOverhead)
+		s := c.Summary
+		fmt.Printf("%-14s%9.2f%%%13.1fs%11.1fs%11.2fx", c.Service, c.LossRate*100,
+			s.MeanCompletion.Seconds(), s.MeanStartup.Seconds(), s.MeanOverhead)
+		if d.adaptive() {
+			fmt.Printf("%8d%11.2f%%", s.RepsUsed, s.AchievedRelHW*100)
+		}
+		fmt.Println()
+	}
+	fmt.Print("\nCSV: service,loss_rate,completion_s,startup_s,overhead_x")
+	if d.adaptive() {
+		fmt.Print(",reps_used,achieved_rel_hw")
+	}
+	fmt.Println()
+	for _, c := range cells {
+		s := c.Summary
+		fmt.Printf("%s,%g,%.3f,%.3f,%.3f", c.Service, c.LossRate,
+			s.MeanCompletion.Seconds(), s.MeanStartup.Seconds(), s.MeanOverhead)
+		if d.adaptive() {
+			fmt.Printf(",%d,%.5f", s.RepsUsed, s.AchievedRelHW)
+		}
+		fmt.Println()
 	}
 	fmt.Println()
 }

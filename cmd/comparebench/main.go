@@ -8,12 +8,13 @@
 //	comparebench -run -from twente -reps 8 -out eu.json
 //	comparebench -run -from SEA    -reps 8 -out us.json
 //
-// With -precision the campaign runs on the adaptive sampling engine:
-// each cell repeats until its relative CI95 half-width is at most the
-// target (bounded by -max-reps), and the campaign file records the
-// rule plus per-cell achieved precision, so two campaigns can be
-// compared at equal confidence. Comparison output annotates each
-// delta with whether it fits inside the union of the two runs'
+// Each cell repeats -reps times (0 = the paper's 24; the campaign file
+// records the count that ran). With -precision it repeats instead
+// until its relative CI95 half-width is at most the target (bounded by
+// -max-reps; -antithetic and -crn require it), and the campaign file
+// records the rule plus per-cell achieved precision, so two campaigns
+// can be compared at equal confidence. Comparison output annotates
+// each delta with whether it fits inside the union of the two runs'
 // achieved confidence intervals.
 //
 // Compare two campaigns:
@@ -55,6 +56,15 @@ func main() {
 		crn         = flag.Bool("crn", false, "-precision mode: common random numbers across services")
 	)
 	flag.Parse()
+	rule := core.StopRule{TargetRelHW: *precision, MaxReps: *maxReps}
+	switch err := rule.Validate(); {
+	case *reps < 0:
+		usagef("-reps must be >= 0 (got %d)", *reps)
+	case err != nil:
+		usagef("-precision/-max-reps: %v", err)
+	case (*antithetic || *crn) && *precision == 0:
+		usagef("-antithetic and -crn require -precision")
+	}
 
 	switch {
 	case *doRun:
@@ -64,7 +74,6 @@ func main() {
 		}
 		var c core.Campaign
 		if *precision > 0 {
-			rule := core.StopRule{TargetRelHW: *precision, MaxReps: *maxReps}
 			vr := core.VarianceReduction{Antithetic: *antithetic, CRN: *crn}
 			c = core.RunFullCampaignAdaptive(v, rule, vr, *seed)
 		} else {
@@ -126,6 +135,12 @@ func readCampaign(path string) core.Campaign {
 		fatalf("%s: %v", path, err)
 	}
 	return c
+}
+
+// usagef reports a flag error and exits 2, like the flag package.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatalf(format string, args ...any) {

@@ -6,9 +6,8 @@
 //
 //	figures [-fig 1|2|3|4|5|6|table1|all] [-reps N] [-seed N] [-parallel N] [-precision P]
 //
-// -precision switches fig 6 to the adaptive sampling engine (see
-// cloudbench): cells repeat until the answer is tight instead of a
-// fixed -reps budget.
+// -precision gives fig 6 a stopping rule (see cloudbench): cells
+// repeat until the answer is tight instead of a fixed -reps budget.
 package main
 
 import (

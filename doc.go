@@ -63,7 +63,7 @@
 //     (pinned by the randomized equivalence test in internal/trace).
 //   - core.MeasureWindow reads all Sect. 5 metrics off two Analyze
 //     passes (all flows, storage flows) of one window, in either
-//     trace mode. The campaign cells (RunSync, RunSyncFrom,
+//     trace mode. The campaign cells (RunSync, RunSyncLossy,
 //     RunSYNCount, the Fig. 4/5 sweeps) stream; consumers that
 //     genuinely re-window after the fact or walk individual packets —
 //     RunIdle's cumulative timeline, AnalyzeProtocols' activity
@@ -105,38 +105,51 @@
 //     parallel-vs-sequential identity checks; sizes stay exact.
 //   - core.RunN is the parallel experiment scheduler: a generic
 //     bounded-pool fan-out over arbitrary index spaces. Every
-//     campaign-of-campaigns loop rides on it — RunCampaign over
-//     repetitions, Fig6ForService/Fig6Matrix over service x workload x
-//     repetition, Fig4DeltaSeries/Fig5CompressionSeries over sweep
-//     sizes, LocationStudy over service x vantage, and
-//     DetectCapabilities(/All) over the five Sect. 4 detectors per
-//     service — so one knob (core.CampaignWorkers, default one worker
+//     campaign-of-campaigns loop rides on it — the campaign driver's
+//     flat cell x repetition rounds (RunCampaign, Fig6Matrix,
+//     LossSweep, LocationStudy and their adaptive twins; see Campaign
+//     driver below), Fig4DeltaSeries/Fig5CompressionSeries over sweep
+//     sizes, and DetectCapabilities(/All) over the five Sect. 4
+//     detectors per service — so one knob (core.CampaignWorkers, default one worker
 //     per CPU; cmd/cloudbench and cmd/capcheck -parallel) governs the
 //     whole experiment matrix from a single shared worker budget.
 //     Nested fan-outs draw from the same budget, so pools never
 //     oversubscribe the machine; when the budget is spent, inner
 //     cells simply run inline on their caller's worker.
 //
-// # Adaptive sampling
+// # Campaign driver
 //
-// The paper fixes every benchmark at 24 repetitions. core's adaptive
-// engine (RunCampaignAdaptive, Fig6MatrixAdaptive, LossSweepAdaptive,
-// LocationStudyAdaptive, DetectCapabilitiesAdaptive,
-// RunFullCampaignAdaptive) instead runs each cell until the answer is
-// tight: repetitions proceed in fixed-size batches (core.StopRule —
-// an opening batch of MinReps, then AdaptiveBatch at a time, capped
-// at MaxReps), each batch folds into an incremental Welford
-// accumulator (stats.Accumulator, O(batch) per check, mean
-// bit-identical to the batch formulas), and the cell stops once the
-// relative CI95 half-width of the headline metrics (completion,
-// goodput) is at or below the target. Confidence intervals use
-// Student-t critical values (stats.TQuantile95 — exact table to
-// df 30, Cornish–Fisher beyond), so small samples are not
+// Every repeated campaign layer — the single campaign, the Fig. 6
+// matrix, the loss sweep, the location studies, the full campaign and
+// capability confidence — runs through one driver, core.RunUntil,
+// under a core.StopRule. A layer is a set of cells; each round fans
+// the next batch of every still-open cell onto one flat RunN
+// (cell-major, rep-minor), then folds each cell's batch in index
+// order and asks the rule whether that cell may stop. The paper fixes
+// every benchmark at 24 repetitions; that is the rule preset
+// MinReps = MaxReps = reps with no precision target, so a fixed run
+// (RunCampaign, Fig6Matrix, LossSweep, RunFullCampaign,
+// LocationStudy) is a single round over the flat cell x repetition
+// matrix, and each cell keeps Summarize's statistics.
+//
+// The adaptive entry points (RunCampaignAdaptive, Fig6MatrixAdaptive,
+// LossSweepAdaptive, LocationStudyAdaptive, DetectCapabilitiesAdaptive,
+// RunFullCampaignAdaptive) give the same driver a precision target
+// instead: after an opening batch of MinReps, repetitions come
+// AdaptiveBatch at a time, capped at MaxReps; each batch folds into
+// an incremental Welford accumulator (stats.Accumulator, O(batch) per
+// check, mean bit-identical to the batch formulas), and a cell stops
+// once the relative CI95 half-width of the headline metrics
+// (completion, goodput) is at or below the target. Confidence
+// intervals use Student-t critical values (stats.TQuantile95 — exact
+// table to df 30, Cornish–Fisher beyond), so small samples are not
 // overconfident. Batch boundaries are constants of the rule, never
-// derived from the worker count, and the tracker folds repetitions in
-// index order — the reps executed AND the resulting Summary are a
-// pure function of (seed, rule), bit-identical at any -parallel
-// setting. Fixed-rep campaigns remain the reference path.
+// derived from the worker count, and every cell folds in index order
+// — the reps executed AND the resulting Summary are a pure function
+// of (seed, rule), bit-identical at any -parallel setting. Rep k of a
+// cell is the same repetition under every rule, so a fixed run is the
+// prefix an adaptive run extends. StopRule.Validate rejects rules no
+// campaign can honour, and the CLIs use it to refuse bad flags.
 //
 // Two variance-reduction levers (core.VarianceReduction) hit the
 // target with fewer repetitions. Antithetic pairing gives rep 2k+1

@@ -47,6 +47,58 @@ func DetectCapabilities(p client.Profile, seed int64) Capabilities {
 	return DetectCapabilitiesAll([]client.Profile{p}, seed)[p.Service]
 }
 
+// CapabilityConfidence is an adaptively repeated Table 1 row: the
+// detected capabilities, whether every probe seed agreed, and the
+// precision achieved on the continuous detection statistic.
+type CapabilityConfidence struct {
+	Capabilities Capabilities
+	// Unanimous reports whether every repetition detected identical
+	// capabilities; a false value means the detectors are
+	// seed-sensitive for this profile.
+	Unanimous bool
+	// RepsUsed and AchievedRelHW describe the sequential design over
+	// ConnsPerFile (the Sect. 4.2 bundling statistic, the one
+	// continuous detector output).
+	RepsUsed      int
+	AchievedRelHW float64
+}
+
+// DetectCapabilitiesAdaptive repeats the Sect. 4 detection suite
+// across a campaignSeed-derived seed stream until the continuous
+// bundling statistic (connections per file) is tight, reporting
+// whether the boolean verdicts were unanimous across probes. It is
+// capcheck's -precision mode: detection robustness quantified instead
+// of assumed from a single seed.
+func DetectCapabilitiesAdaptive(p client.Profile, rule StopRule, seed int64) CapabilityConfidence {
+	rule = rule.withDefaults(VarianceReduction{})
+	type probe struct {
+		caps  Capabilities
+		conns float64
+	}
+	var acc stats.Accumulator
+	probes := RunUntil(1, rule, CampaignWorkers, func(_, rep int) probe {
+		s := campaignSeed(seed, rep)
+		return probe{caps: DetectCapabilities(p, s), conns: DetectBundling(p, s).ConnsPerFile}
+	}, func(_ int, batch []probe) bool {
+		for _, pr := range batch {
+			acc.Add(pr.conns)
+		}
+		return acc.RelHalfWidth() <= rule.TargetRelHW
+	})[0]
+	out := CapabilityConfidence{
+		Capabilities:  probes[0].caps,
+		Unanimous:     true,
+		RepsUsed:      len(probes),
+		AchievedRelHW: acc.RelHalfWidth(),
+	}
+	for _, pr := range probes[1:] {
+		if pr.caps != out.Capabilities {
+			out.Unanimous = false
+		}
+	}
+	return out
+}
+
 // DetectCapabilitiesAll runs the Sect. 4 suite for every profile with
 // the whole service x detector matrix flattened onto one shared pool.
 // Each detector builds its own testbed from (profile, seed) and

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/client"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -25,10 +24,10 @@ func goldenAdaptiveBatch() workload.Batch {
 func TestRunUntilBatchBoundaries(t *testing.T) {
 	rule := StopRule{TargetRelHW: 1, MinReps: 6, MaxReps: 17}
 	var sizes []int
-	out := RunUntil(rule, 4, func(rep int) int { return rep }, func(batch []int) bool {
+	out := RunUntil(1, rule, 4, func(_, rep int) int { return rep }, func(_ int, batch []int) bool {
 		sizes = append(sizes, len(batch))
 		return false // never satisfied: run to the cap
-	})
+	})[0]
 	if len(out) != 17 {
 		t.Fatalf("ran %d reps, want MaxReps=17", len(out))
 	}
@@ -42,9 +41,119 @@ func TestRunUntilBatchBoundaries(t *testing.T) {
 	}
 
 	// A rule satisfied by the opening batch stops at MinReps exactly.
-	out = RunUntil(rule, 4, func(rep int) int { return rep }, func([]int) bool { return true })
+	out = RunUntil(1, rule, 4, func(_, rep int) int { return rep }, func(int, []int) bool { return true })[0]
 	if len(out) != rule.MinReps {
 		t.Fatalf("satisfied rule ran %d reps, want MinReps=%d", len(out), rule.MinReps)
+	}
+}
+
+// TestRunUntilMultiCell drives synthetic cells that close in different
+// rounds: cell c is satisfied once it holds stopAt[c] reps (one never
+// is and runs to the cap). The reps each cell executed, its results
+// and the order its batches were folded in must be identical at any
+// worker count.
+func TestRunUntilMultiCell(t *testing.T) {
+	rule := StopRule{TargetRelHW: 1, MinReps: 3, MaxReps: 15}
+	stopAt := []int{3, 11, 7, 1000, 3}
+	type rec struct{ cell, rep int }
+	drive := func(workers int) ([][]rec, [][]int) {
+		var folds [][]int
+		for range stopAt {
+			folds = append(folds, nil)
+		}
+		got := RunUntil(len(stopAt), rule, workers, func(c, rep int) rec { return rec{c, rep} },
+			func(c int, batch []rec) bool {
+				folds[c] = append(folds[c], len(batch))
+				held := 0
+				for _, f := range folds[c] {
+					held += f
+				}
+				return held >= stopAt[c]
+			})
+		return got, folds
+	}
+	ref, refFolds := drive(1)
+	wantReps := []int{3, 11, 7, 15, 3}
+	for c, runs := range ref {
+		if len(runs) != wantReps[c] {
+			t.Fatalf("cell %d ran %d reps, want %d", c, len(runs), wantReps[c])
+		}
+		for k, r := range runs {
+			if r != (rec{c, k}) {
+				t.Fatalf("cell %d slot %d holds %+v", c, k, r)
+			}
+		}
+	}
+	for _, w := range []int{2, 7} {
+		got, folds := drive(w)
+		if !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(folds, refFolds) {
+			t.Fatalf("workers=%d: results or folds diverged\n got %v %v\nwant %v %v", w, got, folds, ref, refFolds)
+		}
+	}
+}
+
+// TestFixedPresetOneRound: the fixed preset folds every cell exactly
+// once, after a single round whose index space is the flat cell x
+// repetition matrix, cell-major and rep-minor.
+func TestFixedPresetOneRound(t *testing.T) {
+	rule := fixedRule(3)
+	var order [][2]int
+	folds := make([]int, 4)
+	out := RunUntil(4, rule, 1, func(c, rep int) int {
+		order = append(order, [2]int{c, rep})
+		return c*10 + rep
+	}, func(c int, batch []int) bool {
+		folds[c]++
+		return false
+	})
+	var want [][2]int
+	for c := 0; c < 4; c++ {
+		for rep := 0; rep < 3; rep++ {
+			want = append(want, [2]int{c, rep})
+		}
+		if folds[c] != 1 || len(out[c]) != 3 {
+			t.Fatalf("cell %d: %d folds, %d reps; want one fold of 3", c, folds[c], len(out[c]))
+		}
+	}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("sequential evaluation order %v, want cell-major %v", order, want)
+	}
+}
+
+// TestFixedRule pins the preset's resolution: a non-positive budget
+// is the paper's DefaultReps, and a single repetition stays single.
+func TestFixedRule(t *testing.T) {
+	for _, tc := range []struct{ reps, want int }{{0, DefaultReps}, {-3, DefaultReps}, {1, 1}, {5, 5}} {
+		r := fixedRule(tc.reps)
+		if r.MinReps != tc.want || r.MaxReps != tc.want || r.TargetRelHW != 0 {
+			t.Errorf("fixedRule(%d) = %+v, want %d..%d with no target", tc.reps, r, tc.want, tc.want)
+		}
+	}
+}
+
+// TestStopRuleValidate: zero fields are valid (they take defaults);
+// targets outside [0, 1), negative bounds and inverted bounds are not.
+func TestStopRuleValidate(t *testing.T) {
+	for _, tc := range []struct {
+		rule StopRule
+		ok   bool
+	}{
+		{StopRule{}, true},
+		{StopRule{TargetRelHW: 0.05, MinReps: 8, MaxReps: 96}, true},
+		{StopRule{TargetRelHW: 0.999}, true},
+		{StopRule{MinReps: 10}, true},
+		{StopRule{MinReps: 8, MaxReps: 8}, true},
+		{StopRule{TargetRelHW: -0.05}, false},
+		{StopRule{TargetRelHW: 1}, false},
+		{StopRule{TargetRelHW: 1.5}, false},
+		{StopRule{TargetRelHW: math.NaN()}, false},
+		{StopRule{MinReps: -1}, false},
+		{StopRule{MaxReps: -4}, false},
+		{StopRule{MinReps: 10, MaxReps: 5}, false},
+	} {
+		if err := tc.rule.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%+v.Validate() = %v, want ok=%v", tc.rule, err, tc.ok)
+		}
 	}
 }
 
@@ -103,12 +212,12 @@ func TestAdaptiveMaxRepsCap(t *testing.T) {
 }
 
 // TestAdaptiveZeroVarianceStopsAtMinReps: a degenerate cell (no
-// dispersion at all) satisfies any target with the opening batch.
+// dispersion at all: jitter-free, every repetition on one seed)
+// satisfies any target with the opening batch.
 func TestAdaptiveZeroVarianceStopsAtMinReps(t *testing.T) {
-	constant := Metrics{Completion: 1e9, GoodputBps: 8e6}
-	s := adaptiveSummary(StopRule{TargetRelHW: 0.001, MinReps: 6, MaxReps: 96}, VarianceReduction{},
-		func(rep int) int64 { return int64(rep) },
-		func(*sim.RNG) Metrics { return constant })
+	cell := syncCell{p: client.Dropbox(), batch: workload.Batch{Count: 1, Size: 100_000, Kind: workload.Binary},
+		host: campusHost, seed: func(int) int64 { return 7 }}
+	s := summarizeCells([]syncCell{cell}, StopRule{TargetRelHW: 0.001, MinReps: 6, MaxReps: 96}, VarianceReduction{})[0]
 	if s.RepsUsed != 6 {
 		t.Fatalf("RepsUsed=%d, want MinReps=6 for a zero-variance cell", s.RepsUsed)
 	}
@@ -118,16 +227,21 @@ func TestAdaptiveZeroVarianceStopsAtMinReps(t *testing.T) {
 }
 
 // TestAdaptiveMatchesFixedPrefix: with no variance reduction, rep k of
-// an adaptive campaign is bit-identical to rep k of the fixed-rep
-// engine — the adaptive path changes when to stop, never what runs.
+// an adaptive campaign is bit-identical to rep k of a fixed one — the
+// precision target changes when to stop, never what runs. Only
+// AchievedRelHW may differ: the adaptive summary records the tracker's
+// statistic, the fixed one Summarize's.
 func TestAdaptiveMatchesFixedPrefix(t *testing.T) {
 	p := client.Wuala()
 	batch := goldenAdaptiveBatch()
 	fixed := RunCampaign(p, batch, 8, 42)
 	adaptive := RunCampaignAdaptive(p, batch,
 		StopRule{TargetRelHW: 1, MinReps: 8, MaxReps: 8}, VarianceReduction{}, 42)
-	if fixed.MeanCompletion != adaptive.MeanCompletion || fixed.MeanStartup != adaptive.MeanStartup ||
-		fixed.MeanOverhead != adaptive.MeanOverhead || fixed.MedianGoodputBps != adaptive.MedianGoodputBps {
+	if math.Abs(fixed.AchievedRelHW-adaptive.AchievedRelHW) > 1e-9 {
+		t.Fatalf("achieved precision: fixed %v, adaptive %v", fixed.AchievedRelHW, adaptive.AchievedRelHW)
+	}
+	adaptive.AchievedRelHW = fixed.AchievedRelHW
+	if !reflect.DeepEqual(fixed, adaptive) {
 		t.Fatalf("adaptive 8-rep summary diverged from fixed 8-rep:\nfixed    %+v\nadaptive %+v", fixed, adaptive)
 	}
 }
@@ -171,8 +285,8 @@ func TestAntitheticPairCorrelation(t *testing.T) {
 	var plain, anti []float64
 	for k := 0; k < pairs; k++ {
 		seed := campaignSeed(42, 2*k)
-		mp := runSyncRNG(p, batch, campusHost(), vrRNG(seed, false), DefaultJitter, 0)
-		ma := runSyncRNG(p, batch, campusHost(), vrRNG(seed, true), DefaultJitter, 0)
+		mp := runSync(p, batch, campusHost(), vrRNG(seed, false), DefaultJitter, 0)
+		ma := runSync(p, batch, campusHost(), vrRNG(seed, true), DefaultJitter, 0)
 		plain = append(plain, mp.Completion.Seconds())
 		anti = append(anti, ma.Completion.Seconds())
 	}
@@ -200,13 +314,13 @@ func TestCRNPairsServices(t *testing.T) {
 	var crn, indep []float64
 	for rep := 0; rep < reps; rep++ {
 		shared := lossSweepSeed(7, 0, 0, rep)
-		ma := runSyncRNG(a, DefaultLossBatch, vantageHost(Twente), vrRNG(shared, false), DefaultJitter, DefaultLossRates[0])
-		mb := runSyncRNG(b, DefaultLossBatch, vantageHost(Twente), vrRNG(shared, false), DefaultJitter, DefaultLossRates[0])
+		ma := runSync(a, DefaultLossBatch, vantageHost(Twente), vrRNG(shared, false), DefaultJitter, DefaultLossRates[0])
+		mb := runSync(b, DefaultLossBatch, vantageHost(Twente), vrRNG(shared, false), DefaultJitter, DefaultLossRates[0])
 		crn = append(crn, ma.Completion.Seconds()-mb.Completion.Seconds())
 
 		sa, sb := lossSweepSeed(7, 0, 0, rep), lossSweepSeed(7, 1, 0, rep)
-		ma = runSyncRNG(a, DefaultLossBatch, vantageHost(Twente), vrRNG(sa, false), DefaultJitter, DefaultLossRates[0])
-		mb = runSyncRNG(b, DefaultLossBatch, vantageHost(Twente), vrRNG(sb, false), DefaultJitter, DefaultLossRates[0])
+		ma = runSync(a, DefaultLossBatch, vantageHost(Twente), vrRNG(sa, false), DefaultJitter, DefaultLossRates[0])
+		mb = runSync(b, DefaultLossBatch, vantageHost(Twente), vrRNG(sb, false), DefaultJitter, DefaultLossRates[0])
 		indep = append(indep, ma.Completion.Seconds()-mb.Completion.Seconds())
 	}
 	if sc, si := stats.SampleStd(crn), stats.SampleStd(indep); sc >= si {

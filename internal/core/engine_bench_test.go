@@ -138,15 +138,17 @@ func BenchmarkRunCampaign(b *testing.B) {
 	batch := workload.Batch{Count: 100, Size: 10_000, Kind: workload.Binary}
 	for _, svc := range []string{"clouddrive", "dropbox"} {
 		p, _ := client.ProfileFor(svc)
-		b.Run(svc+"/parallel", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				RunCampaignParallel(p, batch, 24, 42, 0)
-			}
-		})
-		b.Run(svc+"/sequential", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				RunCampaignParallel(p, batch, 24, 42, 1)
-			}
-		})
+		for _, mode := range []struct {
+			name    string
+			workers int
+		}{{"parallel", 0}, {"sequential", 1}} {
+			b.Run(svc+"/"+mode.name, func(b *testing.B) {
+				defer func(old int) { CampaignWorkers = old }(CampaignWorkers)
+				CampaignWorkers = mode.workers
+				for i := 0; i < b.N; i++ {
+					RunCampaign(p, batch, 24, 42)
+				}
+			})
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -24,16 +25,7 @@ const DefaultJitter = 0.10
 // is O(flows) regardless of workload size. Metrics are bit-identical
 // to the buffered path (pinned by the golden and equivalence tests).
 func RunSync(p client.Profile, batch workload.Batch, seed int64, jitter float64) Metrics {
-	tb := NewStreamingTestbed(p, seed, jitter)
-	start := tb.Settle()
-
-	t0 := tb.Clock.Now()
-	tb.StartWindow(t0)
-	batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
-	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-	tb.Clock.AdvanceTo(res.Done)
-
-	return MeasureWindow(tb, t0, batch.Total())
+	return runSync(p, batch, campusHost(), sim.NewRNG(seed), jitter, 0)
 }
 
 // MeasureWindow computes the Sect. 5 metrics for the benchmark window
@@ -71,23 +63,29 @@ func campaignSeed(baseSeed int64, rep int) int64 {
 	return baseSeed + int64(rep)*7919
 }
 
-// RunCampaign repeats one benchmark the paper's way — Reps repetitions
-// with independent randomness — and aggregates. Repetitions fan out
-// over the shared scheduler pool (CampaignWorkers); the summary is
-// bit-identical to a sequential run of the same base seed.
+// RunCampaign repeats one benchmark the paper's way — reps
+// repetitions with independent randomness (reps <= 0 means
+// DefaultReps) — and aggregates. Repetitions fan out over the shared
+// scheduler pool (CampaignWorkers); the summary is bit-identical to a
+// sequential run of the same base seed.
 func RunCampaign(p client.Profile, batch workload.Batch, reps int, baseSeed int64) Summary {
-	return RunCampaignParallel(p, batch, reps, baseSeed, CampaignWorkers)
+	return runCampaign(p, batch, fixedRule(reps), VarianceReduction{}, baseSeed)
 }
 
-// RunCampaignParallel is RunCampaign with an explicit worker count
-// (0 = one per CPU, 1 = sequential).
-func RunCampaignParallel(p client.Profile, batch workload.Batch, reps int, baseSeed int64, workers int) Summary {
-	if reps <= 0 {
-		reps = DefaultReps
-	}
-	return Summarize(RunN(reps, workers, func(rep int) Metrics {
-		return RunSync(p, batch, campaignSeed(baseSeed, rep), DefaultJitter)
-	}))
+// RunCampaignAdaptive is RunCampaign under a stopping rule: the same
+// campaignSeed repetition stream (rep k of an adaptive run is
+// bit-identical to rep k of a fixed one when vr is zero), stopped as
+// soon as the precision target is met.
+func RunCampaignAdaptive(p client.Profile, batch workload.Batch, rule StopRule, vr VarianceReduction, baseSeed int64) Summary {
+	return runCampaign(p, batch, rule.withDefaults(vr), vr, baseSeed)
+}
+
+// runCampaign is the single-cell campaign body: repetition k runs on
+// campaignSeed(baseSeed, k) from the campus test computer.
+func runCampaign(p client.Profile, batch workload.Batch, rule StopRule, vr VarianceReduction, baseSeed int64) Summary {
+	cell := syncCell{p: p, batch: batch, host: campusHost, jitter: DefaultJitter,
+		seed: func(rep int) int64 { return campaignSeed(baseSeed, rep) }}
+	return summarizeCells([]syncCell{cell}, rule, vr)[0]
 }
 
 // IdleResult is one service's Fig. 1 dataset: the cumulative traffic

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/netem"
 	"repro/internal/workload"
 )
 
@@ -131,50 +132,40 @@ func fig6Seed(seed int64, wi, rep int) int64 {
 	return campaignSeed(seed+int64(wi)*100003, rep)
 }
 
-// fig6Summaries fans the (workload x repetition) matrix of one Fig. 6
-// campaign over the shared pool and folds it into per-workload
-// summaries. run computes one cell.
-func fig6Summaries(batches []workload.Batch, reps int, run func(wi, rep int) Metrics) []Summary {
-	runs := RunN(len(batches)*reps, CampaignWorkers, func(i int) Metrics {
-		return run(i/reps, i%reps)
-	})
-	out := make([]Summary, 0, len(batches))
-	for wi := range batches {
-		out = append(out, Summarize(runs[wi*reps:(wi+1)*reps]))
-	}
-	return out
-}
-
-// Fig6ForService runs the Sect. 5 benchmark campaign (four binary
-// workloads, `reps` repetitions each) for one service — the
-// single-profile case of Fig6Matrix.
-func Fig6ForService(p client.Profile, reps int, seed int64) Fig6Result {
-	return Fig6Matrix([]client.Profile{p}, reps, seed)[0]
-}
-
-// Fig6Matrix runs the Fig. 6 campaign for every profile with the full
-// service x workload x repetition matrix flattened onto one shared
-// pool — the campaign-of-campaigns entry point used by cmd/cloudbench.
-// Results are bit-identical to calling Fig6ForService per profile.
+// Fig6Matrix runs the Fig. 6 campaign (four binary workloads, reps
+// repetitions each, reps <= 0 meaning DefaultReps) for every profile,
+// the whole service x workload x repetition matrix in one flat round
+// on the shared pool — the entry point used by cmd/cloudbench.
 func Fig6Matrix(profiles []client.Profile, reps int, seed int64) []Fig6Result {
-	if reps <= 0 {
-		reps = DefaultReps
-	}
+	return fig6(profiles, campusHost, fixedRule(reps), VarianceReduction{}, seed)
+}
+
+// Fig6MatrixAdaptive is Fig6Matrix under a stopping rule: every
+// (service, workload) cell runs its own sequential design, so
+// low-variance cells release their budget early while noisy cells
+// keep sampling up to the cap. Note the fig6Seed stream carries no
+// service index, so common random numbers across services hold here
+// with or without vr.CRN.
+func Fig6MatrixAdaptive(profiles []client.Profile, rule StopRule, vr VarianceReduction, seed int64) []Fig6Result {
+	return fig6(profiles, campusHost, rule.withDefaults(vr), vr, seed)
+}
+
+// fig6 is the Fig. 6 body: one cell per (service, workload), run from
+// host under rule.
+func fig6(profiles []client.Profile, host func() *netem.Host, rule StopRule, vr VarianceReduction, seed int64) []Fig6Result {
 	batches := workload.StandardBenchmarks(workload.Binary)
-	perSvc := len(batches) * reps
-	runs := RunN(len(profiles)*perSvc, CampaignWorkers, func(i int) Metrics {
-		si, rest := i/perSvc, i%perSvc
-		wi, rep := rest/reps, rest%reps
-		return RunSync(profiles[si], batches[wi], fig6Seed(seed, wi, rep), DefaultJitter)
-	})
-	out := make([]Fig6Result, 0, len(profiles))
-	for si, p := range profiles {
-		r := Fig6Result{Service: p.Service, Workloads: batches}
-		for wi := range batches {
-			lo := si*perSvc + wi*reps
-			r.Summaries = append(r.Summaries, Summarize(runs[lo:lo+reps]))
+	var cells []syncCell
+	for _, p := range profiles {
+		for wi, b := range batches {
+			cells = append(cells, syncCell{p: p, batch: b, host: host, jitter: DefaultJitter,
+				seed: func(rep int) int64 { return fig6Seed(seed, wi, rep) }})
 		}
-		out = append(out, r)
+	}
+	sums := summarizeCells(cells, rule, vr)
+	out := make([]Fig6Result, len(profiles))
+	for si, p := range profiles {
+		lo, hi := si*len(batches), (si+1)*len(batches)
+		out[si] = Fig6Result{Service: p.Service, Workloads: batches, Summaries: sums[lo:hi:hi]}
 	}
 	return out
 }

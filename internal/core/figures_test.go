@@ -104,7 +104,7 @@ func TestFig5CompressionShapes(t *testing.T) {
 }
 
 func TestFig6ForServiceShape(t *testing.T) {
-	r := Fig6ForService(client.Wuala(), 2, 16)
+	r := Fig6Matrix([]client.Profile{client.Wuala()}, 2, 16)[0]
 	if len(r.Summaries) != 4 || len(r.Workloads) != 4 {
 		t.Fatalf("Fig6 shape: %d summaries", len(r.Summaries))
 	}

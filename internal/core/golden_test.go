@@ -83,9 +83,11 @@ func TestGoldenUploadVolumes(t *testing.T) {
 func TestCampaignParallelEquivalence(t *testing.T) {
 	batch := workload.Batch{Count: 20, Size: 10_000, Kind: workload.Binary}
 	p := client.CloudDrive()
-	seq := RunCampaignParallel(p, batch, 6, 42, 1)
+	var seq Summary
+	withWorkers(t, 1, func() { seq = RunCampaign(p, batch, 6, 42) })
 	for _, workers := range []int{2, 4, 0} {
-		par := RunCampaignParallel(p, batch, 6, 42, workers)
+		var par Summary
+		withWorkers(t, workers, func() { par = RunCampaign(p, batch, 6, 42) })
 		if !reflect.DeepEqual(seq, par) {
 			t.Errorf("workers=%d: summary differs from sequential engine\n seq %+v\n par %+v",
 				workers, seq, par)

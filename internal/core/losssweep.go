@@ -1,11 +1,8 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/client"
-	"repro/internal/cloud"
-	"repro/internal/sim"
+	"repro/internal/netem"
 	"repro/internal/workload"
 )
 
@@ -44,50 +41,40 @@ func lossSweepSeed(seed int64, si, ri, rep int) int64 {
 	return campaignSeed(seed+int64(si)*1000003+int64(ri)*10007, rep)
 }
 
-// RunSyncLossy is one repetition of a synchronization benchmark over
-// a lossy path from an arbitrary vantage: RunSyncFrom with the
-// network's segment-loss rate set before any traffic (login and
-// settle traffic share the lossy path, as they would in the paper's
-// testbed under netem).
-func RunSyncLossy(p client.Profile, batch workload.Batch, v Vantage, seed int64, jitter, loss float64) Metrics {
-	tb := assembleTestbed(p, cloud.SpecFor(p.Service), vantageHost(v), sim.NewRNG(seed), jitter, true)
-	tb.Net.LossRate = loss
-	start := tb.Settle()
-	t0 := tb.Clock.Now()
-	tb.StartWindow(t0)
-	batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
-	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-	tb.Clock.AdvanceTo(res.Done)
-	return MeasureWindow(tb, t0, batch.Total())
+// LossSweep runs the service x loss-rate matrix for one workload from
+// the given vantage: reps repetitions per cell (reps <= 0 means
+// DefaultReps), the whole matrix in one flat round on the shared
+// scheduler pool like every other campaign layer. Results are ordered
+// service-major, rate-minor, and are bit-identical at any worker
+// count.
+func LossSweep(profiles []client.Profile, rates []float64, batch workload.Batch, v Vantage, reps int, seed int64) []LossCell {
+	return lossSweep(profiles, rates, batch, v, fixedRule(reps), VarianceReduction{}, seed)
 }
 
-// LossSweep runs the service x loss-rate matrix for one workload from
-// the given vantage: reps repetitions per cell, the whole matrix
-// flattened onto the shared scheduler pool like every other campaign
-// layer. Results are ordered service-major, rate-minor, and are
-// bit-identical at any worker count.
-func LossSweep(profiles []client.Profile, rates []float64, batch workload.Batch, v Vantage, reps int, seed int64) []LossCell {
-	if reps <= 0 {
-		reps = DefaultReps
-	}
-	perCell := reps
-	perSvc := len(rates) * perCell
-	runs := RunN(len(profiles)*perSvc, CampaignWorkers, func(i int) Metrics {
-		si, rest := i/perSvc, i%perSvc
-		ri, rep := rest/perCell, rest%perCell
-		return RunSyncLossy(profiles[si], batch, v, lossSweepSeed(seed, si, ri, rep), DefaultJitter, rates[ri])
-	})
-	out := make([]LossCell, 0, len(profiles)*len(rates))
+// LossSweepAdaptive is LossSweep under a stopping rule. With vr.CRN
+// every service draws the same per-(rate, repetition) seed stream, so
+// service-vs-service deltas at one loss rate are paired comparisons.
+func LossSweepAdaptive(profiles []client.Profile, rates []float64, batch workload.Batch, v Vantage, rule StopRule, vr VarianceReduction, seed int64) []LossCell {
+	return lossSweep(profiles, rates, batch, v, rule.withDefaults(vr), vr, seed)
+}
+
+// lossSweep is the loss-sweep body: one cell per (service, rate).
+func lossSweep(profiles []client.Profile, rates []float64, batch workload.Batch, v Vantage, rule StopRule, vr VarianceReduction, seed int64) []LossCell {
+	host := func() *netem.Host { return vantageHost(v) }
+	var cells []syncCell
 	for si, p := range profiles {
-		for ri, rate := range rates {
-			lo := si*perSvc + ri*perCell
-			out = append(out, LossCell{
-				Service:  p.Service,
-				LossRate: rate,
-				Workload: batch,
-				Summary:  Summarize(runs[lo : lo+perCell]),
-			})
+		seedSvc := si
+		if vr.CRN {
+			seedSvc = 0
 		}
+		for ri, rate := range rates {
+			cells = append(cells, syncCell{p: p, batch: batch, host: host, jitter: DefaultJitter, loss: rate,
+				seed: func(rep int) int64 { return lossSweepSeed(seed, seedSvc, ri, rep) }})
+		}
+	}
+	out := make([]LossCell, len(cells))
+	for i, s := range summarizeCells(cells, rule, vr) {
+		out[i] = LossCell{Service: cells[i].p.Service, LossRate: cells[i].loss, Workload: batch, Summary: s}
 	}
 	return out
 }

@@ -50,16 +50,18 @@ type Summary struct {
 	MeanOverhead     float64
 	MeanConnections  float64
 	MedianGoodputBps float64
-	// RepsUsed is how many repetitions actually ran. For fixed-rep
-	// campaigns it equals Reps; an adaptive campaign (RunCampaignAdaptive)
-	// stops early when the precision target is met, so snapshots record
-	// the spent budget alongside the result.
+	// RepsUsed is how many repetitions actually ran (Summarize sets
+	// it to Reps). Under a fixed budget it is that budget; under a
+	// precision target the cell stops once the target is met, so
+	// snapshots record the spent budget alongside the result.
 	RepsUsed int
 	// AchievedRelHW is the achieved relative precision: the largest
 	// CI95 half-width over the headline metrics (completion, goodput),
-	// relative to the magnitude of the respective mean. Adaptive runs
-	// stop when it reaches the target; fixed-rep runs report it so two
-	// snapshots can be compared at equal confidence.
+	// relative to the magnitude of the respective mean. Cells run
+	// under a precision target stop when it reaches the target and
+	// record the statistic the rule tested; fixed budgets report
+	// Summarize's value so two snapshots can be compared at equal
+	// confidence.
 	AchievedRelHW float64
 }
 

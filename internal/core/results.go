@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/netem"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Campaign is a complete, serializable benchmark run: what was
@@ -24,12 +24,13 @@ type Campaign struct {
 	Tool    string `json:"tool"`
 	Vantage string `json:"vantage"`
 	Seed    int64  `json:"seed"`
-	Reps    int    `json:"reps"`
-	// Precision and MaxReps record the stopping rule of an adaptive
-	// campaign (RunFullCampaignAdaptive): the relative half-width
-	// target and the repetition cap. Fixed-rep campaigns leave them
-	// zero; the per-cell Summaries carry the achieved precision
-	// either way (AchievedRelHW, RepsUsed).
+	// Reps is the fixed per-cell repetition count that ran; a
+	// campaign run under a precision target leaves it zero and
+	// records its rule instead: Precision, the relative half-width
+	// target, and MaxReps, the repetition cap. The per-cell
+	// Summaries carry the reps spent and the achieved precision
+	// either way (RepsUsed, AchievedRelHW).
+	Reps      int          `json:"reps"`
 	Precision float64      `json:"precision,omitempty"`
 	MaxReps   int          `json:"max_reps,omitempty"`
 	CreatedAt time.Time    `json:"created_at"`
@@ -215,36 +216,37 @@ func DeltaReport(deltas []Delta) string {
 
 // RunFullCampaign executes the Fig. 6 benchmarks, the idle
 // measurement and the default loss sweep for every service from the
-// given vantage, producing a persistable campaign. The timestamp is
-// virtual (the simulation's epoch) so campaigns are byte-identical
-// given a seed.
+// given vantage, reps repetitions per cell (reps <= 0 means
+// DefaultReps; Reps records the count that ran), producing a
+// persistable campaign. The timestamp is virtual (the simulation's
+// epoch) so campaigns are byte-identical given a seed.
 func RunFullCampaign(vantage Vantage, reps int, seed int64) Campaign {
-	c := Campaign{
-		Tool: ToolVersion, Vantage: vantage.Name,
-		Seed: seed, Reps: reps,
-		CreatedAt: sim.Epoch,
-	}
-	for _, p := range client.Profiles() {
-		c.Fig6 = append(c.Fig6, fig6FromVantage(p, vantage, reps, seed))
-		c.Idle = append(c.Idle, RunIdle(p, seed))
-	}
-	c.Lossy = LossSweep(client.Profiles(), DefaultLossRates, DefaultLossBatch, vantage, reps, seed)
-	return c
+	return runFullCampaign(vantage, fixedRule(reps), VarianceReduction{}, seed)
 }
 
-// fig6FromVantage is Fig6ForService with the test computer at an
-// arbitrary vantage, the workload x repetition matrix fanned out over
-// the shared scheduler pool.
-func fig6FromVantage(p client.Profile, v Vantage, reps int, seed int64) Fig6Result {
-	if reps <= 0 {
-		reps = DefaultReps
+// RunFullCampaignAdaptive is RunFullCampaign under a stopping rule:
+// the Fig. 6 and loss-sweep sections run their cells adaptively and
+// the campaign records the rule (Precision, MaxReps) alongside the
+// per-cell achieved precision, so snapshots are comparable at equal
+// confidence. The idle section is a single deterministic timeline and
+// runs as before.
+func RunFullCampaignAdaptive(vantage Vantage, rule StopRule, vr VarianceReduction, seed int64) Campaign {
+	return runFullCampaign(vantage, rule.withDefaults(vr), vr, seed)
+}
+
+// runFullCampaign is the full-campaign body.
+func runFullCampaign(vantage Vantage, rule StopRule, vr VarianceReduction, seed int64) Campaign {
+	c := Campaign{Tool: ToolVersion, Vantage: vantage.Name, Seed: seed, CreatedAt: sim.Epoch}
+	if rule.TargetRelHW > 0 {
+		c.Precision, c.MaxReps = rule.TargetRelHW, rule.MaxReps
+	} else {
+		c.Reps = rule.MaxReps
 	}
-	batches := workload.StandardBenchmarks(workload.Binary)
-	return Fig6Result{
-		Service:   p.Service,
-		Workloads: batches,
-		Summaries: fig6Summaries(batches, reps, func(wi, rep int) Metrics {
-			return RunSyncFrom(p, batches[wi], v, fig6Seed(seed, wi, rep), DefaultJitter)
-		}),
+	profiles := client.Profiles()
+	c.Fig6 = fig6(profiles, func() *netem.Host { return vantageHost(vantage) }, rule, vr, seed)
+	for _, p := range profiles {
+		c.Idle = append(c.Idle, RunIdle(p, seed))
 	}
+	c.Lossy = lossSweep(profiles, DefaultLossRates, DefaultLossBatch, vantage, rule, vr, seed)
+	return c
 }

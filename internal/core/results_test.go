@@ -19,7 +19,7 @@ func tinyCampaign(v Vantage, seed int64) Campaign {
 		r := Fig6Result{Service: svc, Workloads: batches}
 		for i, b := range batches {
 			r.Summaries = append(r.Summaries,
-				Summarize([]Metrics{RunSyncFrom(p, b, v, seed+int64(i), 0)}))
+				Summarize([]Metrics{RunSyncLossy(p, b, v, seed+int64(i), 0, 0)}))
 		}
 		c.Fig6 = append(c.Fig6, r)
 	}
@@ -100,6 +100,9 @@ func TestCompareThresholdNormalization(t *testing.T) {
 
 func TestRunFullCampaignShape(t *testing.T) {
 	c := RunFullCampaign(Twente, 1, 85)
+	if c.Reps != 1 {
+		t.Fatalf("campaign records %d reps, want the single one that ran", c.Reps)
+	}
 	if len(c.Fig6) != 5 || len(c.Idle) != 5 {
 		t.Fatalf("campaign shape: %d fig6, %d idle", len(c.Fig6), len(c.Idle))
 	}

@@ -11,9 +11,10 @@ import (
 // Table 1 capability detection, the Fig. 4/5 size sweeps, the Fig. 6
 // campaigns and the location study are all independent (service,
 // workload, vantage) cells. Every campaign-of-campaigns loop in the
-// package fans its full index space out through RunN, so one knob —
-// CampaignWorkers, cmd/cloudbench's -parallel — governs the whole
-// experiment matrix.
+// package fans its index space out through RunN — the repeated
+// layers via the campaign driver (RunUntil, driver.go), one flat
+// cell x repetition round at a time — so one knob — CampaignWorkers,
+// cmd/cloudbench's -parallel — governs the whole experiment matrix.
 //
 // Determinism contract: a cell must derive everything it needs (seed,
 // testbed, RNG) from its own index, exactly like campaignSeed does
@@ -42,9 +43,9 @@ func workerBudget() int {
 }
 
 // helpersActive counts helper goroutines currently running across all
-// pools in the process. It is what keeps nested fan-outs (a driver
-// over services, each service over workloads x repetitions) on one
-// shared budget instead of multiplying pool sizes: a pool spawns a
+// pools in the process. It is what keeps nested fan-outs (cmd/cloudbench
+// over services, each service over its Fig. 4 sweep sizes or Sect. 4
+// detectors) on one shared budget instead of multiplying pool sizes: a pool spawns a
 // helper only while the process-wide count is below the budget, and a
 // cell that fans out again simply runs its sub-cells inline when the
 // budget is spent. Acquisition never blocks, so nesting cannot

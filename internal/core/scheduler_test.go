@@ -107,14 +107,19 @@ func TestRunNNestedSharesBudget(t *testing.T) {
 
 // ---- parallel-vs-sequential golden equivalence per lifted layer ----
 
+// fig6ForService is the single-profile Fig. 6 campaign.
+func fig6ForService(p client.Profile, reps int, seed int64) Fig6Result {
+	return Fig6Matrix([]client.Profile{p}, reps, seed)[0]
+}
+
 func TestFig6ForServiceParallelEquivalence(t *testing.T) {
 	var seq Fig6Result
-	withWorkers(t, 1, func() { seq = Fig6ForService(client.CloudDrive(), 3, 42) })
+	withWorkers(t, 1, func() { seq = fig6ForService(client.CloudDrive(), 3, 42) })
 	for _, w := range equivalenceWorkerCounts[1:] {
 		var par Fig6Result
-		withWorkers(t, w, func() { par = Fig6ForService(client.CloudDrive(), 3, 42) })
+		withWorkers(t, w, func() { par = fig6ForService(client.CloudDrive(), 3, 42) })
 		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("workers=%d: Fig6ForService differs from sequential\n seq %+v\n par %+v", w, seq, par)
+			t.Errorf("workers=%d: single-service Fig6Matrix differs from sequential\n seq %+v\n par %+v", w, seq, par)
 		}
 	}
 }
@@ -128,9 +133,9 @@ func TestFig6MatrixMatchesPerService(t *testing.T) {
 				t.Fatalf("workers=%d: matrix has %d services", w, len(matrix))
 			}
 			for i, p := range profiles {
-				single := Fig6ForService(p, 2, 42)
+				single := fig6ForService(p, 2, 42)
 				if !reflect.DeepEqual(matrix[i], single) {
-					t.Errorf("workers=%d: matrix[%s] differs from Fig6ForService", w, p.Service)
+					t.Errorf("workers=%d: matrix[%s] differs from its single-service run", w, p.Service)
 				}
 			}
 		})

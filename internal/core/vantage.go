@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/cloud"
@@ -57,18 +56,12 @@ func vantageHost(v Vantage) *netem.Host {
 	}
 }
 
-// RunSyncFrom is RunSync from an arbitrary vantage; like RunSync it
-// streams the trace, so location-study cells share the O(flows)
-// memory profile of the campaign engine.
-func RunSyncFrom(p client.Profile, batch workload.Batch, v Vantage, seed int64, jitter float64) Metrics {
-	tb := assembleTestbed(p, cloud.SpecFor(p.Service), vantageHost(v), sim.NewRNG(seed), jitter, true)
-	start := tb.Settle()
-	t0 := tb.Clock.Now()
-	tb.StartWindow(t0)
-	batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
-	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-	tb.Clock.AdvanceTo(res.Done)
-	return MeasureWindow(tb, t0, batch.Total())
+// RunSyncLossy is RunSync from an arbitrary vantage over a path with
+// the given segment-loss rate (0 for a clean path). Like RunSync it
+// streams the trace, so every campaign cell shares the O(flows)
+// memory profile.
+func RunSyncLossy(p client.Profile, batch workload.Batch, v Vantage, seed int64, jitter, loss float64) Metrics {
+	return runSync(p, batch, vantageHost(v), sim.NewRNG(seed), jitter, loss)
 }
 
 // LocationCell is one (service, vantage) measurement of a location
@@ -81,21 +74,68 @@ type LocationCell struct {
 
 // LocationStudy benchmarks every service from every vantage with the
 // same workload — the comparison the paper's public-tool release was
-// meant to enable. Single repetition per cell, jitter-free (location
-// effects dwarf noise). The service x vantage matrix fans out over
-// the shared scheduler pool; every cell builds its own testbed from
-// the shared seed, so results are bit-identical at any worker count.
+// meant to enable. Single repetition per cell (the fixed preset at
+// one rep), jitter-free (location effects dwarf noise), every cell on
+// the shared seed; results are bit-identical at any worker count.
 func LocationStudy(batch workload.Batch, vantages []Vantage, seed int64) []LocationCell {
-	profiles := client.Profiles()
-	return RunN(len(profiles)*len(vantages), CampaignWorkers, func(i int) LocationCell {
-		p := profiles[i/len(vantages)]
-		v := vantages[i%len(vantages)]
-		return LocationCell{
-			Service: p.Service,
-			Vantage: v.Name,
-			Metrics: RunSyncFrom(p, batch, v, seed, 0),
-		}
+	cells := locationCells(batch, vantages, 0, func(int, int, int) int64 { return seed })
+	runs, _ := runCells(cells, fixedRule(1), VarianceReduction{})
+	out := make([]LocationCell, len(runs))
+	for i, r := range runs {
+		out[i] = LocationCell{Service: cells[i].p.Service, Vantage: vantages[i%len(vantages)].Name, Metrics: r[0]}
+	}
+	return out
+}
+
+// LocationSummary is one (service, vantage) cell of an adaptive
+// location study: a full Summary with achieved precision, where the
+// single-shot LocationStudy reports one jitter-free repetition.
+type LocationSummary struct {
+	Service string
+	Vantage string
+	Summary Summary
+}
+
+// locationSeed spreads location-study cells across the seed space;
+// with vr.CRN the service term is dropped so every service faces the
+// same noise at each vantage.
+func locationSeed(seed int64, si, vi int, crn bool) int64 {
+	base := seed + int64(vi)*500009
+	if !crn {
+		base += int64(si) * 1000003
+	}
+	return base
+}
+
+// LocationStudyAdaptive benchmarks every service from every vantage
+// under a stopping rule. Unlike the single-shot LocationStudy it
+// repeats with the campaign jitter (DefaultJitter) — an adaptive cell
+// without dispersion would trivially stop at MinReps — and reports
+// per-cell summaries with achieved precision.
+func LocationStudyAdaptive(batch workload.Batch, vantages []Vantage, rule StopRule, vr VarianceReduction, seed int64) []LocationSummary {
+	cells := locationCells(batch, vantages, DefaultJitter, func(si, vi, rep int) int64 {
+		return campaignSeed(locationSeed(seed, si, vi, vr.CRN), rep)
 	})
+	out := make([]LocationSummary, len(cells))
+	for i, s := range summarizeCells(cells, rule.withDefaults(vr), vr) {
+		out[i] = LocationSummary{Service: cells[i].p.Service, Vantage: vantages[i%len(vantages)].Name, Summary: s}
+	}
+	return out
+}
+
+// locationCells is the service x vantage matrix of a location study,
+// service-major; seed maps (service, vantage, rep) to a repetition
+// seed.
+func locationCells(batch workload.Batch, vantages []Vantage, jitter float64, seed func(si, vi, rep int) int64) []syncCell {
+	var cells []syncCell
+	for si, p := range client.Profiles() {
+		for vi, v := range vantages {
+			cells = append(cells, syncCell{p: p, batch: batch, jitter: jitter,
+				host: func() *netem.Host { return vantageHost(v) },
+				seed: func(rep int) int64 { return seed(si, vi, rep) }})
+		}
+	}
+	return cells
 }
 
 // LocationReport renders a location study as a service x vantage

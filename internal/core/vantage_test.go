@@ -31,10 +31,10 @@ func TestLocationChangesTheWinner(t *testing.T) {
 	batch := workload.Batch{Count: 1, Size: 1 << 20, Kind: workload.Binary}
 	sea, _ := VantageByName("SEA")
 
-	wualaEU := RunSyncFrom(client.Wuala(), batch, Twente, 61, 0)
-	wualaUS := RunSyncFrom(client.Wuala(), batch, sea, 61, 0)
-	skyEU := RunSyncFrom(client.SkyDrive(), batch, Twente, 61, 0)
-	skyUS := RunSyncFrom(client.SkyDrive(), batch, sea, 61, 0)
+	wualaEU := RunSyncLossy(client.Wuala(), batch, Twente, 61, 0, 0)
+	wualaUS := RunSyncLossy(client.Wuala(), batch, sea, 61, 0, 0)
+	skyEU := RunSyncLossy(client.SkyDrive(), batch, Twente, 61, 0, 0)
+	skyUS := RunSyncLossy(client.SkyDrive(), batch, sea, 61, 0, 0)
 
 	if wualaEU.Completion >= skyEU.Completion {
 		t.Fatalf("from Twente Wuala (%v) should beat SkyDrive (%v)",
@@ -56,8 +56,8 @@ func TestGoogleDriveEdgeFollowsTheClient(t *testing.T) {
 	// location-insensitive — its advantage over centralized designs.
 	batch := workload.Batch{Count: 1, Size: 1 << 20, Kind: workload.Binary}
 	syd, _ := VantageByName("SYD")
-	eu := RunSyncFrom(client.GoogleDrive(), batch, Twente, 62, 0)
-	au := RunSyncFrom(client.GoogleDrive(), batch, syd, 62, 0)
+	eu := RunSyncLossy(client.GoogleDrive(), batch, Twente, 62, 0, 0)
+	au := RunSyncLossy(client.GoogleDrive(), batch, syd, 62, 0, 0)
 	ratio := au.Completion.Seconds() / eu.Completion.Seconds()
 	if ratio > 2.0 || ratio < 0.5 {
 		t.Fatalf("edge network should level locations: Twente %v vs Sydney %v",
