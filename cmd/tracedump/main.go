@@ -57,11 +57,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown service %q\n", *service)
 		os.Exit(2)
 	}
+	batch := workload.Batch{Count: *files, Size: *size, Kind: workload.Binary}
+	if err := batch.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	tb := core.NewTestbed(p, *seed, 0)
 	start := tb.Settle()
-	t0 := tb.Clock.Now()
-	workload.Batch{Count: *files, Size: *size, Kind: workload.Binary}.
-		Materialize(tb.Folder, tb.RNG, t0, "bench")
+	batch.Materialize(tb.Folder, tb.RNG, tb.Clock.Now(), "bench")
 	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
 	tb.Clock.AdvanceTo(res.Done)
 

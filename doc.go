@@ -41,7 +41,13 @@
 //     O(1) and analyzers always see a time-sorted trace. Streamer
 //     folds each packet into the per-flow accumulators of every
 //     pre-registered window and discards it, so a repetition's trace
-//     memory is O(flows) instead of O(packets).
+//     memory is O(flows) instead of O(packets). The fold is copy-free
+//     and pointer-free: a plain record folds in place (only spans go
+//     through Packet.Clip), every instant it keeps is an integer
+//     offset from the first recorded one, so window bounds are
+//     integer compares and the accumulators hold nothing for the GC
+//     to scan, and per-flow state grows in chunks that are never
+//     copied.
 //   - trace.Span records carry their slicing parameters (slice size,
 //     spacing, count), so both sinks fold them in O(1) when a span
 //     falls inside one window and expand them deterministically only
@@ -69,6 +75,15 @@
 //     RunIdle's cumulative timeline, AnalyzeProtocols' activity
 //     clustering, the Sect. 4 capability detectors, RunPropagation,
 //     RunRecovery, cmd/tracedump — keep a buffered Capture.
+//   - Every repetition assembles a fresh testbed: cloud.Build adds
+//     the deployment's hosts, address pools, whois records, DNS
+//     policies and PTR records. The airport a site's PTR names embed
+//     is looked up once per site, not once per host, and names are
+//     built without fmt. DNS answer rotation permutes into a stack
+//     buffer (sim.RNG.PermInto), so a resolve allocates only its
+//     answer. core's BenchmarkRepetitionFixedCost times one Cloud
+//     Drive 100x10 kB repetition, where this fixed cost dominates,
+//     and reports its allocations.
 //   - internal/sim's RNG is PCG (RXS-M-XS-64) seeded through
 //     SplitMix64: RNG.Fork is O(1) — two mixing rounds build a child's
 //     whole state — and RNG.Fill generates eight bytes per step, so

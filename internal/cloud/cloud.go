@@ -20,6 +20,7 @@ package cloud
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -169,17 +170,23 @@ func Build(n *netem.Network, dns *dnssim.System, reg *whois.Registry, spec Spec)
 		if servers <= 0 {
 			servers = 2
 		}
+		// Every host of a site shares its coordinate, so the airport
+		// its PTR names embed is looked up once per site.
+		air := ""
+		if site.PTRHint {
+			air = strings.ToLower(geo.NearestAirport(site.Coord).Code)
+		}
 		for _, role := range site.Roles {
 			for i := 0; i < servers; i++ {
 				h := n.AddHost(&netem.Host{
-					Name:      fmt.Sprintf("%s%d.%s.%s.sim", role, i, site.Name, spec.Service),
+					Name:      role.String() + strconv.Itoa(i) + "." + site.Name + "." + spec.Service + ".sim",
 					Addr:      pool.Next(),
 					Coord:     site.Coord,
 					RateBps:   site.RateBps,
 					ProcDelay: site.ProcDelay,
 				})
 				d.Hosts[role] = append(d.Hosts[role], h)
-				dns.SetPTR(h.Addr, ptrName(site, role, i))
+				dns.SetPTR(h.Addr, ptrName(site, air, role, i))
 			}
 		}
 	}
@@ -208,12 +215,12 @@ func Build(n *netem.Network, dns *dnssim.System, reg *whois.Registry, spec Spec)
 	return d
 }
 
-// ptrName builds the reverse-DNS name for a host: informative (with an
-// airport code, as many operators do) or opaque.
-func ptrName(site Site, role Role, i int) string {
+// ptrName builds the reverse-DNS name for a host: informative (with
+// the site's lower-case airport code air, as many operators do) or
+// opaque.
+func ptrName(site Site, air string, role Role, i int) string {
 	if site.PTRHint {
-		air := geo.NearestAirport(site.Coord)
-		return fmt.Sprintf("%s-%s%d-%d.net.example", role, strings.ToLower(air.Code), 1+i/8, i)
+		return role.String() + "-" + air + strconv.Itoa(1+i/8) + "-" + strconv.Itoa(i) + ".net.example"
 	}
-	return fmt.Sprintf("%s-%d.%s.example", role, i, site.Name)
+	return role.String() + "-" + strconv.Itoa(i) + "." + site.Name + ".example"
 }

@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -196,5 +197,40 @@ func TestRoleStrings(t *testing.T) {
 	if Control.String() != "control" || Storage.String() != "storage" ||
 		Notification.String() != "notify" || Edge.String() != "edge" {
 		t.Fatal("role names feed DNS names; they must be stable")
+	}
+}
+
+// TestHostAndPTRNames pins every host name and reverse-DNS name of the
+// five deployments to their defining formats, with the PTR airport
+// looked up per host as the names are specified: Build resolves it
+// once per site and builds names without fmt, and neither may change a
+// byte.
+func TestHostAndPTRNames(t *testing.T) {
+	for _, svc := range ServiceNames {
+		_, dns, _, d := buildService(t, svc)
+		next := map[Role]int{}
+		for _, site := range d.Spec.Sites {
+			servers := site.Servers
+			if servers <= 0 {
+				servers = 2
+			}
+			for _, role := range site.Roles {
+				for i := 0; i < servers; i++ {
+					h := d.HostsByRole(role)[next[role]]
+					next[role]++
+					if want := fmt.Sprintf("%s%d.%s.%s.sim", role, i, site.Name, svc); h.Name != want {
+						t.Fatalf("%s: host name %q, want %q", svc, h.Name, want)
+					}
+					want := fmt.Sprintf("%s-%d.%s.example", role, i, site.Name)
+					if site.PTRHint {
+						air := geo.NearestAirport(h.Coord)
+						want = fmt.Sprintf("%s-%s%d-%d.net.example", role, strings.ToLower(air.Code), 1+i/8, i)
+					}
+					if got := dns.ReverseLookup(h.Addr); got != want {
+						t.Fatalf("%s: PTR of %s is %q, want %q", svc, h.Name, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -152,3 +152,18 @@ func BenchmarkRunCampaign(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRepetitionFixedCost times one campaign repetition whose
+// cost is almost all per-repetition and per-connection fixed cost:
+// Cloud Drive's 100x10 kB upload opens a connection per file and does
+// no planner work, so testbed assembly, DNS, transport and the
+// streaming trace fold dominate. Allocations are reported because the
+// fold and assembly are where a fixed-cost regression shows first.
+func BenchmarkRepetitionFixedCost(b *testing.B) {
+	batch := workload.Batch{Count: 100, Size: 10_000, Kind: workload.Binary}
+	p := client.CloudDrive()
+	b.ReportAllocs()
+	for b.Loop() {
+		RunSync(p, batch, 42, DefaultJitter)
+	}
+}

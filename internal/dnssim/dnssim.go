@@ -58,7 +58,14 @@ func (p *StaticPool) Answer(_ geo.Coord, rng *sim.RNG) []string {
 		copy(out, p.IPs)
 		return out
 	}
-	idx := rng.Perm(len(p.IPs))[:k]
+	// Permute into a stack buffer when the pool fits (every built-in
+	// deployment's does): the answer is the only allocation.
+	var buf [64]int
+	perm := buf[:]
+	if len(p.IPs) > len(buf) {
+		perm = make([]int, len(p.IPs))
+	}
+	idx := rng.PermInto(perm[:len(p.IPs)])[:k]
 	sort.Ints(idx)
 	out := make([]string, 0, k)
 	for _, i := range idx {

@@ -1,6 +1,7 @@
 package dnssim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -38,6 +39,22 @@ func TestStaticPoolRotationCoversPool(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Fatalf("rotation covered %d of 4", len(seen))
+	}
+}
+
+// TestStaticPoolAnswerAllocatesOnlyItsResult pins the rotation's cost:
+// the permutation lives on the stack, so the returned slice is the
+// only allocation per query.
+func TestStaticPoolAnswerAllocatesOnlyItsResult(t *testing.T) {
+	ips := make([]string, 28)
+	for i := range ips {
+		ips[i] = fmt.Sprintf("54.239.0.%d", i+1)
+	}
+	p := &StaticPool{IPs: ips, K: 4}
+	for _, rng := range []*sim.RNG{sim.NewRNG(5), sim.NewAntitheticRNG(5)} {
+		if n := testing.AllocsPerRun(100, func() { p.Answer(geo.Coord{}, rng) }); n != 1 {
+			t.Fatalf("antithetic=%v: Answer allocates %v times per query, want 1", rng.Antithetic(), n)
+		}
 	}
 }
 

@@ -45,8 +45,8 @@ func DistanceKm(a, b Coord) float64 {
 	dLat := (b.Lat - a.Lat) * rad
 	dLon := (b.Lon - a.Lon) * rad
 	la1, la2 := a.Lat*rad, b.Lat*rad
-	h := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	sLat, sLon := math.Sin(dLat/2), math.Sin(dLon/2)
+	h := sLat*sLat + math.Cos(la1)*math.Cos(la2)*sLon*sLon
 	return 2 * earthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
 }
 

@@ -44,6 +44,37 @@ func TestDistanceSymmetry(t *testing.T) {
 	}
 }
 
+// TestDistanceMatchesHaversineFormula pins DistanceKm bit for bit to
+// the textbook haversine expression, each sine evaluated where it
+// appears: every simulated RTT and nearest-airport choice derives from
+// it, so a rewrite for speed must not move a single bit.
+func TestDistanceMatchesHaversineFormula(t *testing.T) {
+	ref := func(a, b Coord) float64 {
+		const rad = math.Pi / 180
+		dLat := (b.Lat - a.Lat) * rad
+		dLon := (b.Lon - a.Lon) * rad
+		la1, la2 := a.Lat*rad, b.Lat*rad
+		h := math.Sin(dLat/2)*math.Sin(dLat/2) +
+			math.Cos(la1)*math.Cos(la2)*math.Sin(dLon/2)*math.Sin(dLon/2)
+		return 2 * earthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
+	}
+	f := func(lat1, lon1, lat2, lon2 int32) bool {
+		a := Coord{Lat: float64(lat1%90_000) / 1000, Lon: float64(lon1%180_000) / 1000}
+		b := Coord{Lat: float64(lat2%90_000) / 1000, Lon: float64(lon2%180_000) / 1000}
+		return math.Float64bits(DistanceKm(a, b)) == math.Float64bits(ref(a, b))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range Airports() {
+		for _, b := range Airports() {
+			if math.Float64bits(DistanceKm(a.Coord, b.Coord)) != math.Float64bits(ref(a.Coord, b.Coord)) {
+				t.Fatalf("DistanceKm(%s, %s) differs from the haversine formula", a.Code, b.Code)
+			}
+		}
+	}
+}
+
 func TestMidpoint(t *testing.T) {
 	a := Coord{0, 0}
 	b := Coord{0, 90}

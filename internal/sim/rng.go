@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 )
 
 // RNG is a deterministic random source for the simulation. A given
@@ -146,19 +147,29 @@ func (r *RNG) uniformPaired(n int64) int64 {
 // takes a k-prefix of the permutation (e.g. DNS answer rotation)
 // receives the complementary end of the pool, so rare-outcome draws
 // are negatively correlated across an antithetic pair.
-func (r *RNG) Perm(n int) []int {
-	if r.pcg.mask == 0 {
-		return r.Rand.Perm(n)
+func (r *RNG) Perm(n int) []int { return r.PermInto(make([]int, n)) }
+
+// PermInto writes Perm(len(dst)) into dst and returns it, without
+// allocating: the same values and the same stream steps as Perm, on
+// plain and antithetic sources alike, for callers that permute into a
+// reusable or stack buffer.
+func (r *RNG) PermInto(dst []int) []int {
+	// math/rand's Perm loop, verbatim (including the i = 0 draw it
+	// keeps for stream compatibility), run on the un-complemented
+	// words so an antithetic source replays its plain twin in
+	// lockstep before reversing.
+	mask := r.pcg.mask
+	r.pcg.mask = 0
+	for i := range dst {
+		j := r.Intn(i + 1)
+		dst[i] = dst[j]
+		dst[j] = i
 	}
-	// Replay the plain twin: an unmasked view of the same PCG state,
-	// advanced in lockstep so both streams stay aligned.
-	plain := &pcg{state: r.pcg.state, inc: r.pcg.inc}
-	p := rand.New(plain).Perm(n)
-	r.pcg.state = plain.state
-	for i, j := 0, len(p)-1; i < j; i, j = i+1, j-1 {
-		p[i], p[j] = p[j], p[i]
+	r.pcg.mask = mask
+	if mask != 0 {
+		slices.Reverse(dst)
 	}
-	return p
+	return dst
 }
 
 // Bytes fills and returns a new buffer of n random bytes.

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -213,5 +215,59 @@ func TestAntitheticDeterminism(t *testing.T) {
 	NewAntitheticRNG(42).Fill(buf2)
 	if !bytes.Equal(buf1, buf2) {
 		t.Fatal("antithetic Fill not deterministic")
+	}
+}
+
+// TestPermIntoMatchesPerm pins PermInto to Perm and to math/rand's
+// Perm on the same PCG state, on the plain stream and on the
+// antithetic one (which returns the plain twin's permutation
+// reversed): the same values, whatever dst held before, and the same
+// stream position afterwards, checked through the next draw.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42, -9, 1 << 40} {
+		for _, n := range []int{0, 1, 2, 5, 16, 64, 100} {
+			ref := rand.New(newPCG(seed)).Perm(n) // math/rand on the plain stream
+			ref2 := rand.New(newPCG(seed))
+			ref2.Perm(n)
+			refNext := ref2.Uint64()
+			for _, anti := range []bool{false, true} {
+				newRNG, want, wantNext := NewRNG, slices.Clone(ref), refNext
+				if anti {
+					newRNG, wantNext = NewAntitheticRNG, ^refNext
+					slices.Reverse(want)
+				}
+				perm := newRNG(seed)
+				got := perm.Perm(n)
+				into := newRNG(seed)
+				dst := make([]int, n)
+				for i := range dst {
+					dst[i] = -1 - i // stale contents must not leak
+				}
+				gotInto := into.PermInto(dst)
+				if !slices.Equal(got, want) || !slices.Equal(gotInto, want) {
+					t.Fatalf("seed %d n %d anti %v: Perm %v PermInto %v, want %v", seed, n, anti, got, gotInto, want)
+				}
+				if n > 0 && &gotInto[0] != &dst[0] {
+					t.Fatalf("seed %d n %d anti %v: PermInto did not fill dst", seed, n, anti)
+				}
+				if a, b := perm.Uint64(), into.Uint64(); a != wantNext || b != wantNext {
+					t.Fatalf("seed %d n %d anti %v: next draw after Perm %x, after PermInto %x, want %x", seed, n, anti, a, b, wantNext)
+				}
+				if into.Antithetic() != anti {
+					t.Fatalf("seed %d n %d: PermInto changed the antithetic mask", seed, n)
+				}
+			}
+		}
+	}
+}
+
+// TestPermIntoDoesNotAllocate pins the point of PermInto: a permutation
+// into a caller's buffer costs no allocation.
+func TestPermIntoDoesNotAllocate(t *testing.T) {
+	for _, r := range []*RNG{NewRNG(3), NewAntitheticRNG(3)} {
+		var buf [32]int
+		if n := testing.AllocsPerRun(100, func() { r.PermInto(buf[:]) }); n != 0 {
+			t.Fatalf("antithetic=%v: PermInto allocates %v times per call", r.Antithetic(), n)
+		}
 	}
 }

@@ -2,7 +2,7 @@ package trace
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -60,15 +60,23 @@ var (
 // buffered one. Like Capture, a Streamer is not safe for concurrent
 // use — the campaign engine gives every experiment cell its own sink.
 type Streamer struct {
-	flows []FlowInfo
+	flows chunked[FlowInfo]
 	wins  []*StreamWindow
 
-	// maxSeen is the latest timestamp recorded so far — for span
-	// records the instant of their last slice, since the whole span is
-	// discarded at record time; AddWindow uses it to reject
-	// registrations that would miss already-discarded packets.
-	maxSeen time.Time
-	seen    bool
+	// origin is the instant of the first recorded packet; seen is set
+	// from then on. Every instant the streamer keeps afterwards is an
+	// offset from origin (see offset): window bounds, accumulators and
+	// maxSeen are integers, so the per-record fold compares and stores
+	// plain numbers, and the accumulators are pointer-free (no write
+	// barriers, nothing for the GC to scan).
+	origin time.Time
+	seen   bool
+
+	// maxSeen is the offset of the latest instant recorded so far —
+	// for span records the instant of their last slice, since the
+	// whole span is discarded at record time; AddWindow uses it to
+	// reject registrations that would miss already-discarded packets.
+	maxSeen time.Duration
 }
 
 // NewStreamer returns a streamer with no flows and no windows.
@@ -76,9 +84,25 @@ func NewStreamer() *Streamer { return &Streamer{} }
 
 // OpenFlow registers a new connection and returns its ID.
 func (s *Streamer) OpenFlow(key FlowKey, serverName string, at time.Time) FlowID {
-	id := FlowID(len(s.flows))
-	s.flows = append(s.flows, FlowInfo{ID: id, Key: key, ServerName: serverName, OpenedAt: at})
+	id := FlowID(s.flows.len())
+	s.flows.grow(int(id) + 1)
+	*s.flows.at(int(id)) = FlowInfo{ID: id, Key: key, ServerName: serverName, OpenedAt: at}
 	return id
+}
+
+// offset returns t.Sub(s.origin). Within 2^33 s (~272 years) of the
+// origin it subtracts the wall-clock seconds and nanoseconds directly,
+// which inlines, instead of calling Sub with its overflow check; the
+// result is the same for the instants a simulation produces, which
+// carry no monotonic clock reading. Beyond that it falls back to Sub,
+// which saturates. Offsets are exact, and compare as the instants do,
+// for any trace whose instants lie within ±292 years of its first.
+func (s *Streamer) offset(t time.Time) time.Duration {
+	ds := t.Unix() - s.origin.Unix()
+	if ds > 1<<33 || ds < -1<<33 {
+		return t.Sub(s.origin)
+	}
+	return time.Duration(ds)*time.Second + time.Duration(t.Nanosecond()-s.origin.Nanosecond())
 }
 
 // Record folds a packet into every registered window containing its
@@ -86,12 +110,23 @@ func (s *Streamer) OpenFlow(key FlowKey, serverName string, at time.Time) FlowID
 // Span records fold in O(1) per window: totals when fully contained,
 // a deterministic O(1) clip at window boundaries otherwise.
 func (s *Streamer) Record(p Packet) {
-	if end := p.End(); !s.seen || end.After(s.maxSeen) {
+	first := !s.seen
+	if first {
+		s.origin, s.seen = p.Time, true
+		for _, w := range s.wins {
+			w.anchor()
+		}
+	}
+	at := s.offset(p.Time)
+	end := at
+	if p.Slices > 1 {
+		end += time.Duration(p.Slices-1) * p.SliceGap // p.End()
+	}
+	if first || end > s.maxSeen {
 		s.maxSeen = end
-		s.seen = true
 	}
 	for _, w := range s.wins {
-		w.record(p)
+		w.record(&p, at)
 	}
 }
 
@@ -103,44 +138,49 @@ func (s *Streamer) Record(p Packet) {
 // engine does so right when the window opens, after the trace has
 // settled).
 func (s *Streamer) AddWindow(from, to time.Time) *StreamWindow {
-	if s.seen && !s.maxSeen.Before(from) {
-		panic(fmt.Sprintf(
-			"trace: AddWindow(from=%v) after recording a packet at %v; streaming windows must be registered before their traffic",
-			from, s.maxSeen))
-	}
 	w := &StreamWindow{s: s, from: from, to: to}
+	if s.seen {
+		w.anchor()
+		if w.lo <= s.maxSeen {
+			panic(fmt.Sprintf(
+				"trace: AddWindow(from=%v) after recording a packet at %v; streaming windows must be registered before their traffic",
+				from, s.origin.Add(s.maxSeen)))
+		}
+	}
 	s.wins = append(s.wins, w)
 	return w
 }
 
 // Flows returns metadata for every connection seen by the streamer.
-func (s *Streamer) Flows() []FlowInfo { return s.flows }
+func (s *Streamer) Flows() []FlowInfo { return s.flows.slice() }
 
 // Flow returns the metadata for one connection.
-func (s *Streamer) Flow(id FlowID) FlowInfo { return s.flows[id] }
+func (s *Streamer) Flow(id FlowID) FlowInfo { return *s.flows.at(int(id)) }
 
 // NumFlows returns how many connections the streamer saw.
-func (s *Streamer) NumFlows() int { return len(s.flows) }
+func (s *Streamer) NumFlows() int { return s.flows.len() }
 
 // flowAcc is the per-(window, flow) fold of every commutative Analysis
-// metric. About a hundred bytes per flow per window — together with
+// metric. 72 pointer-free bytes per flow per window — together with
 // the per-connection SYN events, the whole memory footprint of a
-// streamed repetition.
+// streamed repetition. Instants are offsets from the streamer's
+// origin.
 type flowAcc struct {
 	packets                int
 	totalWire              int64
 	wireUp, wireDown       int64
 	payloadUp, payloadDown int64
 
-	firstPayload, lastPayload time.Time
+	firstPayload, lastPayload time.Duration
 	hasPayload                bool
 }
 
 // synEvent is one client-initiated SYN, kept in arrival order. SYN
 // timelines are the only order-sensitive Analysis output, and there is
-// one per connection, so retaining them stays O(flows).
+// one per connection, so retaining them stays O(flows). at is an
+// offset from the streamer's origin.
 type synEvent struct {
-	time time.Time
+	at   time.Duration
 	flow FlowID
 }
 
@@ -151,7 +191,8 @@ type synEvent struct {
 type StreamWindow struct {
 	s        *Streamer
 	from, to time.Time
-	perFlow  []flowAcc
+	lo, hi   time.Duration // from and to as offsets, once the origin is known
+	perFlow  chunked[flowAcc]
 	syns     []synEvent
 }
 
@@ -161,53 +202,73 @@ func (w *StreamWindow) From() time.Time { return w.from }
 // To returns the window's exclusive upper bound.
 func (w *StreamWindow) To() time.Time { return w.to }
 
-// record folds one packet, mirroring Capture.Analyze's per-packet body
-// exactly — split per flow so filters can be applied at read time. A
-// span is first clipped to the window (O(1): index arithmetic over the
-// uniform slicing), so a span straddling a boundary contributes
-// exactly its in-window slices, and a fully contained one folds its
-// precomputed totals without expansion.
-func (w *StreamWindow) record(p Packet) {
-	cl, ok := p.Clip(w.from, w.to)
-	if !ok {
+// anchor converts the window's bounds to offsets from the streamer's
+// origin. Sub saturates, so a bound beyond an offset's range (the zero
+// Time, say) still compares correctly against every record offset.
+func (w *StreamWindow) anchor() {
+	w.lo, w.hi = w.from.Sub(w.s.origin), w.to.Sub(w.s.origin)
+}
+
+// record folds one packet at offset at, mirroring Capture.Analyze's
+// per-packet body exactly — split per flow so filters can be applied
+// at read time. A plain record is in or out of the window as a whole
+// and folds in place. A span is first clipped to the window (O(1):
+// index arithmetic over the uniform slicing), so a span straddling a
+// boundary contributes exactly its in-window slices, and a fully
+// contained one folds its precomputed totals without expansion.
+func (w *StreamWindow) record(p *Packet, at time.Duration) {
+	if p.Slices > 1 && p.SliceGap > 0 {
+		if cl, ok := p.Clip(w.from, w.to); ok {
+			w.fold(&cl, w.s.offset(cl.Time))
+		}
 		return
 	}
-	for int(cl.Flow) >= len(w.perFlow) {
-		w.perFlow = append(w.perFlow, flowAcc{})
+	// Clip's plain-record case (a zero-gap span's slices share one
+	// instant, so it too is in or out whole), without the copy.
+	if at < w.lo || at >= w.hi {
+		return
 	}
-	a := &w.perFlow[cl.Flow]
-	a.packets += cl.SliceCount()
-	a.totalWire += cl.Wire + cl.AckWire
-	if cl.Dir == Upstream {
-		a.wireUp += cl.Wire
-		a.wireDown += cl.AckWire
-		a.payloadUp += cl.Payload
-		if cl.Flags.SYN && !cl.Flags.ACK {
-			w.syns = append(w.syns, synEvent{time: cl.Time, flow: cl.Flow})
+	w.fold(p, at)
+}
+
+// fold adds one in-window record at offset at to its flow's
+// accumulator.
+func (w *StreamWindow) fold(p *Packet, at time.Duration) {
+	w.perFlow.grow(int(p.Flow) + 1)
+	a := w.perFlow.at(int(p.Flow))
+	last := at // the instant of the record's last slice, p.End()
+	if p.Slices > 1 {
+		a.packets += p.Slices
+		last += time.Duration(p.Slices-1) * p.SliceGap
+	} else {
+		a.packets++
+	}
+	a.totalWire += p.Wire + p.AckWire
+	if p.Dir == Upstream {
+		a.wireUp += p.Wire
+		a.wireDown += p.AckWire
+		a.payloadUp += p.Payload
+		if p.Flags.SYN && !p.Flags.ACK {
+			w.syns = append(w.syns, synEvent{at: at, flow: p.Flow})
 		}
 	} else {
-		a.wireDown += cl.Wire
-		a.wireUp += cl.AckWire
-		a.payloadDown += cl.Payload
+		a.wireDown += p.Wire
+		a.wireUp += p.AckWire
+		a.payloadDown += p.Payload
 	}
-	if cl.Payload > 0 {
+	if p.Payload > 0 {
 		// Every slice of a data span carries payload, so the span's
-		// in-window payload bracket is [cl.Time, cl.End()].
-		first, last := cl.Time, cl.End()
+		// in-window payload bracket is [p.Time, p.End()].
 		if !a.hasPayload {
-			a.firstPayload = first
+			a.firstPayload = at
 			a.lastPayload = last
 			a.hasPayload = true
 		} else {
 			// Records arrive slightly out of order, so the payload
 			// bracket is a min/max fold; over the stably sorted trace
 			// these are exactly the first and last payload instants.
-			if first.Before(a.firstPayload) {
-				a.firstPayload = first
-			}
-			if last.After(a.lastPayload) {
-				a.lastPayload = last
-			}
+			a.firstPayload = min(a.firstPayload, at)
+			a.lastPayload = max(a.lastPayload, last)
 		}
 	}
 }
@@ -220,11 +281,12 @@ func (w *StreamWindow) record(p Packet) {
 // timestamps keep arrival order.
 func (w *StreamWindow) Analyze(f FlowFilter) Analysis {
 	var a Analysis
-	for id := range w.perFlow {
-		if f != nil && !f(w.s.flows[id]) {
+	var first, last time.Duration
+	for id := range w.perFlow.len() {
+		if f != nil && !f(*w.s.flows.at(id)) {
 			continue
 		}
-		acc := &w.perFlow[id]
+		acc := w.perFlow.at(id)
 		a.Packets += acc.packets
 		a.TotalWire += acc.totalWire
 		a.WireUp += acc.wireUp
@@ -233,27 +295,27 @@ func (w *StreamWindow) Analyze(f FlowFilter) Analysis {
 		a.PayloadDown += acc.payloadDown
 		if acc.hasPayload {
 			if !a.HasPayload {
-				a.FirstPayload = acc.firstPayload
-				a.LastPayload = acc.lastPayload
+				first, last = acc.firstPayload, acc.lastPayload
 				a.HasPayload = true
 			} else {
-				if acc.firstPayload.Before(a.FirstPayload) {
-					a.FirstPayload = acc.firstPayload
-				}
-				if acc.lastPayload.After(a.LastPayload) {
-					a.LastPayload = acc.lastPayload
-				}
+				first = min(first, acc.firstPayload)
+				last = max(last, acc.lastPayload)
 			}
 		}
 	}
+	if a.HasPayload {
+		a.FirstPayload = w.s.origin.Add(first)
+		a.LastPayload = w.s.origin.Add(last)
+	}
 	for _, e := range w.syns {
-		if f == nil || f(w.s.flows[e.flow]) {
-			a.SYNTimes = append(a.SYNTimes, e.time)
+		if f == nil || f(*w.s.flows.at(int(e.flow))) {
+			if a.SYNTimes == nil {
+				a.SYNTimes = make([]time.Time, 0, len(w.syns))
+			}
+			a.SYNTimes = append(a.SYNTimes, w.s.origin.Add(e.at))
 		}
 	}
-	sort.SliceStable(a.SYNTimes, func(i, j int) bool {
-		return a.SYNTimes[i].Before(a.SYNTimes[j])
-	})
+	slices.SortStableFunc(a.SYNTimes, time.Time.Compare)
 	a.Connections = len(a.SYNTimes)
 	return a
 }
@@ -262,9 +324,9 @@ func (w *StreamWindow) Analyze(f FlowFilter) Analysis {
 // indexed by FlowID — the Wuala storage/control classifier input,
 // identical to Capture.Window(from, to).FlowBytes().
 func (w *StreamWindow) FlowBytes() []int64 {
-	out := make([]int64, len(w.s.flows))
-	for id := range w.perFlow {
-		out[id] = w.perFlow[id].totalWire
+	out := make([]int64, w.s.flows.len())
+	for id := range w.perFlow.len() {
+		out[id] = w.perFlow.at(id).totalWire
 	}
 	return out
 }
@@ -272,9 +334,9 @@ func (w *StreamWindow) FlowBytes() []int64 {
 // FlowsWithTraffic reports which flows carry at least one packet in
 // the window, indexed by FlowID, identical to the Capture method.
 func (w *StreamWindow) FlowsWithTraffic() []bool {
-	out := make([]bool, len(w.s.flows))
-	for id := range w.perFlow {
-		out[id] = w.perFlow[id].packets > 0
+	out := make([]bool, w.s.flows.len())
+	for id := range w.perFlow.len() {
+		out[id] = w.perFlow.at(id).packets > 0
 	}
 	return out
 }

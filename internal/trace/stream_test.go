@@ -3,14 +3,16 @@ package trace
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
 
 // TestStreamerMatchesCaptureRandomized is the streaming pipeline's
 // equivalence oracle: random flow populations, random packet
-// workloads, random out-of-order record interleavings and random
-// window bounds, asserting that the fold-at-record-time StreamWindow
+// workloads with a few spans, random out-of-order record
+// interleavings and random window bounds — some on record instants,
+// some on and between span slices — asserting that the fold-at-record-time StreamWindow
 // produces field-for-field the same Analysis as buffering everything
 // in a Capture and running Window(...).Analyze(...) afterwards —
 // including the SYNTimes order and the HasPayload payload bracket.
@@ -62,19 +64,17 @@ func buildRandomPair(rng *rand.Rand) ([]*StreamWindow, []*Capture, []FlowFilter)
 		}
 	}
 
-	// Windows registered up front (the streaming contract), spanning
-	// the whole packet time range and random interior slices; [x, x)
-	// exercises the empty-window edge.
+	// Windows spanning the whole packet time range and random interior
+	// slices; [x, x) exercises the empty-window edge.
 	const horizonMs = 10_000
-	bounds := [][2]int{{0, horizonMs}, {0, 0}}
+	var bounds [][2]time.Time
+	for _, b := range [][2]int{{0, horizonMs}, {0, 0}} {
+		bounds = append(bounds, [2]time.Time{at(b[0]), at(b[1])})
+	}
 	for i := 0; i < 3; i++ {
 		lo := rng.Intn(horizonMs)
 		hi := lo + rng.Intn(horizonMs-lo+1)
-		bounds = append(bounds, [2]int{lo, hi})
-	}
-	var swins []*StreamWindow
-	for _, b := range bounds {
-		swins = append(swins, str.AddWindow(at(b[0]), at(b[1])))
+		bounds = append(bounds, [2]time.Time{at(lo), at(hi)})
 	}
 
 	// Random workload: mostly in-order timestamps with out-of-order
@@ -82,6 +82,7 @@ func buildRandomPair(rng *rand.Rand) ([]*StreamWindow, []*Capture, []FlowFilter)
 	// the stable-order tie-break, SYNs in both directions, zero-payload
 	// control packets and pure-ACK accounting.
 	n := rng.Intn(400)
+	var pkts []Packet
 	base := 0
 	for i := 0; i < n; i++ {
 		base += rng.Intn(40)
@@ -120,13 +121,60 @@ func buildRandomPair(rng *rand.Rand) ([]*StreamWindow, []*Capture, []FlowFilter)
 			p.Segments = 1 + int(p.Payload/1460)
 			p.AckWire = int64(rng.Intn(2)) * 66
 		}
+		pkts = append(pkts, p)
+	}
+
+	// A few data spans at random points of the record stream, so that
+	// the window bounds below can split them.
+	var spans []Packet
+	for i := rng.Intn(4); i > 0; i-- {
+		gap := time.Duration(1+rng.Intn(50)) * time.Millisecond
+		sliceBytes := int64(MSS * (1 + rng.Intn(8)))
+		sp := Span(at(rng.Intn(horizonMs)), FlowID(rng.Intn(nFlows)), Direction(rng.Intn(2)),
+			Flags{ACK: true}, 2+rng.Intn(10), sliceBytes, 1+rng.Int63n(sliceBytes), gap)
+		spans = append(spans, sp)
+		k := rng.Intn(len(pkts) + 1)
+		pkts = slices.Insert(pkts, k, sp)
+	}
+
+	// Bounds placed exactly on record instants and on and between the
+	// slices of a span: the edges where folding a record whole, or
+	// clipping a span, could be off by one.
+	instant := func() time.Time {
+		if len(spans) > 0 && rng.Intn(2) == 0 {
+			sp := spans[rng.Intn(len(spans))]
+			off := time.Duration(rng.Intn(sp.Slices)) * sp.SliceGap
+			if rng.Intn(2) == 0 {
+				off += sp.SliceGap / 2
+			}
+			return sp.Time.Add(off)
+		}
+		if len(pkts) == 0 {
+			return at(rng.Intn(horizonMs))
+		}
+		return pkts[rng.Intn(len(pkts))].Time
+	}
+	for i := 0; i < 4; i++ {
+		lo, hi := instant(), instant()
+		if hi.Before(lo) {
+			lo, hi = hi, lo
+		}
+		bounds = append(bounds, [2]time.Time{lo, hi}, [2]time.Time{lo, FarFuture})
+	}
+
+	// Windows are registered before any record (the streaming
+	// contract); the capture's are views taken afterwards.
+	var swins []*StreamWindow
+	for _, b := range bounds {
+		swins = append(swins, str.AddWindow(b[0], b[1]))
+	}
+	for _, p := range pkts {
 		cap.Record(p)
 		str.Record(p)
 	}
-
 	var cwins []*Capture
 	for _, b := range bounds {
-		cwins = append(cwins, cap.Window(at(b[0]), at(b[1])))
+		cwins = append(cwins, cap.Window(b[0], b[1]))
 	}
 
 	filters := []FlowFilter{
@@ -193,5 +241,36 @@ func TestAddWindowAfterQuietPointOK(t *testing.T) {
 	}
 	if !a.HasPayload || !a.FirstPayload.Equal(at(150)) || !a.LastPayload.Equal(at(150)) {
 		t.Fatalf("payload bracket = %+v", a)
+	}
+}
+
+// TestStreamerRecordDoesNotAllocate pins the fold's steady state: once
+// a flow is open and its window accumulator exists, recording a plain
+// record folds it in place without a single allocation.
+func TestStreamerRecordDoesNotAllocate(t *testing.T) {
+	s := NewStreamer()
+	var ids []FlowID
+	for i := 0; i < 8; i++ {
+		ids = append(ids, s.OpenFlow(FlowKey{ClientPort: 40000 + i}, "storage.example", at(0)))
+	}
+	s.AddWindow(at(10), FarFuture)
+	now := 10
+	for _, id := range ids {
+		s.Record(Packet{Time: at(now), Flow: id, Flags: Flags{ACK: true}, Wire: 66, Segments: 1})
+	}
+	recs := []Packet{
+		{Flow: ids[3], Dir: Upstream, Flags: Flags{ACK: true}, Payload: 1460, Wire: 1526, Segments: 1, AckWire: 66},
+		{Flow: ids[5], Dir: Downstream, Flags: Flags{ACK: true}, Payload: 200, Wire: 266, Segments: 1},
+		{Flow: ids[0], Dir: Upstream, Flags: Flags{FIN: true, ACK: true}, Wire: 66, Segments: 1},
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, p := range recs {
+			now++
+			p.Time = at(now)
+			s.Record(p)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Record of plain records on open flows allocates %v times per run", allocs)
 	}
 }

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/sim"
@@ -41,19 +43,47 @@ func SizeLabel(n int64) string {
 	}
 }
 
+// Validate reports whether the batch describes a set of files that can
+// be created: at least one file, a non-negative size and a known Kind.
+func (b Batch) Validate() error {
+	switch {
+	case b.Count < 1:
+		return fmt.Errorf("workload: batch needs at least one file, has %d", b.Count)
+	case b.Size < 0:
+		return fmt.Errorf("workload: negative file size %d", b.Size)
+	case !slices.Contains(Kinds, b.Kind):
+		return fmt.Errorf("workload: unknown file kind %d", int(b.Kind))
+	}
+	return nil
+}
+
 // Materialize creates the batch's files in the folder at time `at`,
-// naming them set<i>/file<i>.<ext>. It returns the created paths.
+// naming them <prefix>/fileNNNN.<ext>. It returns the created paths.
 // Despite the historical name, nothing is generated here: each file is
 // a lazy content descriptor over its own forked stream, and bytes come
 // into existence only if a consumer needs them.
 func (b Batch) Materialize(f *Folder, rng *sim.RNG, at time.Time, prefix string) []string {
 	paths := make([]string, 0, b.Count)
+	ext := b.Kind.Ext()
+	var name []byte
 	for i := 0; i < b.Count; i++ {
-		path := fmt.Sprintf("%s/file%04d%s", prefix, i, b.Kind.Ext())
+		name = appendFileName(name[:0], prefix, i, ext)
+		path := string(name)
 		f.CreateLazy(at, path, Describe(rng.Fork(int64(i)), b.Kind, b.Size))
 		paths = append(paths, path)
 	}
 	return paths
+}
+
+// appendFileName appends the i-th file's path, prefix/fileNNNN.ext
+// with i zero-padded to four digits, to dst: fmt's "%s/file%04d%s"
+// without its per-call allocations.
+func appendFileName(dst []byte, prefix string, i int, ext string) []byte {
+	dst = append(append(dst, prefix...), "/file"...)
+	for p := 1000; p > 1 && i < p; p /= 10 {
+		dst = append(dst, '0')
+	}
+	return append(strconv.AppendInt(dst, int64(i), 10), ext...)
 }
 
 // StandardBenchmarks returns the four workloads of Fig. 6 for the

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -219,6 +221,44 @@ func TestBatchMaterialize(t *testing.T) {
 	c, _ := f.Get(paths[1])
 	if bytes.Equal(a.Bytes(), c.Bytes()) {
 		t.Fatal("batch files are identical")
+	}
+}
+
+func TestBatchFileNamesMatchSprintf(t *testing.T) {
+	for _, kind := range Kinds {
+		for _, prefix := range []string{"", "set1", "bench/sub"} {
+			for i := 0; i <= 12_000; i++ {
+				want := fmt.Sprintf("%s/file%04d%s", prefix, i, kind.Ext())
+				if got := string(appendFileName(nil, prefix, i, kind.Ext())); got != want {
+					t.Fatalf("file name %d = %q, want %q", i, got, want)
+				}
+			}
+		}
+	}
+	paths := Batch{Count: 3, Size: 1, Kind: Text}.Materialize(NewFolder(), sim.NewRNG(1), at(0), "set7")
+	if want := []string{"set7/file0000.txt", "set7/file0001.txt", "set7/file0002.txt"}; !slices.Equal(paths, want) {
+		t.Fatalf("Materialize paths = %q, want %q", paths, want)
+	}
+}
+
+func TestBatchValidate(t *testing.T) {
+	cases := []struct {
+		b  Batch
+		ok bool
+	}{
+		{Batch{Count: 1, Size: 0, Kind: Binary}, true},
+		{Batch{Count: 100, Size: 10_000, Kind: Text}, true},
+		{Batch{Count: 1, Size: 1, Kind: PixelImage}, true},
+		{Batch{Count: 0, Size: 10, Kind: Binary}, false},
+		{Batch{Count: -3, Size: 10, Kind: Binary}, false},
+		{Batch{Count: 1, Size: -5, Kind: Binary}, false},
+		{Batch{Count: 1, Size: 10, Kind: Kind(-1)}, false},
+		{Batch{Count: 1, Size: 10, Kind: PixelImage + 1}, false},
+	}
+	for _, c := range cases {
+		if err := c.b.Validate(); (err == nil) != c.ok {
+			t.Errorf("%+v.Validate() = %v, want ok=%v", c.b, err, c.ok)
+		}
 	}
 }
 
