@@ -74,6 +74,10 @@ func main() {
 		memprofile  = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
 	)
 	flag.Parse()
+	if err := checkFlags(*users, *shards, *day, *bucket); err != nil {
+		fmt.Fprintln(os.Stderr, "fleetbench:", err)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -157,6 +161,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects negative sizes and durations. Zero keeps its
+// meaning (an empty fleet, the default day or bucket, one shard); a
+// negative value would otherwise run and print a nonsense rate.
+func checkFlags(users, shards int, day, bucket time.Duration) error {
+	switch {
+	case users < 0:
+		return fmt.Errorf("-users must be >= 0 (got %d)", users)
+	case shards < 0:
+		return fmt.Errorf("-shards must be >= 0 (got %d)", shards)
+	case day < 0:
+		return fmt.Errorf("-day must be >= 0 (got %v)", day)
+	case bucket < 0:
+		return fmt.Errorf("-bucket must be >= 0 (got %v)", bucket)
+	}
+	return nil
 }
 
 func parsePopulations(s string) ([]int, error) {

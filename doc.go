@@ -31,8 +31,9 @@
 //     O(rounds). Clean and injected-loss transfers are pinned record
 //     for record by committed goldens (internal/tcpsim's
 //     testdata/golden_transfers.json), the sampler against the
-//     per-round Bernoulli model by its own tests; the benchsnap
-//     transport micros time both paths.
+//     per-round Bernoulli model by its own tests, which also pin the
+//     exact record and draw counts of a 16 MB upload loss-free and at
+//     2% loss; cmd/perfbench's clouddrive_loss workload times it.
 //   - internal/trace.Sink is the recording boundary the transport
 //     simulator writes against, with two implementations. Capture
 //     records packets append-only; stragglers from connections
@@ -95,9 +96,9 @@
 //     dedup hashing, delta signatures, encryption, or a compression
 //     cache miss — into pooled buffers released at the end of each
 //     plan. A no-capability client (Cloud Drive) plans entire uploads
-//     from descriptors alone: zero content bytes ever exist. The
-//     benchsnap content micro tracks the generation cost per
-//     repetition.
+//     from descriptors alone: zero content bytes ever exist.
+//     cmd/perfbench's traced runs report the generation cost as
+//     workload.cpu_frac.
 //   - internal/compressor memoises size-only DEFLATE twice over:
 //     descriptor-backed chunks key the cache by content identity
 //     (generator, seed, size, chunk window) — no hashing, and on
@@ -174,13 +175,13 @@
 // On the golden Cloud Drive cell that pairing is what turns the
 // far-server connection count — the variance driver — negatively
 // correlated across twins, reaching the fixed-24-rep precision in 16
-// repetitions (the benchsnap adaptive micro pins it). CRN gives every
-// service a common repetition seed stream in the multi-service
-// sweeps, so cross-service deltas are paired comparisons. Summaries
-// record RepsUsed and AchievedRelHW, adaptive campaign files record
-// the rule (precision, max_reps), and cmd/comparebench annotates each
-// delta with whether it fits inside the union of the two runs'
-// achieved confidence intervals.
+// repetitions (TestAntitheticBeatsPlainOnGoldenWorkload pins it). CRN
+// gives every service a common repetition seed stream in the
+// multi-service sweeps, so cross-service deltas are paired
+// comparisons. Summaries record RepsUsed and AchievedRelHW, adaptive
+// campaign files record the rule (precision, max_reps), and
+// cmd/comparebench annotates each delta with whether it fits inside
+// the union of the two runs' achieved confidence intervals.
 //
 // # Fleet engine
 //
@@ -231,9 +232,8 @@
 //
 // cmd/fleetbench reports the service-side load curves (bytes/s,
 // concurrent connections, dedup ratio vs population size) and takes
-// -cpuprofile/-memprofile for engine work; the benchsnap fleet micro
-// pins users/sec/core, allocated bytes per session, and a store
-// hammer curve over goroutine and shard counts; and
+// -cpuprofile/-memprofile for engine work; cmd/perfbench's fleet_day
+// workload times a 100k-user day on a fresh sharded store; and
 // scripts/fleetsmoke.sh byte-compares fleetbench reports across
 // worker counts and store shard counts in CI.
 //
@@ -251,11 +251,12 @@
 // testdata/*.json via internal/goldenfile; a sanctioned refresh — an
 // engine change that legitimately alters simulated behaviour, like
 // the PCG content pipeline — regenerates them all with
-// scripts/regen-golden.sh and declares the new perf baseline in a
-// committed BASELINE_RESET marker, which scripts/trendcheck.sh then
+// scripts/regen-golden.sh and declares the new snapshot baseline in
+// a committed BASELINE_RESET marker, which scripts/trendcheck.sh then
 // verifies corresponds to real drift (silent baseline rewrites fail
-// CI either way). scripts/bench.sh snapshots engine performance
-// (BENCH_<sha>.json, diffable with cmd/comparebench).
+// CI either way). scripts/bench.sh snapshots the simulated metrics
+// (BENCH_<sha>.json, a cmd/comparebench campaign file); cmd/perfbench
+// measures wall-clock performance.
 //
 // The determinism contract is also machine-enforced: cmd/simlint
 // (scripts/lint.sh, or go vet -vettool) runs four custom analyzers —

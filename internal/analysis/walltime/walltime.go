@@ -8,8 +8,8 @@
 // virtual-time kernel exists to remove, and worse, makes results
 // machine-dependent.
 //
-// Allowlisted: cmd/ (drivers may time themselves — benchsnap's micro
-// harness measures real engine speed on purpose), the repository root
+// Allowlisted: cmd/ (drivers may time themselves — fleetbench reports
+// its own wall time on purpose), the repository root
 // package (scripts-driven benches), internal/sim (the kernel wraps
 // time.Time arithmetic itself) and internal/analysis. Individual
 // audited sites elsewhere use `//simlint:allow walltime`.

@@ -250,8 +250,8 @@ func TestAdaptiveMatchesFixedPrefix(t *testing.T) {
 // the PR: at the precision a fixed 24-rep Cloud Drive campaign
 // achieves, the antithetic adaptive run gets there with measurably
 // fewer repetitions. The exact counts are deterministic, so they are
-// pinned — if a model change shifts them, re-measure and re-pin
-// alongside the benchsnap adaptive micro.
+// pinned — if a model change shifts them, re-measure and re-pin them
+// here.
 func TestAntitheticBeatsPlainOnGoldenWorkload(t *testing.T) {
 	p := client.CloudDrive()
 	batch := goldenAdaptiveBatch()

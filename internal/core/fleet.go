@@ -150,7 +150,7 @@ type FleetConfig struct {
 
 	// Store is the shared backend; default a fresh dedup.NewStore().
 	// Passing a store lets callers inspect server-side state after
-	// the day (and lets the benchsnap micro swap shard counts).
+	// the day and choose its shard count.
 	Store *dedup.Store
 
 	// tables holds per-class generation tables precomputed in

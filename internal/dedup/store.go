@@ -15,8 +15,7 @@ const DefaultShards = 64
 // hash prefix with one lock stripe per shard so concurrent clients
 // Put/PutHashed without serialising on a single mutex. The zero value
 // is not usable; call NewStore (or NewStoreSharded for an explicit
-// shard count — NewStoreSharded(1) is the single-lock configuration
-// the benchsnap fleet micro uses as its baseline).
+// shard count — NewStoreSharded(1) is the single-lock configuration).
 //
 // All methods are safe for concurrent use. Counters (StoredBytes,
 // UniqueChunks, Hits, Puts) are per-shard atomics maintained under the

@@ -158,7 +158,9 @@ func TestAnalyticWindowEquivalence(t *testing.T) {
 
 // TestSteadyStateCollapsesToSpan pins the point of the closed form: a
 // deep rate-limited transfer is one span record — at least 10x fewer
-// Sink.Record calls than the per-BDP-slice records it expands to.
+// Sink.Record calls than the per-BDP-slice records it expands to. On
+// the 30 Mb/s Zurich path, handshake and transfer together take
+// exactly 10 Sink.Record calls.
 func TestSteadyStateCollapsesToSpan(t *testing.T) {
 	cfg := engineConfig{"zurich", geo.Coord{Lat: 47.38, Lon: 8.54}, 30e6, 0, DefaultTLS}
 	a, capA := dialConfig(cfg, 1, 0)
@@ -169,6 +171,9 @@ func TestSteadyStateCollapsesToSpan(t *testing.T) {
 	if capA.Len()*10 > capA.ExpandedLen() {
 		t.Fatalf("recorded %d records for %d slices — want >=10x reduction",
 			capA.Len(), capA.ExpandedLen())
+	}
+	if got := capA.Len(); got != 10 {
+		t.Fatalf("16 MB loss-free transfer took %d Sink.Record calls, want 10", got)
 	}
 }
 

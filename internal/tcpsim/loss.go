@@ -65,7 +65,7 @@ func (d *Dialer) InjectLossPositions(positions []int64) {
 
 // LossDraws reports how many RNG draws the dialer's loss process has
 // consumed: one per loss event, plus at most one pending sample. The
-// benchsnap transport-lossy micro and the draw-bound tests read it.
+// draw-bound tests read it.
 func (d *Dialer) LossDraws() int64 { return d.lossDraws }
 
 // lossActive reports whether transfer rounds must be offered to the

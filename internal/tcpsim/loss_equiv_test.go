@@ -246,33 +246,45 @@ func TestFinalBurstLossEquivalence(t *testing.T) {
 	}
 }
 
-// TestAnalyticLossDrawReduction pins the draw bound the benchsnap
-// transport-lossy micro reports: on a paper-grade mobile-uplink path
-// (2 Mb/s, WhatIfMobileUplink's rate) a 16 MB transfer at 2% loss
-// consumes at most one RNG draw per loss event plus one pending
-// sample — at least 10x fewer than one verdict per data round — and
-// its clean runs collapse at least 4x in records.
+// TestAnalyticLossDrawReduction pins the loss sampler's draw bound on
+// paper-grade mobile-uplink paths (2 Mb/s, WhatIfMobileUplink's rate):
+// a 16 MB transfer at 2% loss consumes at most one RNG draw per loss
+// event plus one pending sample — at least 10x fewer than one verdict
+// per data round — and its clean runs collapse at least 4x in records.
+// On the TLS Zurich path it also pins the exact counts: 732
+// Sink.Record calls and 245 RNG draws.
 func TestAnalyticLossDrawReduction(t *testing.T) {
-	cfg := engineConfig{"uplink-2mbps", zrhCoord(), 2e6, 0, PlainTCP}
-	a, capA := dialConfig(cfg, 1, 0.02)
-	a.Send(16 << 20)
-	draws, retransmits := a.d.LossDraws(), countRetransmitRecords(capA)
-	if draws == 0 || retransmits == 0 {
-		t.Fatalf("loss process silent: %d draws, %d retransmits", draws, retransmits)
-	}
-	if draws > retransmits+1 {
-		t.Fatalf("%d RNG draws for %d loss events, want <= loss events + 1", draws, retransmits)
-	}
-	var rounds int64
-	for _, p := range capA.ExpandedPackets() {
-		if p.Payload > 0 {
-			rounds++
+	for _, tc := range []struct {
+		cfg            engineConfig
+		records, draws int64 // exact counts; 0 leaves the path to the bounds
+	}{
+		{cfg: engineConfig{"uplink-2mbps", zrhCoord(), 2e6, 0, PlainTCP}},
+		{cfg: engineConfig{"zurich-2mbps", geo.Coord{Lat: 47.38, Lon: 8.54}, 2e6, 0, DefaultTLS}, records: 732, draws: 245},
+	} {
+		a, capA := dialConfig(tc.cfg, 1, 0.02)
+		a.Send(16 << 20)
+		draws, retransmits := a.d.LossDraws(), countRetransmitRecords(capA)
+		if draws == 0 || retransmits == 0 {
+			t.Fatalf("%s: loss process silent: %d draws, %d retransmits", tc.cfg.name, draws, retransmits)
 		}
-	}
-	if draws*10 > rounds {
-		t.Fatalf("%d RNG draws for %d data rounds — want >=10x fewer than one per round", draws, rounds)
-	}
-	if capA.Len()*4 > capA.ExpandedLen() {
-		t.Fatalf("recorded %d records for %d slices — want >=4x reduction", capA.Len(), capA.ExpandedLen())
+		if draws > retransmits+1 {
+			t.Fatalf("%s: %d RNG draws for %d loss events, want <= loss events + 1", tc.cfg.name, draws, retransmits)
+		}
+		var rounds int64
+		for _, p := range capA.ExpandedPackets() {
+			if p.Payload > 0 {
+				rounds++
+			}
+		}
+		if draws*10 > rounds {
+			t.Fatalf("%s: %d RNG draws for %d data rounds — want >=10x fewer than one per round", tc.cfg.name, draws, rounds)
+		}
+		if capA.Len()*4 > capA.ExpandedLen() {
+			t.Fatalf("%s: recorded %d records for %d slices — want >=4x reduction", tc.cfg.name, capA.Len(), capA.ExpandedLen())
+		}
+		if tc.records != 0 && (int64(capA.Len()) != tc.records || draws != tc.draws) {
+			t.Fatalf("%s: %d Sink.Record calls and %d RNG draws, want %d and %d",
+				tc.cfg.name, capA.Len(), draws, tc.records, tc.draws)
+		}
 	}
 }

@@ -2,10 +2,10 @@
 # trendcheck.sh — fail when the engine's simulated metrics drift from
 # the newest committed BENCH_<sha>.json snapshot.
 #
-# Two gates run, both on simulated metrics only (wall-clock micro
-# numbers are informational and never compared; simulated metrics are
-# deterministic given a seed, so ANY delta means an engine change
-# altered simulated behaviour):
+# Two gates run, both on simulated metrics (snapshots hold nothing
+# else; wall-clock performance is cmd/perfbench's job). Simulated
+# metrics are deterministic given a seed, so ANY delta means an engine
+# change altered simulated behaviour:
 #
 #  1. Baseline continuity: the newest committed snapshot is compared
 #     against the previously committed one. Drift here means a new
@@ -18,8 +18,8 @@
 #     campaign gaining its lossy section) — so a stale marker cannot
 #     linger and sanction some future silent reset.
 #
-#  2. HEAD drift: a snapshot of HEAD (pre-built, or freshly generated
-#     via scripts/bench.sh) is diffed against the newest committed
+#  2. HEAD drift: a snapshot of HEAD (pre-built by scripts/bench.sh, or
+#     freshly generated through it) is diffed against the newest committed
 #     baseline with `comparebench -fail-on-drift`. The gate also fails
 #     when the campaigns share no comparable cells, so a fig6-less
 #     baseline cannot pass vacuously.
