@@ -49,6 +49,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/cloud"
 	"repro/internal/core"
+	"repro/internal/netem"
 	"repro/internal/plot"
 	"repro/internal/workload"
 )
@@ -445,8 +446,11 @@ func parseLossRates(s string) ([]float64, error) {
 			continue
 		}
 		r, err := strconv.ParseFloat(part, 64)
-		if err != nil || r < 0 || r >= 1 {
-			return nil, fmt.Errorf("-loss: %q is not a loss rate in [0, 1)", part)
+		if err != nil {
+			return nil, fmt.Errorf("-loss: %q is not a number", part)
+		}
+		if err := netem.CheckPath(r, 0); err != nil {
+			return nil, fmt.Errorf("-loss: %w", err)
 		}
 		rates = append(rates, r)
 	}

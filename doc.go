@@ -76,15 +76,25 @@
 //     RunIdle's cumulative timeline, AnalyzeProtocols' activity
 //     clustering, the Sect. 4 capability detectors, RunPropagation,
 //     RunRecovery, cmd/tracedump — keep a buffered Capture.
-//   - Every repetition assembles a fresh testbed: cloud.Build adds
-//     the deployment's hosts, address pools, whois records, DNS
-//     policies and PTR records. The airport a site's PTR names embed
-//     is looked up once per site, not once per host, and names are
-//     built without fmt. DNS answer rotation permutes into a stack
-//     buffer (sim.RNG.PermInto), so a resolve allocates only its
-//     answer. core's BenchmarkRepetitionFixedCost times one Cloud
-//     Drive 100x10 kB repetition, where this fixed cost dominates,
-//     and reports its allocations.
+//   - A testbed has a static half and a per-run half. The static
+//     half draws no random numbers: cloud.Build's hosts, address
+//     pools, whois records, DNS policies and PTR records, on a
+//     netem.Topology (hosts in insertion order, plus the base RTT
+//     from the test computer's vantage to every server, computed once
+//     at Freeze) and a dnssim.Zone. The campaign driver builds it once
+//     per (service, vantage) when a driver call builds its cells, and
+//     every repetition and worker of the call shares it read-only.
+//     Each repetition seeds only the per-run half: a netem.Network
+//     (clock, RNG, jitter, loss, the test computer), a dnssim.System
+//     (the RNG answers rotate with), a cloud.Deployment.Fresh copy
+//     with an empty chunk store, the client, folder and trace. Every
+//     draw stays per repetition, in a fixed order, so results do not
+//     depend on which world a run shares. DNS answer rotation
+//     permutes into a stack buffer (sim.RNG.PermInto) and appends to
+//     a scratch slice the client reuses, so a resolve allocates
+//     nothing. core's BenchmarkRepetitionFixedCost times one Cloud
+//     Drive 100x10 kB repetition on a shared world, where the
+//     per-run fixed cost dominates, and reports its allocations.
 //   - internal/sim's RNG is PCG (RXS-M-XS-64) seeded through
 //     SplitMix64: RNG.Fork is O(1) — two mixing rounds build a child's
 //     whole state — and RNG.Fill generates eight bytes per step, so

@@ -33,6 +33,8 @@ type Client struct {
 	plan *planner
 	seq  int64 // per-client operation counter for RNG forking
 
+	answers []string // DNS answer scratch, reused by every resolve
+
 	control *httpsim.Session // persistent control channel
 	notify  *httpsim.Session // notification channel (may equal control)
 	storage *httpsim.Session // persistent storage channel
@@ -86,13 +88,13 @@ func (c *Client) clientFacingRole(r cloud.Role) cloud.Role {
 func (c *Client) resolve(role cloud.Role) (*netem.Host, string) {
 	role = c.clientFacingRole(role)
 	name := c.Deploy.DNSName(role)
-	ips := c.DNS.Resolve(name, c.Host.Coord)
-	if len(ips) == 0 {
+	c.answers = c.DNS.AppendResolve(c.answers[:0], name, c.Host.Coord)
+	if len(c.answers) == 0 {
 		panic("client: name does not resolve: " + name)
 	}
-	h, ok := c.Net.HostByAddr(ips[0])
+	h, ok := c.Net.HostByAddr(c.answers[0])
 	if !ok {
-		panic("client: resolved address has no host: " + ips[0])
+		panic("client: resolved address has no host: " + c.answers[0])
 	}
 	return h, name
 }

@@ -121,6 +121,15 @@ type Deployment struct {
 	names map[Role]string
 }
 
+// Fresh returns a per-run copy of the deployment: the same hosts and
+// DNS names, shared read-only, over a new empty chunk store — the way
+// the paper resets its test accounts between repetitions.
+func (d *Deployment) Fresh() *Deployment {
+	run := *d
+	run.Store = dedup.NewStore()
+	return &run
+}
+
 // DNSName returns the service DNS name for a role, e.g.
 // "storage.dropbox.sim".
 func (d *Deployment) DNSName(r Role) string { return d.names[r] }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/client"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -31,7 +30,7 @@ func TestLegacyVsPCGStructuralEquivalence(t *testing.T) {
 			}
 			seed := meta.Int63n(1 << 30)
 			run := func() Metrics {
-				return runSync(p, batch, campusHost(), sim.NewRNG(seed), DefaultJitter, 0)
+				return RunSync(p, batch, seed, DefaultJitter)
 			}
 			m := run()
 
@@ -60,7 +59,7 @@ func TestLegacyVsPCGStructuralEquivalence(t *testing.T) {
 func TestLegacyEngineRoundTripsDescriptors(t *testing.T) {
 	batch := workload.Batch{Count: 4, Size: 120_000, Kind: workload.Text}
 	run := func(seed int64) Metrics {
-		return runSync(client.Dropbox(), batch, campusHost(), sim.NewRNG(seed), DefaultJitter, 0)
+		return RunSync(client.Dropbox(), batch, seed, DefaultJitter)
 	}
 	a, b := run(7), run(7)
 	if a != b {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/cloud"
+	"repro/internal/geo"
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -229,21 +230,21 @@ func vrRNG(seed int64, anti bool) *sim.RNG {
 }
 
 // runSync is the one synchronization-benchmark repetition behind every
-// campaign layer: a fresh streaming testbed on host with randomness
-// root rng, login, settle, materialize the batch, let the client
-// synchronize, and measure the window. loss is the segment-loss rate
-// of every path, set before any traffic, so login and settle share
-// the lossy path as they would under netem.
-func runSync(p client.Profile, batch workload.Batch, host *netem.Host, rng *sim.RNG, jitter, loss float64) Metrics {
-	tb := assembleTestbed(p, cloud.SpecFor(p.Service), host, rng, jitter, true)
-	tb.Net.LossRate = loss
+// campaign layer: a fresh streaming testbed seeded with randomness root
+// rng on the cell's world, login, settle, materialize the batch, let
+// the client synchronize, and measure the window. The cell's loss rate
+// applies to every path, set before any traffic, so login and settle
+// share the lossy path as they would under netem.
+func (c *syncCell) runSync(w *world, rng *sim.RNG) Metrics {
+	tb := w.testbed(c.p, c.host(), rng, c.jitter, true)
+	tb.Net.LossRate = c.loss
 	start := tb.Settle()
 	t0 := tb.Clock.Now()
 	tb.StartWindow(t0)
-	batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
+	c.batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
 	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
 	tb.Clock.AdvanceTo(res.Done)
-	return MeasureWindow(tb, t0, batch.Total())
+	return MeasureWindow(tb, t0, c.batch.Total())
 }
 
 // syncCell is one cell of a repeated campaign layer: a profile
@@ -258,6 +259,35 @@ type syncCell struct {
 	seed   func(rep int) int64
 }
 
+// runOnce is a single repetition of the cell on seed, on a world of
+// its own.
+func (c syncCell) runOnce(seed int64) Metrics {
+	return c.runSync(cellWorlds([]syncCell{c})[0], sim.NewRNG(seed))
+}
+
+// cellWorlds checks every cell's path impairments (netem.CheckPath)
+// and builds the cells' static worlds, one per (service, vantage):
+// cells that differ only in workload, loss or seed share one. The
+// worlds live as long as the driver call that built them.
+func cellWorlds(cells []syncCell) []*world {
+	type key struct {
+		service string
+		at      geo.Coord
+	}
+	built := make(map[key]*world)
+	out := make([]*world, len(cells))
+	for i := range cells {
+		c := &cells[i]
+		mustPath(c.loss, c.jitter)
+		k := key{c.p.Service, c.host().Coord}
+		if built[k] == nil {
+			built[k] = newWorld(cloud.SpecFor(c.p.Service), k.at)
+		}
+		out[i] = built[k]
+	}
+	return out
+}
+
 // runCells drives sync-benchmark cells under rule. Under antithetic
 // pairing rep 2k+1 reuses rep 2k's seed on the complemented stream.
 // A rule with a precision target folds every batch into the cell's
@@ -265,14 +295,15 @@ type syncCell struct {
 // fixed preset has no target and folds nothing. It returns each
 // cell's repetitions and trackers.
 func runCells(cells []syncCell, rule StopRule, vr VarianceReduction) ([][]Metrics, []precisionTracker) {
+	worlds := cellWorlds(cells)
 	trackers := make([]precisionTracker, len(cells))
 	runs := RunUntil(len(cells), rule, CampaignWorkers, func(ci, rep int) Metrics {
-		c := &cells[ci]
 		anti := vr.Antithetic && rep%2 == 1
 		if vr.Antithetic {
 			rep -= rep % 2
 		}
-		return runSync(c.p, c.batch, c.host(), vrRNG(c.seed(rep), anti), c.jitter, c.loss)
+		c := &cells[ci]
+		return c.runSync(worlds[ci], vrRNG(c.seed(rep), anti))
 	}, func(ci int, batch []Metrics) bool {
 		if rule.TargetRelHW <= 0 {
 			return false

@@ -282,11 +282,13 @@ func TestAntitheticPairCorrelation(t *testing.T) {
 	p := client.CloudDrive()
 	batch := goldenAdaptiveBatch()
 	const pairs = 8
+	cell := syncCell{p: p, batch: batch, host: campusHost, jitter: DefaultJitter}
+	w := cellWorlds([]syncCell{cell})[0]
 	var plain, anti []float64
 	for k := 0; k < pairs; k++ {
 		seed := campaignSeed(42, 2*k)
-		mp := runSync(p, batch, campusHost(), vrRNG(seed, false), DefaultJitter, 0)
-		ma := runSync(p, batch, campusHost(), vrRNG(seed, true), DefaultJitter, 0)
+		mp := cell.runSync(w, vrRNG(seed, false))
+		ma := cell.runSync(w, vrRNG(seed, true))
 		plain = append(plain, mp.Completion.Seconds())
 		anti = append(anti, ma.Completion.Seconds())
 	}
@@ -314,13 +316,13 @@ func TestCRNPairsServices(t *testing.T) {
 	var crn, indep []float64
 	for rep := 0; rep < reps; rep++ {
 		shared := lossSweepSeed(7, 0, 0, rep)
-		ma := runSync(a, DefaultLossBatch, vantageHost(Twente), vrRNG(shared, false), DefaultJitter, DefaultLossRates[0])
-		mb := runSync(b, DefaultLossBatch, vantageHost(Twente), vrRNG(shared, false), DefaultJitter, DefaultLossRates[0])
+		ma := RunSyncLossy(a, DefaultLossBatch, Twente, shared, DefaultJitter, DefaultLossRates[0])
+		mb := RunSyncLossy(b, DefaultLossBatch, Twente, shared, DefaultJitter, DefaultLossRates[0])
 		crn = append(crn, ma.Completion.Seconds()-mb.Completion.Seconds())
 
 		sa, sb := lossSweepSeed(7, 0, 0, rep), lossSweepSeed(7, 1, 0, rep)
-		ma = runSync(a, DefaultLossBatch, vantageHost(Twente), vrRNG(sa, false), DefaultJitter, DefaultLossRates[0])
-		mb = runSync(b, DefaultLossBatch, vantageHost(Twente), vrRNG(sb, false), DefaultJitter, DefaultLossRates[0])
+		ma = RunSyncLossy(a, DefaultLossBatch, Twente, sa, DefaultJitter, DefaultLossRates[0])
+		mb = RunSyncLossy(b, DefaultLossBatch, Twente, sb, DefaultJitter, DefaultLossRates[0])
 		indep = append(indep, ma.Completion.Seconds()-mb.Completion.Seconds())
 	}
 	if sc, si := stats.SampleStd(crn), stats.SampleStd(indep); sc >= si {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -156,14 +157,17 @@ func BenchmarkRunCampaign(b *testing.B) {
 // BenchmarkRepetitionFixedCost times one campaign repetition whose
 // cost is almost all per-repetition and per-connection fixed cost:
 // Cloud Drive's 100x10 kB upload opens a connection per file and does
-// no planner work, so testbed assembly, DNS, transport and the
-// streaming trace fold dominate. Allocations are reported because the
-// fold and assembly are where a fixed-cost regression shows first.
+// no planner work, so seeding the run, DNS, transport and the
+// streaming trace fold dominate. As in a campaign, the cell's static
+// world is built once and shared by every repetition. Allocations are
+// reported because the fold and the per-run setup are where a
+// fixed-cost regression shows first.
 func BenchmarkRepetitionFixedCost(b *testing.B) {
-	batch := workload.Batch{Count: 100, Size: 10_000, Kind: workload.Binary}
-	p := client.CloudDrive()
+	cell := syncCell{p: client.CloudDrive(), batch: workload.Batch{Count: 100, Size: 10_000, Kind: workload.Binary},
+		host: campusHost, jitter: DefaultJitter}
+	w := cellWorlds([]syncCell{cell})[0]
 	b.ReportAllocs()
 	for b.Loop() {
-		RunSync(p, batch, 42, DefaultJitter)
+		cell.runSync(w, sim.NewRNG(42))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -25,7 +24,7 @@ const DefaultJitter = 0.10
 // is O(flows) regardless of workload size. Metrics are bit-identical
 // to the buffered path (pinned by the golden and equivalence tests).
 func RunSync(p client.Profile, batch workload.Batch, seed int64, jitter float64) Metrics {
-	return runSync(p, batch, campusHost(), sim.NewRNG(seed), jitter, 0)
+	return syncCell{p: p, batch: batch, host: campusHost, jitter: jitter}.runOnce(seed)
 }
 
 // MeasureWindow computes the Sect. 5 metrics for the benchmark window

@@ -29,10 +29,17 @@ var TwenteCoord = geo.Coord{Lat: 52.24, Lon: 6.85}
 
 // Testbed is one fully assembled measurement setup for one service:
 // the synthetic Internet, the service deployment, the test computer,
-// the client under test, and the packet trace. Each benchmark
-// repetition uses a fresh testbed so that server-side state (the
-// dedup store) and client state start clean, exactly as the paper
-// resets its test accounts.
+// the client under test, and the packet trace. It has two halves. The
+// static half — server hosts, their addresses and the base RTTs from
+// the test computer's vantage (netem.Topology), DNS policies and PTR
+// records (dnssim.Zone), whois, the deployment's hosts and names — draws
+// no random numbers; a campaign builds it once per cell and every
+// repetition shares it read-only. The per-run half is seeded per
+// repetition: clock, network RNG, jitter and loss (netem.Network), DNS
+// rotation (dnssim.System), a fresh chunk store (cloud.Deployment.Fresh),
+// the test computer, the client, the folder and the trace. Server-side
+// state (the dedup store) and client state therefore start clean every
+// repetition, exactly as the paper resets its test accounts.
 //
 // The trace runs in one of two modes. Buffered (Cap non-nil) keeps
 // every packet record, supporting arbitrary re-windowing and
@@ -98,22 +105,58 @@ func campusHost() *netem.Host {
 	}
 }
 
-// assembleTestbed is the single assembly path behind every testbed
-// constructor; host describes the (not yet added) test computer, rng
-// is the top of the repetition's randomness tree, and streaming
-// selects the trace mode.
+// assembleTestbed is the one-off testbed behind the public
+// constructors: a world built for host's vantage, then one run on it.
+// host describes the (not yet added) test computer, rng is the top of
+// the repetition's randomness tree, and streaming selects the trace
+// mode.
 func assembleTestbed(p client.Profile, spec cloud.Spec, host *netem.Host, rng *sim.RNG, jitter float64, streaming bool) *Testbed {
-	seed := rng.Seed()
+	mustPath(0, jitter)
+	return newWorld(spec, host.Coord).testbed(p, host, rng, jitter, streaming)
+}
+
+// mustPath panics unless loss and jitter are valid path impairments.
+func mustPath(loss, jitter float64) {
+	if err := netem.CheckPath(loss, jitter); err != nil {
+		panic("core: " + err.Error())
+	}
+}
+
+// world is the static half of a testbed (see Testbed): one service's
+// deployment on a frozen topology and DNS zone, with base RTTs from
+// one vantage. It is read-only once built, so every repetition and
+// worker of a cell shares it.
+type world struct {
+	topo   *netem.Topology
+	zone   *dnssim.Zone
+	whois  *whois.Registry
+	deploy *cloud.Deployment // no chunk store: each run gets a fresh one
+}
+
+// newWorld builds and freezes the static half for spec, seen from
+// vantage.
+func newWorld(spec cloud.Spec, vantage geo.Coord) *world {
+	w := &world{topo: netem.NewTopology(), zone: dnssim.NewZone(), whois: whois.NewRegistry()}
+	w.deploy = cloud.Build(w.topo.NewNetwork(nil, nil), w.zone.NewSystem(nil), w.whois, spec)
+	w.deploy.Store = nil
+	w.topo.Freeze(vantage)
+	w.zone.Freeze()
+	return w
+}
+
+// testbed seeds one run on the world. Every draw is per run and in a
+// fixed order — network, DNS, client, workload forks of rng — so a run
+// is a pure function of its seed, whichever world instance it shares.
+func (w *world) testbed(p client.Profile, host *netem.Host, rng *sim.RNG, jitter float64, streaming bool) *Testbed {
 	clock := sim.NewClock()
-	n := netem.New(clock, rng.Fork(1))
+	n := w.topo.NewNetwork(clock, rng.Fork(1))
 	n.JitterFraction = jitter
-	dns := dnssim.NewSystem(rng.Fork(2))
-	reg := whois.NewRegistry()
-	deploy := cloud.Build(n, dns, reg, spec)
+	dns := w.zone.NewSystem(rng.Fork(2))
+	deploy := w.deploy.Fresh()
 	h := n.AddHost(host)
 	tb := &Testbed{
-		Seed: seed, Clock: clock, Sched: sim.NewScheduler(clock),
-		Net: n, DNS: dns, Whois: reg, Deploy: deploy,
+		Seed: rng.Seed(), Clock: clock, Sched: sim.NewScheduler(clock),
+		Net: n, DNS: dns, Whois: w.whois, Deploy: deploy,
 		Folder: workload.NewFolder(), RNG: rng.Fork(4),
 		Profile: p,
 	}

@@ -59,9 +59,11 @@ func vantageHost(v Vantage) *netem.Host {
 // RunSyncLossy is RunSync from an arbitrary vantage over a path with
 // the given segment-loss rate (0 for a clean path). Like RunSync it
 // streams the trace, so every campaign cell shares the O(flows)
-// memory profile.
+// memory profile. It panics unless loss is in [0, 1) and jitter is
+// finite and non-negative (netem.CheckPath).
 func RunSyncLossy(p client.Profile, batch workload.Batch, v Vantage, seed int64, jitter, loss float64) Metrics {
-	return runSync(p, batch, vantageHost(v), sim.NewRNG(seed), jitter, loss)
+	return syncCell{p: p, batch: batch, host: func() *netem.Host { return vantageHost(v) },
+		jitter: jitter, loss: loss}.runOnce(seed)
 }
 
 // LocationCell is one (service, vantage) measurement of a location

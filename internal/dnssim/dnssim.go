@@ -36,10 +36,11 @@ type Resolver struct {
 
 // Policy answers A-record queries for one DNS name.
 type Policy interface {
-	// Answer returns the IP addresses handed to a client whose
-	// query originates at `from`. rng drives any randomized
-	// rotation.
-	Answer(from geo.Coord, rng *sim.RNG) []string
+	// AppendAnswer appends to dst the IP addresses handed to a
+	// client whose query originates at `from`, and returns the
+	// extended slice. rng drives any randomized rotation. A caller
+	// that resolves often passes a reused scratch slice.
+	AppendAnswer(dst []string, from geo.Coord, rng *sim.RNG) []string
 }
 
 // StaticPool returns up to K addresses from a fixed pool, rotated
@@ -50,16 +51,14 @@ type StaticPool struct {
 	K   int // answers per query; 0 means all
 }
 
-// Answer implements Policy.
-func (p *StaticPool) Answer(_ geo.Coord, rng *sim.RNG) []string {
+// AppendAnswer implements Policy.
+func (p *StaticPool) AppendAnswer(dst []string, _ geo.Coord, rng *sim.RNG) []string {
 	k := p.K
 	if k <= 0 || k >= len(p.IPs) {
-		out := make([]string, len(p.IPs))
-		copy(out, p.IPs)
-		return out
+		return append(dst, p.IPs...)
 	}
 	// Permute into a stack buffer when the pool fits (every built-in
-	// deployment's does): the answer is the only allocation.
+	// deployment's does).
 	var buf [64]int
 	perm := buf[:]
 	if len(p.IPs) > len(buf) {
@@ -67,11 +66,20 @@ func (p *StaticPool) Answer(_ geo.Coord, rng *sim.RNG) []string {
 	}
 	idx := rng.PermInto(perm[:len(p.IPs)])[:k]
 	sort.Ints(idx)
-	out := make([]string, 0, k)
+	dst = grow(dst, k)
 	for _, i := range idx {
-		out = append(out, p.IPs[i])
+		dst = append(dst, p.IPs[i])
 	}
-	return out
+	return dst
+}
+
+// grow returns dst with room for n more answers, allocating at most
+// once.
+func grow(dst []string, n int) []string {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]string, 0, len(dst)+n), dst...)
 }
 
 // NearestEdge steers each query to the edge nodes closest to the
@@ -82,8 +90,8 @@ type NearestEdge struct {
 	K     int // how many nearby edges to return (default 1)
 }
 
-// Answer implements Policy.
-func (p *NearestEdge) Answer(from geo.Coord, _ *sim.RNG) []string {
+// AppendAnswer implements Policy.
+func (p *NearestEdge) AppendAnswer(dst []string, from geo.Coord, _ *sim.RNG) []string {
 	k := p.K
 	if k <= 0 {
 		k = 1
@@ -105,43 +113,69 @@ func (p *NearestEdge) Answer(from geo.Coord, _ *sim.RNG) []string {
 		}
 		return cands[i].ip < cands[j].ip
 	})
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].ip
+	dst = grow(dst, k)
+	for _, c := range cands[:k] {
+		dst = append(dst, c.ip)
 	}
-	return out
+	return dst
 }
 
-// System is the simulated global DNS: authoritative policies per name
-// plus the PTR (reverse) zone.
-type System struct {
-	rng      *sim.RNG
+// Zone is the static half of the simulated global DNS: authoritative
+// policies per name plus the PTR (reverse) zone. It draws no random
+// numbers, so a campaign builds it once per cell; once frozen it is
+// read-only and shared by every repetition's System.
+type Zone struct {
+	frozen   bool
 	policies map[string]Policy
 	ptr      map[string]string // ip -> reverse name
 }
 
-// NewSystem returns an empty DNS system.
-func NewSystem(rng *sim.RNG) *System {
-	return &System{
-		rng:      rng,
-		policies: make(map[string]Policy),
-		ptr:      make(map[string]string),
-	}
+// NewZone returns an empty, open zone.
+func NewZone() *Zone {
+	return &Zone{policies: make(map[string]Policy), ptr: make(map[string]string)}
 }
 
+// Freeze closes the zone to changes, making it safe to share between
+// concurrent Systems.
+func (z *Zone) Freeze() { z.frozen = true }
+
 // SetPolicy installs the resolution policy for a DNS name.
-func (s *System) SetPolicy(name string, p Policy) {
-	s.policies[strings.ToLower(name)] = p
+func (z *Zone) SetPolicy(name string, p Policy) {
+	z.mustBeOpen()
+	z.policies[strings.ToLower(name)] = p
 }
 
 // SetPTR installs the reverse-DNS name for an address. Empty name
 // models hosts without PTR records.
-func (s *System) SetPTR(ip, name string) { s.ptr[ip] = name }
+func (z *Zone) SetPTR(ip, name string) {
+	z.mustBeOpen()
+	z.ptr[ip] = name
+}
+
+func (z *Zone) mustBeOpen() {
+	if z.frozen {
+		panic("dnssim: zone is frozen")
+	}
+}
+
+// NewSystem starts a run on the zone: resolution through the zone's
+// policies, rotated by rng.
+func (z *Zone) NewSystem(rng *sim.RNG) *System { return &System{rng: rng, Zone: z} }
+
+// System is one run's view of the simulated global DNS: a Zone plus
+// the RNG its policies rotate answers with.
+type System struct {
+	rng *sim.RNG
+	*Zone
+}
+
+// NewSystem returns a DNS system over a fresh, open zone of its own.
+func NewSystem(rng *sim.RNG) *System { return NewZone().NewSystem(rng) }
 
 // Names returns every name with a policy, sorted.
-func (s *System) Names() []string {
-	out := make([]string, 0, len(s.policies))
-	for n := range s.policies {
+func (z *Zone) Names() []string {
+	out := make([]string, 0, len(z.policies))
+	for n := range z.policies {
 		out = append(out, n)
 	}
 	sort.Strings(out)
@@ -151,15 +185,26 @@ func (s *System) Names() []string {
 // Resolve answers an A query for name as seen from a resolver at the
 // given location. Unknown names resolve to nothing (NXDOMAIN).
 func (s *System) Resolve(name string, from geo.Coord) []string {
-	p, ok := s.policies[strings.ToLower(name)]
+	return s.AppendResolve(nil, name, from)
+}
+
+// AppendResolve is Resolve appending the answer to dst: a caller that
+// resolves often passes a reused scratch slice. Unknown names append
+// nothing.
+func (s *System) AppendResolve(dst []string, name string, from geo.Coord) []string {
+	// Names are stored lower-case; try the name as given first, so the
+	// common already-lower-case query skips the case fold.
+	p, ok := s.policies[name]
 	if !ok {
-		return nil
+		if p, ok = s.policies[strings.ToLower(name)]; !ok {
+			return dst
+		}
 	}
-	return p.Answer(from, s.rng)
+	return p.AppendAnswer(dst, from, s.rng)
 }
 
 // ReverseLookup returns the PTR name for an address, or "" if none.
-func (s *System) ReverseLookup(ip string) string { return s.ptr[ip] }
+func (z *Zone) ReverseLookup(ip string) string { return z.ptr[ip] }
 
 // FanOut resolves name from every resolver in the set and returns the
 // union of addresses observed, sorted — the paper's front-end

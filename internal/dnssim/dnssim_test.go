@@ -13,11 +13,11 @@ import (
 func TestStaticPoolAllAndSubset(t *testing.T) {
 	rng := sim.NewRNG(1)
 	p := &StaticPool{IPs: []string{"1.1.1.1", "2.2.2.2", "3.3.3.3"}}
-	if got := p.Answer(geo.Coord{}, rng); len(got) != 3 {
+	if got := p.AppendAnswer(nil, geo.Coord{}, rng); len(got) != 3 {
 		t.Fatalf("all: %v", got)
 	}
 	p.K = 2
-	got := p.Answer(geo.Coord{}, rng)
+	got := p.AppendAnswer(nil, geo.Coord{}, rng)
 	if len(got) != 2 {
 		t.Fatalf("subset: %v", got)
 	}
@@ -33,7 +33,7 @@ func TestStaticPoolRotationCoversPool(t *testing.T) {
 	p := &StaticPool{IPs: []string{"1.1.1.1", "2.2.2.2", "3.3.3.3", "4.4.4.4"}, K: 1}
 	seen := map[string]bool{}
 	for i := 0; i < 200; i++ {
-		for _, ip := range p.Answer(geo.Coord{}, rng) {
+		for _, ip := range p.AppendAnswer(nil, geo.Coord{}, rng) {
 			seen[ip] = true
 		}
 	}
@@ -43,8 +43,9 @@ func TestStaticPoolRotationCoversPool(t *testing.T) {
 }
 
 // TestStaticPoolAnswerAllocatesOnlyItsResult pins the rotation's cost:
-// the permutation lives on the stack, so the returned slice is the
-// only allocation per query.
+// the permutation lives on the stack, so a fresh answer slice is the
+// only allocation per query, and a reused scratch slice makes the
+// query allocation-free.
 func TestStaticPoolAnswerAllocatesOnlyItsResult(t *testing.T) {
 	ips := make([]string, 28)
 	for i := range ips {
@@ -52,10 +53,64 @@ func TestStaticPoolAnswerAllocatesOnlyItsResult(t *testing.T) {
 	}
 	p := &StaticPool{IPs: ips, K: 4}
 	for _, rng := range []*sim.RNG{sim.NewRNG(5), sim.NewAntitheticRNG(5)} {
-		if n := testing.AllocsPerRun(100, func() { p.Answer(geo.Coord{}, rng) }); n != 1 {
-			t.Fatalf("antithetic=%v: Answer allocates %v times per query, want 1", rng.Antithetic(), n)
+		if n := testing.AllocsPerRun(100, func() { p.AppendAnswer(nil, geo.Coord{}, rng) }); n != 1 {
+			t.Fatalf("antithetic=%v: AppendAnswer(nil) allocates %v times per query, want 1", rng.Antithetic(), n)
+		}
+		scratch := make([]string, 0, p.K)
+		if n := testing.AllocsPerRun(100, func() { scratch = p.AppendAnswer(scratch[:0], geo.Coord{}, rng) }); n != 0 {
+			t.Fatalf("antithetic=%v: AppendAnswer(scratch) allocates %v times per query, want 0", rng.Antithetic(), n)
 		}
 	}
+}
+
+// TestAppendResolveMatchesResolve pins that a scratch-slice resolve
+// is the same query as Resolve: equal answers from the same draws, and
+// the answer appended after whatever dst already holds.
+func TestAppendResolveMatchesResolve(t *testing.T) {
+	ips := make([]string, 12)
+	for i := range ips {
+		ips[i] = fmt.Sprintf("10.3.0.%d", i+1)
+	}
+	a, b := NewSystem(sim.NewRNG(9)), NewSystem(sim.NewRNG(9))
+	for _, s := range []*System{a, b} {
+		s.SetPolicy("pool.sim", &StaticPool{IPs: ips, K: 4})
+	}
+	scratch := []string{"keep"}
+	for i := 0; i < 50; i++ {
+		want := a.Resolve("pool.sim", geo.Coord{})
+		scratch = b.AppendResolve(scratch[:1], "pool.sim", geo.Coord{})
+		if scratch[0] != "keep" || fmt.Sprint(scratch[1:]) != fmt.Sprint(want) {
+			t.Fatalf("query %d: AppendResolve = %v, Resolve = %v", i, scratch, want)
+		}
+	}
+	if got := b.AppendResolve(scratch[:0], "nx.sim", geo.Coord{}); len(got) != 0 {
+		t.Fatalf("NXDOMAIN appended %v", got)
+	}
+}
+
+// TestFrozenZoneIsShared pins the static/per-run split: a frozen zone
+// rejects changes, and Systems over it share its records while each
+// rotates with its own RNG.
+func TestFrozenZoneIsShared(t *testing.T) {
+	z := NewZone()
+	z.SetPolicy("pool.sim", &StaticPool{IPs: []string{"1.1.1.1", "2.2.2.2", "3.3.3.3"}, K: 1})
+	z.SetPTR("1.1.1.1", "one.example")
+	z.Freeze()
+	s1, s2 := z.NewSystem(sim.NewRNG(1)), z.NewSystem(sim.NewRNG(1))
+	for i := 0; i < 20; i++ {
+		if a, b := s1.Resolve("pool.sim", geo.Coord{}), s2.Resolve("pool.sim", geo.Coord{}); a[0] != b[0] {
+			t.Fatalf("query %d: equal-seed systems answered %v and %v", i, a, b)
+		}
+	}
+	if s2.ReverseLookup("1.1.1.1") != "one.example" {
+		t.Fatal("system does not see the zone's PTR records")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetPTR on a frozen zone did not panic")
+		}
+	}()
+	s1.SetPTR("2.2.2.2", "two.example")
 }
 
 func TestNearestEdgeSteering(t *testing.T) {
@@ -68,18 +123,18 @@ func TestNearestEdgeSteering(t *testing.T) {
 		{Name: "edge-iad", Addr: "10.1.0.3", Coord: iad.Coord},
 	}
 	p := &NearestEdge{Edges: edges}
-	if got := p.Answer(geo.Coord{Lat: 52, Lon: 6}, nil); got[0] != "10.1.0.1" {
+	if got := p.AppendAnswer(nil, geo.Coord{Lat: 52, Lon: 6}, nil); got[0] != "10.1.0.1" {
 		t.Fatalf("EU query -> %v, want AMS edge", got)
 	}
-	if got := p.Answer(geo.Coord{Lat: 1.3, Lon: 103}, nil); got[0] != "10.1.0.2" {
+	if got := p.AppendAnswer(nil, geo.Coord{Lat: 1.3, Lon: 103}, nil); got[0] != "10.1.0.2" {
 		t.Fatalf("SG query -> %v, want SIN edge", got)
 	}
 	p.K = 2
-	if got := p.Answer(geo.Coord{Lat: 40, Lon: -75}, nil); len(got) != 2 || got[0] != "10.1.0.3" {
+	if got := p.AppendAnswer(nil, geo.Coord{Lat: 40, Lon: -75}, nil); len(got) != 2 || got[0] != "10.1.0.3" {
 		t.Fatalf("US query K=2 -> %v", got)
 	}
 	p.K = 99
-	if got := p.Answer(geo.Coord{}, nil); len(got) != 3 {
+	if got := p.AppendAnswer(nil, geo.Coord{}, nil); len(got) != 3 {
 		t.Fatalf("K clamp: %v", got)
 	}
 }

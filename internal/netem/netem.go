@@ -14,6 +14,7 @@ package netem
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/geo"
@@ -37,19 +38,86 @@ type Host struct {
 	// modelling server-side processing (metadata commits, storage
 	// back-end writes).
 	ProcDelay time.Duration
+
+	// slot is 1 + the host's position in the topology it belongs to;
+	// 0 for a run's own hosts.
+	slot int
 }
 
-// Network is the synthetic topology. It is not safe for concurrent use.
+// inflation stretches great-circle distances into routed-path
+// distances (see internal/geo).
+const inflation = 1.7
+
+// Topology is the static half of the synthetic Internet: the server
+// hosts of one deployment, kept in insertion order, and — once frozen
+// — the base RTT from one vantage to every one of them. It draws no
+// random numbers, so a campaign builds it once per cell and shares it
+// read-only across every repetition and worker; each repetition runs
+// on its own Network over it.
+type Topology struct {
+	hosts  []*Host
+	byAddr map[string]*Host
+	byName map[string]*Host
+
+	frozen bool
+	// row[i] is the base RTT from vantage to hosts[i].
+	vantage geo.Coord
+	row     []time.Duration
+}
+
+// NewTopology returns an empty, open topology.
+func NewTopology() *Topology {
+	return &Topology{byAddr: make(map[string]*Host), byName: make(map[string]*Host)}
+}
+
+// AddHost registers a host. It panics on duplicate name or address,
+// and once the topology is frozen — topology construction errors are
+// programming errors. A host belongs to one topology.
+func (t *Topology) AddHost(h *Host) *Host {
+	if t.frozen {
+		panic(fmt.Sprintf("netem: host %q added to a frozen topology", h.Name))
+	}
+	checkNew(h, t.byName, t.byAddr)
+	h.slot = len(t.hosts) + 1
+	t.hosts = append(t.hosts, h)
+	t.byName[h.Name] = h
+	t.byAddr[h.Addr] = h
+	return h
+}
+
+// Freeze closes the topology to new hosts and precomputes the base RTT
+// from vantage to every host, so a run's RTT samples from a host at
+// vantage skip the great-circle computation. After Freeze the topology
+// is read-only and safe to share between concurrent runs.
+func (t *Topology) Freeze(vantage geo.Coord) {
+	if t.frozen {
+		panic("netem: topology frozen twice")
+	}
+	t.frozen = true
+	t.vantage = vantage
+	t.row = make([]time.Duration, len(t.hosts))
+	for i, h := range t.hosts {
+		t.row[i] = geo.InflatedRTT(vantage, h.Coord, inflation)
+	}
+}
+
+// NewNetwork starts a run on the topology with the given clock and
+// RNG.
+func (t *Topology) NewNetwork(clock *sim.Clock, rng *sim.RNG) *Network {
+	return &Network{Clock: clock, rng: rng, topo: t}
+}
+
+// Network is one run on a Topology: the clock, the RNG, the path
+// impairments and the run's own hosts (the test computer, measurement
+// vantages). It is not safe for concurrent use.
 type Network struct {
 	Clock *sim.Clock
 	rng   *sim.RNG
+	topo  *Topology
 
-	hostsByAddr map[string]*Host
-	hostsByName map[string]*Host
-
-	// Inflation stretches great-circle distances into routed-path
-	// distances (see internal/geo).
-	Inflation float64
+	// The run's own hosts; nil until the first is added.
+	byAddr map[string]*Host
+	byName map[string]*Host
 
 	// JitterFraction adds uniform noise of ±(fraction/2)·RTT to each
 	// RTT sample, modelling queueing variation. Zero disables jitter.
@@ -64,54 +132,82 @@ type Network struct {
 	LossRate float64
 }
 
-// New returns an empty network using the given clock and RNG.
+// New returns a network over a fresh, open topology of its own, using
+// the given clock and RNG: every host added to it lands in that
+// topology.
 func New(clock *sim.Clock, rng *sim.RNG) *Network {
-	return &Network{
-		Clock:       clock,
-		rng:         rng,
-		hostsByAddr: make(map[string]*Host),
-		hostsByName: make(map[string]*Host),
-		Inflation:   1.7,
-	}
+	return NewTopology().NewNetwork(clock, rng)
 }
 
-// AddHost registers a host. It panics on duplicate name or address —
-// topology construction errors are programming errors.
+// CheckPath validates path impairments: a loss rate in [0, 1) and a
+// finite, non-negative jitter fraction.
+func CheckPath(loss, jitter float64) error {
+	if !(loss >= 0 && loss < 1) {
+		return fmt.Errorf("netem: loss rate %g is outside [0, 1)", loss)
+	}
+	if !(jitter >= 0 && jitter <= math.MaxFloat64) {
+		return fmt.Errorf("netem: jitter fraction %g is not a finite value >= 0", jitter)
+	}
+	return nil
+}
+
+// AddHost registers a host. While the topology is open the host joins
+// it; once it is frozen the host belongs to this run alone. It panics
+// on a name or address already in use by either.
 func (n *Network) AddHost(h *Host) *Host {
-	if _, dup := n.hostsByName[h.Name]; dup {
+	if !n.topo.frozen {
+		return n.topo.AddHost(h)
+	}
+	checkNew(h, n.topo.byName, n.topo.byAddr)
+	if n.byName == nil {
+		n.byName, n.byAddr = make(map[string]*Host), make(map[string]*Host)
+	}
+	checkNew(h, n.byName, n.byAddr)
+	n.byName[h.Name] = h
+	n.byAddr[h.Addr] = h
+	return h
+}
+
+func checkNew(h *Host, byName, byAddr map[string]*Host) {
+	if _, dup := byName[h.Name]; dup {
 		panic(fmt.Sprintf("netem: duplicate host name %q", h.Name))
 	}
-	if _, dup := n.hostsByAddr[h.Addr]; dup {
+	if _, dup := byAddr[h.Addr]; dup {
 		panic(fmt.Sprintf("netem: duplicate host addr %q", h.Addr))
 	}
-	n.hostsByName[h.Name] = h
-	n.hostsByAddr[h.Addr] = h
-	return h
 }
 
 // HostByAddr looks a host up by IPv4 address.
 func (n *Network) HostByAddr(addr string) (*Host, bool) {
-	h, ok := n.hostsByAddr[addr]
+	if h, ok := n.topo.byAddr[addr]; ok {
+		return h, true
+	}
+	h, ok := n.byAddr[addr]
 	return h, ok
 }
 
 // HostByName looks a host up by name.
 func (n *Network) HostByName(name string) (*Host, bool) {
-	h, ok := n.hostsByName[name]
+	if h, ok := n.topo.byName[name]; ok {
+		return h, true
+	}
+	h, ok := n.byName[name]
 	return h, ok
 }
-
-// NumHosts returns the number of registered hosts.
-func (n *Network) NumHosts() int { return len(n.hostsByAddr) }
 
 // RNG exposes the network's deterministic random source; the
 // transport simulator draws loss events from it.
 func (n *Network) RNG() *sim.RNG { return n.rng }
 
 // BaseRTT returns the deterministic (jitter-free) round-trip time
-// between two hosts.
+// between two hosts: from the frozen topology's row when a is at its
+// vantage and b is one of its hosts, else from geography.
 func (n *Network) BaseRTT(a, b *Host) time.Duration {
-	return geo.InflatedRTT(a.Coord, b.Coord, n.Inflation)
+	t := n.topo
+	if i := b.slot - 1; i >= 0 && i < len(t.row) && t.hosts[i] == b && a.Coord == t.vantage {
+		return t.row[i]
+	}
+	return geo.InflatedRTT(a.Coord, b.Coord, inflation)
 }
 
 // SampleRTT returns one RTT sample between two hosts, with jitter.

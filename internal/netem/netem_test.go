@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -33,9 +35,6 @@ func TestAddAndLookupHosts(t *testing.T) {
 	}
 	if _, ok := n.HostByAddr("10.9.9.9"); ok {
 		t.Fatal("lookup of unknown addr succeeded")
-	}
-	if n.NumHosts() != 1 {
-		t.Fatalf("NumHosts = %d", n.NumHosts())
 	}
 }
 
@@ -190,5 +189,88 @@ func TestAddrPool(t *testing.T) {
 	}
 	if p.Prefix() != "54.231" {
 		t.Fatal("Prefix accessor")
+	}
+}
+
+// TestFrozenTopologySplit pins the static/per-run split: a frozen
+// topology rejects new hosts, a run's hosts stay in that run, and the
+// precomputed base-RTT row equals the geographic RTT it replaces.
+func TestFrozenTopologySplit(t *testing.T) {
+	vantage := geo.Coord{Lat: 52.22, Lon: 6.89}
+	topo := NewTopology()
+	var servers []*Host
+	for i, code := range []string{"ZRH", "IAD", "SEA", "SIN"} {
+		servers = append(servers, topo.AddHost(&Host{Name: code, Addr: "10.1.0." + strconv.Itoa(i+1), Coord: mustAirport(t, code)}))
+	}
+	topo.Freeze(vantage)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AddHost on a frozen topology did not panic")
+			}
+		}()
+		topo.AddHost(&Host{Name: "late", Addr: "10.1.0.9"})
+	}()
+
+	a, b := topo.NewNetwork(sim.NewClock(), sim.NewRNG(1)), topo.NewNetwork(sim.NewClock(), sim.NewRNG(1))
+	client := a.AddHost(&Host{Name: "client.sim", Addr: "10.0.0.1", Coord: vantage})
+	if h, ok := a.HostByAddr("10.0.0.1"); !ok || h != client {
+		t.Fatal("run does not see its own host")
+	}
+	if _, ok := b.HostByName("client.sim"); ok {
+		t.Fatal("a run's host leaked into another run on the same topology")
+	}
+	if h, ok := b.HostByName("SEA"); !ok || h != servers[2] {
+		t.Fatal("run does not see the topology's hosts")
+	}
+	b.AddHost(&Host{Name: "client.sim", Addr: "10.0.0.1", Coord: vantage})
+	for _, dup := range []*Host{{Name: "ZRH", Addr: "10.0.0.7"}, {Name: "x", Addr: "10.0.0.1"}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("duplicate run host %+v did not panic", dup)
+				}
+			}()
+			a.AddHost(dup)
+		}()
+	}
+
+	// An open network computes the same RTTs from geography, from the
+	// vantage (the row) and from anywhere else.
+	probe := a.AddHost(&Host{Name: "probe.sim", Addr: "10.0.0.2", Coord: mustAirport(t, "SYD")})
+	open := newTestNet()
+	ref := open.AddHost(&Host{Name: "c", Addr: "10.0.0.1", Coord: vantage})
+	refProbe := open.AddHost(&Host{Name: "p", Addr: "10.0.0.2", Coord: probe.Coord})
+	for i, s := range servers {
+		far := open.AddHost(&Host{Name: s.Name, Addr: "10.2.0." + strconv.Itoa(i+1), Coord: s.Coord})
+		if got, want := a.BaseRTT(client, s), open.BaseRTT(ref, far); got != want {
+			t.Errorf("%s: row RTT %v, geographic %v", s.Name, got, want)
+		}
+		if got, want := a.BaseRTT(s, client), open.BaseRTT(far, ref); got != want {
+			t.Errorf("%s: reverse RTT %v, geographic %v", s.Name, got, want)
+		}
+		if got, want := a.BaseRTT(probe, s), open.BaseRTT(refProbe, far); got != want {
+			t.Errorf("%s: off-vantage RTT %v, geographic %v", s.Name, got, want)
+		}
+	}
+}
+
+func TestCheckPath(t *testing.T) {
+	for _, c := range []struct {
+		loss, jitter float64
+		ok           bool
+	}{
+		{0, 0, true},
+		{0.999, 0.1, true},
+		{1, 0, false},
+		{-0.1, 0, false},
+		{math.NaN(), 0, false},
+		{0, -0.1, false},
+		{0, math.Inf(1), false},
+		{0, math.NaN(), false},
+	} {
+		if err := CheckPath(c.loss, c.jitter); (err == nil) != c.ok {
+			t.Errorf("CheckPath(%v, %v) = %v, want ok=%v", c.loss, c.jitter, err, c.ok)
+		}
 	}
 }

@@ -60,8 +60,10 @@ func (b Batch) Validate() error {
 // Materialize creates the batch's files in the folder at time `at`,
 // naming them <prefix>/fileNNNN.<ext>. It returns the created paths.
 // Despite the historical name, nothing is generated here: each file is
-// a lazy content descriptor over its own forked stream, and bytes come
-// into existence only if a consumer needs them.
+// a lazy content descriptor over its own forked stream — named by the
+// fork's seed alone, equal to Describe(rng.Fork(i), ...) without
+// building the child RNG — and bytes come into existence only if a
+// consumer needs them.
 func (b Batch) Materialize(f *Folder, rng *sim.RNG, at time.Time, prefix string) []string {
 	paths := make([]string, 0, b.Count)
 	ext := b.Kind.Ext()
@@ -69,7 +71,7 @@ func (b Batch) Materialize(f *Folder, rng *sim.RNG, at time.Time, prefix string)
 	for i := 0; i < b.Count; i++ {
 		name = appendFileName(name[:0], prefix, i, ext)
 		path := string(name)
-		f.CreateLazy(at, path, Describe(rng.Fork(int64(i)), b.Kind, b.Size))
+		f.CreateLazy(at, path, describe(rng.ForkSeed(int64(i)), b.Kind, b.Size))
 		paths = append(paths, path)
 	}
 	return paths

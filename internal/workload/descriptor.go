@@ -24,10 +24,15 @@ type Descriptor struct {
 // whole child stream by its seed, so a source that has already been
 // drawn from would materialise differently than Generate would.
 func Describe(rng *sim.RNG, kind Kind, size int64) Descriptor {
+	return describe(rng.Seed(), kind, size)
+}
+
+// describe is Describe for the stream a seed names.
+func describe(seed int64, kind Kind, size int64) Descriptor {
 	if size < 0 {
 		panic(fmt.Sprintf("workload: negative size %d", size))
 	}
-	return Descriptor{Kind: kind, Seed: rng.Seed(), Size: size}
+	return Descriptor{Kind: kind, Seed: seed, Size: size}
 }
 
 // AppendTo appends the descriptor's exact Size bytes to dst and

@@ -224,6 +224,23 @@ func TestBatchMaterialize(t *testing.T) {
 	}
 }
 
+// TestBatchMaterializeDescribesForks pins Materialize's seed-only
+// naming: file i's descriptor is exactly Describe(rng.Fork(i), ...),
+// for a plain root and for its antithetic twin.
+func TestBatchMaterializeDescribesForks(t *testing.T) {
+	b := Batch{Count: 12, Size: 3_000, Kind: FakeJPEG}
+	for _, root := range []*sim.RNG{sim.NewRNG(31), sim.NewAntitheticRNG(31)} {
+		f := NewFolder()
+		for i, path := range b.Materialize(f, root, at(0), "d") {
+			file, _ := f.Get(path)
+			got, lazy := file.Content().Descriptor()
+			if want := Describe(root.Fork(int64(i)), b.Kind, b.Size); !lazy || got != want {
+				t.Fatalf("antithetic=%v file %d: descriptor %v (lazy %v), want %v", root.Antithetic(), i, got, lazy, want)
+			}
+		}
+	}
+}
+
 func TestBatchFileNamesMatchSprintf(t *testing.T) {
 	for _, kind := range Kinds {
 		for _, prefix := range []string{"", "set1", "bench/sub"} {
