@@ -165,11 +165,13 @@ func main() {
 
 // checkFlags rejects negative sizes and durations. Zero keeps its
 // meaning (an empty fleet, the default day or bucket, one shard); a
-// negative value would otherwise run and print a nonsense rate.
+// negative value would otherwise run and print a nonsense rate. The
+// fleet configuration the flags build goes through
+// core.FleetConfig.Validate; the checks here cover only what it cannot
+// see: the shard count, and a negative day or bucket, which the engine
+// would silently replace by its default.
 func checkFlags(users, shards int, day, bucket time.Duration) error {
 	switch {
-	case users < 0:
-		return fmt.Errorf("-users must be >= 0 (got %d)", users)
 	case shards < 0:
 		return fmt.Errorf("-shards must be >= 0 (got %d)", shards)
 	case day < 0:
@@ -177,7 +179,7 @@ func checkFlags(users, shards int, day, bucket time.Duration) error {
 	case bucket < 0:
 		return fmt.Errorf("-bucket must be >= 0 (got %v)", bucket)
 	}
-	return nil
+	return core.FleetConfig{Users: users, Day: day, Bucket: bucket}.Validate()
 }
 
 func parsePopulations(s string) ([]int, error) {

@@ -215,11 +215,16 @@
 // plain mutex per shard — a single global lock under a concurrent
 // fleet serialises every chunk lookup, and every hot-path store
 // operation writes, so reader/writer bookkeeping buys nothing.
-// Counters are per-shard atomics read without any lock; chunk entries
-// live in pointer-free slab arenas addressed by index, so the garbage
-// collector never scans the store's bulk state, and each entry folds
-// the chunk's size together with its earliest claim, so one map access
-// serves both.
+// Counters are per-shard atomics read without any lock. Each shard
+// indexes its chunks with a flat linear-probe table of uint64 slots (a
+// 32-bit hash tag and a slab index), confirmed against the full hash
+// in the entry; entries live in pointer-free slab arenas addressed by
+// index, so the garbage collector never scans the store's bulk state.
+// Each 64-byte entry folds the chunk's hash and size together with its
+// earliest claim, so a claim costs one slot line and one entry line.
+// The capacity hint sizes a shard's first table and its slab blocks,
+// and nothing is allocated per shard before its first insert, so a
+// throwaway per-repetition store stays small.
 //
 // Cross-user dedup under parallelism runs as a one-pass claim/resolve
 // protocol. The claim pass generates the day once: each session claims
@@ -233,7 +238,7 @@
 // those arenas instead of re-deriving the day — RNG forks, arrival
 // draws and chunk hashing run once — and resolves each chunk's winner
 // through its recorded ref (dedup.ChunkRef.WonBy), a direct entry read
-// with no second map probe and no lock. Past a configurable memory
+// with no second index probe and no lock. Past a configurable memory
 // budget a stripe drops its log and regenerates from seeds instead —
 // a pure perf fallback, bit-identical by construction. Catalog files'
 // sizes and chunk addresses are pure functions of class config and

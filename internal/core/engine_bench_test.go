@@ -171,3 +171,17 @@ func BenchmarkRepetitionFixedCost(b *testing.B) {
 		cell.runSync(w, sim.NewRNG(42))
 	}
 }
+
+// BenchmarkFleetDay times one 10k-user service day on the default
+// class mix and a fresh pre-sized store, through RunFleet at the
+// default worker budget (one worker per CPU, so -cpu sets it). It uses
+// only the exported API, so the same benchmark runs against any
+// revision of the fleet engine.
+func BenchmarkFleetDay(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if r := RunFleet(FleetConfig{Users: 10_000, Seed: 42}, 0); r.Sessions == 0 {
+			b.Fatal("empty fleet day")
+		}
+	}
+}

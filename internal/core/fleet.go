@@ -41,14 +41,17 @@ import (
 //
 //   - Claim pass: every session claims its chunks with the session's
 //     (virtual instant, user) pair, one batch per (session, shard)
-//     group (dedup.Store.ClaimBatch). The store keeps the earliest
+//     group (dedup.Store.ClaimBatchRef). The store keeps the earliest
 //     claim per chunk — a pure function of the offered load, whatever
 //     the execution interleaving. While claiming, each stripe records
-//     its session stream into a flat append-only log (fleetlog.go).
-//   - Resolve pass: the day replays from the session log (or, past the
-//     log's memory budget, regenerates from seeds — bit-identical
-//     either way) and each session asks the store who won its chunks
-//     (dedup.Store.WinnerBatch): the earliest claimant uploads, every
+//     its session stream, with each chunk's store ref, into a flat
+//     append-only log (fleetlog.go).
+//   - Resolve pass: the day replays from the session log and each
+//     session reads who won its chunks straight from the recorded
+//     refs (dedup.ChunkRef.WonBy), with no store probe or lock. A
+//     stripe whose log overflowed its memory budget regenerates from
+//     seeds instead and asks the store (dedup.Store.WinnerBatch) —
+//     bit-identical either way. The earliest claimant uploads, every
 //     other claimant deduplicates — exactly the outcome of a
 //     sequential virtual-time replay, now computed on all cores.
 //
@@ -185,6 +188,51 @@ type classTables struct {
 // a larger catalog derives sizes definitionally instead.
 const maxCatalogTable = 1 << 20
 
+// Validate reports the first configuration error that would make a
+// fleet day hang or compute nonsense: a negative population, or a
+// class with a non-positive chunk or minimum file size, inverted file
+// size or count bounds, no arrival process, a shared fraction outside
+// [0, 1], or class fractions that are negative or do not sum to 1.
+// Zero fields that withDefaults resolves are valid; nil Classes are
+// the default mix.
+func (cfg FleetConfig) Validate() error {
+	if cfg.Users < 0 {
+		return fmt.Errorf("fleet: users must be >= 0 (got %d)", cfg.Users)
+	}
+	classes := cfg.Classes
+	if classes == nil {
+		classes = DefaultFleetClasses()
+	}
+	var sum float64
+	for _, c := range classes {
+		var err error
+		switch {
+		case !(c.Fraction >= 0):
+			err = fmt.Errorf("fraction must be >= 0 (got %g)", c.Fraction)
+		case c.Arrival == nil:
+			err = fmt.Errorf("no arrival process")
+		case c.MaxFiles < c.MinFiles:
+			err = fmt.Errorf("max files %d below min files %d", c.MaxFiles, c.MinFiles)
+		case c.MinFileBytes <= 0:
+			err = fmt.Errorf("min file bytes must be > 0 (got %d)", c.MinFileBytes)
+		case c.MaxFileBytes < c.MinFileBytes:
+			err = fmt.Errorf("max file bytes %d below min file bytes %d", c.MaxFileBytes, c.MinFileBytes)
+		case !(c.SharedFraction >= 0 && c.SharedFraction <= 1):
+			err = fmt.Errorf("shared fraction %g is outside [0, 1]", c.SharedFraction)
+		case c.ChunkBytes <= 0:
+			err = fmt.Errorf("chunk bytes must be > 0 (got %d)", c.ChunkBytes)
+		}
+		if err != nil {
+			return fmt.Errorf("fleet: class %q: %w", c.Name, err)
+		}
+		sum += c.Fraction
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		return fmt.Errorf("fleet: class fractions sum to %g, not 1", sum)
+	}
+	return nil
+}
+
 // withDefaults resolves the zero fields.
 func (cfg FleetConfig) withDefaults() FleetConfig {
 	if cfg.Day <= 0 {
@@ -253,10 +301,11 @@ func (cfg FleetConfig) withDefaults() FleetConfig {
 }
 
 // FleetChunkHint estimates the unique chunks a fleet day offers — the
-// map-capacity hint RunFleet (and drivers building their own backend)
-// hand to dedup.NewStoreShardedSized. The default class mix lands
-// around eight unique chunks per user-day; the hint only pre-sizes
-// allocation, so being off merely costs or saves a few map growths.
+// capacity hint RunFleet (and drivers building their own backend) hand
+// to dedup.NewStoreShardedSized, which sizes each shard's first index
+// table and its slab blocks from it. The default class mix lands
+// around eight unique chunks per user-day; the hint only sizes
+// allocation, so being off merely costs or saves a few table doublings.
 func FleetChunkHint(users int, day time.Duration) int {
 	if day <= 0 {
 		day = workload.ServiceDay
@@ -322,8 +371,12 @@ type FleetResult struct {
 // RunFleet simulates one service day of cfg.Users users against the
 // shared backend and returns the service-side load curves. workers
 // caps the fan-out (0 = the shared CampaignWorkers budget, 1 =
-// sequential); the result is bit-identical at any value.
+// sequential); the result is bit-identical at any value. It panics
+// with Validate's message on an invalid configuration.
 func RunFleet(cfg FleetConfig, workers int) FleetResult {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	cfg = cfg.withDefaults()
 	starts := classStarts(cfg.Classes, cfg.Users)
 	nb := int(cfg.Day / cfg.Bucket)
@@ -943,8 +996,17 @@ type FleetPopulationPoint struct {
 // budget — each owns a fresh backend, so they are independent cells —
 // and land in population order; a fleet day is itself bit-identical at
 // any worker count, so the sweep is too (pinned by
-// TestFleetPopulationSweepWorkerEquivalence).
+// TestFleetPopulationSweepWorkerEquivalence). Like RunFleet, it panics
+// with Validate's message, before running any point, if the
+// configuration at any of the populations is invalid.
 func FleetPopulationSweep(cfg FleetConfig, populations []int, workers int) []FleetPopulationPoint {
+	for _, n := range populations {
+		c := cfg
+		c.Users = n
+		if err := c.Validate(); err != nil {
+			panic(err.Error())
+		}
+	}
 	return RunN(len(populations), workers, func(i int) FleetPopulationPoint {
 		c := cfg
 		c.Users = populations[i]

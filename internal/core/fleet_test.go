@@ -331,3 +331,77 @@ func TestFleetDefaultClassesCoverArrivalProcesses(t *testing.T) {
 			havePoisson, haveGamma, haveDiurnal)
 	}
 }
+
+func TestFleetConfigValidate(t *testing.T) {
+	// Each case breaks one field of a valid single-class config; the
+	// defaults themselves must pass.
+	valid := func() FleetConfig {
+		c := DefaultFleetClasses()[1]
+		c.Fraction = 1
+		return FleetConfig{Users: 100, Seed: 1, Classes: []FleetClass{c}}
+	}
+	if err := smallFleet(100).Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
+	if err := valid().Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	if err := smallFleet(0).Validate(); err != nil {
+		t.Fatalf("empty population rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*FleetConfig)
+	}{
+		{"negative users", func(c *FleetConfig) { c.Users = -5 }},
+		{"zero chunk bytes", func(c *FleetConfig) { c.Classes[0].ChunkBytes = 0 }},
+		{"zero min file bytes", func(c *FleetConfig) { c.Classes[0].MinFileBytes = 0 }},
+		{"max file bytes below min", func(c *FleetConfig) { c.Classes[0].MaxFileBytes = c.Classes[0].MinFileBytes - 1 }},
+		{"max files below min", func(c *FleetConfig) { c.Classes[0].MinFiles, c.Classes[0].MaxFiles = 3, 2 }},
+		{"nil arrival", func(c *FleetConfig) { c.Classes[0].Arrival = nil }},
+		{"shared fraction above 1", func(c *FleetConfig) { c.Classes[0].SharedFraction = 1.5 }},
+		{"negative shared fraction", func(c *FleetConfig) { c.Classes[0].SharedFraction = -0.1 }},
+		{"negative fraction", func(c *FleetConfig) {
+			c.Classes = append(c.Classes, c.Classes[0])
+			c.Classes[0].Fraction, c.Classes[1].Fraction = 1.5, -0.5
+		}},
+		{"fractions short of 1", func(c *FleetConfig) { c.Classes[0].Fraction = 0.9 }},
+		{"no classes", func(c *FleetConfig) { c.Classes = []FleetClass{} }},
+	} {
+		cfg := valid()
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+		}
+	}
+}
+
+func TestFleetZeroChunkBytesPanicsInsteadOfHanging(t *testing.T) {
+	// A zero chunk size used to spin forever in withDefaults' chunk
+	// loop; RunFleet and FleetPopulationSweep now stop on Validate's
+	// error before any work. A regression hangs until the test binary
+	// times out.
+	cfg := smallFleet(10)
+	cfg.Classes = DefaultFleetClasses()
+	cfg.Classes[0].ChunkBytes = 0
+	if cfg.Validate() == nil {
+		t.Fatal("Validate accepted ChunkBytes 0")
+	}
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"RunFleet", func() { RunFleet(cfg, 1) }},
+		{"FleetPopulationSweep", func() { FleetPopulationSweep(cfg, []int{10}, 1) }},
+		{"FleetPopulationSweep at a negative population", func() { FleetPopulationSweep(smallFleet(10), []int{10, -1}, 1) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic on an invalid config", tc.name)
+				}
+			}()
+			tc.run()
+		}()
+	}
+}

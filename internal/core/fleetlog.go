@@ -49,7 +49,7 @@ type fleetLog struct {
 	// filled in by the claim pass as each session's ClaimBatchRef
 	// returns: the store entry behind refs[j] is the one a Winner
 	// probe for hashes[j] would find, which is what lets the replay
-	// resolve winners without touching the store's maps or locks.
+	// resolve winners without touching the store's index or locks.
 	hashes []dedup.Hash
 	sizes  []int64
 	refs   []dedup.ChunkRef

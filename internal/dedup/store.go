@@ -2,13 +2,15 @@ package dedup
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
 
 // DefaultShards is the shard count of NewStore: enough stripes that a
 // worker-per-core fleet rarely collides on a shard lock, small enough
-// that a per-repetition single-client store stays a handful of maps.
+// that a per-repetition single-client store stays a handful of tables.
 const DefaultShards = 64
 
 // Store is a server-side content-addressed chunk store, sharded by
@@ -26,70 +28,177 @@ const DefaultShards = 64
 // operation (PutHashed, Claim) writes, so the RWMutex reader/writer
 // bookkeeping was pure overhead — the one read-mostly consumer,
 // counter aggregation, is served by the atomics instead. Size and
-// claim share one map entry per chunk, so a fleet-day Claim costs a
-// single map access instead of one per map.
+// claim share one entry per chunk, and the entry holds the chunk's
+// full hash, so a fleet-day Claim touches one index slot and one
+// entry: two cache lines.
 type Store struct {
 	shards []shard
 	mask   uint32
 }
 
-// shard is one lock stripe. The struct is padded to its own cache
-// lines so per-shard state on adjacent shards does not false-share
-// under concurrent Put storms.
+// shard is one lock stripe: a linear-probe index over a slab of
+// entries. The struct is padded to its own cache lines so per-shard
+// state on adjacent shards does not false-share under concurrent Put
+// storms.
+//
+// Each index slot is a uint64: the high 32 bits are the chunk's tag
+// (hash bytes 4..8 — bytes 0..4 already picked the shard), the low 32
+// bits its slab index + 1, so 0 is an empty slot. The tag's low bits
+// also give the probe start, so growing the table rehashes from the
+// slot bits alone. A tag match is confirmed against the entry's full
+// hash, so lookups are exact. The table stays nil until the shard's
+// first insert, is first allocated at the size the store's capacity
+// hint gives every shard, and doubles at 3/4 load.
 type shard struct {
 	mu     sync.Mutex
-	chunks map[Hash]int32 // content address → slab index of its entry
+	slots  []uint64
 	slab   entrySlab
+	first  uint32 // slots of the table's first allocation, a power of two
+	id     uint32 // index in Store.shards, for the slab bound's panic
 	bytes  atomic.Int64
 	puts   atomic.Int64
 	hits   atomic.Int64
 	unique atomic.Int64
-	_      [32]byte // pad the state to full cache lines
+	_      [16]byte // pad the state to full cache lines
 }
 
 // entrySlab hand-allocates entries in fixed blocks so every *entry
 // stays address-stable for the life of the store — the property
 // ChunkRef relies on — while paying one heap allocation per block
 // instead of one per chunk. Entries are addressed by a dense int32
-// index; keeping the index (not the pointer) as the map value leaves
-// both the map and the blocks pointer-free, so the garbage collector
-// never scans the store's bulk state.
+// index; keeping the index (not the pointer) in the index slots leaves
+// both the index and the blocks pointer-free, so the garbage collector
+// never scans the store's bulk state. The block size comes from the
+// store's capacity hint: small for a throwaway per-repetition store,
+// large for a fleet day.
 type entrySlab struct {
 	blocks [][]entry
+	n      int   // entries allocated; the next entry's index
+	bits   uint8 // log2 of the block size
 }
 
 const (
-	entrySlabBits  = 10
-	entrySlabBlock = 1 << entrySlabBits
-	entrySlabMask  = entrySlabBlock - 1
+	minSlabBits  = 4  // 16 entries (1 KB) per block for an unsized store
+	maxSlabBits  = 10 // 1,024 entries (64 KB) per block at most
+	minTableBits = 3  // 8 slots (one cache line) for an unsized store
+	maxTableBits = 20 // 1M slots (8 MB) up front at most; a bigger shard grows
 )
 
-func (s *entrySlab) alloc() (int32, *entry) {
-	last := len(s.blocks) - 1
-	if last < 0 || len(s.blocks[last]) == entrySlabBlock {
-		s.blocks = append(s.blocks, make([]entry, 0, entrySlabBlock))
-		last++
+func (s *entrySlab) alloc(shard uint32) (int32, *entry) {
+	idx := slabIndex(s.n, shard)
+	b := int(idx >> s.bits)
+	if b == len(s.blocks) {
+		s.blocks = append(s.blocks, make([]entry, 1<<s.bits))
 	}
-	b := s.blocks[last]
-	b = b[:len(b)+1]
-	s.blocks[last] = b
-	return int32(last<<entrySlabBits | (len(b) - 1)), &b[len(b)-1]
+	s.n++
+	return idx, &s.blocks[b][idx&(1<<s.bits-1)]
 }
 
 func (s *entrySlab) at(idx int32) *entry {
-	return &s.blocks[idx>>entrySlabBits][idx&entrySlabMask]
+	return &s.blocks[idx>>s.bits][idx&(1<<s.bits-1)]
 }
 
-// entry is everything the store knows about one chunk: its size and,
-// during a fleet day, the earliest would-be uploader in fleet virtual
-// time — the (instant, user) pair orders uploads the way a sequential
-// replay of the service day would. Keeping the claim inside the chunk
-// entry means Claim and Winner touch one map, not two.
+// slabIndex returns n as the slab index of a shard's next entry, and
+// panics when it would not fit: the index is an int32, and a slot
+// stores it + 1 in its low 32 bits. n ≤ MaxInt32 bounds both.
+func slabIndex(n int, shard uint32) int32 {
+	if n < 0 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("dedup: shard %d is full: entry %d does not fit the int32 slab index", shard, n))
+	}
+	return int32(n)
+}
+
+// slotOf packs a chunk's tag and slab index into an index slot; the
+// + 1 keeps every occupied slot nonzero.
+func slotOf(tag uint32, idx int32) uint64 { return uint64(tag)<<32 | uint64(uint32(idx)+1) }
+
+// slotIndex is the slab index slotOf packed into an occupied slot.
+func slotIndex(slot uint64) int32 { return int32(uint32(slot) - 1) }
+
+// entry is everything the store knows about one chunk: its content
+// address, its size and, during a fleet day, the earliest would-be
+// uploader in fleet virtual time — the (instant, user) pair orders
+// uploads the way a sequential replay of the service day would.
+// Keeping the claim inside the chunk entry means Claim and Winner
+// touch one entry, not two; the entry is 64 bytes, one cache line.
 type entry struct {
+	hash    Hash
 	size    int64
 	at      int64 // earliest claim instant, ns from day start
 	user    int64
 	claimed bool
+}
+
+// find returns h's entry, or nil and the slot an insert of h fills.
+// It is the store's one lookup: every method reaches entries through
+// it, and put adds what it did not find.
+func (sh *shard) find(h *Hash) (*entry, int) {
+	if sh.slots == nil {
+		return nil, 0
+	}
+	tag := binary.LittleEndian.Uint32(h[4:8])
+	mask := len(sh.slots) - 1
+	for i := int(tag) & mask; ; i = (i + 1) & mask {
+		slot := sh.slots[i]
+		if slot == 0 {
+			return nil, i
+		}
+		if uint32(slot>>32) == tag {
+			if e := sh.slab.at(slotIndex(slot)); e.hash == *h {
+				return e, i
+			}
+		}
+	}
+}
+
+// put returns h's entry and whether it is new: a stored chunk counts a
+// hit, an absent one becomes a new entry of the given size and counts
+// a put. It allocates the table on the shard's first insert and
+// doubles it at 3/4 load, probing afresh for h's slot after either.
+func (sh *shard) put(h *Hash, size int64) (*entry, bool) {
+	e, i := sh.find(h)
+	if e != nil {
+		sh.hits.Add(1)
+		return e, false
+	}
+	tag := binary.LittleEndian.Uint32(h[4:8])
+	if (sh.slab.n+1)*4 > len(sh.slots)*3 {
+		sh.grow()
+		i = sh.free(tag)
+	}
+	idx, e := sh.slab.alloc(sh.id)
+	e.hash, e.size = *h, size
+	sh.slots[i] = slotOf(tag, idx)
+	sh.bytes.Add(size)
+	sh.puts.Add(1)
+	sh.unique.Add(1)
+	return e, true
+}
+
+// grow allocates the shard's first table, or doubles it and reinserts
+// every slot by its tag.
+func (sh *shard) grow() {
+	old := sh.slots
+	if old == nil {
+		sh.slots = make([]uint64, sh.first)
+		return
+	}
+	sh.slots = make([]uint64, 2*len(old))
+	for _, slot := range old {
+		if slot != 0 {
+			sh.slots[sh.free(uint32(slot>>32))] = slot
+		}
+	}
+}
+
+// free returns the first empty slot on tag's probe sequence.
+func (sh *shard) free(tag uint32) int {
+	mask := len(sh.slots) - 1
+	i := int(tag) & mask
+	for sh.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // beats reports whether claim (at, user) precedes the entry's current
@@ -99,6 +208,11 @@ func (e *entry) beats(at, user int64) bool {
 	return !e.claimed || at < e.at || (at == e.at && user < e.user)
 }
 
+// won reports whether (at, user) is the entry's recorded claim.
+func (e *entry) won(at, user int64) bool {
+	return e != nil && e.claimed && e.at == at && e.user == user
+}
+
 // ChunkRef is an opaque handle to one chunk's store entry, returned by
 // ClaimBatchRef. Entries are slab-allocated and never move, so a ref
 // taken during the claim pass stays valid for the life of the store.
@@ -106,15 +220,12 @@ func (e *entry) beats(at, user int64) bool {
 type ChunkRef struct{ e *entry }
 
 // WonBy reports whether (at, user) is the earliest recorded claim for
-// the referenced chunk — Winner without the map probe or the lock.
+// the referenced chunk — Winner without the index probe or the lock.
 // Callers must not race it against in-flight Claim traffic: it is
 // meant for the resolve phase of a claim/resolve protocol, after every
 // claimant has synchronised with the claim pass (e.g. the fleet
 // engine's barrier between its two RunN fan-outs).
-func (r ChunkRef) WonBy(at, user int64) bool {
-	e := r.e
-	return e != nil && e.claimed && e.at == at && e.user == user
-}
+func (r ChunkRef) WonBy(at, user int64) bool { return r.e.won(at, user) }
 
 // NewStore returns an empty store with DefaultShards lock stripes.
 func NewStore() *Store { return NewStoreSharded(DefaultShards) }
@@ -123,11 +234,14 @@ func NewStore() *Store { return NewStoreSharded(DefaultShards) }
 // up to a power of two (minimum 1; n=1 is a single-lock store).
 func NewStoreSharded(n int) *Store { return NewStoreShardedSized(n, 0) }
 
-// NewStoreShardedSized is NewStoreSharded with a capacity hint: the
-// per-shard chunk maps are pre-sized for expectedChunks total unique
-// chunks, so a caller that knows its offered load (a fleet day, a
-// benchmark hammer) skips the incremental map growth on the hot path.
-// The hint only affects allocation, never behaviour.
+// NewStoreShardedSized is NewStoreSharded with a capacity hint of
+// expectedChunks total unique chunks: each shard's index is first
+// allocated big enough for its share of them (up to 1M slots), and its
+// entry slab grows in blocks sized to that share (16 to 1,024
+// entries), so a caller that knows its offered load (a fleet day, a
+// benchmark hammer) skips the incremental growth on the hot path, and
+// an unsized store stays small. Nothing is allocated per shard until
+// its first insert. The hint only affects allocation, never behaviour.
 func NewStoreShardedSized(n, expectedChunks int) *Store {
 	if n < 1 {
 		n = 1
@@ -140,9 +254,20 @@ func NewStoreShardedSized(n, expectedChunks int) *Store {
 	if expectedChunks > 0 {
 		perShard = expectedChunks / pow
 	}
+	// The first table holds perShard at under 3/4 load; a slab block
+	// holds perShard, within the block bounds.
+	tableBits := minTableBits
+	for tableBits < maxTableBits && 3<<tableBits < 4*perShard {
+		tableBits++
+	}
+	slabBits := uint8(minSlabBits)
+	for slabBits < maxSlabBits && 1<<slabBits < perShard {
+		slabBits++
+	}
 	s := &Store{shards: make([]shard, pow), mask: uint32(pow - 1)}
 	for i := range s.shards {
-		s.shards[i].chunks = make(map[Hash]int32, perShard)
+		sh := &s.shards[i]
+		sh.id, sh.first, sh.slab.bits = uint32(i), 1<<tableBits, slabBits
 	}
 	return s
 }
@@ -160,17 +285,17 @@ func (s *Store) ShardOf(h Hash) int {
 
 // shardFor routes a content address to its stripe by hash prefix;
 // SHA-256 output is uniform, so the stripes load-balance themselves.
-func (s *Store) shardFor(h Hash) *shard {
+func (s *Store) shardFor(h *Hash) *shard {
 	return &s.shards[binary.LittleEndian.Uint32(h[:4])&s.mask]
 }
 
 // Has reports whether the store already holds content with this hash.
 func (s *Store) Has(h Hash) bool {
-	sh := s.shardFor(h)
+	sh := s.shardFor(&h)
 	sh.mu.Lock()
-	_, ok := sh.chunks[h]
+	e, _ := sh.find(&h)
 	sh.mu.Unlock()
-	return ok
+	return e != nil
 }
 
 // Put stores a chunk and reports whether it was new. Storing an
@@ -183,51 +308,23 @@ func (s *Store) Put(data []byte) (h Hash, isNew bool) {
 // PutHashed is Put for a caller that already computed the content
 // address (the deduplicating client hashes every chunk before asking
 // the server about it, so hashing twice per chunk is pure waste). It
-// reports whether the chunk was new — one map lookup decides both the
+// reports whether the chunk was new — one lookup decides both the
 // insert and the dedup verdict, so callers no longer pair it with a
 // separate Has.
 func (s *Store) PutHashed(h Hash, size int64) (isNew bool) {
-	sh := s.shardFor(h)
+	sh := s.shardFor(&h)
 	sh.mu.Lock()
-	isNew = sh.putLocked(h, size)
+	_, isNew = sh.put(&h, size)
 	sh.mu.Unlock()
 	return isNew
 }
 
-// putLocked inserts a chunk into a locked shard, maintaining the
-// per-shard counters. One lookup: the insert and the hit verdict come
-// off the same map access.
-func (sh *shard) putLocked(h Hash, size int64) (isNew bool) {
-	if _, ok := sh.chunks[h]; ok {
-		sh.hits.Add(1)
-		return false
-	}
-	idx, e := sh.slab.alloc()
-	e.size = size
-	sh.chunks[h] = idx
-	sh.bytes.Add(size)
-	sh.puts.Add(1)
-	sh.unique.Add(1)
-	return true
-}
-
 // claimLocked records (at, user) as a would-be uploader of h in a
-// locked shard; the earliest (at, user) pair wins. One map access
-// covers the insert, the put/hit counters and the claim minimum; the
-// returned entry is the chunk's stable slab slot.
-func (sh *shard) claimLocked(h Hash, size, at, user int64) *entry {
-	idx, ok := sh.chunks[h]
-	if !ok {
-		idx, e := sh.slab.alloc()
-		*e = entry{size: size, at: at, user: user, claimed: true}
-		sh.chunks[h] = idx
-		sh.bytes.Add(size)
-		sh.puts.Add(1)
-		sh.unique.Add(1)
-		return e
-	}
-	e := sh.slab.at(idx)
-	sh.hits.Add(1)
+// locked shard; the earliest (at, user) pair wins. One lookup covers
+// the insert, the put/hit counters and the claim minimum; the returned
+// entry is the chunk's stable slab slot.
+func (sh *shard) claimLocked(h *Hash, size, at, user int64) *entry {
+	e, _ := sh.put(h, size)
 	if e.beats(at, user) {
 		e.at, e.user, e.claimed = at, user, true
 	}
@@ -243,9 +340,9 @@ func (sh *shard) claimLocked(h Hash, size, at, user int64) *entry {
 // The chunk itself is stored as by PutHashed, and the claim counts
 // identically toward the put/hit counters.
 func (s *Store) Claim(h Hash, size int64, at, user int64) {
-	sh := s.shardFor(h)
+	sh := s.shardFor(&h)
 	sh.mu.Lock()
-	sh.claimLocked(h, size, at, user)
+	sh.claimLocked(&h, size, at, user)
 	sh.mu.Unlock()
 }
 
@@ -259,10 +356,10 @@ func (s *Store) ClaimBatch(hs []Hash, sizes []int64, at, user int64) {
 	if len(hs) == 0 {
 		return
 	}
-	sh := s.shardFor(hs[0])
+	sh := s.shardFor(&hs[0])
 	sh.mu.Lock()
-	for i, h := range hs {
-		sh.claimLocked(h, sizes[i], at, user)
+	for i := range hs {
+		sh.claimLocked(&hs[i], sizes[i], at, user)
 	}
 	sh.mu.Unlock()
 }
@@ -270,16 +367,15 @@ func (s *Store) ClaimBatch(hs []Hash, sizes []int64, at, user int64) {
 // ClaimBatchRef is ClaimBatch returning each chunk's ChunkRef in
 // out[i]: the claim probe already finds the entry, so a claimant that
 // will later ask Winner can keep the handle and resolve through
-// ChunkRef.WonBy without a second map probe. len(out) must equal
-// len(hs).
+// ChunkRef.WonBy without a second probe. len(out) must equal len(hs).
 func (s *Store) ClaimBatchRef(hs []Hash, sizes []int64, at, user int64, out []ChunkRef) {
 	if len(hs) == 0 {
 		return
 	}
-	sh := s.shardFor(hs[0])
+	sh := s.shardFor(&hs[0])
 	sh.mu.Lock()
-	for i, h := range hs {
-		out[i] = ChunkRef{sh.claimLocked(h, sizes[i], at, user)}
+	for i := range hs {
+		out[i] = ChunkRef{sh.claimLocked(&hs[i], sizes[i], at, user)}
 	}
 	sh.mu.Unlock()
 }
@@ -289,13 +385,10 @@ func (s *Store) ClaimBatchRef(hs []Hash, sizes []int64, at, user int64, out []Ch
 // other claimant of the same chunk deduplicates against it. Reading
 // an unclaimed hash returns false.
 func (s *Store) Winner(h Hash, at, user int64) bool {
-	sh := s.shardFor(h)
+	sh := s.shardFor(&h)
 	sh.mu.Lock()
-	won := false
-	if idx, ok := sh.chunks[h]; ok {
-		e := sh.slab.at(idx)
-		won = e.claimed && e.at == at && e.user == user
-	}
+	e, _ := sh.find(&h)
+	won := e.won(at, user)
 	sh.mu.Unlock()
 	return won
 }
@@ -308,26 +401,22 @@ func (s *Store) WinnerBatch(hs []Hash, at, user int64, out []bool) {
 	if len(hs) == 0 {
 		return
 	}
-	sh := s.shardFor(hs[0])
+	sh := s.shardFor(&hs[0])
 	sh.mu.Lock()
-	for i, h := range hs {
-		won := false
-		if idx, ok := sh.chunks[h]; ok {
-			e := sh.slab.at(idx)
-			won = e.claimed && e.at == at && e.user == user
-		}
-		out[i] = won
+	for i := range hs {
+		e, _ := sh.find(&hs[i])
+		out[i] = e.won(at, user)
 	}
 	sh.mu.Unlock()
 }
 
 // Size returns the stored size of a chunk, or 0 if absent.
 func (s *Store) Size(h Hash) int64 {
-	sh := s.shardFor(h)
+	sh := s.shardFor(&h)
 	sh.mu.Lock()
 	var size int64
-	if idx, ok := sh.chunks[h]; ok {
-		size = sh.slab.at(idx).size
+	if e, _ := sh.find(&h); e != nil {
+		size = e.size
 	}
 	sh.mu.Unlock()
 	return size

@@ -1,7 +1,10 @@
 package dedup
 
 import (
+	"math"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -323,5 +326,84 @@ func TestClaimAndPutShareChunkSpace(t *testing.T) {
 	}
 	if s.UniqueChunks() != 1 || s.StoredBytes() != 42 {
 		t.Fatalf("chunks=%d bytes=%d", s.UniqueChunks(), s.StoredBytes())
+	}
+}
+
+func TestSlabIndexBound(t *testing.T) {
+	// The last index that fits is MaxInt32, and its slot (index + 1
+	// in the low 32 bits) round-trips without touching the tag; one
+	// more entry must panic naming the shard instead of wrapping.
+	for _, n := range []int{0, math.MaxInt32} {
+		idx := slabIndex(n, 5)
+		slot := slotOf(math.MaxUint32, idx)
+		if int(idx) != n || slot == 0 || uint32(slot>>32) != math.MaxUint32 || slotIndex(slot) != idx {
+			t.Fatalf("entry %d: index %d, slot %#x decodes to %d", n, idx, slot, slotIndex(slot))
+		}
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "shard 5") {
+			t.Fatalf("slabIndex(MaxInt32+1): panic %q, want one naming shard 5", msg)
+		}
+	}()
+	slabIndex(math.MaxInt32+1, 5)
+}
+
+func TestNewStoreAllocations(t *testing.T) {
+	// A per-repetition store is built and dropped every campaign
+	// repetition: shards allocate nothing until their first insert,
+	// whatever the hint.
+	if n := testing.AllocsPerRun(20, func() { NewStore() }); n > 2 {
+		t.Errorf("NewStore allocates %.0f times, want <= 2", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { NewStoreShardedSized(DefaultShards, 100_000) }); n > 2 {
+		t.Errorf("NewStoreShardedSized with a hint allocates %.0f times, want <= 2", n)
+	}
+}
+
+func TestStoreLayout(t *testing.T) {
+	// An entry is one cache line, and shards do not share lines.
+	if n := unsafe.Sizeof(entry{}); n != 64 {
+		t.Errorf("entry is %d bytes, want 64", n)
+	}
+	if n := unsafe.Sizeof(shard{}); n%64 != 0 {
+		t.Errorf("shard is %d bytes, not a whole number of cache lines", n)
+	}
+}
+
+func TestShardTableGrowth(t *testing.T) {
+	// An unsized single-shard store starts at one cache line of slots
+	// and doubles at 3/4 load; every chunk stays findable across the
+	// rehashes, and a hint sizes the first table for its share.
+	hs := randomHashes(41, 5000)
+	s := NewStoreSharded(1)
+	for i, h := range hs {
+		if !s.PutHashed(h, int64(i)+1) {
+			t.Fatalf("chunk %d not new", i)
+		}
+		if i == 5 && len(s.shards[0].slots) != 1<<minTableBits {
+			t.Fatalf("6 chunks: %d slots, want %d", len(s.shards[0].slots), 1<<minTableBits)
+		}
+	}
+	if got := len(s.shards[0].slots); got != 8192 {
+		t.Fatalf("5000 chunks: %d slots, want 8192", got)
+	}
+	for i, h := range hs {
+		if s.Size(h) != int64(i)+1 {
+			t.Fatalf("chunk %d: size %d after growth", i, s.Size(h))
+		}
+	}
+	sized := NewStoreShardedSized(1, 5000)
+	sized.PutHashed(hs[0], 1)
+	if got := len(sized.shards[0].slots); got != 8192 {
+		t.Fatalf("hint 5000: first table %d slots, want 8192", got)
+	}
+	if got := len(sized.shards[0].slab.blocks[0]); got != 1<<maxSlabBits {
+		t.Fatalf("hint 5000: slab block of %d entries, want %d", got, 1<<maxSlabBits)
+	}
+	huge := NewStoreShardedSized(1, 1<<40)
+	huge.PutHashed(hs[0], 1)
+	if got := len(huge.shards[0].slots); got != 1<<maxTableBits || !huge.Has(hs[0]) {
+		t.Fatalf("hint 2^40: first table %d slots, want the %d cap", got, 1<<maxTableBits)
 	}
 }
