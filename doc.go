@@ -205,7 +205,8 @@
 // Lewis–Shedler thinning), per-session file mixes, and the content
 // address of every chunk — is derived on demand from
 // fleetSeed(base, user, session). Files stay lazy descriptors and a
-// chunk's address is a pure function of its descriptor tuple, so a
+// chunk's address is a bijection of its descriptor tuple (seed, size,
+// offset, length), so distinct chunks never share an address and a
 // million-user day allocates O(active users), not O(users x files).
 // Users are partitioned over a fixed stripe count (independent of the
 // worker budget) and each stripe advances its users in virtual time
@@ -233,17 +234,18 @@
 // (dedup.Store.ClaimBatch) — and the store keeps the earliest claim
 // per chunk, a pure function of offered load whatever the execution
 // interleaving. While claiming, each stripe records its session stream
-// (users, instants, chunk hash/size runs, and each chunk's claimed
-// store ref) into flat append-only arenas. The resolve pass replays
-// those arenas instead of re-deriving the day — RNG forks, arrival
-// draws and chunk hashing run once — and resolves each chunk's winner
-// through its recorded ref (dedup.ChunkRef.WonBy), a direct entry read
-// with no second index probe and no lock. Past a configurable memory
-// budget a stripe drops its log and regenerates from seeds instead —
-// a pure perf fallback, bit-identical by construction. Catalog files'
-// sizes and chunk addresses are pure functions of class config and
-// rank, precomputed into per-class tables so popular-file references
-// cost no hashing at all.
+// into two flat append-only arenas: one record per session (user,
+// instant, file count, end of its chunk run) and one per chunk (its
+// claimed store ref and size); the log holds no content address. The
+// resolve pass replays those arenas instead of re-deriving the day —
+// RNG forks, arrival draws and chunk addressing run once — and
+// resolves each chunk's winner through its recorded ref
+// (dedup.ChunkRef.WonBy), a direct entry read with no second index
+// probe and no lock. Past a configurable memory budget a stripe drops
+// its log and regenerates from seeds instead — a pure perf fallback,
+// bit-identical by construction. Catalog files' sizes are pure
+// functions of class config and rank, precomputed into per-class
+// tables so a popular-file reference draws no size.
 //
 // cmd/fleetbench reports the service-side load curves (bytes/s,
 // concurrent connections, dedup ratio vs population size) and takes

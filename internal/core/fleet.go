@@ -44,8 +44,9 @@ import (
 //     group (dedup.Store.ClaimBatchRef). The store keeps the earliest
 //     claim per chunk — a pure function of the offered load, whatever
 //     the execution interleaving. While claiming, each stripe records
-//     its session stream, with each chunk's store ref, into a flat
-//     append-only log (fleetlog.go).
+//     its session stream — a record per session and a (store ref,
+//     size) record per chunk — into a flat append-only log
+//     (fleetlog.go).
 //   - Resolve pass: the day replays from the session log and each
 //     session reads who won its chunks straight from the recorded
 //     refs (dedup.ChunkRef.WonBy), with no store probe or lock. A
@@ -56,8 +57,8 @@ import (
 //     sequential virtual-time replay, now computed on all cores.
 //
 // The log is what makes the day one generation pass: RNG forks,
-// arrival draws, Zipf ranks and chunk hashing run once, in the claim
-// pass; the resolve pass is a linear arena walk.
+// arrival draws, Zipf ranks and chunk addressing run once, in the
+// claim pass; the resolve pass is a linear arena walk.
 //
 // Per-stripe accumulators are integers and are reduced in stripe
 // order, so a fleet day is bit-identical at any worker count (pinned
@@ -172,16 +173,6 @@ type classTables struct {
 	catalog []int64 // rank → catalog file size; nil for oversized catalogs
 	zipfLog float64 // math.Log(CatalogSize+1), the zipfRank envelope constant
 	sizeLog float64 // math.Log(MaxFileBytes/MinFileBytes), the log-uniform span
-
-	// The catalog's chunk stream, flattened: rank r's chunks are
-	// chunkHashes/chunkSizes[chunkOff[r]:chunkOff[r+1]]. A popular
-	// file's chunk addresses are the same for every user that syncs
-	// it, so hashing the descriptor tuple per reference (SHA-256 per
-	// chunk per user) is the single biggest avoidable cost of the
-	// generation walk.
-	chunkHashes []dedup.Hash
-	chunkSizes  []int64
-	chunkOff    []int32
 }
 
 // maxCatalogTable caps the per-class catalog size table; a class with
@@ -275,27 +266,14 @@ func (cfg FleetConfig) withDefaults() FleetConfig {
 		if cls.CatalogSize <= 0 || cls.CatalogSize > maxCatalogTable {
 			continue
 		}
-		sizes := make([]int64, cls.CatalogSize)
-		t.chunkOff = make([]int32, cls.CatalogSize+1)
+		t.catalog = make([]int64, cls.CatalogSize)
 		rng := sim.NewRNG(0)
-		for r := range sizes {
+		for r := range t.catalog {
 			// Exactly the definitional derivation genFleetSession
 			// would perform per reference, hoisted to once per rank.
-			seed := catalogSeed(c, r)
-			rng.Reseed(seed)
-			size := logUniformBytes(rng, cls.MinFileBytes, cls.MaxFileBytes)
-			sizes[r] = size
-			for off := int64(0); off < size; off += cls.ChunkBytes {
-				ln := size - off
-				if ln > cls.ChunkBytes {
-					ln = cls.ChunkBytes
-				}
-				t.chunkHashes = append(t.chunkHashes, fleetChunkHash(seed, size, off, ln))
-				t.chunkSizes = append(t.chunkSizes, ln)
-			}
-			t.chunkOff[r+1] = int32(len(t.chunkHashes))
+			rng.Reseed(catalogSeed(c, r))
+			t.catalog[r] = logUniformBytes(rng, cls.MinFileBytes, cls.MaxFileBytes)
 		}
-		t.catalog = sizes
 	}
 	return cfg
 }
@@ -526,12 +504,11 @@ func (s *claimSink) StartSession(user int64, at time.Duration) {
 	s.batch.reset()
 }
 func (s *claimSink) Chunk(h dedup.Hash, size int64) {
-	s.log.chunk(h, size)
 	// The chunk's log arena index rides along so EndSession can file
-	// the claimed ref back into the log; -1 (an empty log) and stale
+	// the claimed ref back into the log; -1 (a dropped log) and stale
 	// indices after a mid-session drop are both guarded by the !full
 	// check at flush time.
-	s.batch.add(s.store.ShardOf(h), h, size, int64(len(s.log.hashes))-1)
+	s.batch.add(s.store.ShardOf(h), h, size, s.log.chunk(size))
 }
 func (s *claimSink) EndSession(files int) {
 	s.log.endSession(files)
@@ -543,7 +520,7 @@ func (s *claimSink) EndSession(files int) {
 		s.store.ClaimBatchRef(hs, sizes, s.atNs, s.user, out)
 		if l := s.log; !l.full {
 			for i, r := range out {
-				l.refs[idxs[i]] = r
+				l.chunks[idxs[i]].ref = r
 			}
 		}
 	})
@@ -571,9 +548,9 @@ type resolveSink struct {
 	dedup      int64 // content bytes deduplicated away
 	chunkCount int
 
-	batch chunkBatch       // session-unique chunks awaiting WinnerBatch (hash path)
+	batch chunkBatch       // session-unique chunks awaiting WinnerBatch (regeneration)
 	gout  []bool           // per-group winner verdict scratch
-	seen  []dedup.ChunkRef // session-unique refs already resolved (ref path)
+	seen  []dedup.ChunkRef // session-unique refs already resolved (replay)
 }
 
 func newResolveSink(cfg FleetConfig, nb int) *resolveSink {
@@ -613,7 +590,7 @@ func (s *resolveSink) Chunk(h dedup.Hash, size int64) {
 // its claimed store entry, so the winner verdict is a direct entry
 // read — no store probe, no lock. Equal chunks share one store entry,
 // so within-session dedup is a ref compare; the verdicts and integer
-// sums are exactly those of the hash path.
+// sums are exactly those Chunk and WinnerBatch give on regeneration.
 func (s *resolveSink) ChunkResolved(r dedup.ChunkRef, size int64) {
 	s.chunkCount++
 	for _, prev := range s.seen {
@@ -631,10 +608,10 @@ func (s *resolveSink) ChunkResolved(r dedup.ChunkRef, size int64) {
 }
 
 func (s *resolveSink) EndSession(files int) {
-	// Hash path only (regeneration fallback): ask the store who won
-	// the session's unique chunks, one WinnerBatch per shard group.
-	// upload/dedup are plain integer sums, so the group order cannot
-	// change the totals. On the ref path the batch is empty.
+	// Regeneration fallback only: ask the store who won the session's
+	// unique chunks, one WinnerBatch per shard group. upload/dedup are
+	// plain integer sums, so the group order cannot change the totals.
+	// On replay the batch is empty.
 	s.batch.forEachShardGroup(func(hs []dedup.Hash, sizes, _ []int64) {
 		if cap(s.gout) < len(hs) {
 			s.gout = make([]bool, len(hs))
@@ -794,17 +771,13 @@ func genFleetSession(cls *FleetClass, classIdx int, tab *classTables, rng *sim.R
 				rank = zipfRank(rng.Float64(), cls.CatalogSize)
 			}
 			// A catalog file is the same content for every user: its
-			// size, chunk addresses and chunk sizes are pure functions
-			// of its rank, so the table emits the recorded chunk
-			// stream directly — no hashing per reference.
-			if tab != nil && rank < len(tab.catalog) {
-				for j := tab.chunkOff[rank]; j < tab.chunkOff[rank+1]; j++ {
-					sink.Chunk(tab.chunkHashes[j], tab.chunkSizes[j])
-				}
-				continue
-			}
+			// seed and size are pure functions of its rank.
 			seed = catalogSeed(classIdx, rank)
-			size = logUniformBytes(sim.NewRNG(seed), cls.MinFileBytes, cls.MaxFileBytes)
+			if tab != nil && rank < len(tab.catalog) {
+				size = tab.catalog[rank]
+			} else {
+				size = logUniformBytes(sim.NewRNG(seed), cls.MinFileBytes, cls.MaxFileBytes)
+			}
 		} else {
 			seed = rng.Int63()
 			if tab != nil {
@@ -829,16 +802,28 @@ func genFleetSession(cls *FleetClass, classIdx int, tab *classTables, rng *sim.R
 // stream, so the (seed, size, window) tuple identifies the bytes a
 // real client would hash — the same identity argument the
 // compressor's descriptor-keyed size cache makes — and a million-user
-// day never materialises a chunk to address it.
+// day never materialises a chunk to address it. A fleet day uses an
+// address only through equality and shard routing, so the address is
+// a bijection of the tuple's words — two rounds of steps that each add
+// a mix of the other three words to one — and distinct chunks never
+// share one (TestFleetChunkHashDomainSeparation inverts it, and
+// TestFleetChunkHashSpread checks its shard and tag bytes).
 func fleetChunkHash(seed, size, off, ln int64) dedup.Hash {
-	var b [33]byte
-	b[0] = 0xFC // fleet-chunk domain tag
-	binary.LittleEndian.PutUint64(b[1:], uint64(seed))
-	binary.LittleEndian.PutUint64(b[9:], uint64(size))
-	binary.LittleEndian.PutUint64(b[17:], uint64(off))
-	binary.LittleEndian.PutUint64(b[25:], uint64(ln))
-	return dedup.HashBytes(b[:])
+	a, b, c, d := uint64(seed)^fleetChunkDomain, uint64(size), uint64(off), uint64(ln)
+	for round := 0; round < 2; round++ {
+		a += mix64(b ^ c ^ d)
+		b += mix64(c ^ d ^ a)
+		c += mix64(d ^ a ^ b)
+		d += mix64(a ^ b ^ c)
+	}
+	var h dedup.Hash
+	for i, w := range [...]uint64{a, b, c, d} {
+		binary.LittleEndian.PutUint64(h[8*i:], w)
+	}
+	return h
 }
+
+const fleetChunkDomain = 0xFC // fleet-chunk domain, XORed into the seed
 
 // fleetSeed derives the RNG seed of one (user, session) cell from the
 // fleet base seed — the index→seed discipline of campaignSeed, pushed

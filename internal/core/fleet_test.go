@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -8,6 +11,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/dedup"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -85,6 +89,7 @@ func (s *recordSink) Chunk(h dedup.Hash, size int64) {
 	s.cur.hashes = append(s.cur.hashes, h)
 	s.cur.sizes = append(s.cur.sizes, size)
 }
+func (s *recordSink) ChunkResolved(r dedup.ChunkRef, size int64) { s.Chunk(r.Hash(), size) }
 func (s *recordSink) EndSession(files int) {
 	s.cur.files = files
 	s.sessions = append(s.sessions, s.cur)
@@ -273,6 +278,88 @@ func TestFleetChunkHashDomainSeparation(t *testing.T) {
 	}
 	if h != fleetChunkHash(1, 100, 0, 100) {
 		t.Fatal("chunk address not a pure function of its tuple")
+	}
+
+	// The address is a bijection: unmixing it recovers the tuple, so
+	// no two tuples can share an address.
+	type tuple struct{ seed, size, off, ln int64 }
+	tuples := []tuple{
+		{0, 0, 0, 0}, {-1, 0, 0, 0}, {math.MinInt64, 1, 2, 3},
+		{math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64},
+		{-42, 4 << 20, 0, 4 << 20}, {fleetChunkDomain, 0, 0, 0},
+	}
+	rng := sim.NewRNG(11)
+	for i := 0; i < 10_000; i++ {
+		tuples = append(tuples, tuple{int64(rng.Uint64()), int64(rng.Uint64()), int64(rng.Uint64()), int64(rng.Uint64())})
+	}
+	for _, x := range tuples {
+		seed, size, off, ln := unmixFleetChunk(fleetChunkHash(x.seed, x.size, x.off, x.ln))
+		if (tuple{seed, size, off, ln}) != x {
+			t.Fatalf("unmixing the address of %+v gave %+v", x, tuple{seed, size, off, ln})
+		}
+	}
+}
+
+// unmixFleetChunk inverts fleetChunkHash: it undoes the mixing steps
+// in reverse order and XORs the domain constant back out.
+func unmixFleetChunk(h dedup.Hash) (seed, size, off, ln int64) {
+	a, b := binary.LittleEndian.Uint64(h[0:]), binary.LittleEndian.Uint64(h[8:])
+	c, d := binary.LittleEndian.Uint64(h[16:]), binary.LittleEndian.Uint64(h[24:])
+	for round := 0; round < 2; round++ {
+		d -= mix64(a ^ b ^ c)
+		c -= mix64(d ^ a ^ b)
+		b -= mix64(c ^ d ^ a)
+		a -= mix64(b ^ c ^ d)
+	}
+	return int64(a ^ fleetChunkDomain), int64(b), int64(c), int64(d)
+}
+
+func TestFleetChunkHashSpread(t *testing.T) {
+	// The store routes an address by bytes 0..4 (the shard) and indexes
+	// it by bytes 4..8 (the tag, whose low bits start the probe), so
+	// both must spread realistic tuples evenly. Half the files are
+	// catalog files and half private ones, as genFleetSession names
+	// them, with log-uniform sizes cut into 1 MiB chunks.
+	const tuples = 1 << 20
+	store := dedup.NewStoreSharded(64)
+	shards := make([]float64, 64)
+	tags := make([][]float64, 4)
+	for i := range tags {
+		tags[i] = make([]float64, 256)
+	}
+	rng := sim.NewRNG(5)
+	for n, file := 0, 0; n < tuples; file++ {
+		seed := rng.Int63()
+		if file%2 == 0 {
+			seed = catalogSeed(file%3, file/2)
+		}
+		size := logUniformBytes(rng, 10_000, 16<<20)
+		for off := int64(0); off < size && n < tuples; off += 1 << 20 {
+			h := fleetChunkHash(seed, size, off, min(size-off, 1<<20))
+			shards[store.ShardOf(h)]++
+			for i := range tags {
+				tags[i][h[4+i]]++
+			}
+			n++
+		}
+	}
+	// A chi-square statistic with k-1 degrees of freedom has mean k-1
+	// and deviation sqrt(2(k-1)); six deviations over the mean never
+	// trips on a uniform spread.
+	check := func(name string, bins []float64) {
+		want := float64(tuples) / float64(len(bins))
+		var chi2 float64
+		for _, got := range bins {
+			chi2 += (got - want) * (got - want) / want
+		}
+		dof := float64(len(bins) - 1)
+		if bound := dof + 6*math.Sqrt(2*dof); chi2 > bound {
+			t.Errorf("%s: chi-square %.1f over %d bins exceeds %.1f", name, chi2, len(bins), bound)
+		}
+	}
+	check("ShardOf over 64 shards", shards)
+	for i, bins := range tags {
+		check(fmt.Sprintf("tag byte %d", 4+i), bins)
 	}
 }
 

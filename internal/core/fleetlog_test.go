@@ -4,15 +4,14 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-
-	"repro/internal/dedup"
+	"unsafe"
 )
 
 // TestFleetLogReplayMatchesGeneration pins the log's core promise: the
 // claim pass's recorded stream, replayed, drives a sink through
-// exactly the StartSession/Chunk/EndSession sequence a second
-// generation walk would produce — same sessions, same order, same
-// (hash, size) runs, same file counts.
+// exactly the sessions a second generation walk would produce — same
+// sessions, same order, same chunk runs (each ref's entry holding the
+// address generation emitted), same file counts.
 func TestFleetLogReplayMatchesGeneration(t *testing.T) {
 	cfg := smallFleet(600).withDefaults()
 	starts := classStarts(cfg.Classes, cfg.Users)
@@ -64,30 +63,40 @@ func TestFleetLogForcedFallback(t *testing.T) {
 // log sized for a few chunks drops mid-stream, releases its arenas,
 // and ignores everything after.
 func TestFleetLogBudgetDrop(t *testing.T) {
-	budget := logBytesPerSession + 3*logBytesPerChunk
+	budget := int64(logBytesPerSession + 3*logBytesPerChunk)
 	log := newFleetLog(budget)
 	log.startSession(7, 0)
-	var h dedup.Hash
-	for i := 0; i < 3; i++ {
-		h[0] = byte(i)
-		log.chunk(h, 100)
+	for i := int64(0); i < 3; i++ {
+		if got := log.chunk(100); got != i {
+			t.Fatalf("chunk %d filed at arena index %d", i, got)
+		}
 	}
 	if log.full {
 		t.Fatal("log tripped within budget")
 	}
-	log.chunk(h, 100) // one over
-	if !log.full {
-		t.Fatal("log did not trip past budget")
+	if got := log.chunk(100); got != -1 || !log.full { // one over
+		t.Fatalf("log did not trip past budget (index %d)", got)
 	}
-	if log.hashes != nil || log.users != nil || log.refs != nil {
+	if log.sessions != nil || log.chunks != nil {
 		t.Fatal("drop retained arena memory")
 	}
-	log.chunk(h, 100) // must not panic or resurrect
+	log.chunk(100) // must not panic or resurrect
 	log.endSession(1)
 	rec := &recordSink{}
 	log.replay(rec)
 	if len(rec.sessions) != 0 {
 		t.Fatalf("replay of a dropped log produced %d sessions", len(rec.sessions))
+	}
+}
+
+// TestFleetLogRecordSizes pins the budget constants to the arena
+// records they account for: 32 B a session, 16 B a chunk.
+func TestFleetLogRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(logSession{}); got != logBytesPerSession {
+		t.Errorf("logSession is %d B, budget counts %d", got, logBytesPerSession)
+	}
+	if got := unsafe.Sizeof(logChunk{}); got != logBytesPerChunk {
+		t.Errorf("logChunk is %d B, budget counts %d", got, logBytesPerChunk)
 	}
 }
 

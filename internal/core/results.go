@@ -53,7 +53,9 @@ func (c Campaign) WriteJSON(w io.Writer) error {
 	return enc.Encode(c)
 }
 
-// ReadCampaign parses a serialized campaign.
+// ReadCampaign parses a serialized campaign. It rejects a file with
+// no tool field and a Fig. 6 row whose summaries do not pair one to
+// one with its workloads.
 func ReadCampaign(r io.Reader) (Campaign, error) {
 	var c Campaign
 	if err := json.NewDecoder(r).Decode(&c); err != nil {
@@ -61,6 +63,12 @@ func ReadCampaign(r io.Reader) (Campaign, error) {
 	}
 	if c.Tool == "" {
 		return Campaign{}, fmt.Errorf("core: not a campaign file (no tool field)")
+	}
+	for _, row := range c.Fig6 {
+		if len(row.Summaries) != len(row.Workloads) {
+			return Campaign{}, fmt.Errorf("core: fig6 row %q has %d summaries for %d workloads",
+				row.Service, len(row.Summaries), len(row.Workloads))
+		}
 	}
 	return c, nil
 }

@@ -227,6 +227,9 @@ type ChunkRef struct{ e *entry }
 // engine's barrier between its two RunN fan-outs).
 func (r ChunkRef) WonBy(at, user int64) bool { return r.e.won(at, user) }
 
+// Hash returns the referenced chunk's content address.
+func (r ChunkRef) Hash() Hash { return r.e.hash }
+
 // NewStore returns an empty store with DefaultShards lock stripes.
 func NewStore() *Store { return NewStoreSharded(DefaultShards) }
 
@@ -283,8 +286,10 @@ func (s *Store) ShardOf(h Hash) int {
 	return int(binary.LittleEndian.Uint32(h[:4]) & s.mask)
 }
 
-// shardFor routes a content address to its stripe by hash prefix;
-// SHA-256 output is uniform, so the stripes load-balance themselves.
+// shardFor routes a content address to its stripe by hash prefix.
+// Addresses must be uniform in their first eight bytes (the shard and
+// the index tag): SHA-256 output is, and so is the fleet engine's
+// mixed descriptor address, so the stripes load-balance themselves.
 func (s *Store) shardFor(h *Hash) *shard {
 	return &s.shards[binary.LittleEndian.Uint32(h[:4])&s.mask]
 }
