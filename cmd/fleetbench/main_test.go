@@ -19,6 +19,7 @@ func TestCheckFlags(t *testing.T) {
 		{"negative shards", 10_000, -3, 24 * time.Hour, time.Minute, false},
 		{"negative day", 10_000, 64, -time.Hour, time.Minute, false},
 		{"negative bucket", 10_000, 64, 24 * time.Hour, -time.Second, false},
+		{"bucket too fine for the day", 10, 64, 24 * time.Hour, time.Nanosecond, false},
 	} {
 		err := checkFlags(tc.users, tc.shards, tc.day, tc.bucket)
 		if (err == nil) != tc.ok {

@@ -231,7 +231,7 @@
 // protocol. The claim pass generates the day once: each session claims
 // its chunks with its (virtual instant, user) pair — batched per
 // (session, shard) group so a batch pays one lock acquisition
-// (dedup.Store.ClaimBatch) — and the store keeps the earliest claim
+// (dedup.Store.ClaimBatchRef) — and the store keeps the earliest claim
 // per chunk, a pure function of offered load whatever the execution
 // interleaving. While claiming, each stripe records its session stream
 // into two flat append-only arenas: one record per session (user,
@@ -241,11 +241,12 @@
 // RNG forks, arrival draws and chunk addressing run once — and
 // resolves each chunk's winner through its recorded ref
 // (dedup.ChunkRef.WonBy), a direct entry read with no second index
-// probe and no lock. Past a configurable memory budget a stripe drops
-// its log and regenerates from seeds instead — a pure perf fallback,
-// bit-identical by construction. Catalog files' sizes are pure
-// functions of class config and rank, precomputed into per-class
-// tables so a popular-file reference draws no size.
+// probe and no lock. The log is the resolve pass's only input: at
+// 32 B a session and 16 B a chunk it costs about 0.3 GiB for a
+// million-user day, about half what the store holds, and each
+// stripe's arenas are released as its replay finishes. Catalog files'
+// sizes are pure functions of class config and rank, precomputed into
+// per-class tables so a popular-file reference draws no size.
 //
 // cmd/fleetbench reports the service-side load curves (bytes/s,
 // concurrent connections, dedup ratio vs population size) and takes

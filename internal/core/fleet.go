@@ -24,8 +24,9 @@ import (
 // fleetSeed(base, user, session), the same index→seed discipline
 // campaignSeed uses. Files stay lazy workload descriptors; a chunk's
 // content address is a pure function of the descriptor tuple, so a
-// million-user day never generates a byte of file content and fleet
-// memory is O(active users), not O(users × files).
+// million-user day never generates a byte of file content: fleet
+// memory grows with the chunks the day offers (the store's entries and
+// the session log), never with file bytes.
 //
 // Users are partitioned over a fixed number of stripes (independent of
 // the worker count), and stripes fan out over the shared core.RunN
@@ -49,16 +50,15 @@ import (
 //     (fleetlog.go).
 //   - Resolve pass: the day replays from the session log and each
 //     session reads who won its chunks straight from the recorded
-//     refs (dedup.ChunkRef.WonBy), with no store probe or lock. A
-//     stripe whose log overflowed its memory budget regenerates from
-//     seeds instead and asks the store (dedup.Store.WinnerBatch) —
-//     bit-identical either way. The earliest claimant uploads, every
-//     other claimant deduplicates — exactly the outcome of a
-//     sequential virtual-time replay, now computed on all cores.
+//     refs (dedup.ChunkRef.WonBy), with no store probe or lock. The
+//     earliest claimant uploads, every other claimant deduplicates —
+//     exactly the outcome of a sequential virtual-time replay, now
+//     computed on all cores.
 //
 // The log is what makes the day one generation pass: RNG forks,
 // arrival draws, Zipf ranks and chunk addressing run once, in the
-// claim pass; the resolve pass is a linear arena walk.
+// claim pass; the resolve pass is a linear walk of the log, its only
+// input.
 //
 // Per-stripe accumulators are integers and are reduced in stripe
 // order, so a fleet day is bit-identical at any worker count (pinned
@@ -121,13 +121,16 @@ func DefaultFleetClasses() []FleetClass {
 	}
 }
 
-// FleetConfig parameterises one fleet day.
+// FleetConfig parameterises one fleet day; RunFleet panics with
+// Validate's error on an invalid one. A day's memory grows with its
+// offered load (the store's entries and the session log, see
+// fleetlog.go) and with Day/Bucket (the per-stripe load curves).
 type FleetConfig struct {
 	Users int
 	Seed  int64
 
 	Day    time.Duration // horizon; default workload.ServiceDay
-	Bucket time.Duration // load-curve resolution; default one minute
+	Bucket time.Duration // load-curve resolution; default one minute, at most maxFleetBuckets a day
 
 	Classes []FleetClass // default DefaultFleetClasses()
 
@@ -144,14 +147,6 @@ type FleetConfig struct {
 	// the same result. Default 256.
 	Stripes int
 
-	// LogBudget caps the total bytes of session log the engine may
-	// retain across all stripes between the claim and resolve passes
-	// (default DefaultFleetLogBudget). A stripe whose share of the
-	// budget overflows regenerates its sessions from seeds instead of
-	// replaying — a pure perf fallback; the simulated day is identical
-	// either way.
-	LogBudget int64
-
 	// Store is the shared backend; default a fresh dedup.NewStore().
 	// Passing a store lets callers inspect server-side state after
 	// the day and choose its shard count.
@@ -165,10 +160,7 @@ type FleetConfig struct {
 }
 
 // classTables caches the parts of one class's file-mix derivation that
-// are pure functions of the class configuration. Every cached value is
-// computed by exactly the expression genFleetSession's definitional
-// fallback would evaluate per file, so the table changes nothing but
-// the work.
+// are pure functions of the class configuration.
 type classTables struct {
 	catalog []int64 // rank → catalog file size; nil for oversized catalogs
 	zipfLog float64 // math.Log(CatalogSize+1), the zipfRank envelope constant
@@ -176,19 +168,30 @@ type classTables struct {
 }
 
 // maxCatalogTable caps the per-class catalog size table; a class with
-// a larger catalog derives sizes definitionally instead.
+// a larger catalog derives each referenced file's size from its seed.
 const maxCatalogTable = 1 << 20
 
+// maxFleetBuckets caps the load-curve buckets of one day (Day/Bucket
+// once defaults resolve). Every stripe holds three int64 counters per
+// bucket until the reduce, so the curves cost 24 B × buckets × stripes:
+// 1.6 MB a stripe and 0.4 GB for the default 256 stripes at the cap.
+const maxFleetBuckets = 1 << 16
+
 // Validate reports the first configuration error that would make a
-// fleet day hang or compute nonsense: a negative population, or a
-// class with a non-positive chunk or minimum file size, inverted file
-// size or count bounds, no arrival process, a shared fraction outside
-// [0, 1], or class fractions that are negative or do not sum to 1.
-// Zero fields that withDefaults resolves are valid; nil Classes are
-// the default mix.
+// fleet day hang, exhaust memory or compute nonsense: a negative
+// population, a day of more than maxFleetBuckets load-curve buckets,
+// or a class with a non-positive chunk or minimum file size, inverted
+// file size or count bounds, no arrival process, a shared fraction
+// outside [0, 1], or class fractions that are negative or do not sum
+// to 1. Zero fields that withDefaults resolves are valid; nil Classes
+// are the default mix.
 func (cfg FleetConfig) Validate() error {
 	if cfg.Users < 0 {
 		return fmt.Errorf("fleet: users must be >= 0 (got %d)", cfg.Users)
+	}
+	if day, bucket := cfg.dayAndBucket(); day/bucket > maxFleetBuckets {
+		return fmt.Errorf("fleet: a %v day in %v buckets needs %d load-curve buckets, more than %d",
+			day, bucket, day/bucket, maxFleetBuckets)
 	}
 	classes := cfg.Classes
 	if classes == nil {
@@ -224,14 +227,21 @@ func (cfg FleetConfig) Validate() error {
 	return nil
 }
 
+// dayAndBucket resolves the horizon and the load-curve resolution.
+func (cfg FleetConfig) dayAndBucket() (day, bucket time.Duration) {
+	day, bucket = cfg.Day, cfg.Bucket
+	if day <= 0 {
+		day = workload.ServiceDay
+	}
+	if bucket <= 0 {
+		bucket = time.Minute
+	}
+	return day, bucket
+}
+
 // withDefaults resolves the zero fields.
 func (cfg FleetConfig) withDefaults() FleetConfig {
-	if cfg.Day <= 0 {
-		cfg.Day = workload.ServiceDay
-	}
-	if cfg.Bucket <= 0 {
-		cfg.Bucket = time.Minute
-	}
+	cfg.Day, cfg.Bucket = cfg.dayAndBucket()
 	if cfg.Classes == nil {
 		cfg.Classes = DefaultFleetClasses()
 	}
@@ -246,9 +256,6 @@ func (cfg FleetConfig) withDefaults() FleetConfig {
 	}
 	if cfg.Stripes > cfg.Users && cfg.Users > 0 {
 		cfg.Stripes = cfg.Users
-	}
-	if cfg.LogBudget <= 0 {
-		cfg.LogBudget = DefaultFleetLogBudget
 	}
 	if cfg.Store == nil {
 		cfg.Store = dedup.NewStoreShardedSized(dedup.DefaultShards, FleetChunkHint(cfg.Users, cfg.Day))
@@ -269,10 +276,10 @@ func (cfg FleetConfig) withDefaults() FleetConfig {
 		t.catalog = make([]int64, cls.CatalogSize)
 		rng := sim.NewRNG(0)
 		for r := range t.catalog {
-			// Exactly the definitional derivation genFleetSession
-			// would perform per reference, hoisted to once per rank.
+			// The size genFleetSession derives for an oversized
+			// catalog's reference, hoisted to once per rank.
 			rng.Reseed(catalogSeed(c, r))
-			t.catalog[r] = logUniformBytes(rng, cls.MinFileBytes, cls.MaxFileBytes)
+			t.catalog[r] = logUniformBytes(rng, cls.MinFileBytes, cls.MaxFileBytes, t.sizeLog)
 		}
 	}
 	return cfg
@@ -365,28 +372,18 @@ func RunFleet(cfg FleetConfig, workers int) FleetResult {
 	// Claim pass: generate the day once, recording each stripe's
 	// session stream into its log while the store accumulates every
 	// chunk's earliest (instant, user) pair.
-	perStripe := cfg.LogBudget / int64(cfg.Stripes)
-	if perStripe < 1 {
-		perStripe = 1
-	}
 	logs := RunN(cfg.Stripes, workers, func(stripe int) *fleetLog {
-		log := newFleetLog(perStripe)
-		sink := &claimSink{store: cfg.Store, log: log}
-		walkFleetStripe(cfg, starts, stripe, sink)
+		log := &fleetLog{}
+		walkFleetStripe(cfg, starts, stripe, &claimSink{store: cfg.Store, log: log})
 		return log
 	})
 
-	// Resolve pass: replay the day from the logs (regenerating the
-	// stripes whose logs tripped the budget), attribute uploads to
+	// Resolve pass: replay the day from the logs, attribute uploads to
 	// claim winners, and fold the service-side load curves per stripe.
 	parts := RunN(cfg.Stripes, workers, func(stripe int) *fleetStripeTotals {
 		sink := newResolveSink(cfg, nb)
-		if log := logs[stripe]; !log.full {
-			log.replay(sink)
-			logs[stripe] = nil // release the arenas as stripes finish
-		} else {
-			walkFleetStripe(cfg, starts, stripe, sink)
-		}
+		logs[stripe].replay(sink)
+		logs[stripe] = nil // release the arenas as stripes finish
 		return &sink.tot
 	})
 
@@ -434,14 +431,14 @@ type fleetSink interface {
 }
 
 // chunkBatch buffers one session's chunks and hands them out grouped
-// by store shard, so claim/resolve traffic pays one lock acquisition
-// per (session, shard) group instead of one per chunk. All buffers are
+// by store shard, so claim traffic pays one lock acquisition per
+// (session, shard) group instead of one per chunk. All buffers are
 // reused across sessions; a session allocates nothing once the high-
 // water marks are reached.
 type chunkBatch struct {
 	hashes []dedup.Hash
 	sizes  []int64
-	idxs   []int64 // caller tag per chunk (the claim pass: log arena index)
+	idxs   []int64 // log arena index per chunk
 	shards []int32 // ShardOf cache; consumed (set to -1) while grouping
 
 	gh []dedup.Hash // current group scratch
@@ -486,7 +483,7 @@ func (b *chunkBatch) forEachShardGroup(fn func(hs []dedup.Hash, sizes, idxs []in
 
 // claimSink is the first pass: record the session stream into the
 // stripe log and claim every chunk at the session's virtual instant,
-// one ClaimBatch per (session, shard) group. The store resolves
+// one ClaimBatchRef per (session, shard) group. The store resolves
 // concurrent claims to the (instant, user) minimum, so this pass is
 // order-free and batching cannot change the outcome.
 type claimSink struct {
@@ -505,9 +502,7 @@ func (s *claimSink) StartSession(user int64, at time.Duration) {
 }
 func (s *claimSink) Chunk(h dedup.Hash, size int64) {
 	// The chunk's log arena index rides along so EndSession can file
-	// the claimed ref back into the log; -1 (a dropped log) and stale
-	// indices after a mid-session drop are both guarded by the !full
-	// check at flush time.
+	// the claimed ref back into the log.
 	s.batch.add(s.store.ShardOf(h), h, size, s.log.chunk(size))
 }
 func (s *claimSink) EndSession(files int) {
@@ -518,10 +513,8 @@ func (s *claimSink) EndSession(files int) {
 		}
 		out := s.refs[:len(hs)]
 		s.store.ClaimBatchRef(hs, sizes, s.atNs, s.user, out)
-		if l := s.log; !l.full {
-			for i, r := range out {
-				l.chunks[idxs[i]].ref = r
-			}
+		for i, r := range out {
+			s.log.chunks[idxs[i]].ref = r
 		}
 	})
 }
@@ -533,7 +526,7 @@ type fleetStripeTotals struct {
 	bucketSessions, bucketConns, bucketWire            []int64
 }
 
-// resolveSink is the second pass: ask the store who won each chunk,
+// resolveSink is the second pass: read who won each replayed chunk,
 // charge uploads to winners, and fold per-stripe load curves.
 type resolveSink struct {
 	cfg FleetConfig
@@ -548,9 +541,7 @@ type resolveSink struct {
 	dedup      int64 // content bytes deduplicated away
 	chunkCount int
 
-	batch chunkBatch       // session-unique chunks awaiting WinnerBatch (regeneration)
-	gout  []bool           // per-group winner verdict scratch
-	seen  []dedup.ChunkRef // session-unique refs already resolved (replay)
+	seen []dedup.ChunkRef // session-unique refs already resolved
 }
 
 func newResolveSink(cfg FleetConfig, nb int) *resolveSink {
@@ -568,29 +559,15 @@ func newResolveSink(cfg FleetConfig, nb int) *resolveSink {
 func (s *resolveSink) StartSession(user int64, at time.Duration) {
 	s.user, s.at, s.atNs = user, at, int64(at)
 	s.upload, s.dedup, s.chunkCount = 0, 0, 0
-	s.batch.reset()
 	s.seen = s.seen[:0]
 }
 
-func (s *resolveSink) Chunk(h dedup.Hash, size int64) {
-	s.chunkCount++
-	// Within-session dedup: the client's manifest catches a repeated
-	// chunk before the server is even asked. Sessions hold a handful
-	// of chunks, so a linear scan of the buffered batch beats a map.
-	for i := range s.batch.hashes {
-		if s.batch.hashes[i] == h {
-			s.dedup += size
-			return
-		}
-	}
-	s.batch.add(s.cfg.Store.ShardOf(h), h, size, 0)
-}
-
-// ChunkResolved is the replay surface (refSink): the chunk arrives as
-// its claimed store entry, so the winner verdict is a direct entry
-// read — no store probe, no lock. Equal chunks share one store entry,
-// so within-session dedup is a ref compare; the verdicts and integer
-// sums are exactly those Chunk and WinnerBatch give on regeneration.
+// ChunkResolved takes one replayed chunk (refSink): the chunk arrives
+// as its claimed store entry, so the winner verdict is a direct entry
+// read — no store probe, no lock. Within-session dedup: the client's
+// manifest catches a repeated chunk before the server is even asked.
+// Equal chunks share one store entry, so that is a ref compare, and
+// sessions hold a handful of chunks, so a linear scan beats a map.
 func (s *resolveSink) ChunkResolved(r dedup.ChunkRef, size int64) {
 	s.chunkCount++
 	for _, prev := range s.seen {
@@ -608,25 +585,6 @@ func (s *resolveSink) ChunkResolved(r dedup.ChunkRef, size int64) {
 }
 
 func (s *resolveSink) EndSession(files int) {
-	// Regeneration fallback only: ask the store who won the session's
-	// unique chunks, one WinnerBatch per shard group. upload/dedup are
-	// plain integer sums, so the group order cannot change the totals.
-	// On replay the batch is empty.
-	s.batch.forEachShardGroup(func(hs []dedup.Hash, sizes, _ []int64) {
-		if cap(s.gout) < len(hs) {
-			s.gout = make([]bool, len(hs))
-		}
-		out := s.gout[:len(hs)]
-		s.cfg.Store.WinnerBatch(hs, s.atNs, s.user, out)
-		for i, won := range out {
-			if won {
-				s.upload += sizes[i]
-			} else {
-				s.dedup += sizes[i]
-			}
-		}
-	})
-
 	t := &s.tot
 	t.sessions++
 	t.files += int64(files)
@@ -723,12 +681,8 @@ func walkFleetStripe(cfg FleetConfig, starts []int, stripe int, sink fleetSink) 
 		u := int64(stripe + int(slot)*cfg.Stripes)
 		cls := &cfg.Classes[st.class]
 
-		var tab *classTables
-		if int(st.class) < len(cfg.tables) {
-			tab = &cfg.tables[st.class]
-		}
 		sink.StartSession(u, st.next)
-		files := genFleetSession(cls, int(st.class), tab, st.rng, sink)
+		files := genFleetSession(cls, int(st.class), &cfg.tables[st.class], st.rng, sink)
 		sink.EndSession(files)
 
 		// Next session: a fresh per-(user, session) stream whose
@@ -750,12 +704,9 @@ func walkFleetStripe(cfg FleetConfig, starts []int, stripe int, sink fleetSink) 
 // genFleetSession emits one session's chunks: a uniform file count,
 // each file either private (fresh seed from the session stream) or a
 // catalog file picked with Zipf-like popularity. Returns the file
-// count. tab is the class's precomputed generation table (nil falls
-// back to the definitional derivations — same values, more work). The
-// claim pass is the only generation pass — the resolve pass replays
-// the recorded session log — but a log-budget fallback regenerates
-// through exactly this code with identical RNG state, which is what
-// keeps the fallback bit-exact.
+// count. tab is the class's generation table from withDefaults. The
+// claim pass is the only generation pass; the resolve pass replays the
+// recorded session log.
 func genFleetSession(cls *FleetClass, classIdx int, tab *classTables, rng *sim.RNG, sink fleetSink) int {
 	files := cls.MinFiles
 	if cls.MaxFiles > cls.MinFiles {
@@ -764,27 +715,18 @@ func genFleetSession(cls *FleetClass, classIdx int, tab *classTables, rng *sim.R
 	for i := 0; i < files; i++ {
 		var seed, size int64
 		if rng.Float64() < cls.SharedFraction {
-			var rank int
-			if tab != nil {
-				rank = zipfRankLog(rng.Float64(), cls.CatalogSize, tab.zipfLog)
-			} else {
-				rank = zipfRank(rng.Float64(), cls.CatalogSize)
-			}
+			rank := zipfRank(rng.Float64(), cls.CatalogSize, tab.zipfLog)
 			// A catalog file is the same content for every user: its
 			// seed and size are pure functions of its rank.
 			seed = catalogSeed(classIdx, rank)
-			if tab != nil && rank < len(tab.catalog) {
+			if rank < len(tab.catalog) {
 				size = tab.catalog[rank]
 			} else {
-				size = logUniformBytes(sim.NewRNG(seed), cls.MinFileBytes, cls.MaxFileBytes)
+				size = logUniformBytes(sim.NewRNG(seed), cls.MinFileBytes, cls.MaxFileBytes, tab.sizeLog)
 			}
 		} else {
 			seed = rng.Int63()
-			if tab != nil {
-				size = logUniformBytesLog(rng, cls.MinFileBytes, cls.MaxFileBytes, tab.sizeLog)
-			} else {
-				size = logUniformBytes(rng, cls.MinFileBytes, cls.MaxFileBytes)
-			}
+			size = logUniformBytes(rng, cls.MinFileBytes, cls.MaxFileBytes, tab.sizeLog)
 		}
 		for off := int64(0); off < size; off += cls.ChunkBytes {
 			ln := size - off
@@ -853,16 +795,8 @@ func mix64(z uint64) uint64 {
 // zipfRank maps a uniform draw to a catalog rank with Zipf-like
 // (s≈1) popularity via the inverse CDF of the continuous envelope:
 // rank 0 is the most popular file, mass falling off as 1/(rank+1).
-func zipfRank(u float64, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return zipfRankLog(u, n, math.Log(float64(n)+1))
-}
-
-// zipfRankLog is zipfRank with the envelope constant Log(n+1) hoisted
-// by the caller (classTables.zipfLog); bit-identical to zipfRank.
-func zipfRankLog(u float64, n int, logN float64) int {
+// logN is the envelope constant Log(n+1) (classTables.zipfLog).
+func zipfRank(u float64, n int, logN float64) int {
 	if n <= 1 {
 		return 0
 	}
@@ -877,17 +811,8 @@ func zipfRankLog(u float64, n int, logN float64) int {
 }
 
 // logUniformBytes draws a file size log-uniformly from [lo, hi].
-func logUniformBytes(rng *sim.RNG, lo, hi int64) int64 {
-	if hi <= lo {
-		return lo
-	}
-	return logUniformBytesLog(rng, lo, hi, math.Log(float64(hi)/float64(lo)))
-}
-
-// logUniformBytesLog is logUniformBytes with the span constant
-// Log(hi/lo) hoisted by the caller (classTables.sizeLog);
-// bit-identical to logUniformBytes.
-func logUniformBytesLog(rng *sim.RNG, lo, hi int64, logRatio float64) int64 {
+// logRatio is the span constant Log(hi/lo) (classTables.sizeLog).
+func logUniformBytes(rng *sim.RNG, lo, hi int64, logRatio float64) int64 {
 	if hi <= lo {
 		return lo
 	}

@@ -14,9 +14,9 @@ import (
 // 400 users and one to three classes with catalogs of 0 to 64 files,
 // files of at most 8 KB and chunks of 512 B to 8.5 KB, so files span
 // several chunks. A few byte values break one field of a class (a nil
-// arrival, inverted bounds, a zero size, a shared fraction above 1) or
-// the class fractions, so some inputs fail Validate. A missing byte
-// reads as zero.
+// arrival, inverted bounds, a zero size, a shared fraction above 1),
+// the class fractions or the bucket (1 ns, too many buckets for a
+// day), so some inputs fail Validate. A missing byte reads as zero.
 func fuzzFleetConfig(in []byte) FleetConfig {
 	next := func() byte {
 		if len(in) == 0 {
@@ -28,10 +28,12 @@ func fuzzFleetConfig(in []byte) FleetConfig {
 	}
 	word := func() int { return int(next()) | int(next())<<8 }
 	cfg := FleetConfig{Users: int(int16(word())) % 401, Seed: int64(word())}
-	switch next() % 3 {
-	case 1:
+	switch b := next(); {
+	case b == 0xFF:
+		cfg.Bucket = time.Nanosecond
+	case b%3 == 1:
 		cfg.Bucket = time.Hour
-	case 2:
+	case b%3 == 2:
 		cfg.Bucket = 7 * time.Minute
 	}
 	flags := next()
@@ -92,10 +94,9 @@ func fuzzFleetConfig(in []byte) FleetConfig {
 // A valid day must terminate and conserve its bytes (wire = content -
 // dedup + manifest, stored = content - dedup, buckets summing to the
 // totals, one store put per unique chunk on a fresh store), and must be
-// bit-identical at workers {1, 3} x store shards {1, 8} and with a
-// one-byte log budget, which makes every stripe regenerate instead of
-// replaying its log. The committed corpus holds valid one-, two- and
-// three-class days, an empty population and invalid configs.
+// bit-identical at workers {1, 3} x store shards {1, 8}. The committed
+// corpus holds valid one-, two- and three-class days, an empty
+// population and invalid configs.
 func FuzzFleetDay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		cfg := fuzzFleetConfig(in)
@@ -109,18 +110,17 @@ func FuzzFleetDay(f *testing.F) {
 			return
 		}
 
-		run := func(workers, shards int, budget int64) FleetResult {
+		run := func(workers, shards int) FleetResult {
 			c := cfg
 			c.Store = dedup.NewStoreSharded(shards)
-			c.LogBudget = budget
 			r := RunFleet(c, workers)
 			if puts := c.Store.Puts(); puts != int64(r.UniqueChunks) {
-				t.Fatalf("workers=%d shards=%d budget=%d: %d puts for %d unique chunks",
-					workers, shards, budget, puts, r.UniqueChunks)
+				t.Fatalf("workers=%d shards=%d: %d puts for %d unique chunks",
+					workers, shards, puts, r.UniqueChunks)
 			}
 			return r
 		}
-		base := run(1, 1, 0)
+		base := run(1, 1)
 		if base.WireBytes != base.ContentBytes-base.DedupBytes+base.ManifestBytes {
 			t.Fatalf("wire conservation: %v", base)
 		}
@@ -137,13 +137,10 @@ func FuzzFleetDay(f *testing.F) {
 			t.Fatalf("buckets sum to %d sessions and %d wire bytes, totals %d and %d",
 				sessions, wire, base.Sessions, base.WireBytes)
 		}
-		for _, c := range []struct {
-			workers, shards int
-			budget          int64
-		}{{1, 8, 0}, {3, 1, 0}, {3, 8, 0}, {3, 8, 1}} {
-			if got := run(c.workers, c.shards, c.budget); !reflect.DeepEqual(base, got) {
-				t.Fatalf("workers=%d shards=%d budget=%d diverged:\n  base: %v\n  got:  %v",
-					c.workers, c.shards, c.budget, base, got)
+		for _, c := range []struct{ workers, shards int }{{1, 8}, {3, 1}, {3, 8}} {
+			if got := run(c.workers, c.shards); !reflect.DeepEqual(base, got) {
+				t.Fatalf("workers=%d shards=%d diverged:\n  base: %v\n  got:  %v",
+					c.workers, c.shards, base, got)
 			}
 		}
 	})

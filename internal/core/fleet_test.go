@@ -328,12 +328,13 @@ func TestFleetChunkHashSpread(t *testing.T) {
 		tags[i] = make([]float64, 256)
 	}
 	rng := sim.NewRNG(5)
+	sizeLog := math.Log(float64(16<<20) / 10_000)
 	for n, file := 0, 0; n < tuples; file++ {
 		seed := rng.Int63()
 		if file%2 == 0 {
 			seed = catalogSeed(file%3, file/2)
 		}
-		size := logUniformBytes(rng, 10_000, 16<<20)
+		size := logUniformBytes(rng, 10_000, 16<<20, sizeLog)
 		for off := int64(0); off < size && n < tuples; off += 1 << 20 {
 			h := fleetChunkHash(seed, size, off, min(size-off, 1<<20))
 			shards[store.ShardOf(h)]++
@@ -436,6 +437,11 @@ func TestFleetConfigValidate(t *testing.T) {
 	if err := smallFleet(0).Validate(); err != nil {
 		t.Fatalf("empty population rejected: %v", err)
 	}
+	atCap := valid()
+	atCap.Bucket = workload.ServiceDay / maxFleetBuckets
+	if err := atCap.Validate(); err != nil {
+		t.Fatalf("a day of exactly %d buckets rejected: %v", maxFleetBuckets, err)
+	}
 	for _, tc := range []struct {
 		name   string
 		mutate func(*FleetConfig)
@@ -454,6 +460,10 @@ func TestFleetConfigValidate(t *testing.T) {
 		}},
 		{"fractions short of 1", func(c *FleetConfig) { c.Classes[0].Fraction = 0.9 }},
 		{"no classes", func(c *FleetConfig) { c.Classes = []FleetClass{} }},
+		{"bucket too fine for the day", func(c *FleetConfig) { c.Bucket = time.Nanosecond }},
+		{"default day one bucket past the cap", func(c *FleetConfig) {
+			c.Bucket = workload.ServiceDay / (maxFleetBuckets + 1)
+		}},
 	} {
 		cfg := valid()
 		tc.mutate(&cfg)

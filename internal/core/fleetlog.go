@@ -16,29 +16,18 @@ import (
 // day instead of twice. The log holds no content address: a chunk's
 // ref names its store entry, which is all the resolve pass asks about.
 //
-// The log is pure mechanism: replaying it drives the resolve sink
-// through exactly the sessions, chunk runs and file counts the
-// generation walk would, so the resolved day is bit-identical either
-// way (pinned by TestFleetLogReplayMatchesGeneration and, indirectly,
-// by every existing bit-identity test running on top of it). When a
-// stripe's log would exceed its memory budget the stripe discards the
-// log and the resolve pass falls back to regeneration — a pure perf
-// fallback with identical output (TestFleetLogForcedFallback).
-
-// DefaultFleetLogBudget caps the total bytes the fleet engine may
-// retain in session logs across all stripes of one day. A million-user
-// default-mix day logs about 4.4M sessions and 11M chunks, about
-// 0.3 GiB at 32 B a session and 16 B a chunk; anything past the budget
-// regenerates instead of replaying.
-const DefaultFleetLogBudget = int64(1) << 30
+// Replaying the log drives the resolve sink through exactly the
+// sessions, chunk runs and file counts the generation walk produced
+// (pinned by TestFleetLogReplayMatchesGeneration). Its footprint is
+// 32 B per session and 16 B per chunk (TestFleetLogRecordSizes): a
+// million-user default-mix day logs about 4.4M sessions and 11M
+// chunks, about 0.3 GiB, released stripe by stripe as the resolve pass
+// finishes. The log grows with the day, as the store does, and the
+// store holds about twice its bytes.
 
 // fleetLog is one stripe's recorded session stream: one arena append
 // per session and per chunk, no per-session allocations.
 type fleetLog struct {
-	budget int64 // retained-byte ceiling; exceeded => full
-	bytes  int64 // retained bytes, counted as arena payload
-	full   bool  // budget exceeded: log dropped, stripe regenerates
-
 	sessions []logSession
 	chunks   []logChunk // every session's run, back to back
 }
@@ -52,74 +41,30 @@ type logSession struct {
 }
 
 // logChunk is one chunk of a session's run. ref is filled in by the
-// claim pass as the session's ClaimBatchRef returns: it is the store
-// entry a Winner probe for the chunk's address would find, which is
-// what lets the replay resolve winners without touching the store's
-// index or locks.
+// claim pass as the session's ClaimBatchRef returns: it names the
+// chunk's store entry, which is what lets the replay resolve winners
+// without touching the store's index or locks.
 type logChunk struct {
 	ref  dedup.ChunkRef
 	size int64
 }
 
-// logBytesPerChunk and logBytesPerSession are the arena record sizes
-// used for budget accounting (pinned by TestFleetLogRecordSizes).
-const (
-	logBytesPerChunk   = 16
-	logBytesPerSession = 32
-)
-
-func newFleetLog(budget int64) *fleetLog {
-	if budget <= 0 {
-		budget = DefaultFleetLogBudget
-	}
-	return &fleetLog{budget: budget}
-}
-
-// reserve accounts n more bytes, dropping the log when they overflow
-// the budget; it reports whether the caller may append.
-func (l *fleetLog) reserve(n int64) bool {
-	if l.full {
-		return false
-	}
-	l.bytes += n
-	if l.bytes > l.budget {
-		l.drop()
-		return false
-	}
-	return true
-}
-
-// startSession opens a session header. No-op once the budget tripped.
+// startSession opens a session header.
 func (l *fleetLog) startSession(user int64, at time.Duration) {
-	if l.reserve(logBytesPerSession) {
-		l.sessions = append(l.sessions, logSession{user: user, atNs: int64(at)})
-	}
+	l.sessions = append(l.sessions, logSession{user: user, atNs: int64(at)})
 }
 
 // chunk appends one chunk of the given size to the open session's run
 // and returns its arena index; its ref is filed by the claim pass.
 func (l *fleetLog) chunk(size int64) int64 {
-	if !l.reserve(logBytesPerChunk) {
-		return -1
-	}
 	l.chunks = append(l.chunks, logChunk{size: size})
 	return int64(len(l.chunks)) - 1
 }
 
 // endSession seals the open session: its run ends at the arena's end.
 func (l *fleetLog) endSession(files int) {
-	if !l.full {
-		s := &l.sessions[len(l.sessions)-1]
-		s.end, s.files = int64(len(l.chunks)), int32(files)
-	}
-}
-
-// drop releases the arenas and marks the log unusable: the stripe will
-// regenerate in the resolve pass. Releasing eagerly matters — a fleet
-// over budget must not hold half-built arenas for the rest of the day.
-func (l *fleetLog) drop() {
-	l.full = true
-	l.sessions, l.chunks = nil, nil
+	s := &l.sessions[len(l.sessions)-1]
+	s.end, s.files = int64(len(l.chunks)), int32(files)
 }
 
 // refSink consumes a replayed log: each chunk arrives as its claimed

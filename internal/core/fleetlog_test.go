@@ -16,11 +16,8 @@ func TestFleetLogReplayMatchesGeneration(t *testing.T) {
 	cfg := smallFleet(600).withDefaults()
 	starts := classStarts(cfg.Classes, cfg.Users)
 	for stripe := 0; stripe < 8; stripe++ {
-		log := newFleetLog(0)
+		log := &fleetLog{}
 		walkFleetStripe(cfg, starts, stripe, &claimSink{store: cfg.Store, log: log})
-		if log.full {
-			t.Fatalf("stripe %d: default budget overflowed on a 600-user day", stripe)
-		}
 
 		want := &recordSink{}
 		walkFleetStripe(cfg, starts, stripe, want)
@@ -33,70 +30,14 @@ func TestFleetLogReplayMatchesGeneration(t *testing.T) {
 	}
 }
 
-// TestFleetLogForcedFallback starves the log budget so every stripe
-// drops its log and the resolve pass regenerates from seeds. The
-// fallback is pure mechanism: the fleet day must be bit-identical to
-// the replayed run, at several worker counts.
-func TestFleetLogForcedFallback(t *testing.T) {
-	base := RunFleet(smallFleet(1500), 1)
-
-	// A one-byte budget cannot hold a session header: every stripe
-	// trips on its first startSession.
-	starved := smallFleet(1500)
-	starved.LogBudget = 1
-	log := newFleetLog(1)
-	log.startSession(0, 0)
-	if !log.full {
-		t.Fatal("one-byte budget did not trip the log")
-	}
-
-	for _, workers := range []int{1, 4} {
-		cfg := starved
-		if got := RunFleet(cfg, workers); !reflect.DeepEqual(base, got) {
-			t.Fatalf("workers=%d: regeneration fallback diverged:\n  replay: %v\n  regen:  %v",
-				workers, base, got)
-		}
-	}
-}
-
-// TestFleetLogBudgetDrop exercises the budget bookkeeping directly: a
-// log sized for a few chunks drops mid-stream, releases its arenas,
-// and ignores everything after.
-func TestFleetLogBudgetDrop(t *testing.T) {
-	budget := int64(logBytesPerSession + 3*logBytesPerChunk)
-	log := newFleetLog(budget)
-	log.startSession(7, 0)
-	for i := int64(0); i < 3; i++ {
-		if got := log.chunk(100); got != i {
-			t.Fatalf("chunk %d filed at arena index %d", i, got)
-		}
-	}
-	if log.full {
-		t.Fatal("log tripped within budget")
-	}
-	if got := log.chunk(100); got != -1 || !log.full { // one over
-		t.Fatalf("log did not trip past budget (index %d)", got)
-	}
-	if log.sessions != nil || log.chunks != nil {
-		t.Fatal("drop retained arena memory")
-	}
-	log.chunk(100) // must not panic or resurrect
-	log.endSession(1)
-	rec := &recordSink{}
-	log.replay(rec)
-	if len(rec.sessions) != 0 {
-		t.Fatalf("replay of a dropped log produced %d sessions", len(rec.sessions))
-	}
-}
-
-// TestFleetLogRecordSizes pins the budget constants to the arena
-// records they account for: 32 B a session, 16 B a chunk.
+// TestFleetLogRecordSizes pins the log's footprint that fleetlog.go
+// states: 32 B a session, 16 B a chunk.
 func TestFleetLogRecordSizes(t *testing.T) {
-	if got := unsafe.Sizeof(logSession{}); got != logBytesPerSession {
-		t.Errorf("logSession is %d B, budget counts %d", got, logBytesPerSession)
+	if got := unsafe.Sizeof(logSession{}); got != 32 {
+		t.Errorf("logSession is %d B, want 32", got)
 	}
-	if got := unsafe.Sizeof(logChunk{}); got != logBytesPerChunk {
-		t.Errorf("logChunk is %d B, budget counts %d", got, logBytesPerChunk)
+	if got := unsafe.Sizeof(logChunk{}); got != 16 {
+		t.Errorf("logChunk is %d B, want 16", got)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/netem"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -67,11 +66,4 @@ func RunPropagation(p client.Profile, batch workload.Batch, seed int64) Propagat
 		Download: downloaded.Sub(notified),
 		Total:    downloaded.Sub(t0),
 	}
-}
-
-// DownloadBytes verifies from the trace how much B pulled — exposed
-// for tests.
-func DownloadBytes(tb *Testbed, from time.Time) int64 {
-	win := tb.Cap.Window(from, trace.FarFuture)
-	return win.PayloadBytesDir(trace.AllFlows, trace.Downstream)
 }

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"repro/internal/workload"
 )
 
 // This file renders results in the paper's shapes: Table 1, the
@@ -242,6 +240,3 @@ func FormatDuration(d time.Duration) string {
 	}
 	return fmt.Sprintf("%d ms", d.Milliseconds())
 }
-
-// BatchLabel is re-exported for front ends building axis labels.
-func BatchLabel(b workload.Batch) string { return b.String() }

@@ -25,12 +25,12 @@ const DefaultShards = 64
 // some valid interleaving, and is exact once writers are quiescent.
 //
 // The lock is a plain sync.Mutex, not a RWMutex: every hot-path store
-// operation (PutHashed, Claim) writes, so the RWMutex reader/writer
-// bookkeeping was pure overhead — the one read-mostly consumer,
-// counter aggregation, is served by the atomics instead. Size and
-// claim share one entry per chunk, and the entry holds the chunk's
-// full hash, so a fleet-day Claim touches one index slot and one
-// entry: two cache lines.
+// operation (PutHashed, ClaimBatchRef) writes, so the RWMutex
+// reader/writer bookkeeping was pure overhead — the one read-mostly
+// consumer, counter aggregation, is served by the atomics instead.
+// Size and claim share one entry per chunk, and the entry holds the
+// chunk's full hash, so a fleet-day claim touches one index slot and
+// one entry: two cache lines.
 type Store struct {
 	shards []shard
 	mask   uint32
@@ -119,8 +119,9 @@ func slotIndex(slot uint64) int32 { return int32(uint32(slot) - 1) }
 // address, its size and, during a fleet day, the earliest would-be
 // uploader in fleet virtual time — the (instant, user) pair orders
 // uploads the way a sequential replay of the service day would.
-// Keeping the claim inside the chunk entry means Claim and Winner
-// touch one entry, not two; the entry is 64 bytes, one cache line.
+// Keeping the claim inside the chunk entry means a claim and its
+// resolve touch one entry, not two; the entry is 64 bytes, one cache
+// line.
 type entry struct {
 	hash    Hash
 	size    int64
@@ -220,10 +221,10 @@ func (e *entry) won(at, user int64) bool {
 type ChunkRef struct{ e *entry }
 
 // WonBy reports whether (at, user) is the earliest recorded claim for
-// the referenced chunk — Winner without the index probe or the lock.
-// Callers must not race it against in-flight Claim traffic: it is
-// meant for the resolve phase of a claim/resolve protocol, after every
-// claimant has synchronised with the claim pass (e.g. the fleet
+// the referenced chunk, reading the entry without an index probe or
+// the lock. Callers must not race it against in-flight claim traffic:
+// it is meant for the resolve phase of a claim/resolve protocol, after
+// every claimant has synchronised with the claim pass (e.g. the fleet
 // engine's barrier between its two RunN fan-outs).
 func (r ChunkRef) WonBy(at, user int64) bool { return r.e.won(at, user) }
 
@@ -279,9 +280,9 @@ func NewStoreShardedSized(n, expectedChunks int) *Store {
 func (s *Store) Shards() int { return len(s.shards) }
 
 // ShardOf returns the index of the lock stripe h routes to. Callers
-// batching operations group hashes by this index and hand each group
-// to ClaimBatch/WinnerBatch, paying one lock acquisition per group
-// instead of one per chunk.
+// batching claims group hashes by this index and hand each group to
+// ClaimBatchRef, paying one lock acquisition per group instead of one
+// per chunk.
 func (s *Store) ShardOf(h Hash) int {
 	return int(binary.LittleEndian.Uint32(h[:4]) & s.mask)
 }
@@ -336,43 +337,22 @@ func (sh *shard) claimLocked(h *Hash, size, at, user int64) *entry {
 	return e
 }
 
-// Claim records (at, user) as a would-be uploader of chunk h during a
-// fleet day. The store keeps the earliest claim in (at, user) order —
-// a pure function of the offered load, independent of the execution
-// order of concurrent claimants — so a parallel fleet pass resolves
-// exactly the upload set a sequential virtual-time replay would: the
-// earliest claimant uploads, everyone else deduplicates (see Winner).
-// The chunk itself is stored as by PutHashed, and the claim counts
-// identically toward the put/hit counters.
-func (s *Store) Claim(h Hash, size int64, at, user int64) {
-	sh := s.shardFor(&h)
-	sh.mu.Lock()
-	sh.claimLocked(&h, size, at, user)
-	sh.mu.Unlock()
-}
-
-// ClaimBatch is Claim for a group of chunks that all route to the same
-// shard (group with ShardOf): one lock acquisition covers the whole
-// batch. The batch is processed in order and is exactly equivalent to
-// calling Claim(hs[i], sizes[i], at, user) for each i — the claim
-// minimum is order-free, so batching cannot change the resolved upload
-// set. hs and sizes must have equal length; an empty batch is a no-op.
-func (s *Store) ClaimBatch(hs []Hash, sizes []int64, at, user int64) {
-	if len(hs) == 0 {
-		return
-	}
-	sh := s.shardFor(&hs[0])
-	sh.mu.Lock()
-	for i := range hs {
-		sh.claimLocked(&hs[i], sizes[i], at, user)
-	}
-	sh.mu.Unlock()
-}
-
-// ClaimBatchRef is ClaimBatch returning each chunk's ChunkRef in
-// out[i]: the claim probe already finds the entry, so a claimant that
-// will later ask Winner can keep the handle and resolve through
-// ChunkRef.WonBy without a second probe. len(out) must equal len(hs).
+// ClaimBatchRef records (at, user) as a would-be uploader of every
+// chunk in hs during a fleet day, and returns each chunk's ChunkRef in
+// out[i]. The store keeps each chunk's earliest claim in (at, user)
+// order — a pure function of the offered load, independent of the
+// execution order of concurrent claimants — so a parallel fleet pass
+// resolves exactly the upload set a sequential virtual-time replay
+// would: the earliest claimant uploads, everyone else deduplicates
+// (ChunkRef.WonBy reads the verdict). Each chunk is stored as by
+// PutHashed, and each claim counts identically toward the put/hit
+// counters.
+//
+// The chunks must all route to the same shard (group with ShardOf):
+// one lock acquisition covers the whole batch. The claim minimum is
+// order-free, so a batch is exactly equivalent to claiming its chunks
+// one at a time. hs, sizes and out must have equal length; an empty
+// batch is a no-op.
 func (s *Store) ClaimBatchRef(hs []Hash, sizes []int64, at, user int64, out []ChunkRef) {
 	if len(hs) == 0 {
 		return
@@ -381,36 +361,6 @@ func (s *Store) ClaimBatchRef(hs []Hash, sizes []int64, at, user int64, out []Ch
 	sh.mu.Lock()
 	for i := range hs {
 		out[i] = ChunkRef{sh.claimLocked(&hs[i], sizes[i], at, user)}
-	}
-	sh.mu.Unlock()
-}
-
-// Winner reports whether (at, user) is the earliest recorded claim
-// for h — i.e. whether that claimant pays the upload while every
-// other claimant of the same chunk deduplicates against it. Reading
-// an unclaimed hash returns false.
-func (s *Store) Winner(h Hash, at, user int64) bool {
-	sh := s.shardFor(&h)
-	sh.mu.Lock()
-	e, _ := sh.find(&h)
-	won := e.won(at, user)
-	sh.mu.Unlock()
-	return won
-}
-
-// WinnerBatch is Winner for a group of chunks that all route to the
-// same shard (group with ShardOf): out[i] reports whether (at, user)
-// is the earliest recorded claim for hs[i]. One lock acquisition
-// covers the whole batch. len(out) must equal len(hs).
-func (s *Store) WinnerBatch(hs []Hash, at, user int64, out []bool) {
-	if len(hs) == 0 {
-		return
-	}
-	sh := s.shardFor(&hs[0])
-	sh.mu.Lock()
-	for i := range hs {
-		e, _ := sh.find(&hs[i])
-		out[i] = e.won(at, user)
 	}
 	sh.mu.Unlock()
 }
@@ -448,8 +398,9 @@ func (s *Store) StoredBytes() int64 {
 	return n
 }
 
-// Hits returns how many Put/PutHashed/Claim calls were deduplicated
-// away, aggregated across shards without taking any lock.
+// Hits returns how many Put/PutHashed calls and ClaimBatchRef chunks
+// were deduplicated away, aggregated across shards without taking any
+// lock.
 func (s *Store) Hits() int64 {
 	var n int64
 	for i := range s.shards {
@@ -458,10 +409,10 @@ func (s *Store) Hits() int64 {
 	return n
 }
 
-// Puts returns how many Put/PutHashed/Claim calls stored new content,
-// aggregated across shards without taking any lock. Puts+Hits is the
-// total offered chunk count; Puts == UniqueChunks when the store
-// started empty.
+// Puts returns how many Put/PutHashed calls and ClaimBatchRef chunks
+// stored new content, aggregated across shards without taking any
+// lock. Puts+Hits is the total offered chunk count; Puts ==
+// UniqueChunks when the store started empty.
 func (s *Store) Puts() int64 {
 	var n int64
 	for i := range s.shards {

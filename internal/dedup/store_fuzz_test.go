@@ -59,13 +59,14 @@ func (m *storeModel) winner(h Hash, at, user int64) bool {
 }
 
 // FuzzStoreModel decodes the input into a sequence of store calls —
-// PutHashed, Claim, ClaimBatchRef, Winner, WinnerBatch, Size and Has
-// on hashes from fuzzHash's alphabet — and checks every return value,
-// the four counters after every call and, at the end, every ChunkRef
-// handed out, against a plain-map model. The first byte picks the
-// store: 1 or 64 shards, capacity hint 0 or 100,000. The committed
-// corpus holds sequences long enough to grow a shard's table several
-// times.
+// PutHashed, ClaimBatchRef, Size and Has on hashes from fuzzHash's
+// alphabet, and a check of every ChunkRef handed out so far — and
+// checks every return value, the four counters after every call,
+// every ref's WonBy mid-sequence (against the model's provisional
+// winner) and at the end, against a plain-map model. The first byte
+// picks the store: 1 or 64 shards, capacity hint 0 or 100,000. The
+// committed corpus holds sequences long enough to grow a shard's
+// table several times.
 func FuzzStoreModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 {
@@ -95,20 +96,30 @@ func FuzzStoreModel(f *testing.F) {
 			in = in[1:]
 			return b
 		}
-		// group reads up to four symbols and keeps those routing to
-		// the first one's shard, as a batching caller groups them.
-		group := func() []Hash {
+		// group extends h by up to three more symbols, keeping those
+		// routing to h's shard, as a batching caller groups them.
+		group := func(h Hash) []Hash {
 			n := 1 + int(next()%4)
-			hs := []Hash{fuzzHash(next())}
+			hs := []Hash{h}
 			for i := 1; i < n; i++ {
-				if h := fuzzHash(next()); s.ShardOf(h) == s.ShardOf(hs[0]) {
-					hs = append(hs, h)
+				if h2 := fuzzHash(next()); s.ShardOf(h2) == s.ShardOf(h) {
+					hs = append(hs, h2)
 				}
 			}
 			return hs
 		}
+		checkRefs := func(when string) {
+			for _, r := range refs {
+				if got, want := r.ref.WonBy(r.at, r.user), m.winner(r.h, r.at, r.user); got != want {
+					t.Fatalf("%s: ref of %v: WonBy(%d, %d) = %v, model %v", when, r.h, r.at, r.user, got, want)
+				}
+				if c := m.chunks[r.h]; !r.ref.WonBy(c.at, c.user) {
+					t.Fatalf("%s: ref of %v: not won by the model's winner (%d, %d)", when, r.h, c.at, c.user)
+				}
+			}
+		}
 		for len(in) > 0 {
-			op := next() % 7
+			op := next() % 5
 			h := fuzzHash(next())
 			size := int64(next()) + 1
 			at, user := int64(next()%16), int64(next()%4)
@@ -119,10 +130,7 @@ func FuzzStoreModel(f *testing.F) {
 					t.Fatalf("PutHashed(%v) = %v, model %v", h, got, want)
 				}
 			case 1:
-				m.claim(h, size, at, user)
-				s.Claim(h, size, at, user)
-			case 2:
-				hs := group()
+				hs := group(h)
 				sizes := make([]int64, len(hs))
 				out := make([]ChunkRef, len(hs))
 				for i := range hs {
@@ -133,20 +141,7 @@ func FuzzStoreModel(f *testing.F) {
 				for i, r := range out {
 					refs = append(refs, refClaim{r, hs[i], at, user})
 				}
-			case 3:
-				if got, want := s.Winner(h, at, user), m.winner(h, at, user); got != want {
-					t.Fatalf("Winner(%v, %d, %d) = %v, model %v", h, at, user, got, want)
-				}
-			case 4:
-				hs := group()
-				out := make([]bool, len(hs))
-				s.WinnerBatch(hs, at, user, out)
-				for i, got := range out {
-					if want := m.winner(hs[i], at, user); got != want {
-						t.Fatalf("WinnerBatch[%d] (%v, %d, %d) = %v, model %v", i, hs[i], at, user, got, want)
-					}
-				}
-			case 5:
+			case 2:
 				var want int64
 				if c, ok := m.chunks[h]; ok {
 					want = c.size
@@ -154,24 +149,19 @@ func FuzzStoreModel(f *testing.F) {
 				if got := s.Size(h); got != want {
 					t.Fatalf("Size(%v) = %d, model %d", h, got, want)
 				}
-			case 6:
+			case 3:
 				_, want := m.chunks[h]
 				if got := s.Has(h); got != want {
 					t.Fatalf("Has(%v) = %v, model %v", h, got, want)
 				}
+			case 4:
+				checkRefs("mid-sequence")
 			}
 			if s.UniqueChunks() != len(m.chunks) || s.Puts() != m.puts || s.Hits() != m.hits || s.StoredBytes() != m.bytes {
 				t.Fatalf("after op %d: unique/puts/hits/bytes = %d/%d/%d/%d, model %d/%d/%d/%d", op,
 					s.UniqueChunks(), s.Puts(), s.Hits(), s.StoredBytes(), len(m.chunks), m.puts, m.hits, m.bytes)
 			}
 		}
-		for _, r := range refs {
-			if got, want := r.ref.WonBy(r.at, r.user), m.winner(r.h, r.at, r.user); got != want {
-				t.Fatalf("ref of %v: WonBy(%d, %d) = %v, model %v", r.h, r.at, r.user, got, want)
-			}
-			if c := m.chunks[r.h]; !r.ref.WonBy(c.at, c.user) {
-				t.Fatalf("ref of %v: not won by the model's winner (%d, %d)", r.h, c.at, c.user)
-			}
-		}
+		checkRefs("at the end")
 	})
 }

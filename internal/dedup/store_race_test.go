@@ -6,11 +6,11 @@ import (
 )
 
 // TestStoreConcurrentStress hammers one store from many goroutines
-// mixing every operation the fleet performs concurrently — PutHashed,
-// Put, Has, Claim, Winner and the aggregated counter reads. CI's
-// -race job (go test -race ./internal/...) runs this with the race
-// detector on; the final-state assertions below catch lost updates
-// that a data race could cause even when the detector is off.
+// mixing every operation clients and the fleet perform concurrently —
+// PutHashed, Has, ClaimBatchRef, Size and the aggregated counter
+// reads. CI's -race job (go test -race ./internal/...) runs this with
+// the race detector on; the final-state assertions below catch lost
+// updates that a data race could cause even when the detector is off.
 func TestStoreConcurrentStress(t *testing.T) {
 	const (
 		workers       = 16
@@ -22,6 +22,8 @@ func TestStoreConcurrentStress(t *testing.T) {
 
 	for _, shards := range []int{1, 64} {
 		s := NewStoreSharded(shards)
+		// refs0[i] is worker 0's ref from its claim at op i (case 2).
+		refs0 := make([]ChunkRef, opsPerWorker)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -39,26 +41,29 @@ func TestStoreConcurrentStress(t *testing.T) {
 					case 2:
 						// Claims from distinct (at, user) pairs; the
 						// winner must be the minimum regardless of
-						// interleaving.
-						s.Claim(h, 100, int64(w*opsPerWorker+i), int64(w))
-					case 3:
-						// Batched claim/winner traffic: a single-chunk
-						// batch is the degenerate shard group, so it
-						// contends with the unbatched ops above on the
-						// same hashes. The claim instants sit above
-						// every case-2 instant, so they never displace
-						// the minimum the final assertions predict.
+						// interleaving. A single-chunk batch is the
+						// degenerate shard group, so it contends with
+						// the puts above on the same hashes. Worker 0
+						// keeps its refs; WonBy is a lock-free
+						// resolve-phase read, legal only after claim
+						// traffic has quiesced, so they are read after
+						// the barrier.
 						hb := [1]Hash{h}
 						sb := [1]int64{100}
-						at := int64((workers+w)*opsPerWorker + i)
-						s.ClaimBatch(hb[:], sb[:], at, int64(w))
-						var refs [1]ChunkRef
-						s.ClaimBatchRef(hb[:], sb[:], at+1, int64(w), refs[:])
-						var out [1]bool
-						s.WinnerBatch(hb[:], 0, 0, out[:])
-						// refs[0].WonBy is deliberately NOT read here:
-						// it is a lock-free resolve-phase read, legal
-						// only after claim traffic has quiesced.
+						var ref [1]ChunkRef
+						s.ClaimBatchRef(hb[:], sb[:], int64(w*opsPerWorker+i), int64(w), ref[:])
+						if w == 0 {
+							refs0[i] = ref[0]
+						}
+					case 3:
+						// A later claim of two chunks: its instants sit
+						// above every case-2 instant, so it never
+						// displaces the minimum the final assertions
+						// predict.
+						hb := [2]Hash{h, h}
+						sb := [2]int64{100, 100}
+						var refs [2]ChunkRef
+						s.ClaimBatchRef(hb[:], sb[:], int64((workers+w)*opsPerWorker+i), int64(w), refs[:])
 						s.Size(h)
 					case 4:
 						// Aggregated counter reads overlapping writers.
@@ -82,7 +87,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 		if s.Puts() != int64(wantUnique) {
 			t.Fatalf("shards=%d: Puts = %d, want %d", shards, s.Puts(), wantUnique)
 		}
-		// Every (PutHashed|Claim|ClaimBatch) call either stored or
+		// Every PutHashed call and claimed chunk either stored or
 		// hit; the stress loop issues exactly 5 store-ops per 5
 		// iterations (cases 0, 1, 2 one each; case 3 two).
 		wantOps := int64(workers * opsPerWorker)
@@ -99,7 +104,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 			won := false
 			for i := 0; i < opsPerWorker; i++ {
 				if i%5 == 2 && (i*7)%sharedHashes == idx {
-					won = s.Winner(h, int64(i), 0)
+					won = refs0[i].Hash() == h && refs0[i].WonBy(int64(i), 0)
 					break
 				}
 			}

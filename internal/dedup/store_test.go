@@ -117,10 +117,19 @@ type claim struct {
 	user int64
 }
 
+// claimOne claims a single chunk: the one-chunk batch, the degenerate
+// shard group.
+func claimOne(s *Store, h Hash, size, at, user int64) ChunkRef {
+	var ref [1]ChunkRef
+	s.ClaimBatchRef([]Hash{h}, []int64{size}, at, user, ref[:])
+	return ref[0]
+}
+
 func TestClaimEarliestWins(t *testing.T) {
 	h := HashBytes([]byte("popular chunk"))
 	// Claims arrive in scrambled execution order; the (at, user)
-	// minimum must win regardless.
+	// minimum must win regardless, and every claimant's ref names the
+	// one entry that records it.
 	orders := [][]claim{
 		{{at: 30, user: 2}, {at: 10, user: 5}, {at: 20, user: 1}},
 		{{at: 10, user: 5}, {at: 20, user: 1}, {at: 30, user: 2}},
@@ -128,15 +137,16 @@ func TestClaimEarliestWins(t *testing.T) {
 	}
 	for _, order := range orders {
 		s := NewStore()
-		for _, c := range order {
-			s.Claim(h, 100, c.at, c.user)
+		refs := make([]ChunkRef, len(order))
+		for i, c := range order {
+			refs[i] = claimOne(s, h, 100, c.at, c.user)
 		}
-		if !s.Winner(h, 10, 5) {
-			t.Fatalf("order %v: earliest claim lost", order)
-		}
-		for _, c := range order {
-			if (c != claim{at: 10, user: 5}) && s.Winner(h, c.at, c.user) {
-				t.Fatalf("order %v: losing claim %v reported as winner", order, c)
+		for i, c := range order {
+			if got, want := refs[i].WonBy(c.at, c.user), c == (claim{at: 10, user: 5}); got != want {
+				t.Fatalf("order %v: claim %v WonBy = %v, want %v", order, c, got, want)
+			}
+			if refs[i] != refs[0] {
+				t.Fatalf("order %v: claim %v got a ref to another entry", order, c)
 			}
 		}
 		if s.UniqueChunks() != 1 || s.Hits() != 2 || s.Puts() != 1 {
@@ -149,22 +159,10 @@ func TestClaimEarliestWins(t *testing.T) {
 func TestClaimTieBreaksOnUser(t *testing.T) {
 	s := NewStore()
 	h := HashBytes([]byte("tie"))
-	s.Claim(h, 1, 50, 9)
-	s.Claim(h, 1, 50, 3)
-	if !s.Winner(h, 50, 3) || s.Winner(h, 50, 9) {
+	claimOne(s, h, 1, 50, 9)
+	ref := claimOne(s, h, 1, 50, 3)
+	if !ref.WonBy(50, 3) || ref.WonBy(50, 9) {
 		t.Fatal("equal-instant tie must resolve to the lower user index")
-	}
-}
-
-func TestWinnerOnUnclaimedHash(t *testing.T) {
-	s := NewStore()
-	h := HashBytes([]byte("never claimed"))
-	if s.Winner(h, 0, 0) {
-		t.Fatal("Winner on empty store")
-	}
-	s.PutHashed(h, 5) // plain put, no claim
-	if s.Winner(h, 0, 0) {
-		t.Fatal("Winner on a put-only chunk")
 	}
 }
 
@@ -189,10 +187,11 @@ func shardGroups(s *Store, hs []Hash, sizes []int64) (groups [][]Hash, groupSize
 }
 
 func TestClaimBatchMatchesPerChunkClaims(t *testing.T) {
-	// ClaimBatch/WinnerBatch promise exact equivalence with the
-	// per-chunk calls: same winners, same counters. Drive the same
-	// claim schedule — several users, overlapping chunk sets — through
-	// both surfaces and compare everything observable.
+	// ClaimBatchRef promises exact equivalence with claiming its
+	// chunks one at a time: same winners, same counters. Drive the
+	// same claim schedule — several users, overlapping chunk sets —
+	// through shard-grouped batches and through one-chunk batches and
+	// compare everything observable.
 	hs := randomHashes(11, 200)
 	rng := sim.NewRNG(13)
 	type session struct {
@@ -210,48 +209,49 @@ func TestClaimBatchMatchesPerChunkClaims(t *testing.T) {
 		sessions = append(sessions, sess)
 	}
 
-	ref, batched := NewStoreSharded(8), NewStoreSharded(8)
-	for _, sess := range sessions {
+	single, batched := NewStoreSharded(8), NewStoreSharded(8)
+	singleRefs := make([][]ChunkRef, len(sessions))
+	batchedRefs := make([][]ChunkRef, len(sessions))
+	for k, sess := range sessions {
 		for i, h := range sess.hs {
-			ref.Claim(h, sess.sizes[i], sess.at, sess.user)
+			singleRefs[k] = append(singleRefs[k], claimOne(single, h, sess.sizes[i], sess.at, sess.user))
 		}
 		groups, groupSizes := shardGroups(batched, sess.hs, sess.sizes)
 		for g := range groups {
-			batched.ClaimBatch(groups[g], groupSizes[g], sess.at, sess.user)
+			out := make([]ChunkRef, len(groups[g]))
+			batched.ClaimBatchRef(groups[g], groupSizes[g], sess.at, sess.user, out)
+			batchedRefs[k] = append(batchedRefs[k], out...)
 		}
 	}
 
-	if ref.UniqueChunks() != batched.UniqueChunks() || ref.StoredBytes() != batched.StoredBytes() ||
-		ref.Hits() != batched.Hits() || ref.Puts() != batched.Puts() {
+	if single.UniqueChunks() != batched.UniqueChunks() || single.StoredBytes() != batched.StoredBytes() ||
+		single.Hits() != batched.Hits() || single.Puts() != batched.Puts() {
 		t.Fatalf("counters diverged: chunks %d/%d bytes %d/%d hits %d/%d puts %d/%d",
-			ref.UniqueChunks(), batched.UniqueChunks(), ref.StoredBytes(), batched.StoredBytes(),
-			ref.Hits(), batched.Hits(), ref.Puts(), batched.Puts())
+			single.UniqueChunks(), batched.UniqueChunks(), single.StoredBytes(), batched.StoredBytes(),
+			single.Hits(), batched.Hits(), single.Puts(), batched.Puts())
 	}
-	for _, sess := range sessions {
-		groups, _ := shardGroups(batched, sess.hs, nil2(len(sess.hs)))
-		for _, g := range groups {
-			out := make([]bool, len(g))
-			batched.WinnerBatch(g, sess.at, sess.user, out)
-			for i, h := range g {
-				if want := ref.Winner(h, sess.at, sess.user); out[i] != want {
-					t.Fatalf("user %d chunk %v: WinnerBatch=%v, Winner=%v", sess.user, h, out[i], want)
-				}
+	// Both sides name each session's chunks by ref; compare the
+	// verdicts hash by hash.
+	for k, sess := range sessions {
+		won := make(map[Hash]bool)
+		for i, h := range sess.hs {
+			won[h] = singleRefs[k][i].WonBy(sess.at, sess.user)
+		}
+		for _, r := range batchedRefs[k] {
+			if got, want := r.WonBy(sess.at, sess.user), won[r.Hash()]; got != want {
+				t.Fatalf("user %d chunk %v: batched WonBy=%v, one-chunk WonBy=%v", sess.user, r.Hash(), got, want)
 			}
 		}
 	}
 }
 
-// nil2 returns n zero sizes — shardGroups needs a parallel slice even
-// when the caller only cares about the hash grouping.
-func nil2(n int) []int64 { return make([]int64, n) }
-
 func TestClaimBatchRefResolvesLikeWinner(t *testing.T) {
-	// A ref handed out by ClaimBatchRef must resolve (via WonBy)
-	// exactly as a Winner probe for the same hash, including after
+	// A ref handed out by ClaimBatchRef must resolve (via WonBy) to
+	// the chunk's (at, user) minimum over every claim, including after
 	// later claims displace the provisional winner.
 	s := NewStoreSharded(4)
 	hs := randomHashes(21, 64)
-	sizes := nil2(len(hs))
+	sizes := make([]int64, len(hs))
 	for i := range sizes {
 		sizes[i] = int64(i) + 1
 	}
@@ -262,6 +262,7 @@ func TestClaimBatchRefResolvesLikeWinner(t *testing.T) {
 		refs     []ChunkRef
 	}
 	var all []claimed
+	winner := make(map[Hash]claim) // the test's own (at, user) minimum
 	for u := int64(0); u < 8; u++ {
 		// Later users claim earlier instants, so winners keep moving.
 		at := int64(100 - u*10)
@@ -273,12 +274,17 @@ func TestClaimBatchRefResolvesLikeWinner(t *testing.T) {
 			c.hs = append(c.hs, groups[g]...)
 			c.refs = append(c.refs, refs...)
 		}
+		for _, h := range c.hs {
+			if w, ok := winner[h]; !ok || at < w.at || (at == w.at && u < w.user) {
+				winner[h] = claim{at: at, user: u}
+			}
+		}
 		all = append(all, c)
 	}
 	for _, c := range all {
 		for i, h := range c.hs {
-			if got, want := c.refs[i].WonBy(c.at, c.user), s.Winner(h, c.at, c.user); got != want {
-				t.Fatalf("user %d chunk %v: WonBy=%v, Winner=%v", c.user, h, got, want)
+			if got, want := c.refs[i].WonBy(c.at, c.user), winner[h] == (claim{c.at, c.user}); got != want {
+				t.Fatalf("user %d chunk %v: WonBy=%v, want %v", c.user, h, got, want)
 			}
 		}
 	}
@@ -320,9 +326,9 @@ func TestClaimAndPutShareChunkSpace(t *testing.T) {
 	// fleet claim and vice versa: one content-addressed space.
 	s := NewStore()
 	h := HashBytes([]byte("shared space"))
-	s.Claim(h, 42, 7, 1)
+	claimOne(s, h, 42, 7, 1)
 	if s.PutHashed(h, 42) {
-		t.Fatal("PutHashed after Claim claimed new")
+		t.Fatal("PutHashed after a claim reported new")
 	}
 	if s.UniqueChunks() != 1 || s.StoredBytes() != 42 {
 		t.Fatalf("chunks=%d bytes=%d", s.UniqueChunks(), s.StoredBytes())

@@ -145,14 +145,18 @@ func TestExtractAirportCode(t *testing.T) {
 	}
 }
 
+// pathInflation is the routed-path stretch the network emulator
+// applies to great-circle distances (netem's inflation).
+const pathInflation = 1.7
+
 func TestPropagationRTTMonotonicInDistance(t *testing.T) {
 	ams, _ := LookupAirport("AMS")
 	zrh, _ := LookupAirport("ZRH")
 	iad, _ := LookupAirport("IAD")
 	sin, _ := LookupAirport("SIN")
-	near := PropagationRTT(ams.Coord, zrh.Coord)
-	mid := PropagationRTT(ams.Coord, iad.Coord)
-	far := PropagationRTT(ams.Coord, sin.Coord)
+	near := InflatedRTT(ams.Coord, zrh.Coord, pathInflation)
+	mid := InflatedRTT(ams.Coord, iad.Coord, pathInflation)
+	far := InflatedRTT(ams.Coord, sin.Coord, pathInflation)
 	if !(near < mid && mid < far) {
 		t.Fatalf("RTT not monotonic: %v %v %v", near, mid, far)
 	}
@@ -261,7 +265,7 @@ func TestLocateAccuracyAgainstGroundTruth(t *testing.T) {
 			vs = append(vs, VantageRTT{
 				Name:  "v-" + v.Code,
 				Coord: v.Coord,
-				RTT:   PropagationRTT(v.Coord, tgt.Coord),
+				RTT:   InflatedRTT(v.Coord, tgt.Coord, pathInflation),
 			})
 		}
 		est := Locate(Evidence{IP: "ip-" + target, Vantages: vs})
@@ -272,21 +276,6 @@ func TestLocateAccuracyAgainstGroundTruth(t *testing.T) {
 		if err > est.UncertaintyKm {
 			t.Errorf("%s: error %.0f km exceeds claimed uncertainty %.0f km", target, err, est.UncertaintyKm)
 		}
-	}
-}
-
-func TestRankVantagesSorted(t *testing.T) {
-	vs := []VantageRTT{
-		{Name: "b", RTT: 9 * time.Millisecond},
-		{Name: "a", RTT: 3 * time.Millisecond},
-		{Name: "c", RTT: 3 * time.Millisecond},
-	}
-	got := RankVantages(vs)
-	if got[0].Name != "a" || got[1].Name != "c" || got[2].Name != "b" {
-		t.Fatalf("rank order = %v", got)
-	}
-	if vs[0].Name != "b" {
-		t.Fatal("RankVantages mutated input")
 	}
 }
 

@@ -1,9 +1,6 @@
 package geo
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // Method identifies which geolocation technique produced an estimate.
 // The paper's hybrid methodology (Sect. 2.1) prefers reverse-DNS
@@ -129,18 +126,4 @@ func shortestVantage(vs []VantageRTT) VantageRTT {
 		}
 	}
 	return best
-}
-
-// RankVantages returns the measurements sorted by ascending RTT. It is
-// used by reports that show the multilateration evidence.
-func RankVantages(vs []VantageRTT) []VantageRTT {
-	out := make([]VantageRTT, len(vs))
-	copy(out, vs)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].RTT != out[j].RTT {
-			return out[i].RTT < out[j].RTT
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }

@@ -13,20 +13,10 @@ const (
 	// millisecond in fibre (2/3 of c).
 	fibreKmPerMs = 200.0
 
-	// defaultInflation stretches the great-circle distance to a
-	// plausible routed-path distance.
-	defaultInflation = 1.7
-
 	// basePathCost is the distance-independent RTT floor (access
 	// links, serialization, forwarding).
 	basePathCost = 2 * time.Millisecond
 )
-
-// PropagationRTT estimates the round-trip time between two points using
-// the default inflation model.
-func PropagationRTT(a, b Coord) time.Duration {
-	return InflatedRTT(a, b, defaultInflation)
-}
 
 // InflatedRTT estimates RTT with an explicit path-inflation factor.
 // Inflation below 1 is treated as 1 (a routed path cannot be shorter

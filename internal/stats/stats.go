@@ -136,23 +136,6 @@ func TQuantile95(df int) float64 {
 		z*(3*z2*z2*z2+19*z2*z2+17*z2-15)/(384*d*d*d)
 }
 
-// MinMax returns the extremes (0, 0 for empty input).
-func MinMax(v []float64) (lo, hi float64) {
-	if len(v) == 0 {
-		return 0, 0
-	}
-	lo, hi = v[0], v[0]
-	for _, x := range v[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // CV returns the coefficient of variation (std/mean); 0 when the mean
 // is 0. The chunking detector uses it to separate fixed-size from
 // content-defined chunking.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -82,9 +83,6 @@ func TestEmptyAndSingleton(t *testing.T) {
 	if Mean(nil) != 0 || Std(nil) != 0 || Median(nil) != 0 || CV(nil) != 0 {
 		t.Fatal("empty inputs must be zero")
 	}
-	if lo, hi := MinMax(nil); lo != 0 || hi != 0 {
-		t.Fatal("empty MinMax")
-	}
 	one := []float64{42}
 	if Mean(one) != 42 || Std(one) != 0 || Median(one) != 42 || Percentile(one, 99) != 42 {
 		t.Fatal("singleton")
@@ -111,13 +109,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	Percentile(v, 50)
 	if v[0] != 3 || v[1] != 1 || v[2] != 2 {
 		t.Fatal("input mutated")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 0})
-	if lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = %v, %v", lo, hi)
 	}
 }
 
@@ -165,7 +156,7 @@ func TestPercentileBounds(t *testing.T) {
 		for i := range v {
 			v[i] = rng.Float64()
 		}
-		lo, hi := MinMax(v)
+		lo, hi := slices.Min(v), slices.Max(v)
 		got := Percentile(v, float64(p%100))
 		return got >= lo-1e-12 && got <= hi+1e-12
 	}

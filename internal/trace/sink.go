@@ -199,9 +199,6 @@ type StreamWindow struct {
 // From returns the window's inclusive lower bound.
 func (w *StreamWindow) From() time.Time { return w.from }
 
-// To returns the window's exclusive upper bound.
-func (w *StreamWindow) To() time.Time { return w.to }
-
 // anchor converts the window's bounds to offsets from the streamer's
 // origin. Sub saturates, so a bound beyond an offset's range (the zero
 // Time, say) still compares correctly against every record offset.

@@ -188,16 +188,6 @@ func (f *Folder) Get(path string) (*File, bool) {
 	return file, ok
 }
 
-// Paths returns the current file paths, sorted.
-func (f *Folder) Paths() []string {
-	out := make([]string, 0, len(f.files))
-	for p := range f.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len returns the number of files currently present.
 func (f *Folder) Len() int { return len(f.files) }
 
@@ -210,9 +200,6 @@ func (f *Folder) TotalBytes() int64 {
 	}
 	return n
 }
-
-// Journal returns all changes recorded so far, in order.
-func (f *Folder) Journal() []Change { return f.journal }
 
 // ChangesSince returns the journal entries strictly after t.
 func (f *Folder) ChangesSince(t time.Time) []Change {

@@ -85,7 +85,7 @@ func TestFolderCreateWriteJournal(t *testing.T) {
 	if !ok || string(file.Bytes()) != "v2" || !file.ModTime.Equal(at(1)) {
 		t.Fatalf("file state: %+v", file)
 	}
-	j := f.Journal()
+	j := f.journal
 	if len(j) != 2 || j[0].Type != Created || j[1].Type != Modified {
 		t.Fatalf("journal: %+v", j)
 	}
@@ -163,7 +163,7 @@ func TestFolderDeleteRestore(t *testing.T) {
 		t.Fatal("restore did not bring identical content back")
 	}
 	types := []ChangeType{Created, Deleted, Created}
-	for i, c := range f.Journal() {
+	for i, c := range f.journal {
 		if c.Type != types[i] {
 			t.Fatalf("journal[%d] = %v", i, c.Type)
 		}
@@ -332,7 +332,7 @@ func TestFolderRename(t *testing.T) {
 		t.Fatal("content lost in rename")
 	}
 	// Journal shows delete+create, which is what the client sees.
-	j := f.Journal()
+	j := f.journal
 	if len(j) != 3 || j[1].Type != Deleted || j[2].Type != Created {
 		t.Fatalf("journal: %+v", j)
 	}
