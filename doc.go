@@ -136,8 +136,14 @@
 //     per CPU; cmd/cloudbench and cmd/capcheck -parallel) governs the
 //     whole experiment matrix from a single shared worker budget.
 //     Nested fan-outs draw from the same budget, so pools never
-//     oversubscribe the machine; when the budget is spent, inner
-//     cells simply run inline on their caller's worker.
+//     oversubscribe the machine. An inner pool opened while the budget
+//     is spent starts on its caller alone, but every pool wider than
+//     one worker is published in a process-wide registry: a worker
+//     that runs out of cells (a drained helper, or a caller waiting
+//     for its last cells) claims cells of the newest open pool with
+//     room under its cap instead of idling. The size sweeps dispatch
+//     their largest sizes first, so a sweep does not end on one
+//     worker finishing a 10 MB cell alone.
 //
 // # Campaign driver
 //

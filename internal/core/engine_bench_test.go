@@ -185,3 +185,21 @@ func BenchmarkFleetDay(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFig4DeltaSet times the cloudbench fig4 set: per
+// modification (append, then random insert), a RunN over every service
+// of its Fig4DeltaSeries, itself a RunN over the paper's sweep sizes.
+// It is the nested fan-out whose few large random-insert cells decide
+// how well the shared worker budget is kept busy, so -cpu 1,2 shows
+// the scheduler's scaling.
+func BenchmarkFig4DeltaSet(b *testing.B) {
+	profiles := client.Profiles()
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, mod := range []ModKind{ModAppend, ModRandom} {
+			RunN(len(profiles), 0, func(i int) []VolumePoint {
+				return Fig4DeltaSeries(profiles[i], mod, Fig4Sizes(mod), 100<<10, 42)
+			})
+		}
+	}
+}

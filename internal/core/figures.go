@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"time"
 
 	"repro/internal/client"
@@ -52,7 +53,7 @@ type VolumePoint struct {
 // base upload — so it is registered before any of its traffic exists
 // and the base upload's packets are never retained.
 func Fig4DeltaSeries(p client.Profile, mod ModKind, sizes []int64, added int64, seed int64) []VolumePoint {
-	return RunN(len(sizes), CampaignWorkers, func(i int) VolumePoint {
+	return sweepLargestFirst(sizes, func(i int) VolumePoint {
 		size := sizes[i]
 		tb := NewStreamingTestbed(p, seed+int64(i)*101, 0)
 		start := tb.Settle()
@@ -86,7 +87,7 @@ func Fig4DeltaSeries(p client.Profile, mod ModKind, sizes []int64, added int64, 
 // service and file kind: upload files of increasing size and measure
 // the transmitted volume.
 func Fig5CompressionSeries(p client.Profile, kind workload.Kind, sizes []int64, seed int64) []VolumePoint {
-	return RunN(len(sizes), CampaignWorkers, func(i int) VolumePoint {
+	return sweepLargestFirst(sizes, func(i int) VolumePoint {
 		size := sizes[i]
 		tb := NewStreamingTestbed(p, seed+int64(i)*103, 0)
 		start := tb.Settle()
@@ -99,6 +100,22 @@ func Fig5CompressionSeries(p client.Profile, kind workload.Kind, sizes []int64, 
 		up := tb.AnalyzeWindow(t0, tb.StorageFilter(t0)).WireUp
 		return VolumePoint{FileSize: size, Upload: up}
 	})
+}
+
+// sweepLargestFirst fans a size sweep out over RunN, dispatching the
+// largest sizes first so the longest cells start early and the sweep
+// does not end on one worker finishing a 10 MB cell alone. Cell i
+// still computes and lands in slot i, so results (and the per-point
+// seeds derived from i) are independent of the dispatch order.
+func sweepLargestFirst(sizes []int64, cell func(i int) VolumePoint) []VolumePoint {
+	order := make([]int, len(sizes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return sizes[order[a]] > sizes[order[b]] })
+	out := make([]VolumePoint, len(sizes))
+	RunEach(len(order), CampaignWorkers, func(k int) { out[order[k]] = cell(order[k]) })
+	return out
 }
 
 // Fig4Sizes returns the paper's x-axes: up to 2 MB for the append

@@ -2,8 +2,10 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/workload"
@@ -65,43 +67,195 @@ func TestRunNEachCellOnce(t *testing.T) {
 	}
 }
 
+// schedTimeout bounds every wait in the scheduler tests, so a
+// scheduler that deadlocks or never wakes a waiter fails the test
+// instead of hanging the suite. It is host time: these tests exercise
+// goroutine scheduling, not simulated time.
+const schedTimeout = 10 * time.Second
+
+// within runs fn on its own goroutine and fails the test if it has
+// not returned after schedTimeout.
+func within(t *testing.T, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(schedTimeout): //simlint:allow walltime -- host-side test timeout, not simulated time
+		t.Fatalf("RunN did not return within %v", schedTimeout)
+	}
+}
+
+// peakCounter tracks how many cells run at once and the most seen.
+// When the peak first reaches want it closes reached.
+type peakCounter struct {
+	active, peak atomic.Int64
+	want         int64
+	reached      chan struct{}
+}
+
+func newPeakCounter(want int64) *peakCounter {
+	return &peakCounter{want: want, reached: make(chan struct{})}
+}
+
+func (c *peakCounter) enter() {
+	cur := c.active.Add(1)
+	for p := c.peak.Load(); cur > p; p = c.peak.Load() {
+		if c.peak.CompareAndSwap(p, cur) {
+			if p < c.want && cur >= c.want {
+				close(c.reached)
+			}
+			break
+		}
+	}
+}
+
+func (c *peakCounter) exit() { c.active.Add(-1) }
+
+// assertRegistryEmpty checks that no pool is left open and that the
+// registry's backing array keeps no finished pool reachable. It only
+// reports errors, so it may run on a goroutine other than the test's.
+func assertRegistryEmpty(t *testing.T) {
+	t.Helper()
+	sched.mu.Lock()
+	defer sched.mu.Unlock()
+	if len(sched.open) != 0 {
+		t.Errorf("%d pools still open after RunN returned", len(sched.open))
+	}
+	for k, p := range sched.open[:cap(sched.open)] {
+		if p != nil {
+			t.Errorf("registry slot %d still references a closed pool", k)
+			return
+		}
+	}
+}
+
+func TestRunNIdleWorkerJoinsNestedPool(t *testing.T) {
+	// The outer pool holds the whole budget of 2, so the inner pool of
+	// cell 1 cannot spawn a helper of its own. The worker freed by
+	// cell 0 must join it, so two inner cells overlap. Each inner cell
+	// waits for that overlap, or gives up once the timer fires.
+	inner := newPeakCounter(2)
+	giveUp := make(chan struct{})
+	timer := time.AfterFunc(schedTimeout/2, func() { close(giveUp) }) //simlint:allow walltime -- host-side test timeout, not simulated time
+	defer timer.Stop()
+	withWorkers(t, 2, func() {
+		within(t, func() {
+			RunEach(2, 0, func(i int) {
+				if i == 0 {
+					return
+				}
+				RunEach(4, 0, func(int) {
+					inner.enter()
+					defer inner.exit()
+					select {
+					case <-inner.reached:
+					case <-giveUp:
+					}
+				})
+			})
+		})
+	})
+	if p := inner.peak.Load(); p != 2 {
+		t.Fatalf("inner pool ran %d-wide, want 2 (the idle worker joins it)", p)
+	}
+	assertRegistryEmpty(t)
+}
+
+func TestRunNSequentialPoolNeverJoined(t *testing.T) {
+	// An inner RunN(n, 1) is a plain loop on its caller: it is never
+	// published, so the worker left idle by cell 0 cannot join it, and
+	// its cells run one at a time in index order.
+	inner := newPeakCounter(2)
+	var order []int
+	var published atomic.Bool
+	withWorkers(t, 2, func() {
+		within(t, func() {
+			RunEach(2, 0, func(i int) {
+				if i == 0 {
+					return
+				}
+				RunEach(4, 1, func(j int) {
+					inner.enter()
+					defer inner.exit()
+					order = append(order, j)
+					sched.mu.Lock()
+					for _, p := range sched.open {
+						if p.cap < 2 {
+							published.Store(true)
+						}
+					}
+					sched.mu.Unlock()
+					runtime.Gosched()
+				})
+			})
+		})
+	})
+	if p := inner.peak.Load(); p != 1 {
+		t.Fatalf("RunN(4, 1) ran %d-wide, want 1", p)
+	}
+	if !reflect.DeepEqual(order, []int{0, 1, 2, 3}) {
+		t.Fatalf("RunN(4, 1) ran cells in order %v, want index order", order)
+	}
+	if published.Load() {
+		t.Fatal("RunN(4, 1) was published for joining")
+	}
+	assertRegistryEmpty(t)
+}
+
 func TestRunNNestedSharesBudget(t *testing.T) {
 	// A fan-out whose cells fan out again must complete correctly
-	// (inner pools fall back to inline execution when the shared
-	// budget is spent — never deadlock) and must not exceed the
-	// budget's goroutine count.
-	var peak, active atomic.Int64
-	outer := RunN(6, 3, func(i int) int {
-		cur := active.Add(1)
-		defer active.Add(-1)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
+	// (inner pools that find the shared budget spent start on their
+	// caller alone and are joined by idle workers — never deadlock).
+	// However the workers move between pools, no more outer or leaf
+	// cells run at once than the budget allows, no helper beyond it
+	// exists, and every pool leaves the registry when RunN returns.
+	const budget = 3
+	outerCells, leaves := newPeakCounter(budget+1), newPeakCounter(budget+1)
+	var overHelpers atomic.Bool
+	within(t, func() {
+		for round := 0; round < 20; round++ {
+			outer := RunN(6, budget, func(i int) int {
+				outerCells.enter()
+				defer outerCells.exit()
+				inner := RunN(6, budget, func(j int) int {
+					leaves.enter()
+					defer leaves.exit()
+					sched.mu.Lock()
+					if sched.helpers > budget-1 {
+						overHelpers.Store(true)
+					}
+					sched.mu.Unlock()
+					runtime.Gosched()
+					return i*6 + j
+				})
+				sum := 0
+				for _, v := range inner {
+					sum += v
+				}
+				return sum
+			})
+			got := 0
+			for _, v := range outer {
+				got += v
 			}
+			if want := 36 * 35 / 2; got != want {
+				t.Errorf("round %d: nested sum = %d, want %d", round, got, want)
+			}
+			assertRegistryEmpty(t)
 		}
-		inner := RunN(6, 3, func(j int) int { return i*6 + j })
-		sum := 0
-		for _, v := range inner {
-			sum += v
-		}
-		return sum
 	})
-	want := 0
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 6; j++ {
-			want += i*6 + j
-		}
+	if p := outerCells.peak.Load(); p > budget {
+		t.Fatalf("outer cells ran %d-wide, want <= budget %d", p, budget)
 	}
-	got := 0
-	for _, v := range outer {
-		got += v
+	if p := leaves.peak.Load(); p > budget {
+		t.Fatalf("%d leaf cells ran at once, want <= budget %d", p, budget)
 	}
-	if got != want {
-		t.Fatalf("nested sum = %d, want %d", got, want)
-	}
-	if p := peak.Load(); p > 3 {
-		t.Fatalf("outer cells ran %d-wide, want <= budget 3", p)
+	if overHelpers.Load() {
+		t.Fatalf("more than %d helpers ran at once", budget-1)
 	}
 }
 

@@ -129,11 +129,13 @@ func (f *Folder) InsertAt(at time.Time, path string, offset int64, data []byte) 
 	if offset < 0 || offset > file.Size() {
 		panic(fmt.Sprintf("workload: InsertAt offset %d outside %q (%d bytes)", offset, path, file.Size()))
 	}
-	old := file.Bytes()
-	buf := make([]byte, 0, int64(len(old))+int64(len(data)))
-	buf = append(buf, old[:offset]...)
-	buf = append(buf, data...)
-	buf = append(buf, old[offset:]...)
+	// One copy of the old content: materialise it into a buffer of the
+	// final size, then open the gap by shifting the suffix in place.
+	buf := make([]byte, 0, file.Size()+int64(len(data)))
+	buf = file.content.AppendTo(buf)
+	buf = buf[:len(buf)+len(data)]
+	copy(buf[offset+int64(len(data)):], buf[offset:])
+	copy(buf[offset:], data)
 	f.Write(at, path, buf)
 }
 

@@ -113,6 +113,36 @@ func TestFolderAppendAndInsert(t *testing.T) {
 	}
 }
 
+// TestFolderInsertAtMatchesSplice pins the in-place InsertAt against a
+// naive three-part splice, for lazy and eager content at the first,
+// a middle and the past-the-end offset, and checks that the edit
+// leaves the replaced eager content untouched.
+func TestFolderInsertAtMatchesSplice(t *testing.T) {
+	const size = 64 << 10
+	d := Describe(sim.NewRNG(5), Binary, size)
+	insert := Generate(sim.NewRNG(6), Binary, 3000)
+	for _, lazy := range []bool{true, false} {
+		for _, off := range []int64{0, size / 3, size} {
+			f := NewFolder()
+			old := d.Bytes()
+			if lazy {
+				f.CreateLazy(at(0), "x", d)
+			} else {
+				f.Create(at(0), "x", old)
+			}
+			f.InsertAt(at(1), "x", off, insert)
+			want := slices.Concat(d.Bytes()[:off], insert, d.Bytes()[off:])
+			file, _ := f.Get("x")
+			if got := file.Bytes(); !bytes.Equal(got, want) {
+				t.Fatalf("lazy=%v off=%d: InsertAt differs from splice (len %d, want %d)", lazy, off, len(got), len(want))
+			}
+			if !bytes.Equal(old, d.Bytes()) {
+				t.Fatalf("lazy=%v off=%d: InsertAt modified the replaced content", lazy, off)
+			}
+		}
+	}
+}
+
 func TestFolderCopySharesImmutableContent(t *testing.T) {
 	f := NewFolder()
 	f.Create(at(0), "orig", []byte("payload"))

@@ -5,10 +5,13 @@
 # Every repeated experiment (Fig. 6, the loss sweep, the location
 # studies) runs through one driver: fixed -reps budgets in a single
 # flat round, -precision rules in sequential rounds whose stopping
-# decisions must not depend on scheduling. The smoke runs a fixed
-# Fig. 6 matrix, an adaptive one and a fixed loss sweep at -parallel 1
-# and -parallel 4 and byte-compares each pair of outputs; any diff is
-# a determinism regression in the driver or a layer on top of it.
+# decisions must not depend on scheduling. The Fig. 4 and Fig. 5
+# sweeps are nested fan-outs (services, then sizes largest first)
+# whose idle workers join each other's pools. The smoke runs a fixed
+# Fig. 6 matrix, an adaptive one, a fixed loss sweep and the Fig. 4
+# and Fig. 5 sweeps at -parallel 1 and -parallel 4 and byte-compares
+# each pair of outputs; any diff is a determinism regression in the
+# driver, the scheduler or a layer on top of them.
 #
 # Usage: scripts/campaignsmoke.sh [seed]
 set -euo pipefail
@@ -36,3 +39,5 @@ check() {
 check fig6-fixed -experiment fig6 -reps 2
 check fig6-adaptive -experiment fig6 -precision 0.05 -max-reps 16
 check loss-fixed -loss 0.02,0.08 -reps 2
+check fig4 -experiment fig4
+check fig5 -experiment fig5
