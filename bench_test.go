@@ -184,7 +184,7 @@ func BenchmarkTable1Capabilities(b *testing.B) {
 		b.Run(p.Service, func(b *testing.B) {
 			var c core.Capabilities
 			for i := 0; i < b.N; i++ {
-				c = core.DetectCapabilities(p, int64(i)+1)
+				c = core.DetectCapabilitiesAll([]client.Profile{p}, int64(i)+1)[p.Service]
 			}
 			score := 0.0
 			if c.Bundling {

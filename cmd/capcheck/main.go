@@ -7,14 +7,17 @@
 //	capcheck [-service NAME|all] [-seed N] [-verbose] [-parallel N]
 //	capcheck -precision 0.05 [-max-reps N] [-service NAME|all]
 //
-// -parallel fans the service x detector matrix out over a shared
-// worker pool (0 = one worker per CPU, 1 = sequential); detections
-// are bit-identical at any setting.
+// Both modes run one capability driver: a repeated cell per service,
+// each repetition (probe) the five Sect. 4 detectors on one seed. By
+// default every service gets a single probe on -seed. -precision
+// instead repeats each service's probes across a seed stream until its
+// continuous bundling statistic (connections per file) is tight, and
+// reports whether the boolean verdicts were unanimous — detection
+// robustness quantified instead of assumed from one seed.
 //
-// -precision repeats the detection suite across a seed stream until
-// the continuous bundling statistic (connections per file) is tight,
-// reporting per service whether the boolean verdicts were unanimous —
-// detection robustness quantified instead of assumed from one seed.
+// -parallel fans the services, their probes and the detectors of each
+// probe out over a shared worker pool (0 = one worker per CPU, 1 =
+// sequential); detections are bit-identical at any setting.
 package main
 
 import (
@@ -63,12 +66,12 @@ func main() {
 		fmt.Printf("%-14s%12s%12s%12s\n", "service", "unanimous", "probes", "achieved")
 		caps := map[string]core.Capabilities{}
 		var order []string
-		for _, p := range profiles {
-			cc := core.DetectCapabilitiesAdaptive(p, rule, *seed)
-			caps[p.Service] = cc.Capabilities
-			order = append(order, p.Service)
+		for _, cc := range core.DetectCapabilitiesAdaptive(profiles, rule, *seed) {
+			svc := cc.Capabilities.Service
+			caps[svc] = cc.Capabilities
+			order = append(order, svc)
 			fmt.Printf("%-14s%12v%12d%11.2f%%\n",
-				p.Service, cc.Unanimous, cc.RepsUsed, cc.AchievedRelHW*100)
+				svc, cc.Unanimous, cc.RepsUsed, cc.AchievedRelHW*100)
 		}
 		fmt.Println()
 		fmt.Print(core.Table1(caps, order))

@@ -58,7 +58,7 @@ func main() {
 	var (
 		service    = flag.String("service", "all", "service to benchmark (dropbox, skydrive, wuala, googledrive, clouddrive, all)")
 		experiment = flag.String("experiment", "all", "experiment to run (table1, fig1, fig3, fig4, fig5, fig6, discover, protocols, bundling, recovery, propagation, locations, whatif, all)")
-		reps       = flag.Int("reps", core.DefaultReps, "repetitions per benchmark (the paper uses 24)")
+		reps       = flag.Int("reps", core.DefaultReps, "repetitions per benchmark cell of fig6, locations and the loss sweep (the paper uses 24)")
 		seed       = flag.Int64("seed", 42, "base random seed")
 		doPlot     = flag.Bool("plot", false, "render ASCII charts for figs 1, 3 and 6")
 		parallel   = flag.Int("parallel", 0, "concurrent experiment cells across the whole matrix (0 = one per CPU, 1 = sequential; results are identical at any setting)")
@@ -156,7 +156,7 @@ func main() {
 	}
 	if run("locations") {
 		any = true
-		locations(d, *seed)
+		locations(profiles, d, *seed)
 	}
 	if run("whatif") {
 		any = true
@@ -418,7 +418,7 @@ func propagation(profiles []client.Profile, seed int64) {
 	fmt.Println()
 }
 
-func locations(d design, seed int64) {
+func locations(profiles []client.Profile, d design, seed int64) {
 	var vantages []core.Vantage
 	for _, name := range []string{"twente", "SEA", "IAD", "SIN", "SYD"} {
 		v, ok := core.VantageByName(name)
@@ -428,13 +428,14 @@ func locations(d design, seed int64) {
 		vantages = append(vantages, v)
 	}
 	batch := workload.Batch{Count: 1, Size: 1 << 20, Kind: workload.Binary}
+	var cells []core.LocationSummary
 	if d.adaptive() {
-		fmt.Printf("== Location study: 1x1MB completion, adaptive to ±%.1f%% ==\n", d.rule.TargetRelHW*100)
-		fmt.Print(core.LocationSummaryReport(core.LocationStudyAdaptive(batch, vantages, d.rule, d.vr, seed), vantages))
+		cells = core.LocationStudyAdaptive(profiles, batch, vantages, d.rule, d.vr, seed)
 	} else {
-		fmt.Println("== Location study: 1x1MB completion time per vantage ==")
-		fmt.Print(core.LocationReport(core.LocationStudy(batch, vantages, seed), vantages))
+		cells = core.LocationStudy(profiles, batch, vantages, d.reps, seed)
 	}
+	fmt.Printf("== Location study: %s mean completion per vantage, %s ==\n", batch, d.label(cells[0].Summary.Reps, "cell"))
+	fmt.Print(core.LocationReport(cells, vantages))
 	fmt.Println()
 }
 

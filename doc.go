@@ -64,7 +64,7 @@
 //   - Capture.Analyze computes every scalar metric of Sect. 5 — byte
 //     accounting in both directions, payload bracket, SYN timeline,
 //     connection count — in one scan per flow selection. The
-//     per-metric methods (TotalWireBytes, FirstPayloadTime, ...) are
+//     per-metric methods (TotalWireBytes, SYNTimes, ...) are
 //     thin wrappers over it. StreamWindow.Analyze answers the same
 //     question from the streamed accumulators, bit-identically
 //     (pinned by the randomized equivalence test in internal/trace).
@@ -128,13 +128,13 @@
 //   - core.RunN is the parallel experiment scheduler: a generic
 //     bounded-pool fan-out over arbitrary index spaces. Every
 //     campaign-of-campaigns loop rides on it — the campaign driver's
-//     flat cell x repetition rounds (RunCampaign, Fig6Matrix,
-//     LossSweep, LocationStudy and their adaptive twins; see Campaign
-//     driver below), Fig4DeltaSeries/Fig5CompressionSeries over sweep
-//     sizes, and DetectCapabilities(/All) over the five Sect. 4
-//     detectors per service — so one knob (core.CampaignWorkers, default one worker
-//     per CPU; cmd/cloudbench and cmd/capcheck -parallel) governs the
-//     whole experiment matrix from a single shared worker budget.
+//     flat cell x repetition rounds (every repeated layer, the
+//     capability suite included; see Campaign driver below),
+//     Fig4DeltaSeries/Fig5CompressionSeries over sweep sizes, and the
+//     five Sect. 4 detectors of each capability probe — so one knob
+//     (core.CampaignWorkers, default one worker per CPU; cmd/cloudbench
+//     and cmd/capcheck -parallel) governs the whole experiment matrix
+//     from a single shared worker budget.
 //     Nested fan-outs draw from the same budget, so pools never
 //     oversubscribe the machine. An inner pool opened while the budget
 //     is spent starts on its caller alone, but every pool wider than
@@ -148,21 +148,26 @@
 // # Campaign driver
 //
 // Every repeated campaign layer — the single campaign, the Fig. 6
-// matrix, the loss sweep, the location studies, the full campaign and
-// capability confidence — runs through one driver, core.RunUntil,
-// under a core.StopRule. A layer is a set of cells; each round fans
-// the next batch of every still-open cell onto one flat RunN
-// (cell-major, rep-minor), then folds each cell's batch in index
-// order and asks the rule whether that cell may stop. The paper fixes
-// every benchmark at 24 repetitions; that is the rule preset
-// MinReps = MaxReps = reps with no precision target, so a fixed run
-// (RunCampaign, Fig6Matrix, LossSweep, RunFullCampaign,
-// LocationStudy) is a single round over the flat cell x repetition
-// matrix, and each cell keeps Summarize's statistics.
+// matrix, the loss sweep, the location study, the full campaign and
+// the Table 1 capability suite — runs through one driver,
+// core.RunUntil, under a core.StopRule, and each layer has one body
+// (runCampaign, fig6, lossSweep, locationStudy,
+// detectCapabilities) that takes the rule. A layer is a set of cells;
+// each round fans the next batch of every still-open cell onto one
+// flat RunN (cell-major, rep-minor), then folds each cell's batch in
+// index order and asks the rule whether that cell may stop. A
+// capability cell is one service, and its repetition (a probe) is the
+// five Sect. 4 detectors on one seed. The paper fixes every benchmark
+// at 24 repetitions; that is the rule preset MinReps = MaxReps = reps
+// with no precision target (fixedRule), so a fixed entry point
+// (RunCampaign, Fig6Matrix, LossSweep, LocationStudy,
+// RunFullCampaign, and DetectCapabilitiesAll at one probe) is the
+// preset of its layer's body: a single round over the flat cell x
+// repetition matrix, each cell keeping Summarize's statistics.
 //
 // The adaptive entry points (RunCampaignAdaptive, Fig6MatrixAdaptive,
 // LossSweepAdaptive, LocationStudyAdaptive, DetectCapabilitiesAdaptive,
-// RunFullCampaignAdaptive) give the same driver a precision target
+// RunFullCampaignAdaptive) give the same bodies a precision target
 // instead: after an opening batch of MinReps, repetitions come
 // AdaptiveBatch at a time, capped at MaxReps; each batch folds into
 // an incremental Welford accumulator (stats.Accumulator, O(batch) per
@@ -185,7 +190,7 @@
 // and computes the stopping statistic over pair means; the mirroring
 // must survive the consumers, so RNG.Jitter reflects the accepted
 // uniform deviate (complemented raw words do not survive Int63n's
-// modulo) and RNG.Perm returns the reversed twin permutation (the
+// modulo) and RNG.PermInto returns the reversed twin permutation (the
 // antithetic construction for discrete choices — a k-prefix consumer
 // like DNS server rotation sees the complementary end of the pool).
 // On the golden Cloud Drive cell that pairing is what turns the

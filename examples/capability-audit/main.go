@@ -20,13 +20,13 @@ func main() {
 	fmt.Println("Running the Sect. 4 capability checks for all services...")
 	fmt.Println()
 
-	caps := map[string]core.Capabilities{}
+	profiles := client.Profiles()
 	var order []string
-	for _, p := range client.Profiles() {
+	for _, p := range profiles {
 		fmt.Printf("  checking %s...\n", p.Name)
-		caps[p.Service] = core.DetectCapabilities(p, 42)
 		order = append(order, p.Service)
 	}
+	caps := core.DetectCapabilitiesAll(profiles, 42)
 
 	fmt.Println()
 	fmt.Println("Table 1: capabilities implemented in each service")

@@ -180,13 +180,3 @@ func (c *ContentDefined) boundary(data []byte, start, n int64) int64 {
 	}
 	return limit
 }
-
-// Sizes returns just the chunk lengths, convenient for tests and for
-// the capability detector's chunk-size inference.
-func Sizes(chunks []Chunk) []int64 {
-	out := make([]int64, len(chunks))
-	for i, c := range chunks {
-		out[i] = c.Len()
-	}
-	return out
-}

@@ -23,10 +23,9 @@ func TestFixedSplitExact(t *testing.T) {
 	if len(chunks) != 3 {
 		t.Fatalf("chunks = %d", len(chunks))
 	}
-	wantSizes := []int64{4, 4, 2}
-	for i, s := range Sizes(chunks) {
-		if s != wantSizes[i] {
-			t.Fatalf("sizes = %v", Sizes(chunks))
+	for i, want := range []int64{4, 4, 2} {
+		if got := chunks[i].Len(); got != want {
+			t.Fatalf("chunk %d length = %d, want %d", i, got, want)
 		}
 	}
 	if chunks[2].Offset != 8 {
@@ -177,11 +176,5 @@ func TestContentDefinedLocality(t *testing.T) {
 	}
 	if sharedFixed >= shared {
 		t.Fatalf("fixed chunking (%d shared) should lose more chunks than CDC (%d)", sharedFixed, shared)
-	}
-}
-
-func TestSizesHelper(t *testing.T) {
-	if got := Sizes(nil); len(got) != 0 {
-		t.Fatal("Sizes(nil)")
 	}
 }

@@ -148,9 +148,6 @@ func (c *Client) Login(at time.Time) time.Time {
 	return now
 }
 
-// LoginDone returns when login completed (zero before Login).
-func (c *Client) LoginDone() time.Time { return c.loginDone }
-
 // InstallPoller schedules the client's background keep-alive behaviour
 // on the given scheduler (Fig. 1): every PollInterval it exchanges a
 // small amount of data — on the persistent notification channel, or,

@@ -315,12 +315,11 @@ func TestCompletionTimeOrderingFor100Files(t *testing.T) {
 		// control traffic share the storage server name.
 		win := r.cap.Window(t0, res.Done.Add(time.Hour))
 		filter := r.storageFilter()
-		first, ok1 := win.FirstPayloadTime(filter)
-		last, ok2 := win.LastPayloadTime(filter)
-		if !ok1 || !ok2 {
+		a := win.Analyze(filter)
+		if !a.HasPayload {
 			t.Fatalf("%s: no storage traffic", p.Name)
 		}
-		return last.Sub(first)
+		return a.LastPayload.Sub(a.FirstPayload)
 	}
 	drop := completion(Dropbox())
 	gdrive := completion(GoogleDrive())
@@ -345,9 +344,8 @@ func TestSingleFileCompletionFavoursNearbyDCs(t *testing.T) {
 			Materialize(r.folder, r.rng, t0, "set")
 		r.client.SyncChanges(r.folder, sim.Epoch)
 		filter := r.storageFilter()
-		first, _ := r.cap.FirstPayloadTime(filter)
-		last, _ := r.cap.LastPayloadTime(filter)
-		return last.Sub(first)
+		a := r.cap.Analyze(filter)
+		return a.LastPayload.Sub(a.FirstPayload)
 	}
 	wuala := completion(Wuala())
 	sky := completion(SkyDrive())
@@ -372,11 +370,21 @@ func TestProfileLookups(t *testing.T) {
 	if _, ok := ProfileFor("nope"); ok {
 		t.Fatal("ProfileFor unknown")
 	}
-	if Dropbox().NotifyTLS().Enabled {
-		t.Fatal("Dropbox notifications are plain HTTP")
-	}
-	if !Wuala().NotifyTLS().Enabled {
-		t.Fatal("Wuala polls over HTTPS")
+	// Dropbox logs in with a plain-HTTP notification channel (port
+	// 80); Wuala polls on its HTTPS control channel and opens none.
+	for _, c := range []struct {
+		p     Profile
+		plain bool
+	}{{Dropbox(), true}, {Wuala(), false}} {
+		r := newRig(t, c.p, 1)
+		r.client.Login(sim.Epoch)
+		plain := false
+		for _, f := range r.cap.Flows() {
+			plain = plain || f.Key.ServerPort == 80
+		}
+		if plain != c.plain {
+			t.Fatalf("%s: plain-HTTP flow after login = %v, want %v", c.p.Name, plain, c.plain)
+		}
 	}
 }
 
@@ -401,7 +409,9 @@ func TestRenameIsMetadataOnlyForDedupServices(t *testing.T) {
 		r.folder.Create(t0, "a/file.bin", data)
 		res := r.client.SyncChanges(r.folder, sim.Epoch)
 		t1 := res.Done.Add(time.Minute)
-		r.folder.Rename(t1, "a/file.bin", "b/file.bin")
+		file, _ := r.folder.Get("a/file.bin")
+		r.folder.Delete(t1, "a/file.bin")
+		r.folder.CreateContent(t1, "b/file.bin", file.Content())
 		res2 := r.client.SyncChanges(r.folder, t0)
 		return res2.UploadBytes()
 	}

@@ -106,7 +106,7 @@ func TestPlanFileEncryptionStillDedups(t *testing.T) {
 		t.Fatal("encrypted replica not deduplicated")
 	}
 	// And the store must NOT contain the plaintext hash.
-	if pl.store.Has(dedup.HashBytes(data)) {
+	if pl.store.Size(dedup.HashBytes(data)) != 0 {
 		t.Fatal("store holds plaintext content address — encryption bypassed")
 	}
 }

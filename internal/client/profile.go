@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/compressor"
 	"repro/internal/httpsim"
-	"repro/internal/tcpsim"
 )
 
 // ChunkMode selects how a client splits files for transfer.
@@ -285,14 +284,4 @@ func ProfileFor(service string) (Profile, bool) {
 		}
 	}
 	return Profile{}, false
-}
-
-// NotifyTLS returns the TLS configuration of the notification/polling
-// channel: plain HTTP for Dropbox's notification protocol, HTTPS for
-// everyone else.
-func (p Profile) NotifyTLS() tcpsim.TLSConfig {
-	if p.NotifyPlainHTTP {
-		return tcpsim.PlainTCP
-	}
-	return p.HTTP.TLS
 }

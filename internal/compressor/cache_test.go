@@ -76,7 +76,7 @@ func TestTransmitSizeCacheConcurrent(t *testing.T) {
 	var want [3][8]int64
 	for _, p := range []Policy{Always, Smart} {
 		for k, data := range payloads {
-			want[p][k] = int64(len(Apply(p, data).Data))
+			want[p][k] = TransmitSize(p, data)
 		}
 	}
 	var wg sync.WaitGroup
@@ -157,7 +157,7 @@ func keyFor(test uint32, i int, data []byte) ContentKey {
 }
 
 // TestTransmitSizeKeyedExact proves the policy-free keyed entry answers
-// every policy exactly as Apply would, cold and warm, whichever policy
+// every policy exactly as TransmitSize does, cold and warm, whichever policy
 // fills the entry first: a Smart-filled fake-JPEG entry must still
 // deflate for Always, and an Always-filled one must still skip for
 // Smart.
@@ -170,7 +170,7 @@ func TestTransmitSizeKeyedExact(t *testing.T) {
 			key := keyFor(1, pi*len(orders)+oi, data)
 			for pass := 0; pass < 2; pass++ {
 				for _, p := range order {
-					want := int64(len(Apply(p, data).Data))
+					want := TransmitSize(p, data)
 					got := TransmitSizeKeyed(p, key, int64(len(data)), func() []byte { return data })
 					if got != want {
 						t.Fatalf("%s order %v pass %d: %v = %d, want %d", name, order, pass, p, got, want)

@@ -16,7 +16,6 @@
 package compressor
 
 import (
-	"bytes"
 	"compress/flate"
 	"crypto/sha256"
 	"fmt"
@@ -54,31 +53,6 @@ func (p Policy) String() string {
 // usual default trade-off.
 const Level = 6
 
-// Result reports what happened to one payload.
-type Result struct {
-	Data       []byte
-	Compressed bool
-}
-
-// Apply runs the policy over one payload and returns the bytes to
-// transmit. The input is never modified; when compression is skipped
-// the input slice is returned as-is.
-func Apply(p Policy, data []byte) Result {
-	switch p {
-	case None:
-		return Result{Data: data}
-	case Smart:
-		if LooksCompressed(data) {
-			return Result{Data: data}
-		}
-		return deflate(data)
-	case Always:
-		return deflate(data)
-	default:
-		panic(fmt.Sprintf("compressor: unknown policy %d", int(p)))
-	}
-}
-
 // writers pools flate compressor state (several hundred kB each, the
 // dominant allocation of the old per-call flate.NewWriter) across the
 // many per-chunk size computations of a benchmark campaign. DEFLATE
@@ -92,20 +66,6 @@ var writers = sync.Pool{New: func() any {
 	return w
 }}
 
-func deflate(data []byte) Result {
-	var buf bytes.Buffer
-	w := writers.Get().(*flate.Writer)
-	w.Reset(&buf)
-	if _, err := w.Write(data); err != nil {
-		panic(err) // bytes.Buffer cannot fail
-	}
-	if err := w.Close(); err != nil {
-		panic(err)
-	}
-	writers.Put(w)
-	return Result{Data: buf.Bytes(), Compressed: true}
-}
-
 // countWriter discards output, keeping only its size.
 type countWriter int64
 
@@ -114,12 +74,14 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TransmitSize returns the transmitted byte count Apply would produce
-// without materialising the compressed output — the upload planner
-// only ever needs the size. The count is exact: DEFLATE is
-// deterministic, so counting bytes into a sink yields the same number
-// as buffering them, and the (content hash -> size) cache below can
-// never change a result, only skip recomputing it.
+// TransmitSize returns the byte count the policy transmits for one
+// payload: its raw length when the policy skips it, otherwise the
+// length of its level-Level DEFLATE stream, counted without
+// materialising the compressed output — the upload planner only ever
+// needs the size. The count is exact: DEFLATE is deterministic, so
+// counting bytes into a sink yields the same number as buffering them,
+// and the (content hash -> size) cache below can never change a
+// result, only skip recomputing it.
 func TransmitSize(p Policy, data []byte) int64 {
 	switch p {
 	case None:
@@ -226,8 +188,8 @@ type keyedSize struct {
 
 var keyedSizes memo[ContentKey, keyedSize]
 
-// TransmitSizeKeyed returns the transmitted byte count Apply would
-// produce for a payload identified by key, materialising the payload
+// TransmitSizeKeyed returns the byte count TransmitSize would report
+// for a payload identified by key, materialising the payload
 // via data() only on a cache miss. rawLen is the payload length (known
 // without materialising); policies that never compress return it
 // directly. Sizes are exact: one entry per key serves every policy,
@@ -268,17 +230,6 @@ func countDeflate(data []byte) int64 {
 	}
 	writers.Put(w)
 	return int64(n)
-}
-
-// Decompress reverses Apply for a compressed result.
-func Decompress(data []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(data))
-	defer r.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // LooksCompressed sniffs magic numbers of common already-compressed

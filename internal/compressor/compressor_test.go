@@ -2,47 +2,67 @@ package compressor
 
 import (
 	"bytes"
+	"compress/flate"
+	"io"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
+// deflateLen is the length of a real level-Level DEFLATE stream of
+// data, checked to decompress back to data: the reference the counted
+// sizes must equal.
+func deflateLen(t testing.TB, data []byte) int64 {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := flate.NewWriter(&buf, Level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := int64(buf.Len())
+	back, err := io.ReadAll(flate.NewReader(&buf))
+	if err != nil || !bytes.Equal(back, data) {
+		t.Fatalf("DEFLATE round trip failed: %v", err)
+	}
+	return n
+}
+
 func TestNonePassthrough(t *testing.T) {
 	data := []byte("raw bytes")
-	r := Apply(None, data)
-	if r.Compressed || !bytes.Equal(r.Data, data) {
-		t.Fatalf("None modified data: %+v", r)
+	if got := TransmitSize(None, data); got != int64(len(data)) {
+		t.Fatalf("None transmits %d bytes of %d", got, len(data))
 	}
 }
 
 func TestAlwaysCompressesText(t *testing.T) {
 	rng := sim.NewRNG(1)
 	text := workload.Generate(rng, workload.Text, 100_000)
-	r := Apply(Always, text)
-	if !r.Compressed {
-		t.Fatal("not compressed")
+	got := TransmitSize(Always, text)
+	if want := deflateLen(t, text); got != want {
+		t.Fatalf("TransmitSize = %d, real DEFLATE stream is %d bytes", got, want)
 	}
-	ratio := float64(len(text)) / float64(len(r.Data))
-	if ratio < 2.5 {
+	if ratio := float64(len(text)) / float64(got); ratio < 2.5 {
 		t.Fatalf("text compression ratio %.2f, want >= 2.5", ratio)
-	}
-	back, err := Decompress(r.Data)
-	if err != nil || !bytes.Equal(back, text) {
-		t.Fatalf("round trip failed: %v", err)
 	}
 }
 
 func TestAlwaysOnRandomGrows(t *testing.T) {
 	rng := sim.NewRNG(2)
 	random := workload.Generate(rng, workload.Binary, 100_000)
-	r := Apply(Always, random)
-	if len(r.Data) <= len(random) {
-		t.Fatalf("random data shrank: %d -> %d", len(random), len(r.Data))
+	got := TransmitSize(Always, random)
+	if got <= int64(len(random)) {
+		t.Fatalf("random data shrank: %d -> %d", len(random), got)
 	}
 	// Flate's stored-block overhead is small.
-	if len(r.Data) > len(random)+len(random)/50 {
-		t.Fatalf("overhead too large: %d -> %d", len(random), len(r.Data))
+	if got > int64(len(random)+len(random)/50) {
+		t.Fatalf("overhead too large: %d -> %d", len(random), got)
 	}
 }
 
@@ -51,24 +71,21 @@ func TestSmartSkipsRealJPEGHeader(t *testing.T) {
 	fake := workload.Generate(rng, workload.FakeJPEG, 100_000)
 	// Smart trusts the header and skips — the Fig. 5c observation:
 	// Google Drive does NOT compress fake JPEGs.
-	r := Apply(Smart, fake)
-	if r.Compressed {
-		t.Fatal("Smart compressed a JPEG-headed file")
+	if got := TransmitSize(Smart, fake); got != int64(len(fake)) {
+		t.Fatalf("Smart compressed a JPEG-headed file: %d -> %d", len(fake), got)
 	}
 	// Always compresses it anyway (Dropbox) and wins, because the
 	// body is text.
-	r2 := Apply(Always, fake)
-	if !r2.Compressed || len(r2.Data) >= len(fake) {
-		t.Fatalf("Always on fake JPEG: %d -> %d", len(fake), len(r2.Data))
+	if got := TransmitSize(Always, fake); got >= int64(len(fake)) {
+		t.Fatalf("Always on fake JPEG: %d -> %d", len(fake), got)
 	}
 }
 
 func TestSmartCompressesText(t *testing.T) {
 	rng := sim.NewRNG(4)
 	text := workload.Generate(rng, workload.Text, 50_000)
-	r := Apply(Smart, text)
-	if !r.Compressed || len(r.Data) >= len(text) {
-		t.Fatalf("Smart on text: compressed=%v %d -> %d", r.Compressed, len(text), len(r.Data))
+	if got := TransmitSize(Smart, text); got >= int64(len(text)) {
+		t.Fatalf("Smart on text: %d -> %d", len(text), got)
 	}
 }
 
@@ -102,11 +119,11 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-func TestApplyUnknownPolicyPanics(t *testing.T) {
+func TestTransmitSizeUnknownPolicyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
 		}
 	}()
-	Apply(Policy(42), []byte("x"))
+	TransmitSize(Policy(42), []byte("x"))
 }

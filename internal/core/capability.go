@@ -41,15 +41,9 @@ type Capabilities struct {
 // files or 100 tiny ones — so O(packets) buffering is irrelevant here.
 const numDetectors = 5
 
-// DetectCapabilities runs every Sect. 4 test for one service, the
-// five detectors fanned out over the shared scheduler pool.
-func DetectCapabilities(p client.Profile, seed int64) Capabilities {
-	return DetectCapabilitiesAll([]client.Profile{p}, seed)[p.Service]
-}
-
-// CapabilityConfidence is an adaptively repeated Table 1 row: the
-// detected capabilities, whether every probe seed agreed, and the
-// precision achieved on the continuous detection statistic.
+// CapabilityConfidence is a repeated Table 1 row: the detected
+// capabilities, whether every probe seed agreed, and the precision
+// achieved on the continuous detection statistic.
 type CapabilityConfidence struct {
 	Capabilities Capabilities
 	// Unanimous reports whether every repetition detected identical
@@ -63,77 +57,92 @@ type CapabilityConfidence struct {
 	AchievedRelHW float64
 }
 
-// DetectCapabilitiesAdaptive repeats the Sect. 4 detection suite
-// across a campaignSeed-derived seed stream until the continuous
-// bundling statistic (connections per file) is tight, reporting
-// whether the boolean verdicts were unanimous across probes. It is
-// capcheck's -precision mode: detection robustness quantified instead
-// of assumed from a single seed.
-func DetectCapabilitiesAdaptive(p client.Profile, rule StopRule, seed int64) CapabilityConfidence {
-	rule = rule.withDefaults(VarianceReduction{})
-	type probe struct {
-		caps  Capabilities
-		conns float64
+// DetectCapabilitiesAll runs the Sect. 4 suite once for every profile
+// on the given seed: the single-probe preset of the capability
+// driver, keyed by service.
+func DetectCapabilitiesAll(profiles []client.Profile, seed int64) map[string]Capabilities {
+	out := make(map[string]Capabilities, len(profiles))
+	for _, cc := range detectCapabilities(profiles, fixedRule(1), seed) {
+		out[cc.Capabilities.Service] = cc.Capabilities
 	}
-	var acc stats.Accumulator
-	probes := RunUntil(1, rule, CampaignWorkers, func(_, rep int) probe {
-		s := campaignSeed(seed, rep)
-		return probe{caps: DetectCapabilities(p, s), conns: DetectBundling(p, s).ConnsPerFile}
-	}, func(_ int, batch []probe) bool {
+	return out
+}
+
+// DetectCapabilitiesAdaptive repeats the Sect. 4 suite for every
+// profile across a campaignSeed-derived seed stream until each
+// service's continuous bundling statistic (connections per file) is
+// tight, reporting per service, in profile order, whether the boolean
+// verdicts were unanimous across probes. It is capcheck's -precision
+// mode: detection robustness quantified instead of assumed from a
+// single seed.
+func DetectCapabilitiesAdaptive(profiles []client.Profile, rule StopRule, seed int64) []CapabilityConfidence {
+	return detectCapabilities(profiles, rule.withDefaults(VarianceReduction{}), seed)
+}
+
+// capabilityProbe is one repetition of the suite for one profile: the
+// detected row and its Sect. 4.2 connections-per-file statistic.
+type capabilityProbe struct {
+	caps  Capabilities
+	conns float64
+}
+
+// detectCapabilities is the capability-suite body: one RunUntil cell
+// per profile, repetition rep probing on campaignSeed(seed, rep), and
+// each cell's stopping statistic the connections per file of its own
+// probes. Under fixedRule(1) the only probe runs on seed itself.
+func detectCapabilities(profiles []client.Profile, rule StopRule, seed int64) []CapabilityConfidence {
+	accs := make([]stats.Accumulator, len(profiles))
+	probes := RunUntil(len(profiles), rule, CampaignWorkers, func(c, rep int) capabilityProbe {
+		return probeCapabilities(profiles[c], campaignSeed(seed, rep))
+	}, func(c int, batch []capabilityProbe) bool {
 		for _, pr := range batch {
-			acc.Add(pr.conns)
+			accs[c].Add(pr.conns)
 		}
-		return acc.RelHalfWidth() <= rule.TargetRelHW
-	})[0]
-	out := CapabilityConfidence{
-		Capabilities:  probes[0].caps,
-		Unanimous:     true,
-		RepsUsed:      len(probes),
-		AchievedRelHW: acc.RelHalfWidth(),
-	}
-	for _, pr := range probes[1:] {
-		if pr.caps != out.Capabilities {
-			out.Unanimous = false
+		return accs[c].RelHalfWidth() <= rule.TargetRelHW
+	})
+	out := make([]CapabilityConfidence, len(profiles))
+	for c, ps := range probes {
+		out[c] = CapabilityConfidence{
+			Capabilities:  ps[0].caps,
+			Unanimous:     true,
+			RepsUsed:      len(ps),
+			AchievedRelHW: accs[c].RelHalfWidth(),
+		}
+		for _, pr := range ps[1:] {
+			if pr.caps != out[c].Capabilities {
+				out[c].Unanimous = false
+			}
 		}
 	}
 	return out
 }
 
-// DetectCapabilitiesAll runs the Sect. 4 suite for every profile with
-// the whole service x detector matrix flattened onto one shared pool.
-// Each detector builds its own testbed from (profile, seed) and
-// writes only its own capability fields, so the matrix is
-// bit-identical to running the detectors one service at a time.
-func DetectCapabilitiesAll(profiles []client.Profile, seed int64) map[string]Capabilities {
-	caps := make([]Capabilities, len(profiles))
-	dedups := make([]DedupResult, len(profiles))
-	RunEach(len(profiles)*numDetectors, CampaignWorkers, func(i int) {
-		si, det := i/numDetectors, i%numDetectors
-		p := profiles[si]
+// probeCapabilities runs the five Sect. 4 detectors for one (profile,
+// seed), fanned out over the shared scheduler pool. Each detector
+// builds its own testbed from (profile, seed) and writes only its own
+// fields, so the probe is bit-identical to running them in sequence.
+func probeCapabilities(p client.Profile, seed int64) capabilityProbe {
+	pr := capabilityProbe{caps: Capabilities{Service: p.Service}}
+	RunEach(numDetectors, CampaignWorkers, func(det int) {
 		switch det {
 		case 0:
-			caps[si].Chunking = DetectChunking(p, seed)
+			pr.caps.Chunking = DetectChunking(p, seed)
 		case 1:
-			caps[si].Bundling = DetectBundling(p, seed).Bundling
+			b := DetectBundling(p, seed)
+			pr.caps.Bundling, pr.conns = b.Bundling, b.ConnsPerFile
 		case 2:
-			caps[si].Compression = DetectCompression(p, seed)
+			pr.caps.Compression = DetectCompression(p, seed)
 		case 3:
 			// One four-step experiment yields both dedup verdicts;
 			// running it twice with different seeds would report two
 			// inconsistent experiments at twice the cost.
-			dedups[si] = DetectDedup(p, seed)
+			d := DetectDedup(p, seed)
+			pr.caps.Dedup, pr.caps.DedupAfterDelete = d.Dedup, d.AfterDelete
 		case 4:
-			caps[si].DeltaEncoding = DetectDelta(p, seed)
+			pr.caps.DeltaEncoding = DetectDelta(p, seed)
 		}
 	})
-	out := make(map[string]Capabilities, len(profiles))
-	for i, p := range profiles {
-		caps[i].Service = p.Service
-		caps[i].Dedup = dedups[i].Dedup
-		caps[i].DedupAfterDelete = dedups[i].AfterDelete
-		out[p.Service] = caps[i]
-	}
-	return out
+	return pr
 }
 
 // fallbackRTT is the conservative estimate estimateRTT returns when

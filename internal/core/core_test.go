@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -13,7 +14,9 @@ import (
 func TestTestbedSettleSeparatesLogin(t *testing.T) {
 	tb := NewTestbed(client.Dropbox(), 1, 0)
 	start := tb.Settle()
-	if !start.After(tb.Client.LoginDone()) {
+	// Login traffic exists and ends before the benchmark start.
+	login := tb.Cap.Window(sim.Epoch, start).Analyze(trace.AllFlows)
+	if !login.HasPayload || !login.LastPayload.Before(start) {
 		t.Fatal("Settle must end after login")
 	}
 	// All login traffic predates the benchmark start.
@@ -156,8 +159,9 @@ func TestDetectCapabilitiesTable1(t *testing.T) {
 		"googledrive": {Chunking: "8 MB", Bundling: false, Compression: "smart", Dedup: false, DedupAfterDelete: false, DeltaEncoding: false},
 		"clouddrive":  {Chunking: "no", Bundling: false, Compression: "no", Dedup: false, DedupAfterDelete: false, DeltaEncoding: false},
 	}
+	all := DetectCapabilitiesAll(client.Profiles(), 7)
 	for _, p := range client.Profiles() {
-		got := DetectCapabilities(p, 7)
+		got := all[p.Service]
 		w := want[p.Service]
 		if got.Chunking != w.Chunking {
 			t.Errorf("%s chunking = %q, want %q", p.Service, got.Chunking, w.Chunking)

@@ -14,14 +14,17 @@ import (
 )
 
 // This file is the campaign driver: the one engine behind every
-// repeated campaign layer (RunCampaign, Fig6Matrix, LossSweep,
-// RunFullCampaign, the location studies, capability confidence). A
-// layer is a set of cells — (service, workload, vantage, loss rate)
-// combinations — each repeated under one StopRule. The driver runs
-// the cells in rounds: each round fans the next batch of every
-// still-open cell onto one flat RunN, cell-major and rep-minor, then
-// folds each cell's batch in index order and asks that cell's rule
-// whether to stop.
+// repeated campaign layer. Each layer has one body that takes a
+// StopRule — runCampaign, fig6 (Fig6Matrix), lossSweep, locationStudy,
+// runFullCampaign and detectCapabilities, the Table 1 suite whose
+// repetition is a five-detector probe — and its fixed and adaptive
+// entry points are presets of that body. A layer is a set of cells —
+// (service, workload, vantage, loss rate) combinations, or one
+// service per capability cell — each repeated under one StopRule. The
+// driver runs the cells in rounds: each round fans the next batch of
+// every still-open cell onto one flat RunN, cell-major and rep-minor,
+// then folds each cell's batch in index order and asks that cell's
+// rule whether to stop.
 //
 // A fixed budget is the rule preset MinReps = MaxReps = reps
 // (fixedRule): every cell closes after the opening batch, so the run

@@ -361,7 +361,7 @@ func TestLocationStudyAdaptiveShape(t *testing.T) {
 	}
 	vantages := []Vantage{Twente, lisbon}
 	rule := StopRule{TargetRelHW: 0.2, MinReps: 2, MaxReps: 4}
-	out := LocationStudyAdaptive(workload.Batch{Count: 1, Size: 100_000, Kind: workload.Binary}, vantages, rule, VarianceReduction{}, 3)
+	out := LocationStudyAdaptive(client.Profiles(), workload.Batch{Count: 1, Size: 100_000, Kind: workload.Binary}, vantages, rule, VarianceReduction{}, 3)
 	if want := len(client.Profiles()) * len(vantages); len(out) != want {
 		t.Fatalf("got %d cells, want %d", len(out), want)
 	}
@@ -378,7 +378,11 @@ func TestLocationStudyAdaptiveShape(t *testing.T) {
 // TestDetectCapabilitiesAdaptive: the probe suite repeats until the
 // bundling statistic is tight and reports unanimity across seeds.
 func TestDetectCapabilitiesAdaptive(t *testing.T) {
-	out := DetectCapabilitiesAdaptive(client.Dropbox(), StopRule{TargetRelHW: 0.1, MinReps: 4, MaxReps: 12}, 42)
+	all := DetectCapabilitiesAdaptive([]client.Profile{client.Dropbox()}, StopRule{TargetRelHW: 0.1, MinReps: 4, MaxReps: 12}, 42)
+	if len(all) != 1 || all[0].Capabilities.Service != "dropbox" {
+		t.Fatalf("want one dropbox row, got %+v", all)
+	}
+	out := all[0]
 	if out.RepsUsed < 4 || out.RepsUsed > 12 {
 		t.Fatalf("RepsUsed=%d outside rule bounds", out.RepsUsed)
 	}

@@ -203,3 +203,18 @@ func BenchmarkFig4DeltaSet(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFig6Matrix times the paper's headline campaign in perfbench's
+// fig6 shape: Fig6Matrix over all five profiles and the four standard
+// workloads at 24 repetitions, 480 cells per op in one flat round on
+// the shared worker budget (one worker per CPU, so -cpu sets it). The
+// client planner, DEFLATE and SHA-256 do most of the work.
+func BenchmarkFig6Matrix(b *testing.B) {
+	profiles := client.Profiles()
+	b.ReportAllocs()
+	for b.Loop() {
+		if r := Fig6Matrix(profiles, 24, 42); len(r) != len(profiles) {
+			b.Fatal("missing services")
+		}
+	}
+}

@@ -133,36 +133,6 @@ func PrecisionReport(results []Fig6Result) string {
 	return b.String()
 }
 
-// LocationSummaryReport renders an adaptive location study: mean
-// completion per (service, vantage) with the repetitions each cell
-// needed to reach the precision target.
-func LocationSummaryReport(cells []LocationSummary, vantages []Vantage) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s", "service")
-	for _, v := range vantages {
-		fmt.Fprintf(&b, "%20s", v.Name)
-	}
-	b.WriteByte('\n')
-	bySvc := map[string]map[string]Summary{}
-	var order []string
-	for _, c := range cells {
-		if bySvc[c.Service] == nil {
-			bySvc[c.Service] = map[string]Summary{}
-			order = append(order, c.Service)
-		}
-		bySvc[c.Service][c.Vantage] = c.Summary
-	}
-	for _, svc := range order {
-		fmt.Fprintf(&b, "%-14s", displayName(svc))
-		for _, v := range vantages {
-			s := bySvc[svc][v.Name]
-			fmt.Fprintf(&b, "%12.2fs (%2d r)", s.MeanCompletion.Seconds(), s.RepsUsed)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Fig1Report renders login volume and idle rate per service
 // (Sect. 3.1's numbers behind Fig. 1).
 func Fig1Report(results []IdleResult) string {

@@ -54,8 +54,9 @@ func (c Campaign) WriteJSON(w io.Writer) error {
 }
 
 // ReadCampaign parses a serialized campaign. It rejects a file with
-// no tool field and a Fig. 6 row whose summaries do not pair one to
-// one with its workloads.
+// no tool field, a Fig. 6 row whose summaries do not pair one to one
+// with its workloads, a Fig. 6 or loss-sweep workload that fails
+// workload.Batch.Validate, and a loss rate outside [0, 1).
 func ReadCampaign(r io.Reader) (Campaign, error) {
 	var c Campaign
 	if err := json.NewDecoder(r).Decode(&c); err != nil {
@@ -68,6 +69,19 @@ func ReadCampaign(r io.Reader) (Campaign, error) {
 		if len(row.Summaries) != len(row.Workloads) {
 			return Campaign{}, fmt.Errorf("core: fig6 row %q has %d summaries for %d workloads",
 				row.Service, len(row.Summaries), len(row.Workloads))
+		}
+		for _, w := range row.Workloads {
+			if err := w.Validate(); err != nil {
+				return Campaign{}, fmt.Errorf("core: fig6 row %q: %w", row.Service, err)
+			}
+		}
+	}
+	for _, cell := range c.Lossy {
+		if err := cell.Workload.Validate(); err != nil {
+			return Campaign{}, fmt.Errorf("core: loss cell %q: %w", cell.Service, err)
+		}
+		if err := netem.CheckPath(cell.LossRate, 0); err != nil {
+			return Campaign{}, fmt.Errorf("core: loss cell %q: %w", cell.Service, err)
 		}
 	}
 	return c, nil

@@ -10,11 +10,13 @@ import (
 
 // FuzzReadCampaign feeds arbitrary bytes to ReadCampaign, seeded with
 // every committed BENCH_*.json snapshot. No input may panic it. A
-// campaign it accepts must survive what cmd/comparebench does with one
+// campaign it accepts has only valid workloads (workload.Batch.Validate)
+// and loss rates in [0, 1), and must survive what cmd/comparebench does with one
 // (ComparableCells and Compare, here against itself, which must find
 // no delta) and a write and re-read: the re-read is accepted and writes
 // back the same bytes. The committed corpus holds Fig. 6 rows whose
-// summaries and workloads do not pair up.
+// summaries and workloads do not pair up and a batch with a negative
+// file count.
 func FuzzReadCampaign(f *testing.F) {
 	snapshots, err := filepath.Glob("../../BENCH_*.json")
 	if err != nil {
@@ -31,6 +33,18 @@ func FuzzReadCampaign(f *testing.F) {
 		c, err := ReadCampaign(strings.NewReader(input))
 		if err != nil {
 			return
+		}
+		for _, row := range c.Fig6 {
+			for _, w := range row.Workloads {
+				if w.Validate() != nil {
+					t.Fatalf("accepted fig6 row %q with invalid workload %+v", row.Service, w)
+				}
+			}
+		}
+		for _, cell := range c.Lossy {
+			if cell.Workload.Validate() != nil || !(cell.LossRate >= 0 && cell.LossRate < 1) {
+				t.Fatalf("accepted loss cell %q with workload %+v at rate %v", cell.Service, cell.Workload, cell.LossRate)
+			}
 		}
 		if n := ComparableCells(c, c); n < 0 {
 			t.Fatalf("ComparableCells = %d", n)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -50,6 +52,36 @@ func TestReadCampaignRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadCampaign(strings.NewReader("not json")); err == nil {
 		t.Fatal("accepted non-JSON")
+	}
+}
+
+// TestReadCampaignRejectsInvalidCells: a Fig. 6 or loss-sweep workload
+// that workload.Batch.Validate refuses, or a loss rate outside [0, 1),
+// fails the read; every committed BENCH snapshot still passes.
+func TestReadCampaignRejectsInvalidCells(t *testing.T) {
+	for _, in := range []string{
+		`{"tool":"x","fig6":[{"Service":"box","Workloads":[{"Count":-1,"Size":1,"Kind":0}],"Summaries":[{}]}]}`,
+		`{"tool":"x","fig6":[{"Service":"box","Workloads":[{"Count":1,"Size":1,"Kind":99}],"Summaries":[{}]}]}`,
+		`{"tool":"x","lossy":[{"service":"box","loss_rate":0.02,"workload":{"Count":1,"Size":-1,"Kind":0}}]}`,
+		`{"tool":"x","lossy":[{"service":"box","loss_rate":1,"workload":{"Count":1,"Size":1,"Kind":0}}]}`,
+		`{"tool":"x","lossy":[{"service":"box","loss_rate":-0.1,"workload":{"Count":1,"Size":1,"Kind":0}}]}`,
+	} {
+		if _, err := ReadCampaign(strings.NewReader(in)); err == nil {
+			t.Errorf("accepted %s", in)
+		}
+	}
+	snapshots, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(snapshots) == 0 {
+		t.Fatalf("no committed snapshots: %v", err)
+	}
+	for _, path := range snapshots {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadCampaign(bytes.NewReader(b)); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
 	}
 }
 

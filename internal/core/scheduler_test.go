@@ -300,11 +300,11 @@ func TestLocationStudyParallelEquivalence(t *testing.T) {
 	batch := workload.Batch{Count: 1, Size: 100 << 10, Kind: workload.Binary}
 	sea, _ := VantageByName("SEA")
 	vantages := []Vantage{Twente, sea}
-	var seq []LocationCell
-	withWorkers(t, 1, func() { seq = LocationStudy(batch, vantages, 63) })
+	var seq []LocationSummary
+	withWorkers(t, 1, func() { seq = LocationStudy(client.Profiles(), batch, vantages, 2, 63) })
 	for _, w := range equivalenceWorkerCounts[1:] {
-		var par []LocationCell
-		withWorkers(t, w, func() { par = LocationStudy(batch, vantages, 63) })
+		var par []LocationSummary
+		withWorkers(t, w, func() { par = LocationStudy(client.Profiles(), batch, vantages, 2, 63) })
 		if !reflect.DeepEqual(seq, par) {
 			t.Errorf("workers=%d: LocationStudy differs from sequential", w)
 		}
@@ -343,16 +343,15 @@ func TestDetectCapabilitiesParallelEquivalence(t *testing.T) {
 	}
 	p := client.Dropbox()
 	var seq Capabilities
-	withWorkers(t, 1, func() { seq = DetectCapabilities(p, 7) })
+	withWorkers(t, 1, func() { seq = DetectCapabilitiesAll([]client.Profile{p}, 7)[p.Service] })
 	for _, w := range equivalenceWorkerCounts[1:] {
 		var par Capabilities
-		withWorkers(t, w, func() { par = DetectCapabilities(p, 7) })
+		withWorkers(t, w, func() { par = DetectCapabilitiesAll([]client.Profile{p}, 7)[p.Service] })
 		if seq != par {
-			t.Errorf("workers=%d: DetectCapabilities differs from sequential\n seq %+v\n par %+v", w, seq, par)
+			t.Errorf("workers=%d: DetectCapabilitiesAll differs from sequential\n seq %+v\n par %+v", w, seq, par)
 		}
 	}
-	// The flattened service x detector matrix must agree with the
-	// single-service path.
+	// A multi-service run must agree with the single-service one.
 	profiles := []client.Profile{client.Dropbox(), client.CloudDrive()}
 	var all map[string]Capabilities
 	withWorkers(t, 8, func() { all = DetectCapabilitiesAll(profiles, 7) })

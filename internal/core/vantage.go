@@ -66,32 +66,9 @@ func RunSyncLossy(p client.Profile, batch workload.Batch, v Vantage, seed int64,
 		jitter: jitter, loss: loss}.runOnce(seed)
 }
 
-// LocationCell is one (service, vantage) measurement of a location
-// study.
-type LocationCell struct {
-	Service string
-	Vantage string
-	Metrics Metrics
-}
-
-// LocationStudy benchmarks every service from every vantage with the
-// same workload — the comparison the paper's public-tool release was
-// meant to enable. Single repetition per cell (the fixed preset at
-// one rep), jitter-free (location effects dwarf noise), every cell on
-// the shared seed; results are bit-identical at any worker count.
-func LocationStudy(batch workload.Batch, vantages []Vantage, seed int64) []LocationCell {
-	cells := locationCells(batch, vantages, 0, func(int, int, int) int64 { return seed })
-	runs, _ := runCells(cells, fixedRule(1), VarianceReduction{})
-	out := make([]LocationCell, len(runs))
-	for i, r := range runs {
-		out[i] = LocationCell{Service: cells[i].p.Service, Vantage: vantages[i%len(vantages)].Name, Metrics: r[0]}
-	}
-	return out
-}
-
-// LocationSummary is one (service, vantage) cell of an adaptive
-// location study: a full Summary with achieved precision, where the
-// single-shot LocationStudy reports one jitter-free repetition.
+// LocationSummary is one (service, vantage) cell of a location study:
+// the summarized repetitions of one service's workload from one
+// vantage.
 type LocationSummary struct {
 	Service string
 	Vantage string
@@ -109,59 +86,71 @@ func locationSeed(seed int64, si, vi int, crn bool) int64 {
 	return base
 }
 
-// LocationStudyAdaptive benchmarks every service from every vantage
-// under a stopping rule. Unlike the single-shot LocationStudy it
-// repeats with the campaign jitter (DefaultJitter) — an adaptive cell
-// without dispersion would trivially stop at MinReps — and reports
-// per-cell summaries with achieved precision.
-func LocationStudyAdaptive(batch workload.Batch, vantages []Vantage, rule StopRule, vr VarianceReduction, seed int64) []LocationSummary {
-	cells := locationCells(batch, vantages, DefaultJitter, func(si, vi, rep int) int64 {
-		return campaignSeed(locationSeed(seed, si, vi, vr.CRN), rep)
-	})
+// LocationStudy benchmarks every profile from every vantage with the
+// same workload — the comparison the paper's public-tool release was
+// meant to enable: reps repetitions per cell (reps <= 0 means
+// DefaultReps) with the campaign jitter, the whole matrix in one flat
+// round on the shared scheduler pool. Results are ordered
+// service-major, vantage-minor, and are bit-identical at any worker
+// count.
+func LocationStudy(profiles []client.Profile, batch workload.Batch, vantages []Vantage, reps int, seed int64) []LocationSummary {
+	return locationStudy(profiles, batch, vantages, fixedRule(reps), VarianceReduction{}, seed)
+}
+
+// LocationStudyAdaptive is LocationStudy under a stopping rule. With
+// vr.CRN every service draws the same per-(vantage, repetition) seed
+// stream, so service-vs-service deltas at one vantage are paired
+// comparisons.
+func LocationStudyAdaptive(profiles []client.Profile, batch workload.Batch, vantages []Vantage, rule StopRule, vr VarianceReduction, seed int64) []LocationSummary {
+	return locationStudy(profiles, batch, vantages, rule.withDefaults(vr), vr, seed)
+}
+
+// locationStudy is the location-study body: one cell per (service,
+// vantage).
+func locationStudy(profiles []client.Profile, batch workload.Batch, vantages []Vantage, rule StopRule, vr VarianceReduction, seed int64) []LocationSummary {
+	var cells []syncCell
+	for si, p := range profiles {
+		for vi, v := range vantages {
+			base := locationSeed(seed, si, vi, vr.CRN)
+			cells = append(cells, syncCell{p: p, batch: batch, jitter: DefaultJitter,
+				host: func() *netem.Host { return vantageHost(v) },
+				seed: func(rep int) int64 { return campaignSeed(base, rep) }})
+		}
+	}
 	out := make([]LocationSummary, len(cells))
-	for i, s := range summarizeCells(cells, rule.withDefaults(vr), vr) {
+	for i, s := range summarizeCells(cells, rule, vr) {
 		out[i] = LocationSummary{Service: cells[i].p.Service, Vantage: vantages[i%len(vantages)].Name, Summary: s}
 	}
 	return out
 }
 
-// locationCells is the service x vantage matrix of a location study,
-// service-major; seed maps (service, vantage, rep) to a repetition
-// seed.
-func locationCells(batch workload.Batch, vantages []Vantage, jitter float64, seed func(si, vi, rep int) int64) []syncCell {
-	var cells []syncCell
-	for si, p := range client.Profiles() {
-		for vi, v := range vantages {
-			cells = append(cells, syncCell{p: p, batch: batch, jitter: jitter,
-				host: func() *netem.Host { return vantageHost(v) },
-				seed: func(rep int) int64 { return seed(si, vi, rep) }})
-		}
-	}
-	return cells
-}
-
 // LocationReport renders a location study as a service x vantage
-// completion-time table.
-func LocationReport(cells []LocationCell, vantages []Vantage) string {
+// table of mean completion times and the repetitions behind each.
+// Every column is at least as wide as its vantage name and starts
+// with a space, so names of any length stay apart.
+func LocationReport(cells []LocationSummary, vantages []Vantage) string {
 	var b strings.Builder
+	widths := make([]int, len(vantages))
 	fmt.Fprintf(&b, "%-14s", "service")
-	for _, v := range vantages {
-		fmt.Fprintf(&b, "%14s", v.Name)
+	for i, v := range vantages {
+		widths[i] = max(19, len(v.Name))
+		fmt.Fprintf(&b, " %*s", widths[i], v.Name)
 	}
 	b.WriteByte('\n')
-	bySvc := map[string]map[string]Metrics{}
+	bySvc := map[string]map[string]Summary{}
 	var order []string
 	for _, c := range cells {
 		if bySvc[c.Service] == nil {
-			bySvc[c.Service] = map[string]Metrics{}
+			bySvc[c.Service] = map[string]Summary{}
 			order = append(order, c.Service)
 		}
-		bySvc[c.Service][c.Vantage] = c.Metrics
+		bySvc[c.Service][c.Vantage] = c.Summary
 	}
 	for _, svc := range order {
 		fmt.Fprintf(&b, "%-14s", displayName(svc))
-		for _, v := range vantages {
-			fmt.Fprintf(&b, "%13.2fs", bySvc[svc][v.Name].Completion.Seconds())
+		for i, v := range vantages {
+			s := bySvc[svc][v.Name]
+			fmt.Fprintf(&b, " %*s", widths[i], fmt.Sprintf("%.2fs (%2d r)", s.MeanCompletion.Seconds(), s.RepsUsed))
 		}
 		b.WriteByte('\n')
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -68,15 +70,69 @@ func TestGoogleDriveEdgeFollowsTheClient(t *testing.T) {
 func TestLocationStudyAndReport(t *testing.T) {
 	batch := workload.Batch{Count: 1, Size: 100 << 10, Kind: workload.Binary}
 	sea, _ := VantageByName("SEA")
-	vs := []Vantage{Twente, sea}
-	cells := LocationStudy(batch, vs, 63)
-	if len(cells) != len(client.Profiles())*2 {
+	iad, _ := VantageByName("IAD")
+	vs := []Vantage{Twente, sea, iad}
+	cells := LocationStudy(client.Profiles(), batch, vs, 2, 63)
+	if len(cells) != len(client.Profiles())*len(vs) {
 		t.Fatalf("cells = %d", len(cells))
 	}
 	out := LocationReport(cells, vs)
-	for _, want := range []string{"twente", "seattle", "Dropbox", "Cloud Drive"} {
+	for _, want := range []string{"twente", "seattle", "washington dulles", "Dropbox", "Cloud Drive", "( 2 r)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
+		}
+	}
+	// Every vantage name in the header is set off by a space, however
+	// long: IAD's 17-character name must not run into its neighbour.
+	header, _, _ := strings.Cut(out, "\n")
+	for _, v := range vs {
+		if !strings.Contains(header, " "+v.Name) {
+			t.Fatalf("header runs %q into its neighbour: %q", v.Name, header)
+		}
+	}
+}
+
+// TestLocationStudyHonoursProfiles: a study over a profile subset runs
+// only those services, one cell per vantage.
+func TestLocationStudyHonoursProfiles(t *testing.T) {
+	batch := workload.Batch{Count: 1, Size: 100 << 10, Kind: workload.Binary}
+	sea, _ := VantageByName("SEA")
+	vs := []Vantage{Twente, sea}
+	cells := LocationStudy([]client.Profile{client.Dropbox()}, batch, vs, 2, 63)
+	if len(cells) != len(vs) {
+		t.Fatalf("cells = %d, want %d", len(cells), len(vs))
+	}
+	for i, c := range cells {
+		if c.Service != "dropbox" || c.Vantage != vs[i].Name || c.Summary.RepsUsed != 2 {
+			t.Fatalf("cell %d = %s@%s (%d reps), want dropbox@%s (2 reps)", i, c.Service, c.Vantage, c.Summary.RepsUsed, vs[i].Name)
+		}
+	}
+}
+
+// TestLocationFixedIsAdaptivePrefix: the fixed location study is the
+// adaptive one under MinReps = MaxReps, cell by cell — the precision
+// target changes when to stop, never what runs. Only AchievedRelHW may
+// differ: the adaptive summary records the tracker's statistic, the
+// fixed one Summarize's.
+func TestLocationFixedIsAdaptivePrefix(t *testing.T) {
+	batch := workload.Batch{Count: 1, Size: 100 << 10, Kind: workload.Binary}
+	sin, _ := VantageByName("SIN")
+	vs := []Vantage{Twente, sin}
+	profiles := []client.Profile{client.Dropbox(), client.Wuala()}
+	fixed := LocationStudy(profiles, batch, vs, 8, 42)
+	adaptive := LocationStudyAdaptive(profiles, batch, vs,
+		StopRule{TargetRelHW: 1, MinReps: 8, MaxReps: 8}, VarianceReduction{}, 42)
+	if len(fixed) != len(adaptive) {
+		t.Fatalf("fixed has %d cells, adaptive %d", len(fixed), len(adaptive))
+	}
+	for i := range fixed {
+		f, a := fixed[i], adaptive[i]
+		if math.Abs(f.Summary.AchievedRelHW-a.Summary.AchievedRelHW) > 1e-9 {
+			t.Fatalf("cell %d achieved precision: fixed %v, adaptive %v", i, f.Summary.AchievedRelHW, a.Summary.AchievedRelHW)
+		}
+		a.Summary.AchievedRelHW = f.Summary.AchievedRelHW
+		if !reflect.DeepEqual(f, a) {
+			t.Fatalf("cell %d: adaptive 8-rep cell diverged from fixed 8-rep:\nfixed    %+v\nadaptive %+v", i, f, a)
 		}
 	}
 }

@@ -11,14 +11,14 @@ func TestPutAndHas(t *testing.T) {
 	s := NewStore()
 	data := []byte("hello chunk")
 	h := HashBytes(data)
-	if s.Has(h) {
+	if s.Size(h) != 0 {
 		t.Fatal("empty store has chunk")
 	}
 	got, isNew := s.Put(data)
 	if got != h || !isNew {
 		t.Fatalf("Put = %v,%v", got, isNew)
 	}
-	if !s.Has(h) || s.Size(h) != int64(len(data)) {
+	if s.Size(h) != int64(len(data)) {
 		t.Fatal("chunk not stored")
 	}
 }
@@ -53,7 +53,7 @@ func TestStoreSurvivesManifestDelete(t *testing.T) {
 		t.Fatal("manifest delete failed")
 	}
 	// Restore: the client re-hashes and finds the chunk server-side.
-	if !s.Has(HashBytes(data)) {
+	if s.Size(HashBytes(data)) != int64(len(data)) {
 		t.Fatal("server store lost the chunk after local delete")
 	}
 	_, isNew := s.Put(data)

@@ -22,7 +22,8 @@ func ExampleStore() {
 	manifest.Set("folder/file.bin", []dedup.Hash{dedup.HashBytes(chunk)})
 	manifest.Delete("folder/file.bin") // user deletes the file
 	// ... and restores it later: the store still has the chunk.
-	fmt.Println("restore dedups:     ", store.Has(dedup.HashBytes(chunk)))
+	_, new3 := store.Put(chunk)
+	fmt.Println("restore dedups:     ", !new3)
 	// Output:
 	// first upload needed: true
 	// replica needed:      false

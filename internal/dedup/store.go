@@ -295,15 +295,6 @@ func (s *Store) shardFor(h *Hash) *shard {
 	return &s.shards[binary.LittleEndian.Uint32(h[:4])&s.mask]
 }
 
-// Has reports whether the store already holds content with this hash.
-func (s *Store) Has(h Hash) bool {
-	sh := s.shardFor(&h)
-	sh.mu.Lock()
-	e, _ := sh.find(&h)
-	sh.mu.Unlock()
-	return e != nil
-}
-
 // Put stores a chunk and reports whether it was new. Storing an
 // already-present chunk is a no-op (and counts as a dedup hit).
 func (s *Store) Put(data []byte) (h Hash, isNew bool) {
@@ -315,8 +306,7 @@ func (s *Store) Put(data []byte) (h Hash, isNew bool) {
 // address (the deduplicating client hashes every chunk before asking
 // the server about it, so hashing twice per chunk is pure waste). It
 // reports whether the chunk was new — one lookup decides both the
-// insert and the dedup verdict, so callers no longer pair it with a
-// separate Has.
+// insert and the dedup verdict.
 func (s *Store) PutHashed(h Hash, size int64) (isNew bool) {
 	sh := s.shardFor(&h)
 	sh.mu.Lock()

@@ -7,7 +7,7 @@ import (
 
 // TestStoreConcurrentStress hammers one store from many goroutines
 // mixing every operation clients and the fleet perform concurrently —
-// PutHashed, Has, ClaimBatchRef, Size and the aggregated counter
+// PutHashed, ClaimBatchRef, Size and the aggregated counter
 // reads. CI's -race job (go test -race ./internal/...) runs this with
 // the race detector on; the final-state assertions below catch lost
 // updates that a data race could cause even when the detector is off.
@@ -36,7 +36,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 					case 0:
 						s.PutHashed(h, 100)
 					case 1:
-						s.Has(h)
+						s.Size(h)
 						s.PutHashed(private[i%privatePerGor], 10)
 					case 2:
 						// Claims from distinct (at, user) pairs; the

@@ -72,8 +72,8 @@ func TestShardedCountersAggregate(t *testing.T) {
 		if !ok {
 			continue // never drawn by the spray
 		}
-		if !s.Has(h) || s.Size(h) != size {
-			t.Fatalf("chunk %v: Has=%v Size=%d want %d", h, s.Has(h), s.Size(h), size)
+		if s.Size(h) != size {
+			t.Fatalf("chunk %v: Size=%d want %d", h, s.Size(h), size)
 		}
 	}
 }
@@ -310,8 +310,8 @@ func TestNewStoreShardedSizedBehavesLikeUnsized(t *testing.T) {
 			s.PutHashed(h, int64(i)+1)
 		}
 		for _, h := range hs {
-			if s.Has(h) != ref.Has(h) || s.Size(h) != ref.Size(h) {
-				t.Fatalf("hint %d diverged on Has/Size", hint)
+			if s.Size(h) != ref.Size(h) {
+				t.Fatalf("hint %d diverged on Size", hint)
 			}
 		}
 		if s.UniqueChunks() != ref.UniqueChunks() || s.StoredBytes() != ref.StoredBytes() {
@@ -409,7 +409,7 @@ func TestShardTableGrowth(t *testing.T) {
 	}
 	huge := NewStoreShardedSized(1, 1<<40)
 	huge.PutHashed(hs[0], 1)
-	if got := len(huge.shards[0].slots); got != 1<<maxTableBits || !huge.Has(hs[0]) {
+	if got := len(huge.shards[0].slots); got != 1<<maxTableBits || huge.Size(hs[0]) != 1 {
 		t.Fatalf("hint 2^40: first table %d slots, want the %d cap", got, 1<<maxTableBits)
 	}
 }

@@ -104,17 +104,6 @@ func (d *Delta) LiteralBytes() int64 {
 	return n
 }
 
-// CopyOps returns the number of copy operations.
-func (d *Delta) CopyOps() int {
-	n := 0
-	for _, op := range d.Ops {
-		if op.Copy {
-			n++
-		}
-	}
-	return n
-}
-
 // WireSize returns the transmitted size of the delta: literal bytes
 // plus per-op framing (a copy op costs ~8 bytes, a literal op its
 // length plus ~8 bytes of framing).

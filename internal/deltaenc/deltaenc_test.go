@@ -29,8 +29,14 @@ func TestIdenticalFilesProduceNoLiterals(t *testing.T) {
 	if lit := d.LiteralBytes(); lit > DefaultBlockSize {
 		t.Fatalf("identical files sent %d literal bytes", lit)
 	}
-	if d.CopyOps() < len(data)/DefaultBlockSize-1 {
-		t.Fatalf("too few copies: %d", d.CopyOps())
+	copies := 0
+	for _, op := range d.Ops {
+		if op.Copy {
+			copies++
+		}
+	}
+	if copies < len(data)/DefaultBlockSize-1 {
+		t.Fatalf("too few copies: %d", copies)
 	}
 }
 
@@ -115,10 +121,9 @@ func TestWireSizeAccounting(t *testing.T) {
 	rng := sim.NewRNG(8)
 	old := rng.Bytes(100_000)
 	d := roundTrip(t, old, old, DefaultBlockSize)
-	// All copies: wire size ~ 8 bytes per block + 16 framing.
-	want := int64(d.CopyOps())*8 + 16
-	if got := d.WireSize(); got != want+d.LiteralBytes()+8*int64(len(d.Ops)-d.CopyOps()) {
-		t.Fatalf("WireSize = %d", got)
+	// 16 bytes of framing, 8 per op, plus the literal bytes.
+	if got, want := d.WireSize(), 16+8*int64(len(d.Ops))+d.LiteralBytes(); got != want {
+		t.Fatalf("WireSize = %d, want %d", got, want)
 	}
 	sig := Sign(old, DefaultBlockSize)
 	if sig.WireSize() <= 0 || sig.WireSize() > int64(len(old)) {

@@ -22,10 +22,10 @@ func Example() {
 	}
 
 	fmt.Println("round trip ok:", bytes.Equal(restored, new))
-	fmt.Println("copy ops:", delta.CopyOps())
 	fmt.Println("literal bytes:", delta.LiteralBytes())
+	fmt.Println("wire bytes:", delta.WireSize())
 	// Output:
 	// round trip ok: true
-	// copy ops: 8
 	// literal bytes: 13
+	// wire bytes: 101
 }

@@ -14,10 +14,7 @@
 //     SplitMix64 seeding, O(1) Fork and word-copy Bytes/Fill.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Epoch is the virtual origin of time. Its concrete value is arbitrary;
 // it only anchors human-readable timestamps in reports.
@@ -39,19 +36,6 @@ func (c *Clock) Now() time.Time { return Epoch.Add(c.now) }
 
 // Since returns the elapsed virtual time from t to now.
 func (c *Clock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
-
-// Elapsed returns the total virtual time elapsed since Epoch.
-func (c *Clock) Elapsed() time.Duration { return c.now }
-
-// Advance moves the clock forward by d. Negative d panics: virtual time
-// never flows backwards, and a negative advance always indicates a
-// timeline-accounting bug in a caller.
-func (c *Clock) Advance(d time.Duration) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative clock advance %v", d))
-	}
-	c.now += d
-}
 
 // AdvanceTo moves the clock forward to instant t. If t is in the past
 // the clock is left unchanged (it never rewinds).

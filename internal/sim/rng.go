@@ -18,9 +18,10 @@ import (
 // The engine is a PCG generator seeded through SplitMix64: Fork is
 // O(1) — two SplitMix64 rounds build the whole child state — and
 // Bytes/Fill are a tight word-copy loop. math/rand only supplies the
-// rand.Rand convenience methods (Intn, Float64, Perm, ...) on top of
-// it. Children inherit their parent's antithetic mask (see
-// NewAntitheticRNG).
+// rand.Rand convenience methods (Intn, Float64, ...) on top of it;
+// permute with PermInto, not the promoted rand.Rand Perm, which does
+// not mirror on an antithetic stream. Children inherit their parent's
+// antithetic mask (see NewAntitheticRNG).
 type RNG struct {
 	*rand.Rand
 	seed int64
@@ -137,22 +138,17 @@ func (r *RNG) uniformPaired(n int64) int64 {
 	return n - 1 - v%n
 }
 
-// Perm returns a pseudo-random permutation of [0, n). On a plain
-// stream it is math/rand's Perm unchanged. On an antithetic
-// stream it returns the REVERSE of the plain twin's permutation,
-// consuming the same stream steps: complementing the raw words would
-// just produce an unrelated permutation (the complement does not
-// survive Fisher-Yates' modular index draws), whereas the reversal is
-// the antithetic construction for discrete choices — a consumer that
-// takes a k-prefix of the permutation (e.g. DNS answer rotation)
-// receives the complementary end of the pool, so rare-outcome draws
-// are negatively correlated across an antithetic pair.
-func (r *RNG) Perm(n int) []int { return r.PermInto(make([]int, n)) }
-
-// PermInto writes Perm(len(dst)) into dst and returns it, without
-// allocating: the same values and the same stream steps as Perm, on
-// plain and antithetic sources alike, for callers that permute into a
-// reusable or stack buffer.
+// PermInto writes a pseudo-random permutation of [0, len(dst)) into
+// dst and returns it, without allocating. On a plain stream it is
+// math/rand's Perm unchanged. On an antithetic stream it returns the
+// REVERSE of the plain twin's permutation, consuming the same stream
+// steps: complementing the raw words would just produce an unrelated
+// permutation (the complement does not survive Fisher-Yates' modular
+// index draws), whereas the reversal is the antithetic construction
+// for discrete choices — a consumer that takes a k-prefix of the
+// permutation (e.g. DNS answer rotation) receives the complementary
+// end of the pool, so rare-outcome draws are negatively correlated
+// across an antithetic pair.
 func (r *RNG) PermInto(dst []int) []int {
 	// math/rand's Perm loop, verbatim (including the i = 0 draw it
 	// keeps for stream compatibility), run on the un-complemented

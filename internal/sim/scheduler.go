@@ -56,9 +56,6 @@ func (s *Scheduler) Every(interval time.Duration, fn func(*Scheduler) bool) {
 	s.After(interval, tick)
 }
 
-// Pending reports the number of queued events.
-func (s *Scheduler) Pending() int { return s.queue.Len() }
-
 // Step runs the single earliest event, advancing the clock to its
 // instant. It reports whether an event was run.
 func (s *Scheduler) Step() bool {
@@ -78,14 +75,6 @@ func (s *Scheduler) RunUntil(t time.Time) {
 		s.Step()
 	}
 	s.Clock.AdvanceTo(t)
-}
-
-// Drain runs every queued event, including events queued by the events
-// themselves, until the queue is empty. Periodic events scheduled with
-// Every never terminate; use RunUntil for those.
-func (s *Scheduler) Drain() {
-	for s.Step() {
-	}
 }
 
 // eventQueue implements heap.Interface ordered by (At, seq).

@@ -30,9 +30,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// N returns the number of observations folded so far.
-func (a *Accumulator) N() int { return a.n }
-
 // Mean returns the running mean (0 for empty), bit-identical to
 // Mean of the same values in insertion order.
 func (a *Accumulator) Mean() float64 {

@@ -52,9 +52,9 @@ func dialConfig(cfg engineConfig, seed int64, loss float64) (*Conn, *trace.Captu
 }
 
 // replayScript drives one random operation sequence against a
-// connection and returns the instants every op completed at.
-func replayScript(c *Conn, rng *rand.Rand) []time.Time {
-	var marks []time.Time
+// connection and returns the instants every op completed at and the
+// application bytes the ops carried upstream and downstream.
+func replayScript(c *Conn, rng *rand.Rand) (marks []time.Time, up, down int64) {
 	ops := 3 + rng.Intn(8)
 	for i := 0; i < ops; i++ {
 		// Sizes from sub-cwnd to multi-MB: slow-start-only, mixed, and
@@ -67,19 +67,22 @@ func replayScript(c *Conn, rng *rand.Rand) []time.Time {
 		case 0:
 			last, serverDone := c.Send(size)
 			marks = append(marks, last, serverDone)
+			up += size
 		case 1:
 			done := c.Recv(c.FreeAt().Add(time.Duration(rng.Intn(50))*time.Millisecond), size)
 			marks = append(marks, done)
+			down += size
 		case 2:
 			done := c.RequestResponse(200+size/100, size)
 			marks = append(marks, done)
+			up, down = up+200+size/100, down+size
 		case 3:
 			c.Idle(time.Duration(rng.Intn(200)) * time.Millisecond)
 			marks = append(marks, c.FreeAt())
 		}
 	}
 	marks = append(marks, c.Close())
-	return marks
+	return marks, up, down
 }
 
 // rerecord returns a capture holding cap's flows and its records

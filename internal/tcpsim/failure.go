@@ -58,7 +58,6 @@ func (c *Conn) SendUntil(n int64, deadline time.Time) (sent int64, cut bool, las
 		}
 	}
 	c.upCwnd = cwnd
-	c.bytesUp += sent
 	c.now = t
 	return sent, cut, t
 }

@@ -19,7 +19,7 @@ import (
 // transferGolden is one pinned transfer script outcome: the instant
 // every op completed at (ns since sim.Epoch), the number of per-round
 // records the trace expands to, a digest over those records, and the
-// connection's application byte counters.
+// application bytes the script carried each way.
 type transferGolden struct {
 	MarksNs   []int64 `json:"marks_ns"`
 	Records   int     `json:"expanded_records"`
@@ -37,25 +37,25 @@ type transferCase struct {
 	loss   float64
 	inject bool
 	script []int64
-	run    func(c *Conn) []time.Time
+	run    func(c *Conn) (marks []time.Time, up, down int64)
 }
 
 // sendOps returns an op script of plain uploads, recording each
 // Send's (lastSent, serverDone) pair.
-func sendOps(sizes ...int64) func(c *Conn) []time.Time {
-	return func(c *Conn) []time.Time {
-		var marks []time.Time
+func sendOps(sizes ...int64) func(c *Conn) ([]time.Time, int64, int64) {
+	return func(c *Conn) (marks []time.Time, up, down int64) {
 		for _, n := range sizes {
 			last, serverDone := c.Send(n)
 			marks = append(marks, last, serverDone)
+			up += n
 		}
-		return marks
+		return marks, up, 0
 	}
 }
 
 // replayOps returns the random op script replayScript draws from seed.
-func replayOps(seed int64) func(c *Conn) []time.Time {
-	return func(c *Conn) []time.Time { return replayScript(c, rand.New(rand.NewSource(seed))) }
+func replayOps(seed int64) func(c *Conn) ([]time.Time, int64, int64) {
+	return func(c *Conn) ([]time.Time, int64, int64) { return replayScript(c, rand.New(rand.NewSource(seed))) }
 }
 
 // transferCases enumerates every golden input: random op scripts on
@@ -122,7 +122,7 @@ func runTransferCase(t *testing.T, tc transferCase) transferGolden {
 	if tc.inject {
 		c.d.InjectLossPositions(tc.script)
 	}
-	marks := tc.run(c)
+	marks, up, down := tc.run(c)
 
 	pkts := cap.ExpandedPackets()
 	if cap.ExpandedLen() != len(pkts) {
@@ -136,7 +136,7 @@ func runTransferCase(t *testing.T, tc transferCase) transferGolden {
 	}
 	g := transferGolden{
 		Records: len(pkts), Digest: packetsDigest(pkts),
-		BytesUp: c.BytesUp(), BytesDown: c.BytesDown(),
+		BytesUp: up, BytesDown: down,
 	}
 	for _, m := range marks {
 		g.MarksNs = append(g.MarksNs, int64(m.Sub(sim.Epoch)))

@@ -147,8 +147,6 @@ type Conn struct {
 	upCwnd      int64     // bytes, client->server congestion window
 	downCwnd    int64     // bytes, server->client congestion window
 	closed      bool
-
-	bytesUp, bytesDown int64 // application payload totals
 }
 
 // Dial opens a connection to server at virtual instant `at`, performing
@@ -228,10 +226,6 @@ func (c *Conn) Server() *netem.Host { return c.server }
 // ServerName returns the DNS name the client dialed.
 func (c *Conn) ServerName() string { return c.serverName }
 
-// BytesUp and BytesDown report application payload carried so far.
-func (c *Conn) BytesUp() int64   { return c.bytesUp }
-func (c *Conn) BytesDown() int64 { return c.bytesDown }
-
 // ensureOpen panics when traffic is attempted on a connection that
 // already completed its FIN exchange (Close) or was reset (Abort). A
 // FIN'd flow silently carrying payload would corrupt every per-flow
@@ -265,7 +259,6 @@ func (c *Conn) Idle(d time.Duration) { c.now = c.now.Add(d) }
 func (c *Conn) Send(n int64) (lastSent, serverDone time.Time) {
 	c.ensureOpen("Send")
 	last := c.transfer(trace.Upstream, n)
-	c.bytesUp += n
 	c.now = last
 	return last, last.Add(c.rtt / 2).Add(c.server.ProcDelay)
 }
@@ -278,7 +271,6 @@ func (c *Conn) Recv(serverStart time.Time, n int64) (clientDone time.Time) {
 	c.ensureOpen("Recv")
 	c.Wait(serverStart)
 	last := c.transfer(trace.Downstream, n)
-	c.bytesDown += n
 	done := last.Add(c.rtt / 2)
 	c.now = done
 	return done

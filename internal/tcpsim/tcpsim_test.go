@@ -185,8 +185,8 @@ func TestByteConservation(t *testing.T) {
 	if up != n {
 		t.Fatalf("upstream payload = %d, want %d", up, n)
 	}
-	if c.BytesUp() != n || c.BytesDown() != 0 {
-		t.Fatalf("conn accounting up=%d down=%d", c.BytesUp(), c.BytesDown())
+	if down := cap.PayloadBytesDir(trace.AllFlows, trace.Downstream); down != 0 {
+		t.Fatalf("downstream payload = %d, want 0", down)
 	}
 	// Wire overhead exists and is bounded (headers + delayed ACKs ~ 7%).
 	wire := cap.TotalWireBytes(trace.AllFlows)

@@ -121,22 +121,6 @@ func (c *Capture) PayloadBytesDir(f FlowFilter, dir Direction) int64 {
 	return a.PayloadDown
 }
 
-// FirstPayloadTime returns the time of the first payload-carrying
-// packet over the selected flows. ok is false if none exists. This is
-// the paper's synchronization-start event ("the first storage flow").
-func (c *Capture) FirstPayloadTime(f FlowFilter) (t time.Time, ok bool) {
-	a := c.Analyze(f)
-	return a.FirstPayload, a.HasPayload
-}
-
-// LastPayloadTime returns the time of the last payload-carrying packet
-// over the selected flows. The paper measures completion time between
-// the first and last packet with payload, ignoring TCP tear-down.
-func (c *Capture) LastPayloadTime(f FlowFilter) (t time.Time, ok bool) {
-	a := c.Analyze(f)
-	return a.LastPayload, a.HasPayload
-}
-
 // SYNTimes returns the timestamps of client-initiated SYN packets over
 // the selected flows, in capture order. Plotting len(prefix) against
 // time reproduces Fig. 3.

@@ -101,16 +101,12 @@ func TestByteAccounting(t *testing.T) {
 
 func TestFirstLastPayload(t *testing.T) {
 	c := buildCapture()
-	first, ok := c.FirstPayloadTime(storageOnly)
-	if !ok || !first.Equal(at(60)) {
-		t.Fatalf("FirstPayloadTime = %v,%v", first, ok)
+	a := c.Analyze(storageOnly)
+	if !a.HasPayload || !a.FirstPayload.Equal(at(60)) || !a.LastPayload.Equal(at(480)) {
+		t.Fatalf("payload bracket = [%v, %v], %v; want [%v, %v]", a.FirstPayload, a.LastPayload, a.HasPayload, at(60), at(480))
 	}
-	last, ok := c.LastPayloadTime(storageOnly)
-	if !ok || !last.Equal(at(480)) {
-		t.Fatalf("LastPayloadTime = %v,%v", last, ok)
-	}
-	if _, ok := c.FirstPayloadTime(func(FlowInfo) bool { return false }); ok {
-		t.Fatal("FirstPayloadTime matched empty filter")
+	if c.Analyze(func(FlowInfo) bool { return false }).HasPayload {
+		t.Fatal("empty filter has a payload bracket")
 	}
 }
 

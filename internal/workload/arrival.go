@@ -84,21 +84,6 @@ func (d Diurnal) weightSum() (sum, max float64, flat bool) {
 	return sum, max, false
 }
 
-// Rate returns the instantaneous arrival rate at instant t, in
-// sessions per hour. Summing Rate over the 24 hour slots yields
-// exactly PerDay — the property the fleet's daily-volume tests pin.
-func (d Diurnal) Rate(t time.Duration) float64 {
-	sum, _, flat := d.weightSum()
-	if flat {
-		return d.PerDay / 24
-	}
-	hour := int(t/time.Hour) % 24
-	if hour < 0 {
-		hour += 24
-	}
-	return d.PerDay * d.Weights[hour] / sum
-}
-
 // Next samples the next arrival by thinning (Lewis–Shedler): draw
 // candidates from a homogeneous process at the schedule's peak rate
 // and accept each with probability rate(t)/peak. Both the candidate

@@ -73,19 +73,34 @@ func TestGammaDeterministicDrumbeat(t *testing.T) {
 }
 
 func TestDiurnalIntegratesToDailyVolume(t *testing.T) {
-	// The schedule's rate, summed over the 24 hour slots, must equal
-	// the configured volume exactly — however the weights are scaled.
+	// The schedule must deliver the configured daily volume however
+	// the weights are scaled: scaling them by a power of two (exact in
+	// floating point) replays the very same arrivals, and the mean
+	// count per day over many replayed days is PerDay.
 	for _, d := range []Diurnal{
 		{PerDay: 120, Weights: OfficeHours()},
 		{PerDay: 3.5, Weights: [24]float64{5: 10, 6: 30, 7: 10}},
 		{PerDay: 42}, // zero weights: flat day
 	} {
-		var got float64
-		for h := 0; h < 24; h++ {
-			got += d.Rate(time.Duration(h) * time.Hour)
+		scaled := d
+		for h := range scaled.Weights {
+			scaled.Weights[h] *= 4
 		}
-		if math.Abs(got-d.PerDay) > 1e-9*d.PerDay {
-			t.Fatalf("integral of Rate = %v, want %v (weights %v)", got, d.PerDay, d.Weights)
+		const days = 400
+		total := 0
+		for day := 0; day < days; day++ {
+			a, b := sim.NewRNG(77).Fork(int64(day)), sim.NewRNG(77).Fork(int64(day))
+			ta, tb := d.Next(a, 0), scaled.Next(b, 0)
+			for ; ta < ServiceDay; ta, tb = d.Next(a, ta), scaled.Next(b, tb) {
+				if ta != tb {
+					t.Fatalf("weights %v: scaling the weights moved an arrival %v -> %v", d.Weights, ta, tb)
+				}
+				total++
+			}
+		}
+		got := float64(total) / days
+		if sd := math.Sqrt(d.PerDay / days); math.Abs(got-d.PerDay) > 5*sd {
+			t.Fatalf("weights %v: %.2f arrivals per day, want %v ±%.2f", d.Weights, got, d.PerDay, 5*sd)
 		}
 	}
 }
@@ -111,8 +126,12 @@ func TestDiurnalEmpiricalVolumeAndShape(t *testing.T) {
 	}
 	// Shape: each hour's share within 20% relative (peak hours carry
 	// enough mass for a tight check; skip near-empty night hours).
+	var weightSum float64
+	for _, w := range d.Weights {
+		weightSum += w
+	}
 	for h := 0; h < 24; h++ {
-		want := d.Rate(time.Duration(h)*time.Hour) * days
+		want := d.PerDay * d.Weights[h] / weightSum * days
 		if want < 500 {
 			continue
 		}

@@ -148,23 +148,6 @@ func (f *Folder) Copy(at time.Time, src, dst string) {
 	f.CreateContent(at, dst, file.content)
 }
 
-// Rename moves a file to a new path, content unchanged. The sync
-// client observes it as a delete plus a create; services with
-// deduplication commit it as pure metadata, everyone else re-uploads
-// the content.
-func (f *Folder) Rename(at time.Time, from, to string) {
-	file := f.mustGet(from)
-	if _, exists := f.files[to]; exists {
-		panic(fmt.Sprintf("workload: Rename target %q exists", to))
-	}
-	c := file.content
-	f.deleted[from] = c
-	delete(f.files, from)
-	f.log(at, from, Deleted)
-	f.files[to] = &File{Path: to, content: c, ModTime: at}
-	f.log(at, to, Created)
-}
-
 // Delete removes a file, keeping a tombstone for Restore.
 func (f *Folder) Delete(at time.Time, path string) {
 	file := f.mustGet(path)
@@ -192,16 +175,6 @@ func (f *Folder) Get(path string) (*File, bool) {
 
 // Len returns the number of files currently present.
 func (f *Folder) Len() int { return len(f.files) }
-
-// TotalBytes returns the summed size of all current files; lazy files
-// contribute their descriptor size without materialising.
-func (f *Folder) TotalBytes() int64 {
-	var n int64
-	for _, file := range f.files {
-		n += file.Size()
-	}
-	return n
-}
 
 // ChangesSince returns the journal entries strictly after t.
 func (f *Folder) ChangesSince(t time.Time) []Change {

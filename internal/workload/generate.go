@@ -74,21 +74,6 @@ func (k Kind) Ext() string {
 	}
 }
 
-// HeaderSize returns the fixed header prefix the kind emits before its
-// body: the JPEG prefix for fake JPEGs, the BMP header for pixel
-// images, nothing for text and binary. Exposed for boundary-size
-// property tests.
-func (k Kind) HeaderSize() int64 {
-	switch k {
-	case FakeJPEG:
-		return int64(len(jpegHeader))
-	case PixelImage:
-		return bmpHeaderSize
-	default:
-		return 0
-	}
-}
-
 // dictionary is the word list for Text files: enough variety for
 // realistic DEFLATE ratios (~3-4x), repeated enough to compress well.
 var dictionary = strings.Fields(`

@@ -9,11 +9,15 @@ import (
 	"repro/internal/sim"
 )
 
-// boundarySizes returns the exact-output-size boundary cases for a
-// kind: 0, 1, and the header size ±1 (deduplicated, non-negative).
-func boundarySizes(k Kind) []int64 {
-	h := k.HeaderSize()
-	cand := []int64{0, 1, h - 1, h, h + 1, 2 * h, 100, 4096, 100_001}
+// boundarySizes returns the exact-output-size boundary cases: 0, 1,
+// and each fixed header size (the JPEG prefix, the BMP header) ±1 and
+// doubled (deduplicated).
+func boundarySizes() []int64 {
+	var cand []int64
+	for _, h := range []int64{int64(len(jpegHeader)), bmpHeaderSize} {
+		cand = append(cand, h-1, h, h+1, 2*h)
+	}
+	cand = append(cand, 0, 1, 100, 4096, 100_001)
 	seen := map[int64]bool{}
 	var out []int64
 	for _, s := range cand {
@@ -31,7 +35,7 @@ func boundarySizes(k Kind) []int64 {
 // truncation or pixel-rounding slack.
 func TestGenerateExactSizeAllKindsBoundaries(t *testing.T) {
 	for _, kind := range Kinds {
-		for _, size := range boundarySizes(kind) {
+		for _, size := range boundarySizes() {
 			data := Generate(sim.NewRNG(int64(kind)*1000+size), kind, size)
 			if int64(len(data)) != size {
 				t.Errorf("%v size %d produced %d bytes", kind, size, len(data))
@@ -171,7 +175,8 @@ func TestGenerateHeaderIsSeedIndependent(t *testing.T) {
 		if int64(len(a)) != size || int64(len(b)) != size {
 			t.Fatalf("%v: size contract broken", kind)
 		}
-		if h := kind.HeaderSize(); h > 0 && !bytes.Equal(a[:h], b[:h]) {
+		h := map[Kind]int{FakeJPEG: len(jpegHeader), PixelImage: bmpHeaderSize}[kind]
+		if !bytes.Equal(a[:h], b[:h]) {
 			t.Fatalf("%v: fixed header differs between seeds", kind)
 		}
 		if bytes.Equal(a, b) {

@@ -243,8 +243,10 @@ func TestBatchMaterialize(t *testing.T) {
 	if len(paths) != 10 || f.Len() != 10 {
 		t.Fatalf("materialized %d files", f.Len())
 	}
-	if f.TotalBytes() != 100_000 {
-		t.Fatalf("TotalBytes = %d", f.TotalBytes())
+	for _, path := range paths {
+		if file, ok := f.Get(path); !ok || file.Size() != b.Size {
+			t.Fatalf("%s missing or not %d bytes", path, b.Size)
+		}
 	}
 	// Files must differ from one another (independent RNG forks).
 	a, _ := f.Get(paths[0])
@@ -348,30 +350,4 @@ func TestBundlingSetsSameTotal(t *testing.T) {
 	if sets[3].Count != 1000 {
 		t.Fatalf("last set count = %d", sets[3].Count)
 	}
-}
-
-func TestFolderRename(t *testing.T) {
-	f := NewFolder()
-	f.Create(at(0), "old/name.bin", []byte("payload"))
-	f.Rename(at(1), "old/name.bin", "new/name.bin")
-	if _, ok := f.Get("old/name.bin"); ok {
-		t.Fatal("old path still present")
-	}
-	file, ok := f.Get("new/name.bin")
-	if !ok || string(file.Bytes()) != "payload" {
-		t.Fatal("content lost in rename")
-	}
-	// Journal shows delete+create, which is what the client sees.
-	j := f.journal
-	if len(j) != 3 || j[1].Type != Deleted || j[2].Type != Created {
-		t.Fatalf("journal: %+v", j)
-	}
-	// Renaming over an existing file is a scripting bug.
-	f.Create(at(2), "other.bin", nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on rename collision")
-		}
-	}()
-	f.Rename(at(3), "other.bin", "new/name.bin")
 }

@@ -7,9 +7,11 @@
 # flat round, -precision rules in sequential rounds whose stopping
 # decisions must not depend on scheduling. The Fig. 4 and Fig. 5
 # sweeps are nested fan-outs (services, then sizes largest first)
-# whose idle workers join each other's pools. The smoke runs a fixed
-# Fig. 6 matrix, an adaptive one, a fixed loss sweep and the Fig. 4
-# and Fig. 5 sweeps at -parallel 1 and -parallel 4 and byte-compares
+# whose idle workers join each other's pools, and so is the Table 1
+# capability suite (services, then the five detectors of each probe).
+# The smoke runs a fixed Fig. 6 matrix, an adaptive one, a fixed loss
+# sweep, a fixed and an adaptive location study, the Fig. 4 and Fig. 5
+# sweeps and Table 1 at -parallel 1 and -parallel 4 and byte-compares
 # each pair of outputs; any diff is a determinism regression in the
 # driver, the scheduler or a layer on top of them.
 #
@@ -41,3 +43,6 @@ check fig6-adaptive -experiment fig6 -precision 0.05 -max-reps 16
 check loss-fixed -loss 0.02,0.08 -reps 2
 check fig4 -experiment fig4
 check fig5 -experiment fig5
+check locations-fixed -experiment locations -reps 2
+check locations-adaptive -experiment locations -precision 0.05 -max-reps 8
+check table1 -experiment table1
