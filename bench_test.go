@@ -2,7 +2,7 @@ package repro
 
 // One benchmark per table and figure of the paper, plus ablations for
 // the reproduction's design choices. Each benchmark runs the
-// same harness the cmd/figures tool uses and reports the simulated
+// same harness cmd/cloudbench uses and reports the simulated
 // measurement as custom benchmark metrics, so `go test -bench=.`
 // regenerates the paper's dataset shapes in one pass:
 //

@@ -39,6 +39,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -70,28 +71,16 @@ func main() {
 		crn        = flag.Bool("crn", false, "adaptive sampling: common random numbers across services (pairs cross-service comparisons)")
 	)
 	flag.Parse()
-	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "-parallel must be >= 0 (got %d)\n", *parallel)
-		os.Exit(2)
-	}
-	if *reps < 0 {
-		fmt.Fprintf(os.Stderr, "-reps must be >= 0 (got %d)\n", *reps)
-		os.Exit(2)
-	}
-	core.CampaignWorkers = *parallel
 	d := design{
 		reps: *reps,
 		rule: core.StopRule{TargetRelHW: *precision, MinReps: *minReps, MaxReps: *maxReps},
 		vr:   core.VarianceReduction{Antithetic: *antithetic, CRN: *crn},
 	}
-	if err := d.rule.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "-precision/-min-reps/-max-reps: %v\n", err)
+	if err := checkFlags(*parallel, *reps, d); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if (*antithetic || *crn) && !d.adaptive() {
-		fmt.Fprintln(os.Stderr, "-antithetic and -crn require -precision")
-		os.Exit(2)
-	}
+	core.CampaignWorkers = *parallel
 
 	profiles, err := selectProfiles(*service)
 	if err != nil {
@@ -177,6 +166,26 @@ type design struct {
 }
 
 func (d design) adaptive() bool { return d.rule.TargetRelHW > 0 }
+
+// checkFlags rejects a worker or repetition count below zero (zero
+// means one worker per CPU, or the paper's DefaultReps), a stopping
+// rule no campaign can honour, and variance reduction without the
+// precision target it serves.
+func checkFlags(parallel, reps int, d design) error {
+	switch {
+	case parallel < 0:
+		return fmt.Errorf("-parallel must be >= 0 (got %d)", parallel)
+	case reps < 0:
+		return fmt.Errorf("-reps must be >= 0 (got %d)", reps)
+	}
+	if err := d.rule.Validate(); err != nil {
+		return fmt.Errorf("-precision/-min-reps/-max-reps: %w", err)
+	}
+	if (d.vr.Antithetic || d.vr.CRN) && !d.adaptive() {
+		return errors.New("-antithetic and -crn require -precision")
+	}
+	return nil
+}
 
 // label describes the design in a section header: the repetitions
 // each unit ran, or the precision target and cap.

@@ -113,11 +113,10 @@ func printSummary(cap *trace.Capture) {
 	fmt.Printf("records:        %d stored (%d span aggregates)\n", cap.Len(), cap.SpanCount())
 	fmt.Printf("packets:        %d after span expansion\n", cap.ExpandedLen())
 	fmt.Printf("flows:          %d\n", cap.NumFlows())
-	fmt.Printf("connections:    %d client-initiated\n", cap.ConnectionCount(trace.AllFlows))
-	fmt.Printf("bytes total:    %d on the wire\n", cap.TotalWireBytes(trace.AllFlows))
-	fmt.Printf("bytes up/down:  %d / %d payload\n",
-		cap.PayloadBytesDir(trace.AllFlows, trace.Upstream),
-		cap.PayloadBytesDir(trace.AllFlows, trace.Downstream))
+	a := cap.Analyze(trace.AllFlows)
+	fmt.Printf("connections:    %d client-initiated\n", a.Connections)
+	fmt.Printf("bytes total:    %d on the wire\n", a.TotalWire)
+	fmt.Printf("bytes up/down:  %d / %d payload\n", a.PayloadUp, a.PayloadDown)
 	if len(pkts) > 0 {
 		// A trailing span's last slice, not its first, ends the trace.
 		last := pkts[0].End()

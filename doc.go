@@ -63,19 +63,23 @@
 //     only windows that actually cut through a span copy and clip.
 //   - Capture.Analyze computes every scalar metric of Sect. 5 — byte
 //     accounting in both directions, payload bracket, SYN timeline,
-//     connection count — in one scan per flow selection. The
-//     per-metric methods (TotalWireBytes, SYNTimes, ...) are
-//     thin wrappers over it. StreamWindow.Analyze answers the same
+//     connection count — in one scan per flow selection; there are
+//     no per-metric methods, so a caller reads each number off the
+//     one Analysis it took. StreamWindow.Analyze answers the same
 //     question from the streamed accumulators, bit-identically
 //     (pinned by the randomized equivalence test in internal/trace).
 //   - core.MeasureWindow reads all Sect. 5 metrics off two Analyze
 //     passes (all flows, storage flows) of one window, in either
-//     trace mode. The campaign cells (RunSync, RunSyncLossy,
-//     RunSYNCount, the Fig. 4/5 sweeps) stream; consumers that
+//     trace mode. One upload script (settle, open the window, create
+//     the batch, sync) serves every single-upload study and campaign
+//     cell. The campaign cells (RunSync, RunSyncLossy), RunSYNCount,
+//     the what-if studies, the Fig. 4/5 sweeps and the delta and
+//     compression detectors that read them stream; consumers that
 //     genuinely re-window after the fact or walk individual packets —
 //     RunIdle's cumulative timeline, AnalyzeProtocols' activity
-//     clustering, the Sect. 4 capability detectors, RunPropagation,
-//     RunRecovery, cmd/tracedump — keep a buffered Capture.
+//     clustering, the chunking, bundling and dedup detectors,
+//     Discover, RunPropagation, RunRecovery, cmd/tracedump — keep a
+//     buffered Capture.
 //   - A testbed has a static half and a per-run half. The static
 //     half draws no random numbers: cloud.Build's hosts, address
 //     pools, whois records, DNS policies and PTR records, on a

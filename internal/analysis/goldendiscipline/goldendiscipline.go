@@ -87,9 +87,8 @@ var runnerPrefixes = []string{
 }
 
 var runnerExact = map[string]bool{
-	"NewTestbed":          true,
-	"NewStreamingTestbed": true,
-	"NewDialer":           true,
+	"NewTestbed": true,
+	"NewDialer":  true,
 }
 
 // enginePkgs are the packages whose runner calls gate the check: the

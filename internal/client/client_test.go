@@ -80,7 +80,7 @@ func TestLoginVolumes(t *testing.T) {
 	loginBytes := func(p Profile) int64 {
 		r := newRig(t, p, 2)
 		r.client.Login(sim.Epoch)
-		return r.cap.TotalWireBytes(trace.AllFlows)
+		return r.cap.Analyze(trace.AllFlows).TotalWire
 	}
 	sky := loginBytes(SkyDrive())
 	drop := loginBytes(Dropbox())
@@ -102,10 +102,10 @@ func TestIdlePollingRates(t *testing.T) {
 		r := newRig(t, p, 3)
 		done := r.client.Login(sim.Epoch)
 		r.client.InstallPoller(r.sched)
-		preIdle := r.cap.TotalWireBytes(trace.AllFlows)
+		preIdle := r.cap.Analyze(trace.AllFlows).TotalWire
 		horizon := done.Add(16 * time.Minute)
 		r.sched.RunUntil(horizon)
-		idleBytes := r.cap.TotalWireBytes(trace.AllFlows) - preIdle
+		idleBytes := r.cap.Analyze(trace.AllFlows).TotalWire - preIdle
 		return float64(idleBytes*8) / (16 * 60) // bits per second
 	}
 	rates := map[string]float64{}
@@ -143,14 +143,14 @@ func TestCloudDriveOpensFourConnectionsPerFile(t *testing.T) {
 	// Drive (3 control + 1 storage per file) vs ~100 for Google
 	// Drive (1 per file).
 	r, _ := syncBatch(t, CloudDrive(), workload.Batch{Count: 20, Size: 10_000, Kind: workload.Binary}, 4)
-	syns := r.cap.ConnectionCount(trace.AllFlows)
+	syns := r.cap.Analyze(trace.AllFlows).Connections
 	// 20 files -> 80 conns, plus login (2) + storage-less overheads.
 	if syns < 80 || syns > 90 {
 		t.Fatalf("CloudDrive connections = %d, want ~82 for 20 files", syns)
 	}
 
 	r2, _ := syncBatch(t, GoogleDrive(), workload.Batch{Count: 20, Size: 10_000, Kind: workload.Binary}, 4)
-	syns2 := r2.cap.ConnectionCount(trace.AllFlows)
+	syns2 := r2.cap.Analyze(trace.AllFlows).Connections
 	if syns2 < 20 || syns2 > 30 {
 		t.Fatalf("GoogleDrive connections = %d, want ~22 for 20 files", syns2)
 	}
@@ -160,7 +160,7 @@ func TestDropboxReusesConnections(t *testing.T) {
 	r, _ := syncBatch(t, Dropbox(), workload.Batch{Count: 20, Size: 10_000, Kind: workload.Binary}, 5)
 	// Login (2 control + 1 notify) + 1 storage conn: far fewer than
 	// one per file.
-	if syns := r.cap.ConnectionCount(trace.AllFlows); syns > 8 {
+	if syns := r.cap.Analyze(trace.AllFlows).Connections; syns > 8 {
 		t.Fatalf("Dropbox connections = %d, want a handful", syns)
 	}
 }

@@ -28,17 +28,17 @@ func TestDownloadPerFileStrategyOpensConnections(t *testing.T) {
 		{Path: "a.bin", FileBytes: 10_000, Units: []TransferUnit{{Path: "a.bin", Bytes: 10_000, RawBytes: 10_000}}},
 		{Path: "b.bin", FileBytes: 10_000, Units: []TransferUnit{{Path: "b.bin", Bytes: 10_000, RawBytes: 10_000}}},
 	}
-	before := r.cap.ConnectionCount(trace.AllFlows)
+	before := r.cap.Analyze(trace.AllFlows).Connections
 	end := r.client.Download(plans, done.Add(time.Minute))
 	if !end.After(done) {
 		t.Fatal("download did not advance time")
 	}
-	opened := r.cap.ConnectionCount(trace.AllFlows) - before
+	opened := r.cap.Analyze(trace.AllFlows).Connections - before
 	// 2 files x (3 control + 1 storage) = 8 connections.
 	if opened != 8 {
 		t.Fatalf("download opened %d connections, want 8", opened)
 	}
-	down := r.cap.PayloadBytesDir(trace.AllFlows, trace.Downstream)
+	down := r.cap.Analyze(trace.AllFlows).PayloadDown
 	if down < 20_000 {
 		t.Fatalf("downloaded payload = %d", down)
 	}
@@ -50,9 +50,9 @@ func TestDownloadPersistentStrategyReuses(t *testing.T) {
 	plans := []FilePlan{
 		{Path: "a.bin", FileBytes: 50_000, Units: []TransferUnit{{Path: "a.bin", Bytes: 50_000, RawBytes: 50_000}}},
 	}
-	before := r.cap.ConnectionCount(trace.AllFlows)
+	before := r.cap.Analyze(trace.AllFlows).Connections
 	r.client.Download(plans, done.Add(time.Minute))
-	if opened := r.cap.ConnectionCount(trace.AllFlows) - before; opened > 1 {
+	if opened := r.cap.Analyze(trace.AllFlows).Connections - before; opened > 1 {
 		t.Fatalf("persistent download opened %d connections", opened)
 	}
 }
@@ -64,7 +64,7 @@ func TestDownloadDedupedPlanStillFetches(t *testing.T) {
 	done := r.client.Login(sim.Epoch)
 	plans := []FilePlan{{Path: "known.bin", FileBytes: 80_000}}
 	r.client.Download(plans, done.Add(time.Minute))
-	down := r.cap.PayloadBytesDir(trace.AllFlows, trace.Downstream)
+	down := r.cap.Analyze(trace.AllFlows).PayloadDown
 	if down < 80_000 {
 		t.Fatalf("deduplicated file not downloaded: %d", down)
 	}

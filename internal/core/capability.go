@@ -33,12 +33,15 @@ type Capabilities struct {
 // four-step experiment yielding both Dedup and DedupAfterDelete) and
 // delta encoding.
 //
-// The detectors run on buffered testbeds deliberately: they re-window
-// the trace at instants discovered mid-experiment (each dedup step,
-// the modification of a delta test) and walk individual packets
-// (UploadPauses, Bursts, estimateRTT's SYN/SYN-ACK pairing), none of
-// which survives the streaming fold. Their traces are small — single
-// files or 100 tiny ones — so O(packets) buffering is irrelevant here.
+// Delta encoding and compression are the verdicts of the Sect. 4.4
+// and 4.5 upload experiments, so they read the Fig. 4 and Fig. 5 cells
+// and stream like them. Chunking and bundling run the shared upload
+// script on a buffered trace, and dedup keeps a buffered testbed of
+// its own: they walk individual packets (UploadPauses, Bursts,
+// estimateRTT's SYN/SYN-ACK pairing) or re-window the trace at
+// instants discovered mid-experiment (each dedup step), none of which
+// survives the streaming fold. Their traces are single files or 100
+// tiny ones, so O(packets) buffering is irrelevant here.
 const numDetectors = 5
 
 // CapabilityConfidence is a repeated Table 1 row: the detected
@@ -177,13 +180,8 @@ func DetectChunking(p client.Profile, seed int64) string {
 	// multiple of common chunk sizes, so the remainder chunk is
 	// detectable and excluded.
 	const fileSize = 61 << 20
-	tb := NewTestbed(p, seed, 0)
-	start := tb.Settle()
-	t0 := tb.Clock.Now()
-	tb.Folder.Create(t0, "big.bin", workload.Generate(tb.RNG, workload.Binary, fileSize))
-	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-	tb.Clock.AdvanceTo(res.Done)
-
+	big := workload.Batch{Count: 1, Size: fileSize, Kind: workload.Binary}
+	tb, t0 := syncCell{p: p, batch: big, host: campusHost}.syncOnce(seed, false)
 	win := tb.Cap.Window(t0, trace.FarFuture)
 	storage := tb.StorageFilter(t0)
 	rtt := estimateRTT(win, storage)
@@ -232,17 +230,12 @@ type BundlingResult struct {
 // analyzes connections and bursts (Sect. 4.2).
 func DetectBundling(p client.Profile, seed int64) BundlingResult {
 	const files = 100
-	tb := NewTestbed(p, seed, 0)
-	start := tb.Settle()
-	t0 := tb.Clock.Now()
-	workload.Batch{Count: files, Size: 10_000, Kind: workload.Binary}.
-		Materialize(tb.Folder, tb.RNG, t0, "bundle")
-	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-	tb.Clock.AdvanceTo(res.Done)
+	batch := workload.Batch{Count: files, Size: 10_000, Kind: workload.Binary}
+	tb, t0 := syncCell{p: p, batch: batch, host: campusHost}.syncOnce(seed, false)
 
 	win := tb.Cap.Window(t0, trace.FarFuture)
 	storage := tb.StorageFilter(t0)
-	conns := win.ConnectionCount(trace.AllFlows)
+	conns := win.Analyze(trace.AllFlows).Connections
 	rtt := estimateRTT(tb.Cap, storage)
 	bursts := win.Bursts(storage, rtt+2*rtt/5)
 
@@ -270,8 +263,7 @@ func DetectDedup(p client.Profile, seed int64) DedupResult {
 	syncStep := func(t0 time.Time) int64 {
 		res := tb.Client.SyncChanges(tb.Folder, t0.Add(-time.Millisecond))
 		tb.Clock.AdvanceTo(res.Done.Add(10 * time.Second))
-		win := tb.Cap.Window(t0, trace.FarFuture)
-		return win.WireBytesDir(tb.StorageFilter(t0), trace.Upstream)
+		return tb.AnalyzeWindow(t0, tb.StorageFilter(t0)).WireUp
 	}
 
 	// Step i: original file.
@@ -306,55 +298,34 @@ func DetectDedup(p client.Profile, seed int64) DedupResult {
 	}
 }
 
-// DetectDelta runs the Sect. 4.4 test in its append form: modify an
-// existing file by adding content at the end and compare the upload
-// volume with the modification size.
+// DetectDelta reads the Sect. 4.4 test in its append form off the
+// Fig. 4 cell: modify a 1 MB file by adding 100 kB at the end and
+// compare the upload volume with the file size.
 func DetectDelta(p client.Profile, seed int64) bool {
 	const base = 1 << 20
 	const added = 100 << 10
-	tb := NewTestbed(p, seed, 0)
-	start := tb.Settle()
-
-	t0 := tb.Clock.Now()
-	tb.Folder.Create(t0, "delta.bin", workload.Generate(tb.RNG, workload.Binary, base))
-	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-	tb.Clock.AdvanceTo(res.Done.Add(10 * time.Second))
-
-	t1 := tb.Clock.Now()
-	tb.Folder.Append(t1, "delta.bin", workload.Generate(tb.RNG, workload.Binary, added))
-	res = tb.Client.SyncChanges(tb.Folder, t1.Add(-time.Millisecond))
-	tb.Clock.AdvanceTo(res.Done)
-
-	win := tb.Cap.Window(t1, trace.FarFuture)
-	up := win.WireBytesDir(tb.StorageFilter(t1), trace.Upstream)
+	up := Fig4DeltaSeries(p, ModAppend, []int64{base}, added, seed)[0].Upload
 	// Delta encoding: the upload tracks the added bytes, not the
 	// file size.
 	return up < (base+added)/3
 }
 
-// DetectCompression runs the Sect. 4.5 test: upload equally sized
-// text, random and fake-JPEG files and compare transmitted volumes.
+// DetectCompression reads the Sect. 4.5 test off the Fig. 5 cells:
+// upload equally sized text, random and fake-JPEG files and compare
+// transmitted volumes.
 func DetectCompression(p client.Profile, seed int64) string {
-	const size = 500 << 10
-	upload := func(kind workload.Kind, s int64) int64 {
-		tb := NewTestbed(p, s, 0)
-		start := tb.Settle()
-		t0 := tb.Clock.Now()
-		tb.Folder.Create(t0, "f"+kind.Ext(), workload.Generate(tb.RNG, kind, size))
-		res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-		tb.Clock.AdvanceTo(res.Done)
-		win := tb.Cap.Window(t0, trace.FarFuture)
-		return win.WireBytesDir(tb.StorageFilter(t0), trace.Upstream)
+	upload := func(kind workload.Kind) int64 {
+		return Fig5CompressionSeries(p, kind, []int64{500 << 10}, seed)[0].Upload
 	}
-	text := upload(workload.Text, seed)
-	random := upload(workload.Binary, seed+1)
+	text := upload(workload.Text)
+	random := upload(workload.Binary)
 	if text > random*3/4 {
 		return "no"
 	}
 	// Compression detected; fake JPEGs reveal whether the client
 	// sniffs content types (Google Drive) or compresses blindly
 	// (Dropbox).
-	fake := upload(workload.FakeJPEG, seed+2)
+	fake := upload(workload.FakeJPEG)
 	if fake > random*3/4 {
 		return "smart"
 	}

@@ -316,7 +316,7 @@ func TestStorageFilterWualaHeuristic(t *testing.T) {
 	}
 	// The classified storage traffic must carry the content volume.
 	win := tb.Cap.Window(t0, trace.FarFuture)
-	up := win.WireBytesDir(filter, trace.Upstream)
+	up := win.Analyze(filter).WireUp
 	if up < 400<<10 {
 		t.Fatalf("storage upstream = %d, want >= content", up)
 	}

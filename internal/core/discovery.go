@@ -53,16 +53,10 @@ const NumResolvers = 2000
 //     (reverse-DNS airport codes, shortest RTT to vantage points,
 //     traceroute).
 func Discover(p client.Profile, seed int64) Discovery {
-	tb := NewTestbed(p, seed, 0)
-
 	// Phase 1: drive the client through start / file sync / idle and
 	// collect contacted names from the trace.
-	start := tb.Settle()
-	t0 := tb.Clock.Now()
-	workload.Batch{Count: 3, Size: 50_000, Kind: workload.Binary}.
-		Materialize(tb.Folder, tb.RNG, t0, "probe")
-	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-	tb.Clock.AdvanceTo(res.Done)
+	probe := workload.Batch{Count: 3, Size: 50_000, Kind: workload.Binary}
+	tb, _ := syncCell{p: p, batch: probe, host: campusHost}.syncOnce(seed, false)
 	tb.Client.InstallPoller(tb.Sched)
 	tb.Sched.RunUntil(tb.Clock.Now().Add(5 * time.Minute))
 

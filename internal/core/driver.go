@@ -26,6 +26,13 @@ import (
 // then folds each cell's batch in index order and asks that cell's
 // rule whether to stop.
 //
+// A syncCell also owns the one upload script (syncCell.sync) — settle,
+// open the window, create the batch, sync, advance the clock — so the
+// single-upload studies (Fig. 3's SYN count, the what-if
+// counterfactuals, the bundling and chunking detectors, Discover's
+// probe phase) run the very repetition the campaign layers repeat,
+// once, in whichever trace mode they read.
+//
 // A fixed budget is the rule preset MinReps = MaxReps = reps
 // (fixedRule): every cell closes after the opening batch, so the run
 // is a single round over the flat cell x repetition matrix. A
@@ -232,14 +239,17 @@ func vrRNG(seed int64, anti bool) *sim.RNG {
 	return sim.NewRNG(seed)
 }
 
-// runSync is the one synchronization-benchmark repetition behind every
-// campaign layer: a fresh streaming testbed seeded with randomness root
-// rng on the cell's world, login, settle, materialize the batch, let
-// the client synchronize, and measure the window. The cell's loss rate
-// applies to every path, set before any traffic, so login and settle
-// share the lossy path as they would under netem.
-func (c *syncCell) runSync(w *world, rng *sim.RNG) Metrics {
-	tb := w.testbed(c.p, c.host(), rng, c.jitter, true)
+// sync is the one upload script behind every single-upload study and
+// campaign layer: a fresh testbed seeded with randomness root rng on
+// the cell's world, login, settle, open the benchmark window,
+// materialize the batch, let the client synchronize and advance the
+// clock to its end. streaming selects the trace mode (see Testbed):
+// measured repetitions stream, detectors that walk packets buffer. The
+// cell's loss rate applies to every path, set before any traffic, so
+// login and settle share the lossy path as they would under netem. It
+// returns the synced testbed and the window start.
+func (c *syncCell) sync(w *world, rng *sim.RNG, streaming bool) (*Testbed, time.Time) {
+	tb := w.testbed(c.p, c.host(), rng, c.jitter, streaming)
 	tb.Net.LossRate = c.loss
 	start := tb.Settle()
 	t0 := tb.Clock.Now()
@@ -247,6 +257,14 @@ func (c *syncCell) runSync(w *world, rng *sim.RNG) Metrics {
 	c.batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
 	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
 	tb.Clock.AdvanceTo(res.Done)
+	return tb, t0
+}
+
+// runSync is one measured synchronization-benchmark repetition: the
+// upload script on a streaming trace, then the Sect. 5 metrics of its
+// window.
+func (c *syncCell) runSync(w *world, rng *sim.RNG) Metrics {
+	tb, t0 := c.sync(w, rng, true)
 	return MeasureWindow(tb, t0, c.batch.Total())
 }
 
@@ -262,8 +280,14 @@ type syncCell struct {
 	seed   func(rep int) int64
 }
 
-// runOnce is a single repetition of the cell on seed, on a world of
-// its own.
+// syncOnce runs the upload script once on seed, on a world of its
+// own.
+func (c syncCell) syncOnce(seed int64, streaming bool) (*Testbed, time.Time) {
+	return c.sync(cellWorlds([]syncCell{c})[0], sim.NewRNG(seed), streaming)
+}
+
+// runOnce is a single measured repetition of the cell on seed, on a
+// world of its own.
 func (c syncCell) runOnce(seed int64) Metrics {
 	return c.runSync(cellWorlds([]syncCell{c})[0], sim.NewRNG(seed))
 }

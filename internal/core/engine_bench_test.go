@@ -89,7 +89,7 @@ func seedMeasureWindow(tb *Testbed, t0 time.Time, contentBytes int64) Metrics {
 	if contentBytes > 0 {
 		m.Overhead = float64(m.TotalTraffic) / float64(contentBytes)
 	}
-	// Scan 5 (+6 in the seed: ConnectionCount delegated to SYNTimes).
+	// Scan 5 (+6 in the seed: the connection count re-scanned for SYN times).
 	for s, i := set(trace.AllFlows), 0; i < len(packets); i++ {
 		p := packets[i]
 		if s[p.Flow] && p.Flags.SYN && !p.Flags.ACK && p.Dir == trace.Upstream {

@@ -146,22 +146,14 @@ type SYNSeries struct {
 // RunSYNCount executes the Fig. 3 experiment: upload 100 files of
 // 10 kB and record every connection the client opens. The SYN
 // timeline survives streaming (one instant per connection, O(flows)),
-// so this runs on the streaming trace like the other campaign cells.
+// so this runs the upload script on the streaming trace like the
+// campaign cells.
 func RunSYNCount(p client.Profile, batch workload.Batch, seed int64) SYNSeries {
-	tb := NewStreamingTestbed(p, seed, 0)
-	start := tb.Settle()
-	t0 := tb.Clock.Now()
-	tb.StartWindow(t0)
-	batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
-	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-	tb.Clock.AdvanceTo(res.Done)
-
-	var out SYNSeries
-	out.Service = p.Service
+	tb, t0 := syncCell{p: p, batch: batch, host: campusHost}.syncOnce(seed, true)
+	out := SYNSeries{Service: p.Service}
 	for _, ts := range tb.AnalyzeWindow(t0, trace.AllFlows).SYNTimes {
 		out.Times = append(out.Times, ts.Sub(t0))
 	}
-	m := MeasureWindow(tb, t0, batch.Total())
-	out.Duration = m.Completion
+	out.Duration = MeasureWindow(tb, t0, batch.Total()).Completion
 	return out
 }

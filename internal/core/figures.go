@@ -10,8 +10,9 @@ import (
 )
 
 // This file regenerates every figure dataset of the paper. Each
-// function returns plottable series; cmd/figures renders them as text
-// or CSV. The bench targets in bench_test.go wrap these one-to-one.
+// function returns plottable series; cmd/cloudbench renders them as
+// text, CSV or ASCII charts. The bench targets in bench_test.go wrap
+// these one-to-one.
 
 // ModKind selects where the Fig. 4 modification lands in the file.
 type ModKind int
@@ -55,7 +56,7 @@ type VolumePoint struct {
 func Fig4DeltaSeries(p client.Profile, mod ModKind, sizes []int64, added int64, seed int64) []VolumePoint {
 	return sweepLargestFirst(sizes, func(i int) VolumePoint {
 		size := sizes[i]
-		tb := NewStreamingTestbed(p, seed+int64(i)*101, 0)
+		tb := streamingTestbed(p, seed+int64(i)*101)
 		start := tb.Settle()
 
 		t0 := tb.Clock.Now()
@@ -89,7 +90,7 @@ func Fig4DeltaSeries(p client.Profile, mod ModKind, sizes []int64, added int64, 
 func Fig5CompressionSeries(p client.Profile, kind workload.Kind, sizes []int64, seed int64) []VolumePoint {
 	return sweepLargestFirst(sizes, func(i int) VolumePoint {
 		size := sizes[i]
-		tb := NewStreamingTestbed(p, seed+int64(i)*103, 0)
+		tb := streamingTestbed(p, seed+int64(i)*103)
 		start := tb.Settle()
 		t0 := tb.Clock.Now()
 		tb.StartWindow(t0)

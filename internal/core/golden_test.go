@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/goldenfile"
@@ -102,7 +103,7 @@ func TestMeasureWindowBoundary(t *testing.T) {
 	p := client.Dropbox()
 	tb := NewTestbed(p, 5, 0)
 	start := tb.Settle()
-	preTraffic := tb.Cap.Window(tb.Cap.Packets()[0].Time, start).TotalWireBytes(nil)
+	preTraffic := tb.Cap.Window(tb.Cap.Packets()[0].Time, start).Analyze(nil).TotalWire
 	if preTraffic == 0 {
 		t.Fatal("login produced no traffic")
 	}
@@ -111,4 +112,55 @@ func TestMeasureWindowBoundary(t *testing.T) {
 	if m.TotalTraffic != 0 {
 		t.Errorf("benchmark window sees %d bytes of pre-window traffic", m.TotalTraffic)
 	}
+}
+
+// goldenSYN pins one Fig. 3 run: how many connections the client
+// opened, the upload duration, and the first and last SYN offsets.
+type goldenSYN struct {
+	SYNs        int
+	Duration    time.Duration
+	First, Last time.Duration
+}
+
+// goldenDetect pins the two upload-script detectors of one profile.
+type goldenDetect struct {
+	Bundling BundlingResult
+	Chunking string
+}
+
+// goldenStudies pins the studies that run the shared upload script
+// outside the campaign layers.
+type goldenStudies struct {
+	WhatIf        []WhatIfResult
+	SYN           map[string]goldenSYN
+	Detect        map[string]goldenDetect
+	DiscoverNames []string
+	DiscoverEdges int
+}
+
+// TestGoldenStudies pins the single-upload studies — the what-if
+// counterfactuals, Fig. 3's SYN count, the bundling and chunking
+// detectors and Discover's probe phase — at seed 42 against
+// testdata/golden_studies.json.
+func TestGoldenStudies(t *testing.T) {
+	got := goldenStudies{
+		WhatIf: WhatIfStudies(42),
+		SYN:    map[string]goldenSYN{},
+		Detect: map[string]goldenDetect{},
+	}
+	fig3 := workload.Batch{Count: 100, Size: 10_000, Kind: workload.Binary}
+	for _, p := range []client.Profile{client.GoogleDrive(), client.CloudDrive()} {
+		s := RunSYNCount(p, fig3, 42)
+		g := goldenSYN{SYNs: len(s.Times), Duration: s.Duration}
+		if len(s.Times) > 0 {
+			g.First, g.Last = s.Times[0], s.Times[len(s.Times)-1]
+		}
+		got.SYN[p.Service] = g
+	}
+	for _, p := range client.Profiles() {
+		got.Detect[p.Service] = goldenDetect{Bundling: DetectBundling(p, 42), Chunking: DetectChunking(p, 42)}
+	}
+	d := Discover(client.Dropbox(), 42)
+	got.DiscoverNames, got.DiscoverEdges = d.Names, d.EdgeCount()
+	goldenfile.Check(t, "testdata/golden_studies.json", got)
 }

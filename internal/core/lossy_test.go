@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/goldenfile"
@@ -19,22 +18,11 @@ import (
 // for bit, so the lossy engine can never silently drift from its
 // retransmission accounting conventions.
 
-// lossyRun drives one repetition over a path with the given loss rate
-// and returns its metrics plus (in buffered mode) the capture.
+// lossyRun drives the shared upload script over a path with the given
+// loss rate and returns its metrics plus (in buffered mode) the
+// capture.
 func lossyRun(p client.Profile, batch workload.Batch, seed int64, loss float64, streaming bool) (Metrics, *trace.Capture) {
-	var tb *Testbed
-	if streaming {
-		tb = NewStreamingTestbed(p, seed, 0)
-	} else {
-		tb = NewTestbed(p, seed, 0)
-	}
-	tb.Net.LossRate = loss
-	start := tb.Settle()
-	t0 := tb.Clock.Now()
-	tb.StartWindow(t0)
-	batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
-	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-	tb.Clock.AdvanceTo(res.Done)
+	tb, t0 := syncCell{p: p, batch: batch, host: campusHost, loss: loss}.syncOnce(seed, streaming)
 	return MeasureWindow(tb, t0, batch.Total()), tb.Cap
 }
 

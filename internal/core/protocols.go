@@ -81,18 +81,17 @@ func AnalyzeProtocols(p client.Profile, seed int64) ProtocolReport {
 		}
 	}
 	r.LoginServers = len(addrs)
-	r.LoginBytes = loginWin.TotalWireBytes(trace.AllFlows)
+	r.LoginBytes = loginWin.Analyze(trace.AllFlows).TotalWire
 
 	// Idle phase: cluster activity into polls and estimate cadence.
 	idleWin := tb.Cap.Window(loginDone.Add(2*time.Second), end)
 	starts := activityClusterStarts(idleWin, 2*time.Second)
 	r.PollInterval = medianGap(starts)
-	idleBytes := idleWin.TotalWireBytes(trace.AllFlows)
-	r.IdleRateBps = float64(idleBytes*8) / end.Sub(loginDone).Seconds()
+	idle := idleWin.Analyze(trace.AllFlows)
+	r.IdleRateBps = float64(idle.TotalWire*8) / end.Sub(loginDone).Seconds()
 
 	// Per-poll connections: new SYNs during idle track poll count.
-	syns := idleWin.ConnectionCount(trace.AllFlows)
-	r.PollConnPerPoll = len(starts) > 3 && syns >= len(starts)-1
+	r.PollConnPerPoll = len(starts) > 3 && idle.Connections >= len(starts)-1
 	return r
 }
 

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -47,8 +46,7 @@ func RunRecovery(chunkSize int64, fileSize int64, every time.Duration, seed int6
 	res := tb.Client.RecoveryUpload(tb.Folder, start.Add(-time.Second), every)
 	tb.Clock.AdvanceTo(res.Done)
 
-	win := tb.Cap.Window(t0, trace.FarFuture)
-	up := win.PayloadBytesDir(tb.StorageFilter(t0), trace.Upstream)
+	up := tb.AnalyzeWindow(t0, tb.StorageFilter(t0)).PayloadUp
 
 	out := RecoveryStudy{
 		ChunkLabel: chunkLabel(chunkSize),

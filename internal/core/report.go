@@ -9,8 +9,8 @@ import (
 
 // This file renders results in the paper's shapes: Table 1, the
 // Fig. 6 bar groups, Fig. 1 rates, discovery summaries. Output is
-// plain text (and CSV via the Series helpers) so that cmd/figures can
-// be diffed between runs.
+// plain text (and CSV via the Series helpers) so that cmd/cloudbench
+// output can be diffed between runs.
 
 // yesNo renders a capability cell.
 func yesNo(b bool) string {

@@ -2,27 +2,23 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// runModes drives the identical repetition through a streaming and a
-// buffered testbed and returns both window analyses plus both Metrics.
+// runModes drives the identical repetition of the shared upload script
+// through a streaming and a buffered testbed and returns both window
+// analyses plus both Metrics.
 func runModes(p client.Profile, batch workload.Batch, seed int64, jitter float64) (sm, bm Metrics, sa, ba trace.Analysis) {
-	run := func(tb *Testbed) (Metrics, trace.Analysis) {
-		start := tb.Settle()
-		t0 := tb.Clock.Now()
-		tb.StartWindow(t0)
-		batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
-		res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-		tb.Clock.AdvanceTo(res.Done)
+	c := syncCell{p: p, batch: batch, host: campusHost, jitter: jitter}
+	run := func(streaming bool) (Metrics, trace.Analysis) {
+		tb, t0 := c.syncOnce(seed, streaming)
 		return MeasureWindow(tb, t0, batch.Total()), tb.AnalyzeWindow(t0, trace.AllFlows)
 	}
-	sm, sa = run(NewStreamingTestbed(p, seed, jitter))
-	bm, ba = run(NewTestbed(p, seed, jitter))
+	sm, sa = run(true)
+	bm, ba = run(false)
 	return sm, bm, sa, ba
 }
 
@@ -62,7 +58,7 @@ func TestStreamingMatchesBufferedMeasurement(t *testing.T) {
 // loudly, never silently return an empty analysis of discarded
 // packets.
 func TestStreamingMeasureRequiresStartWindow(t *testing.T) {
-	tb := NewStreamingTestbed(client.Dropbox(), 3, 0)
+	tb := streamingTestbed(client.Dropbox(), 3)
 	start := tb.Settle()
 	defer func() {
 		if recover() == nil {

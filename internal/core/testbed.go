@@ -43,11 +43,15 @@ var TwenteCoord = geo.Coord{Lat: 52.24, Lon: 6.85}
 //
 // The trace runs in one of two modes. Buffered (Cap non-nil) keeps
 // every packet record, supporting arbitrary re-windowing and
-// per-packet analyzers afterwards — what the protocol/capability
-// studies and cmd/tracedump need. Streaming (Stream non-nil) folds
-// packets into the registered benchmark window at record time and
-// discards them, capping per-repetition memory at O(flows) — what the
-// Sect. 5 campaign engine uses. Exactly one of Cap/Stream is set.
+// per-packet analyzers afterwards — what the studies that walk
+// packets or re-window mid-experiment (idle timeline, protocols,
+// chunking, bundling, dedup, recovery, discovery) and cmd/tracedump
+// need. Streaming (Stream non-nil) folds packets into the registered
+// benchmark window at record time and discards them, capping
+// per-repetition memory at O(flows) — what the Sect. 5 campaign engine
+// and the single-window studies (Fig. 3, Figs. 4/5 and the delta and
+// compression detectors that read them, the what-if counterfactuals)
+// use. Exactly one of Cap/Stream is set.
 type Testbed struct {
 	Seed    int64
 	Clock   *sim.Clock
@@ -75,22 +79,19 @@ func NewTestbed(p client.Profile, seed int64, jitter float64) *Testbed {
 	return NewTestbedFor(p, cloud.SpecFor(p.Service), seed, jitter)
 }
 
-// NewStreamingTestbed builds a streaming-trace testbed: the client
-// records into a trace.Streamer, so packets are folded into the
-// benchmark window (see StartWindow) and discarded instead of
-// buffered. Simulated behaviour and every derived metric are
-// bit-identical to a buffered testbed of the same seed; only the
-// trace-memory profile changes.
-func NewStreamingTestbed(p client.Profile, seed int64, jitter float64) *Testbed {
-	return assembleTestbed(p, cloud.SpecFor(p.Service), campusHost(), sim.NewRNG(seed), jitter, true)
-}
-
 // NewTestbedFor builds a buffered testbed for an arbitrary
 // profile/deployment pair — the extension hook for benchmarking
 // services beyond the five in the paper ("to extend the number of
 // tested services").
 func NewTestbedFor(p client.Profile, spec cloud.Spec, seed int64, jitter float64) *Testbed {
 	return assembleTestbed(p, spec, campusHost(), sim.NewRNG(seed), jitter, false)
+}
+
+// streamingTestbed is the jitter-free campus testbed of a Fig. 4/5
+// cell: NewTestbed's assembly path on a streaming trace, whose one
+// measurement window the cell registers with StartWindow.
+func streamingTestbed(p client.Profile, seed int64) *Testbed {
+	return assembleTestbed(p, cloud.SpecFor(p.Service), campusHost(), sim.NewRNG(seed), 0, true)
 }
 
 // campusHost is the paper's test computer: the University of Twente
@@ -105,8 +106,8 @@ func campusHost() *netem.Host {
 	}
 }
 
-// assembleTestbed is the one-off testbed behind the public
-// constructors: a world built for host's vantage, then one run on it.
+// assembleTestbed is the one-off testbed behind the constructors: a
+// world built for host's vantage, then one run on it.
 // host describes the (not yet added) test computer, rng is the top of
 // the repetition's randomness tree, and streaming selects the trace
 // mode.

@@ -5,10 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/client"
-	"repro/internal/cloud"
 	"repro/internal/geo"
 	"repro/internal/netem"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -39,12 +37,6 @@ func VantageByName(name string) (Vantage, bool) {
 		}
 	}
 	return Vantage{}, false
-}
-
-// NewTestbedAt builds a buffered testbed with the test computer at an
-// arbitrary vantage.
-func NewTestbedAt(p client.Profile, spec cloud.Spec, v Vantage, seed int64, jitter float64) *Testbed {
-	return assembleTestbed(p, spec, vantageHost(v), sim.NewRNG(seed), jitter, false)
 }
 
 // vantageHost is a test computer placed at an arbitrary vantage.

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/client"
-	"repro/internal/cloud"
 	"repro/internal/compressor"
+	"repro/internal/netem"
 	"repro/internal/workload"
 )
 
@@ -78,15 +76,13 @@ func WhatIfDropboxSmartCompression(seed int64) WhatIfResult {
 func WhatIfMobileUplink(seed int64) WhatIfResult {
 	batch := workload.Batch{Count: 100, Size: 10_000, Kind: workload.Binary}
 	completion := func(rateBps int64) float64 {
-		p := client.CloudDrive()
-		tb := NewTestbedAt(p, cloud.SpecFor(p.Service), Twente, seed, 0)
-		tb.Client.Host.RateBps = rateBps
-		start := tb.Settle()
-		t0 := tb.Clock.Now()
-		batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
-		res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-		tb.Clock.AdvanceTo(res.Done)
-		return MeasureWindow(tb, t0, batch.Total()).Completion.Seconds()
+		host := func() *netem.Host {
+			h := vantageHost(Twente)
+			h.RateBps = rateBps
+			return h
+		}
+		cell := syncCell{p: client.CloudDrive(), batch: batch, host: host}
+		return cell.runOnce(seed).Completion.Seconds()
 	}
 	return WhatIfResult{
 		Name:          "clouddrive-on-mobile-uplink",
@@ -105,15 +101,7 @@ func WhatIfMobileUplink(seed int64) WhatIfResult {
 func WhatIfLossyPath(seed int64) WhatIfResult {
 	batch := workload.Batch{Count: 1, Size: 10 << 20, Kind: workload.Binary}
 	completion := func(loss float64) float64 {
-		p := client.SkyDrive()
-		tb := NewTestbedAt(p, cloud.SpecFor(p.Service), Twente, seed, 0)
-		tb.Net.LossRate = loss
-		start := tb.Settle()
-		t0 := tb.Clock.Now()
-		batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
-		res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-		tb.Clock.AdvanceTo(res.Done)
-		return MeasureWindow(tb, t0, batch.Total()).Completion.Seconds()
+		return RunSyncLossy(client.SkyDrive(), batch, Twente, seed, 0, loss).Completion.Seconds()
 	}
 	return WhatIfResult{
 		Name:          "skydrive-on-lossy-path",

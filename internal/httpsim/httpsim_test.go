@@ -25,9 +25,9 @@ func testbed(proc time.Duration) (*netem.Network, *trace.Capture, *Client, *nete
 func TestSessionDoHeaderAccounting(t *testing.T) {
 	_, cap, c, server := testbed(0)
 	s := c.Open(server, "api.example", sim.Epoch)
-	base := cap.PayloadBytesDir(trace.AllFlows, trace.Upstream)
+	base := cap.Analyze(trace.AllFlows).PayloadUp
 	s.Do(1000, 2000)
-	up := cap.PayloadBytesDir(trace.AllFlows, trace.Upstream) - base
+	up := cap.Analyze(trace.AllFlows).PayloadUp - base
 	// 600 header + 1000 body, +2% TLS records.
 	wantMin, wantMax := int64(1600), int64(1600)+int64(1600)*3/100
 	if up < wantMin || up > wantMax {
@@ -54,7 +54,7 @@ func TestDoOnceOpensAndClosesConnection(t *testing.T) {
 	_, cap, c, server := testbed(0)
 	c.DoOnce(server, "poll.example", sim.Epoch, 200, 300)
 	c.DoOnce(server, "poll.example", sim.Epoch.Add(15*time.Second), 200, 300)
-	if got := cap.ConnectionCount(trace.AllFlows); got != 2 {
+	if got := cap.Analyze(trace.AllFlows).Connections; got != 2 {
 		t.Fatalf("connections = %d, want 2 (one per poll)", got)
 	}
 	fins := 0
@@ -74,7 +74,7 @@ func TestPersistentSessionReusesConnection(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Do(100, 100)
 	}
-	if got := cap.ConnectionCount(trace.AllFlows); got != 1 {
+	if got := cap.Analyze(trace.AllFlows).Connections; got != 1 {
 		t.Fatalf("connections = %d, want 1 (keep-alive)", got)
 	}
 }
@@ -90,7 +90,7 @@ func TestPollingCostAsymmetry(t *testing.T) {
 		s.Conn().Wait(at)
 		s.Do(150, 150)
 	}
-	keepAlive := capA.TotalWireBytes(trace.AllFlows)
+	keepAlive := capA.Analyze(trace.AllFlows).TotalWire
 
 	_, capB, c2, serverB := testbed(0)
 	at = sim.Epoch
@@ -98,7 +98,7 @@ func TestPollingCostAsymmetry(t *testing.T) {
 		at = at.Add(time.Minute)
 		c2.DoOnce(serverB, "poll.example", at, 150, 150)
 	}
-	perConn := capB.TotalWireBytes(trace.AllFlows)
+	perConn := capB.Analyze(trace.AllFlows).TotalWire
 
 	// Fresh TLS per poll costs several times more; Cloud Drive's
 	// order-of-magnitude Fig. 1 gap additionally comes from its 4x
@@ -116,7 +116,7 @@ func TestPlainHTTPProfile(t *testing.T) {
 	s := c.Open(server, "notify.example", sim.Epoch)
 	s.Do(0, 0)
 	// No TLS: handshake contributes no payload, only the HTTP headers do.
-	up := cap.PayloadBytesDir(trace.AllFlows, trace.Upstream)
+	up := cap.Analyze(trace.AllFlows).PayloadUp
 	if up != int64(plain.ReqHeaderBytes) {
 		t.Fatalf("plain HTTP upstream payload = %d, want %d", up, plain.ReqHeaderBytes)
 	}

@@ -26,7 +26,7 @@ func TestUploadWithZeroBody(t *testing.T) {
 		t.Fatal("ack before last byte")
 	}
 	// Headers still travel.
-	if up := cap.PayloadBytesDir(trace.AllFlows, trace.Upstream); up < DefaultProfile.ReqHeaderBytes {
+	if up := cap.Analyze(trace.AllFlows).PayloadUp; up < DefaultProfile.ReqHeaderBytes {
 		t.Fatalf("zero-body upload carried %d bytes", up)
 	}
 }
@@ -49,11 +49,11 @@ func TestProfileHeaderSizesRespected(t *testing.T) {
 	p := Profile{TLS: DefaultProfile.TLS, ReqHeaderBytes: 1234, RespHeaderBytes: 567}
 	c := NewClient(tcpsim.NewDialer(n, cap, client), p)
 	s := c.Open(server, "s", sim.Epoch)
-	upBefore := cap.PayloadBytesDir(trace.AllFlows, trace.Upstream)
-	downBefore := cap.PayloadBytesDir(trace.AllFlows, trace.Downstream)
+	upBefore := cap.Analyze(trace.AllFlows).PayloadUp
+	downBefore := cap.Analyze(trace.AllFlows).PayloadDown
 	s.Do(0, 0)
-	up := cap.PayloadBytesDir(trace.AllFlows, trace.Upstream) - upBefore
-	down := cap.PayloadBytesDir(trace.AllFlows, trace.Downstream) - downBefore
+	up := cap.Analyze(trace.AllFlows).PayloadUp - upBefore
+	down := cap.Analyze(trace.AllFlows).PayloadDown - downBefore
 	if up < 1234 || up > 1234+1234/20 {
 		t.Fatalf("request bytes = %d, want ~1234", up)
 	}

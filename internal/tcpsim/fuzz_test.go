@@ -185,8 +185,8 @@ func replayTransferScript(cfg engineConfig, ops, losses []byte) transferRun {
 
 	var r transferRun
 	r.handshake = [2]int64{
-		cap.PayloadBytesDir(trace.AllFlows, trace.Upstream),
-		cap.PayloadBytesDir(trace.AllFlows, trace.Downstream),
+		cap.Analyze(trace.AllFlows).PayloadUp,
+		cap.Analyze(trace.AllFlows).PayloadDown,
 	}
 	for i := 0; i+3 <= len(ops); i += 3 {
 		size := (int64(ops[i+1])<<8 | int64(ops[i+2])) * 64

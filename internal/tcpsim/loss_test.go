@@ -34,12 +34,12 @@ func TestLossPreservesPayloadConservation(t *testing.T) {
 	c := d.Dial(server, "s", sim.Epoch, PlainTCP)
 	const payload = 5 << 20
 	c.Send(payload)
-	up := cap.PayloadBytesDir(trace.AllFlows, trace.Upstream)
+	up := cap.Analyze(trace.AllFlows).PayloadUp
 	if up != payload {
 		t.Fatalf("payload = %d, want exactly %d (retransmissions are wire-only)", up, payload)
 	}
 	// Wire bytes exceed the loss-free equivalent: retransmissions.
-	wire := cap.WireBytesDir(trace.AllFlows, trace.Upstream)
+	wire := cap.Analyze(trace.AllFlows).WireUp
 	overheadFree := int64(payload) + int64(segments(payload))*HeaderPerSeg
 	if wire <= overheadFree {
 		t.Fatalf("no retransmission traffic visible: %d <= %d", wire, overheadFree)

@@ -45,7 +45,7 @@ func TestDialHandshakeTiming(t *testing.T) {
 
 	// Exactly two client SYNs in the capture.
 	//simlint:allow goldendiscipline -- the test issues exactly 2 Dials; a structural count, not a refreshable metric
-	if got := cap.ConnectionCount(trace.AllFlows); got != 2 {
+	if got := cap.Analyze(trace.AllFlows).Connections; got != 2 {
 		t.Fatalf("connection count = %d", got)
 	}
 }
@@ -53,7 +53,7 @@ func TestDialHandshakeTiming(t *testing.T) {
 func TestTLSHandshakeBytes(t *testing.T) {
 	_, cap, d, server := testbed(iadCoord(), 20e6, 0)
 	d.Dial(server, "s", sim.Epoch, DefaultTLS)
-	down := cap.PayloadBytesDir(trace.AllFlows, trace.Downstream)
+	down := cap.Analyze(trace.AllFlows).PayloadDown
 	if down < DefaultTLS.CertBytes || down > DefaultTLS.CertBytes+200 {
 		t.Fatalf("handshake downstream payload = %d, want ~certBytes", down)
 	}
@@ -181,15 +181,15 @@ func TestByteConservation(t *testing.T) {
 	c := d.Dial(server, "s", sim.Epoch, PlainTCP)
 	const n = 1 << 20
 	c.Send(n)
-	up := cap.PayloadBytesDir(trace.AllFlows, trace.Upstream)
+	up := cap.Analyze(trace.AllFlows).PayloadUp
 	if up != n {
 		t.Fatalf("upstream payload = %d, want %d", up, n)
 	}
-	if down := cap.PayloadBytesDir(trace.AllFlows, trace.Downstream); down != 0 {
+	if down := cap.Analyze(trace.AllFlows).PayloadDown; down != 0 {
 		t.Fatalf("downstream payload = %d, want 0", down)
 	}
 	// Wire overhead exists and is bounded (headers + delayed ACKs ~ 7%).
-	wire := cap.TotalWireBytes(trace.AllFlows)
+	wire := cap.Analyze(trace.AllFlows).TotalWire
 	if wire <= up || wire > up+up/10 {
 		t.Fatalf("wire bytes = %d vs payload %d", wire, up)
 	}
@@ -198,9 +198,9 @@ func TestByteConservation(t *testing.T) {
 func TestTLSRecordOverheadCounted(t *testing.T) {
 	_, capT, d, server := testbed(iadCoord(), 20e6, 0)
 	c := d.Dial(server, "s", sim.Epoch, DefaultTLS)
-	handshakeUp := capT.PayloadBytesDir(trace.AllFlows, trace.Upstream)
+	handshakeUp := capT.Analyze(trace.AllFlows).PayloadUp
 	c.Send(1 << 20)
-	up := capT.PayloadBytesDir(trace.AllFlows, trace.Upstream) - handshakeUp
+	up := capT.Analyze(trace.AllFlows).PayloadUp - handshakeUp
 	mb := int64(1 << 20)
 	want := mb + int64(float64(mb)*0.02)
 	if up < want-MSS || up > want+MSS {

@@ -18,8 +18,8 @@ import (
 // The scalar metrics all derive from one single-pass scan, Analyze:
 // the measurement engine calls it once per (window, filter) pair and
 // reads every Sect. 5 number off the result, where it previously
-// re-scanned the trace once per metric. The historical per-metric
-// methods survive as thin wrappers.
+// re-scanned the trace once per metric. There are no per-metric
+// methods: a caller reads the one Analysis it needs.
 
 // Analysis is every scalar trace metric over one flow selection,
 // computed in a single scan by Analyze.
@@ -28,14 +28,14 @@ type Analysis struct {
 	Packets int
 
 	// TotalWire is on-the-wire bytes in both directions, including
-	// pure-ACK accounting (TotalWireBytes).
+	// pure-ACK accounting.
 	TotalWire int64
 	// WireUp/WireDown are directional wire bytes; ACK bytes carried
-	// on a data record count towards the opposite direction, exactly
-	// as WireBytesDir reports them. TotalWire == WireUp + WireDown.
+	// on a data record count towards the opposite direction (the
+	// receiver emits them). TotalWire == WireUp + WireDown.
 	WireUp, WireDown int64
-	// PayloadUp/PayloadDown are directional application payload bytes
-	// (PayloadBytesDir).
+	// PayloadUp/PayloadDown are directional application payload
+	// bytes.
 	PayloadUp, PayloadDown int64
 
 	// FirstPayload/LastPayload bracket the payload-carrying packets;
@@ -93,45 +93,6 @@ func (c *Capture) Analyze(f FlowFilter) Analysis {
 	}
 	a.Connections = len(a.SYNTimes)
 	return a
-}
-
-// TotalWireBytes sums on-the-wire bytes in both directions over the
-// selected flows, including pure-ACK accounting.
-func (c *Capture) TotalWireBytes(f FlowFilter) int64 {
-	return c.Analyze(f).TotalWire
-}
-
-// WireBytesDir sums on-the-wire bytes in one direction. ACK bytes
-// carried on a data record count towards the opposite direction (the
-// receiver emits them).
-func (c *Capture) WireBytesDir(f FlowFilter, dir Direction) int64 {
-	a := c.Analyze(f)
-	if dir == Upstream {
-		return a.WireUp
-	}
-	return a.WireDown
-}
-
-// PayloadBytesDir sums application payload bytes in one direction.
-func (c *Capture) PayloadBytesDir(f FlowFilter, dir Direction) int64 {
-	a := c.Analyze(f)
-	if dir == Upstream {
-		return a.PayloadUp
-	}
-	return a.PayloadDown
-}
-
-// SYNTimes returns the timestamps of client-initiated SYN packets over
-// the selected flows, in capture order. Plotting len(prefix) against
-// time reproduces Fig. 3.
-func (c *Capture) SYNTimes(f FlowFilter) []time.Time {
-	return c.Analyze(f).SYNTimes
-}
-
-// ConnectionCount returns the number of client-initiated connections
-// over the selected flows (SYN count, excluding SYN-ACKs).
-func (c *Capture) ConnectionCount(f FlowFilter) int {
-	return c.Analyze(f).Connections
 }
 
 // TimelinePoint is one step of a cumulative byte timeline.

@@ -288,13 +288,13 @@ func TestWindowViewIsSnapshot(t *testing.T) {
 	if w.Len() != 2 {
 		t.Fatalf("view grew to %d packets after later records", w.Len())
 	}
-	if got := w.TotalWireBytes(AllFlows); got != 3 {
+	if got := w.Analyze(AllFlows).TotalWire; got != 3 {
 		t.Fatalf("view bytes = %d, want 3", got)
 	}
 	if c.Len() != 4 {
 		t.Fatalf("parent has %d packets, want 4", c.Len())
 	}
-	if got := c.TotalWireBytes(AllFlows); got != 10 {
+	if got := c.Analyze(AllFlows).TotalWire; got != 10 {
 		t.Fatalf("parent bytes = %d, want 10", got)
 	}
 }

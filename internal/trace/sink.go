@@ -186,8 +186,7 @@ type synEvent struct {
 
 // StreamWindow accumulates one [from, to) time slice of the stream.
 // It answers the same questions as a Capture.Window over the same
-// records — Analyze, FlowBytes, FlowsWithTraffic — without the
-// records.
+// records — Analyze and FlowBytes — without the records.
 type StreamWindow struct {
 	s        *Streamer
 	from, to time.Time
@@ -324,16 +323,6 @@ func (w *StreamWindow) FlowBytes() []int64 {
 	out := make([]int64, w.s.flows.len())
 	for id := range w.perFlow.len() {
 		out[id] = w.perFlow.at(id).totalWire
-	}
-	return out
-}
-
-// FlowsWithTraffic reports which flows carry at least one packet in
-// the window, indexed by FlowID, identical to the Capture method.
-func (w *StreamWindow) FlowsWithTraffic() []bool {
-	out := make([]bool, w.s.flows.len())
-	for id := range w.perFlow.len() {
-		out[id] = w.perFlow.at(id).packets > 0
 	}
 	return out
 }

@@ -33,9 +33,6 @@ func TestStreamerMatchesCaptureRandomized(t *testing.T) {
 			if want, got := cwins[wi].FlowBytes(), wins[wi].FlowBytes(); !reflect.DeepEqual(want, got) {
 				t.Fatalf("seed %d window %d FlowBytes: capture %v streamer %v", seed, wi, want, got)
 			}
-			if want, got := cwins[wi].FlowsWithTraffic(), wins[wi].FlowsWithTraffic(); !reflect.DeepEqual(want, got) {
-				t.Fatalf("seed %d window %d FlowsWithTraffic: capture %v streamer %v", seed, wi, want, got)
-			}
 		}
 	}
 }

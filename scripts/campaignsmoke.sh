@@ -9,11 +9,13 @@
 # sweeps are nested fan-outs (services, then sizes largest first)
 # whose idle workers join each other's pools, and so is the Table 1
 # capability suite (services, then the five detectors of each probe).
-# The smoke runs a fixed Fig. 6 matrix, an adaptive one, a fixed loss
-# sweep, a fixed and an adaptive location study, the Fig. 4 and Fig. 5
-# sweeps and Table 1 at -parallel 1 and -parallel 4 and byte-compares
-# each pair of outputs; any diff is a determinism regression in the
-# driver, the scheduler or a layer on top of them.
+# The what-if counterfactuals, Fig. 3 and discovery run the campaign
+# cells' upload script once per study. The smoke runs a fixed Fig. 6
+# matrix, an adaptive one, a fixed loss sweep, a fixed and an adaptive
+# location study, the Fig. 4 and Fig. 5 sweeps, Table 1, the what-if
+# studies, Fig. 3 and discovery at -parallel 1 and -parallel 4 and
+# byte-compares each pair of outputs; any diff is a determinism
+# regression in the driver, the scheduler or a layer on top of them.
 #
 # Usage: scripts/campaignsmoke.sh [seed]
 set -euo pipefail
@@ -46,3 +48,6 @@ check fig5 -experiment fig5
 check locations-fixed -experiment locations -reps 2
 check locations-adaptive -experiment locations -precision 0.05 -max-reps 8
 check table1 -experiment table1
+check whatif -experiment whatif
+check fig3 -experiment fig3
+check discover -experiment discover
