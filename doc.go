@@ -50,24 +50,28 @@
 //     to scan, and per-flow state grows in chunks that are never
 //     copied.
 //   - trace.Span records carry their slicing parameters (slice size,
-//     spacing, count), so both sinks fold them in O(1) when a span
-//     falls inside one window and expand them deterministically only
-//     at window boundaries (Packet.Clip) — byte- and time-identical
-//     to the per-round records they stand for. Per-packet analyzers
-//     (Bursts, UploadPauses, throughput/cumulative timelines) walk
-//     Capture.ExpandedPackets, the materialized per-round view; the
-//     CSV trace format (v2) round-trips spans intact, and
-//     cmd/tracedump reports stored records vs expanded packets.
-//   - Capture.Window returns a zero-copy, binary-searched view of a
-//     time slice (half-open [from, to)), sharing the backing store;
-//     only windows that actually cut through a span copy and clip.
-//   - Capture.Analyze computes every scalar metric of Sect. 5 — byte
-//     accounting in both directions, payload bracket, SYN timeline,
-//     connection count — in one scan per flow selection; there are
+//     spacing, count), so a span that falls inside one window folds
+//     in O(1); a streamed window clips one that crosses its bounds
+//     (Packet.Clip) — byte- and time-identical to the per-round
+//     records it stands for. Capture.ExpandedPackets is the
+//     materialized per-round view, which the per-packet analyzers
+//     (Bursts, UploadPauses, the cumulative timeline) walk; the CSV
+//     trace format (v2) round-trips spans intact, and cmd/tracedump
+//     reports stored records vs expanded packets.
+//   - Capture.Window is a plain time cut (half-open [from, to)) of
+//     the per-round trace: it binary-searches ExpandedPackets, so a
+//     span contributes exactly its in-window slices, and on a
+//     span-free trace the view is zero-copy, sharing the backing
+//     store.
+//   - Every scalar metric of Sect. 5 — byte accounting in both
+//     directions, payload bracket, SYN timeline, connection count —
+//     comes from one fold, StreamWindow's per-flow accumulator:
+//     Streamer runs it at record time, and Capture.Analyze replays
+//     the buffered records through one unbounded window. There are
 //     no per-metric methods, so a caller reads each number off the
-//     one Analysis it took. StreamWindow.Analyze answers the same
-//     question from the streamed accumulators, bit-identically
-//     (pinned by the randomized equivalence test in internal/trace).
+//     one Analysis it took. Seed-style per-metric scans in
+//     internal/trace, sharing no code with the fold, pin it over
+//     span-bearing traces and random window cuts in both modes.
 //   - core.MeasureWindow reads all Sect. 5 metrics off two Analyze
 //     passes (all flows, storage flows) of one window, in either
 //     trace mode. One upload script (settle, open the window, create

@@ -84,15 +84,20 @@ type StopRule struct {
 
 // Validate rejects a rule no campaign can honour: a precision target
 // outside [0, 1) (zero takes the default), a negative repetition
-// bound, or MinReps above MaxReps when both are set.
+// bound, or MinReps above a set MaxReps, where a zero MinReps stands
+// for DefaultMinReps.
 func (r StopRule) Validate() error {
+	minReps := r.MinReps
+	if minReps == 0 {
+		minReps = DefaultMinReps
+	}
 	switch {
 	case !(r.TargetRelHW >= 0 && r.TargetRelHW < 1):
 		return fmt.Errorf("precision target %g is outside [0, 1)", r.TargetRelHW)
 	case r.MinReps < 0 || r.MaxReps < 0:
 		return fmt.Errorf("repetition bounds must be >= 0 (min %d, max %d)", r.MinReps, r.MaxReps)
-	case r.MinReps > 0 && r.MaxReps > 0 && r.MinReps > r.MaxReps:
-		return fmt.Errorf("min reps %d exceeds max reps %d", r.MinReps, r.MaxReps)
+	case r.MaxReps > 0 && minReps > r.MaxReps:
+		return fmt.Errorf("min reps %d exceeds max reps %d", minReps, r.MaxReps)
 	}
 	return nil
 }

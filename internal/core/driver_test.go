@@ -150,6 +150,12 @@ func TestStopRuleValidate(t *testing.T) {
 		{StopRule{MinReps: -1}, false},
 		{StopRule{MaxReps: -4}, false},
 		{StopRule{MinReps: 10, MaxReps: 5}, false},
+		// A zero MinReps stands for DefaultMinReps, so a cap below it
+		// cannot be honoured either.
+		{StopRule{TargetRelHW: 0.05, MaxReps: DefaultMinReps}, true},
+		{StopRule{TargetRelHW: 0.05, MaxReps: DefaultMinReps - 1}, false},
+		{StopRule{TargetRelHW: 0.05, MaxReps: 2}, false},
+		{StopRule{MinReps: 2, MaxReps: 2}, true},
 	} {
 		if err := tc.rule.Validate(); (err == nil) != tc.ok {
 			t.Errorf("%+v.Validate() = %v, want ok=%v", tc.rule, err, tc.ok)

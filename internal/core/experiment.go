@@ -30,9 +30,9 @@ func RunSync(p client.Profile, batch workload.Batch, seed int64, jitter float64)
 // MeasureWindow computes the Sect. 5 metrics for the benchmark window
 // starting at t0, for a workload of contentBytes. Every scalar comes
 // off two Analysis reads (one per flow selection: all flows, storage
-// flows) — on a buffered testbed each is one single-pass scan of a
-// zero-copy window view; on a streaming testbed each is a read of the
-// accumulators folded while recording.
+// flows) of the one Sect. 5 fold: on a streaming testbed each reads
+// the accumulators folded while recording; on a buffered testbed each
+// replays a time cut of the trace through the same fold.
 func MeasureWindow(tb *Testbed, t0 time.Time, contentBytes int64) Metrics {
 	storage := tb.AnalyzeWindow(t0, tb.StorageFilter(t0))
 	all := tb.AnalyzeWindow(t0, trace.AllFlows)

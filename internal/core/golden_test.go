@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/goldenfile"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -163,4 +164,56 @@ func TestGoldenStudies(t *testing.T) {
 	d := Discover(client.Dropbox(), 42)
 	got.DiscoverNames, got.DiscoverEdges = d.Names, d.EdgeCount()
 	goldenfile.Check(t, "testdata/golden_studies.json", got)
+}
+
+// goldenIdle pins one Fig. 1 run: the login volume, the idle rate and
+// the cumulative timeline's length and last point.
+type goldenIdle struct {
+	LoginBytes  int64
+	IdleRateBps float64
+	Points      int
+	Last        trace.TimelinePoint
+}
+
+// goldenBufferedProfile pins the buffered-trace studies of one profile.
+type goldenBufferedProfile struct {
+	Idle        goldenIdle
+	Protocols   ProtocolReport
+	Dedup       DedupResult
+	Propagation PropagationResult
+}
+
+// goldenBuffered pins every study that analyzes a buffered trace
+// outside the upload script.
+type goldenBuffered struct {
+	Profiles map[string]goldenBufferedProfile
+	Recovery []RecoveryStudy
+}
+
+// TestGoldenBufferedStudies pins the studies that read a buffered
+// capture through Window and Analyze — Fig. 1's idle run, the Sect. 3.1
+// protocol report, the dedup detector, two-device propagation at 1 MB
+// and upload recovery at cloudbench's four chunk sizes — at seed 42
+// against testdata/golden_buffered.json.
+func TestGoldenBufferedStudies(t *testing.T) {
+	got := goldenBuffered{Profiles: map[string]goldenBufferedProfile{}}
+	batch := workload.Batch{Count: 1, Size: 1 << 20, Kind: workload.Binary}
+	for _, p := range client.Profiles() {
+		idle := RunIdle(p, 42)
+		g := goldenBufferedProfile{
+			Idle: goldenIdle{LoginBytes: idle.LoginBytes, IdleRateBps: idle.IdleRateBps,
+				Points: len(idle.Timeline)},
+			Protocols:   AnalyzeProtocols(p, 42),
+			Dedup:       DetectDedup(p, 42),
+			Propagation: RunPropagation(p, batch, 42),
+		}
+		if n := len(idle.Timeline); n > 0 {
+			g.Idle.Last = idle.Timeline[n-1]
+		}
+		got.Profiles[p.Service] = g
+	}
+	for _, size := range []int64{0, 8 << 20, 4 << 20, 1 << 20} {
+		got.Recovery = append(got.Recovery, RunRecovery(size, 16<<20, 4*time.Second, 42))
+	}
+	goldenfile.Check(t, "testdata/golden_buffered.json", got)
 }

@@ -215,9 +215,8 @@ func (tb *Testbed) benchWindow(t0 time.Time) *trace.StreamWindow {
 
 // AnalyzeWindow computes every scalar trace metric over the selected
 // flows within the benchmark window [t0, FarFuture), in whichever
-// trace mode the testbed runs: one single-pass scan of the buffered
-// trace, or a read of the streaming accumulators. Both paths are
-// bit-identical.
+// trace mode the testbed runs: a read of the streaming accumulators,
+// or the same fold run over a time cut of the buffered trace.
 func (tb *Testbed) AnalyzeWindow(t0 time.Time, f trace.FlowFilter) trace.Analysis {
 	if tb.Stream != nil {
 		return tb.benchWindow(t0).Analyze(f)

@@ -15,14 +15,15 @@ import (
 //   - pause detection            -> chunk-size inference (Sect. 4.1)
 //   - cumulative byte timeline   -> idle/background traffic (Fig. 1)
 //
-// The scalar metrics all derive from one single-pass scan, Analyze:
-// the measurement engine calls it once per (window, filter) pair and
-// reads every Sect. 5 number off the result, where it previously
-// re-scanned the trace once per metric. There are no per-metric
-// methods: a caller reads the one Analysis it needs.
+// The scalar metrics all come from one fold, StreamWindow's per-flow
+// accumulator (sink.go): a Streamer runs it at record time, and
+// Capture.Analyze replays the buffered records through it. A caller
+// reads every Sect. 5 number off the one Analysis it needs; there are
+// no per-metric methods. The per-packet detectors below walk the
+// span-expanded trace instead.
 
 // Analysis is every scalar trace metric over one flow selection,
-// computed in a single scan by Analyze.
+// computed in a single fold by Analyze.
 type Analysis struct {
 	// Packets counts the selected trace records.
 	Packets int
@@ -50,49 +51,31 @@ type Analysis struct {
 	Connections int
 }
 
-// Analyze computes every scalar metric over the selected flows in one
-// scan of the trace. It is the workhorse behind MeasureWindow and the
-// per-metric convenience methods.
-func (c *Capture) Analyze(f FlowFilter) Analysis {
+// Analyze computes every scalar metric over the selected flows. It
+// folds the capture's time-sorted records through one unbounded
+// StreamWindow, so a buffered trace and a streamed one share a single
+// Sect. 5 analysis.
+func (c *Capture) Analyze(f FlowFilter) Analysis { return c.fold().Analyze(f) }
+
+// FlowBytes returns total wire bytes per flow, indexed by FlowID. The
+// paper uses per-flow sizes to tell Wuala's storage flows from its
+// control flows, since Wuala does not split them by server name.
+func (c *Capture) FlowBytes() []int64 { return c.fold().FlowBytes() }
+
+// fold replays the capture's records, in time order, into a fresh
+// Streamer whose one window [time.Time{}, FarFuture) holds every
+// instant a simulation produces and every one ReadCSV accepts.
+func (c *Capture) fold() *StreamWindow {
 	c.flush()
-	set := c.flowSet(f)
-	var a Analysis
-	for i := range c.packets {
-		p := &c.packets[i]
-		if !set[p.Flow] {
-			continue
-		}
-		// Span records fold in O(1): the aggregate fields are totals
-		// over the slices, and the payload bracket covers [Time, End].
-		a.Packets += p.SliceCount()
-		a.TotalWire += p.Wire + p.AckWire
-		if p.Dir == Upstream {
-			a.WireUp += p.Wire
-			a.WireDown += p.AckWire
-			a.PayloadUp += p.Payload
-			if p.Flags.SYN && !p.Flags.ACK {
-				a.SYNTimes = append(a.SYNTimes, p.Time)
-			}
-		} else {
-			a.WireDown += p.Wire
-			a.WireUp += p.AckWire
-			a.PayloadDown += p.Payload
-		}
-		if p.Payload > 0 {
-			if !a.HasPayload {
-				a.FirstPayload = p.Time
-				a.HasPayload = true
-			}
-			// A span's last payload instant (End) can lie beyond the
-			// start times of records sorted after it, so the bracket
-			// is a max fold rather than last-in-scan-order.
-			if end := p.End(); end.After(a.LastPayload) {
-				a.LastPayload = end
-			}
-		}
+	s := NewStreamer()
+	for _, fl := range c.flows {
+		s.OpenFlow(fl.Key, fl.ServerName, fl.OpenedAt)
 	}
-	a.Connections = len(a.SYNTimes)
-	return a
+	w := s.AddWindow(time.Time{}, FarFuture)
+	for i := range c.packets {
+		s.Record(c.packets[i])
+	}
+	return w
 }
 
 // TimelinePoint is one step of a cumulative byte timeline.
@@ -197,155 +180,25 @@ func (c *Capture) UploadPauses(f FlowFilter, gap time.Duration) []Pause {
 	return out
 }
 
-// RatePoint is one bucket of a throughput timeline.
-type RatePoint struct {
-	Time time.Time // bucket start
-	Bps  float64   // payload throughput within the bucket
-}
-
-// ThroughputTimeline buckets upstream payload into fixed intervals and
-// returns the per-bucket rate — the "monitoring throughput during the
-// upload" view the paper uses to spot chunking pauses (Sect. 4.1).
-// Empty buckets between activity are included (rate 0), so pauses are
-// visible; leading/trailing silence is not.
-func (c *Capture) ThroughputTimeline(f FlowFilter, bucket time.Duration) []RatePoint {
-	if bucket <= 0 {
-		panic("trace: non-positive throughput bucket")
-	}
-	set := c.flowSet(f)
-	pkts := c.ExpandedPackets()
-	var first, last time.Time
-	seen := false
-	for _, p := range pkts {
-		if set[p.Flow] && p.Dir == Upstream && p.HasPayload() {
-			if !seen {
-				first = p.Time
-				seen = true
-			}
-			last = p.Time
-		}
-	}
-	if !seen {
-		return nil
-	}
-	n := int(last.Sub(first)/bucket) + 1
-	bytes := make([]int64, n)
-	for _, p := range pkts {
-		if set[p.Flow] && p.Dir == Upstream && p.HasPayload() {
-			idx := int(p.Time.Sub(first) / bucket)
-			bytes[idx] += p.Payload
-		}
-	}
-	out := make([]RatePoint, n)
-	for i, b := range bytes {
-		out[i] = RatePoint{
-			Time: first.Add(time.Duration(i) * bucket),
-			Bps:  float64(b*8) / bucket.Seconds(),
-		}
-	}
-	return out
-}
-
-// FlowBytes returns total wire bytes per flow, indexed by FlowID. The
-// paper uses per-flow sizes to tell Wuala's storage flows from its
-// control flows, since Wuala does not split them by server name.
-func (c *Capture) FlowBytes() []int64 {
-	c.flush()
-	out := make([]int64, len(c.flows))
-	for i := range c.packets {
-		p := &c.packets[i]
-		out[p.Flow] += p.Wire + p.AckWire
-	}
-	return out
-}
-
 // FarFuture is an instant beyond any simulated timeline, usable as an
 // open upper bound for Window.
 var FarFuture = time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// Window returns a filter-independent sub-capture containing only the
-// packet slices in [from, to), preserving flow metadata. It is used to
-// analyze phases (login vs idle) separately.
-//
-// When no span record straddles a window boundary the view is
-// zero-copy: it is located by binary search over the time-sorted trace
-// and aliases the parent's backing store. Packets recorded after the
-// view is taken do not appear in it; the view remains a valid snapshot
-// either way. Spans that cross a boundary are expanded deterministically
-// at exactly that boundary (Clip), so the sub-capture attributes every
-// slice to the window it fell in, byte- and time-identical to a
-// capture of the individual slice records. (The relative order of
-// equal-instant records from independent connections is not defined —
-// no analyzer depends on it.)
+// Window returns the sub-capture of the per-round records whose
+// instants fall in [from, to), preserving flow metadata. It is used to
+// analyze phases (login vs idle) separately. The cut is taken over
+// ExpandedPackets, so a span contributes exactly its in-window slices
+// and the view itself is span-free. On a span-free trace the view is
+// zero-copy: it is located by binary search and aliases the parent's
+// backing store. Records added after the view is taken never appear
+// in it.
 func (c *Capture) Window(from, to time.Time) *Capture {
-	c.flush()
-	lo := sort.Search(len(c.packets), func(i int) bool {
-		return !c.packets[i].Time.Before(from)
+	pkts := c.ExpandedPackets()
+	lo := sort.Search(len(pkts), func(i int) bool {
+		return !pkts[i].Time.Before(from)
 	})
-	hi := lo + sort.Search(len(c.packets)-lo, func(i int) bool {
-		return !c.packets[lo+i].Time.Before(to)
+	hi := lo + sort.Search(len(pkts)-lo, func(i int) bool {
+		return !pkts[lo+i].Time.Before(to)
 	})
-	if c.spans == 0 {
-		// Span-free trace: pure binary-searched zero-copy view.
-		return &Capture{packets: c.packets[lo:hi:hi], flows: c.flows}
-	}
-	// Spans starting before the window can still reach into it; spans
-	// inside can reach past the upper bound. Both need clipping — but
-	// the capture's span-timeline bounds prune each scan when no span
-	// can straddle that side (the usual [t0, FarFuture) benchmark
-	// window skips both).
-	var pre []Packet
-	if c.minSpanStart.Before(from) {
-		for i := 0; i < lo; i++ {
-			if p := &c.packets[i]; p.IsSpan() && !p.End().Before(from) {
-				if cl, ok := p.Clip(from, to); ok {
-					pre = append(pre, cl)
-				}
-			}
-		}
-	}
-	clipHi := false
-	if !c.maxSpanEnd.Before(to) {
-		for i := lo; i < hi; i++ {
-			if p := &c.packets[i]; p.IsSpan() && !p.End().Before(to) {
-				clipHi = true
-				break
-			}
-		}
-	}
-	if len(pre) == 0 && !clipHi {
-		// Views inherit the parent's span accounting as conservative
-		// bounds: only "no span could straddle" conclusions are drawn
-		// from them, and those stay valid for any subset.
-		return &Capture{packets: c.packets[lo:hi:hi], flows: c.flows,
-			spans: c.spans, minSpanStart: c.minSpanStart, maxSpanEnd: c.maxSpanEnd}
-	}
-	out := make([]Packet, 0, len(pre)+(hi-lo))
-	out = append(out, pre...)
-	for i := lo; i < hi; i++ {
-		p := c.packets[i]
-		if p.IsSpan() && !p.End().Before(to) {
-			if cl, ok := p.Clip(from, to); ok {
-				out = append(out, cl)
-			}
-			continue
-		}
-		out = append(out, p)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].Time.Before(out[j].Time)
-	})
-	sub := &Capture{packets: out, flows: c.flows}
-	for i := range out {
-		if p := &out[i]; p.IsSpan() {
-			if sub.spans == 0 || p.Time.Before(sub.minSpanStart) {
-				sub.minSpanStart = p.Time
-			}
-			if end := p.End(); sub.spans == 0 || end.After(sub.maxSpanEnd) {
-				sub.maxSpanEnd = end
-			}
-			sub.spans++
-		}
-	}
-	return sub
+	return &Capture{packets: pkts[lo:hi:hi], flows: c.flows}
 }

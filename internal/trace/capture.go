@@ -30,6 +30,11 @@ type FlowInfo struct {
 // trace is read. Analyzers therefore always observe a time-sorted
 // trace, exactly as with the previous insert-in-place scheme, without
 // the O(n)-per-packet worst case.
+//
+// A Capture keeps no analysis state of its own: Analyze and FlowBytes
+// replay the sorted records through StreamWindow's fold, Window cuts
+// the per-round view ExpandedPackets, and the per-packet detectors
+// walk that view.
 type Capture struct {
 	packets []Packet
 	flows   []FlowInfo
@@ -42,17 +47,11 @@ type Capture struct {
 	// tie-breaking ambiguity against buffered stragglers.
 	pendingMax time.Time
 
-	// spans counts span records (for Window views, an upper bound
-	// inherited from the parent): when zero, Window and the expansion
-	// helpers skip their span scans entirely, keeping the span-free
-	// trace — every lossy campaign, all control traffic — on the
-	// original zero-copy binary-search fast path. minSpanStart and
-	// maxSpanEnd bound where spans live on the timeline (conservative
-	// for views), so Window also skips its boundary scans when no span
-	// can possibly straddle the requested bound — the benchmark
-	// window's [t0, FarFuture) case, where all spans start inside.
-	spans                    int
-	minSpanStart, maxSpanEnd time.Time
+	// spans counts span records. When it is zero, ExpandedPackets
+	// returns the backing store itself and Window stays a zero-copy
+	// binary-searched view: every lossy campaign and all control
+	// traffic take that path.
+	spans int
 }
 
 // NewCapture returns an empty capture.
@@ -71,12 +70,6 @@ func (c *Capture) OpenFlow(key FlowKey, serverName string, at time.Time) FlowID 
 // keep arrival order) before any analyzer reads it. Recording is O(1).
 func (c *Capture) Record(p Packet) {
 	if p.IsSpan() {
-		if c.spans == 0 || p.Time.Before(c.minSpanStart) {
-			c.minSpanStart = p.Time
-		}
-		if end := p.End(); c.spans == 0 || end.After(c.maxSpanEnd) {
-			c.maxSpanEnd = end
-		}
 		c.spans++
 	}
 	if len(c.pending) == 0 || p.Time.After(c.pendingMax) {
@@ -181,9 +174,10 @@ func (c *Capture) SpanCount() int {
 // into its constituent per-round records, in stable time order — the
 // exact packet sequence the transport would have recorded one slice at
 // a time. Span-free traces return the backing store itself (zero
-// copy); callers must not modify the result either way. Per-packet
-// analyzers that walk individual transmission rounds (burst and pause
-// detection, throughput timelines) read the trace through this view.
+// copy); callers must not modify the result either way. Window cuts
+// this view, and the per-packet analyzers that walk individual
+// transmission rounds (burst and pause detection, the cumulative
+// timeline) read the trace through it.
 func (c *Capture) ExpandedPackets() []Packet {
 	c.flush()
 	if c.spans == 0 {

@@ -1,16 +1,21 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 )
 
-// This file proves the single-pass analyzer, the zero-copy Window and
-// the reorder-buffer Record equivalent to the seed implementations:
-// the reference functions below replicate, scan for scan, the original
-// per-metric code (independent full scans over a copying window, with
-// packets kept sorted by per-record insertion sort).
+// This file checks the one Sect. 5 fold (StreamWindow's accumulator,
+// which Capture.Analyze replays buffered records through), Window's
+// time cut and the reorder-buffer Record against the seed
+// implementations. The reference functions below replicate, scan for
+// scan, the original per-metric code: independent full scans over a
+// copying window, with packets kept sorted by per-record insertion
+// sort and spans recorded slice by slice. They share no code with the
+// fold, so they pin what it computes rather than only that the two
+// trace modes agree.
 
 // refCapture is the seed recording scheme: insertion sort per record.
 type refCapture struct {
@@ -41,6 +46,16 @@ func refSet(flows []FlowInfo, f FlowFilter) []bool {
 		set[i] = f == nil || f(fl)
 	}
 	return set
+}
+
+func refPacketCount(packets []Packet, set []bool) int {
+	n := 0
+	for _, p := range packets {
+		if set[p.Flow] {
+			n++
+		}
+	}
+	return n
 }
 
 func refTotalWireBytes(packets []Packet, set []bool) int64 {
@@ -163,54 +178,65 @@ func TestRecordMatchesSeedInsertionSort(t *testing.T) {
 	}
 }
 
+// scanFilters are the flow selections the seed-scan tests analyze.
+var scanFilters = []struct {
+	name string
+	f    FlowFilter
+}{
+	{"all", AllFlows},
+	{"storage", func(f FlowInfo) bool { return f.ServerName == "storage.example" }},
+	{"none", func(FlowInfo) bool { return false }},
+}
+
 func TestAnalyzeMatchesSeedScans(t *testing.T) {
-	filters := []struct {
-		name string
-		f    FlowFilter
-	}{
-		{"all", AllFlows},
-		{"storage", func(f FlowInfo) bool { return f.ServerName == "storage.example" }},
-		{"none", func(FlowInfo) bool { return false }},
-	}
 	for seed := int64(1); seed <= 5; seed++ {
 		c, ref := randomCapture(seed, 400)
-		for _, flt := range filters {
-			name, f := flt.name, flt.f
-			set := refSet(c.Flows(), f)
-			a := c.Analyze(f)
-			if want := refTotalWireBytes(ref.packets, set); a.TotalWire != want {
-				t.Errorf("seed %d %s: TotalWire = %d, want %d", seed, name, a.TotalWire, want)
-			}
-			if want := refWireBytesDir(ref.packets, set, Upstream); a.WireUp != want {
-				t.Errorf("seed %d %s: WireUp = %d, want %d", seed, name, a.WireUp, want)
-			}
-			if want := refWireBytesDir(ref.packets, set, Downstream); a.WireDown != want {
-				t.Errorf("seed %d %s: WireDown = %d, want %d", seed, name, a.WireDown, want)
-			}
-			if want := refPayloadBytesDir(ref.packets, set, Upstream); a.PayloadUp != want {
-				t.Errorf("seed %d %s: PayloadUp = %d, want %d", seed, name, a.PayloadUp, want)
-			}
-			if want := refPayloadBytesDir(ref.packets, set, Downstream); a.PayloadDown != want {
-				t.Errorf("seed %d %s: PayloadDown = %d, want %d", seed, name, a.PayloadDown, want)
-			}
-			first, ok1 := refFirstPayloadTime(ref.packets, set)
-			last, ok2 := refLastPayloadTime(ref.packets, set)
-			if a.HasPayload != ok1 || ok1 != ok2 {
-				t.Errorf("seed %d %s: HasPayload = %v, want %v/%v", seed, name, a.HasPayload, ok1, ok2)
-			}
-			if ok1 && (!a.FirstPayload.Equal(first) || !a.LastPayload.Equal(last)) {
-				t.Errorf("seed %d %s: payload bracket = [%v, %v], want [%v, %v]",
-					seed, name, a.FirstPayload, a.LastPayload, first, last)
-			}
-			syns := refSYNTimes(ref.packets, set)
-			if a.Connections != len(syns) || len(a.SYNTimes) != len(syns) {
-				t.Errorf("seed %d %s: Connections = %d, want %d", seed, name, a.Connections, len(syns))
-			}
-			for i := range syns {
-				if !a.SYNTimes[i].Equal(syns[i]) {
-					t.Errorf("seed %d %s: SYNTimes[%d] = %v, want %v", seed, name, i, a.SYNTimes[i], syns[i])
-				}
-			}
+		for _, flt := range scanFilters {
+			checkScans(t, fmt.Sprintf("seed %d %s", seed, flt.name),
+				c.Analyze(flt.f), ref.packets, refSet(c.Flows(), flt.f))
+		}
+	}
+}
+
+// checkScans compares one Analysis field by field against the seed
+// scans over the reference records it should summarize.
+func checkScans(t *testing.T, name string, a Analysis, packets []Packet, set []bool) {
+	t.Helper()
+	if want := refPacketCount(packets, set); a.Packets != want {
+		t.Errorf("%s: Packets = %d, want %d", name, a.Packets, want)
+	}
+	if want := refTotalWireBytes(packets, set); a.TotalWire != want {
+		t.Errorf("%s: TotalWire = %d, want %d", name, a.TotalWire, want)
+	}
+	if want := refWireBytesDir(packets, set, Upstream); a.WireUp != want {
+		t.Errorf("%s: WireUp = %d, want %d", name, a.WireUp, want)
+	}
+	if want := refWireBytesDir(packets, set, Downstream); a.WireDown != want {
+		t.Errorf("%s: WireDown = %d, want %d", name, a.WireDown, want)
+	}
+	if want := refPayloadBytesDir(packets, set, Upstream); a.PayloadUp != want {
+		t.Errorf("%s: PayloadUp = %d, want %d", name, a.PayloadUp, want)
+	}
+	if want := refPayloadBytesDir(packets, set, Downstream); a.PayloadDown != want {
+		t.Errorf("%s: PayloadDown = %d, want %d", name, a.PayloadDown, want)
+	}
+	first, ok1 := refFirstPayloadTime(packets, set)
+	last, ok2 := refLastPayloadTime(packets, set)
+	if a.HasPayload != ok1 || ok1 != ok2 {
+		t.Errorf("%s: HasPayload = %v, want %v/%v", name, a.HasPayload, ok1, ok2)
+	}
+	if ok1 && (!a.FirstPayload.Equal(first) || !a.LastPayload.Equal(last)) {
+		t.Errorf("%s: payload bracket = [%v, %v], want [%v, %v]",
+			name, a.FirstPayload, a.LastPayload, first, last)
+	}
+	syns := refSYNTimes(packets, set)
+	if a.Connections != len(syns) || len(a.SYNTimes) != len(syns) {
+		t.Errorf("%s: Connections = %d, want %d", name, a.Connections, len(syns))
+		return
+	}
+	for i := range syns {
+		if !a.SYNTimes[i].Equal(syns[i]) {
+			t.Errorf("%s: SYNTimes[%d] = %v, want %v", name, i, a.SYNTimes[i], syns[i])
 		}
 	}
 }
@@ -240,6 +266,102 @@ func TestWindowMatchesSeedCopyingWindow(t *testing.T) {
 					t.Fatalf("seed %d window [%v,%v): packet %d differs", seed, cut.from, cut.to, i)
 				}
 			}
+		}
+	}
+}
+
+// randomSpanCapture records a random trace with spans, SYNs in both
+// directions, stragglers and ties into a capture and into a streamer
+// whose windows are registered first at the given cuts. The reference
+// records every span slice by slice, as the seed engine did.
+func randomSpanCapture(seed int64, cuts [][2]time.Time) (*Capture, []*StreamWindow, *refCapture) {
+	rng := rand.New(rand.NewSource(seed))
+	c, s, ref := NewCapture(), NewStreamer(), &refCapture{}
+	nFlows := 1 + rng.Intn(5)
+	for i := 0; i < nFlows; i++ {
+		key := FlowKey{ClientPort: 40000 + i, ServerPort: 443}
+		name := []string{"storage.example", "control.example"}[rng.Intn(2)]
+		c.OpenFlow(key, name, t0)
+		s.OpenFlow(key, name, t0)
+	}
+	wins := make([]*StreamWindow, len(cuts))
+	for i, cut := range cuts {
+		wins[i] = s.AddWindow(cut[0], cut[1])
+	}
+	now := 0
+	for i, n := 0, rng.Intn(300); i < n; i++ {
+		now += rng.Intn(60)
+		ts := now
+		if rng.Intn(6) == 0 {
+			ts = max(0, now-rng.Intn(500)) // straggler
+		}
+		flow, dir := FlowID(rng.Intn(nFlows)), Direction(rng.Intn(2))
+		var p Packet
+		switch rng.Intn(5) {
+		case 0: // SYN or SYN-ACK, either way
+			p = Packet{Time: at(ts), Flow: flow, Dir: dir,
+				Flags: Flags{SYN: true, ACK: rng.Intn(2) == 0}, Wire: 74, Segments: 1}
+		case 1: // pure control
+			p = Packet{Time: at(ts), Flow: flow, Dir: dir, Flags: Flags{ACK: true}, Wire: 66, Segments: 1}
+		case 2, 3: // plain data record
+			pay := int64(1 + rng.Intn(6000))
+			segs := Segments(pay)
+			p = Packet{Time: at(ts), Flow: flow, Dir: dir, Flags: Flags{ACK: true},
+				Payload: pay, Wire: pay + int64(segs)*HeaderPerSeg,
+				Segments: segs, AckWire: DelayedAckWire(segs)}
+		default: // span, sometimes with all slices at one instant
+			sliceBytes := int64(MSS * (1 + rng.Intn(20)))
+			gap := time.Duration(rng.Intn(60)) * time.Millisecond
+			p = Span(at(ts), flow, dir, Flags{ACK: true}, 2+rng.Intn(20),
+				sliceBytes, 1+rng.Int63n(sliceBytes), gap)
+		}
+		c.Record(p)
+		s.Record(p)
+		for j := 0; j < p.SliceCount(); j++ {
+			ref.record(p.SliceAt(j))
+		}
+	}
+	return c, wins, ref
+}
+
+// TestWindowsMatchSeedScans runs the seed scans over span-bearing
+// traces and random [from, to) cuts: the whole-capture Analyze, every
+// Capture.Window(...).Analyze and every streamed window must equal the
+// scans over the slice-by-slice reference.
+func TestWindowsMatchSeedScans(t *testing.T) {
+	const horizon = 20_000
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(-seed))
+		cuts := [][2]time.Time{{t0, FarFuture}, {at(100), at(100)}}
+		for i := 0; i < 4; i++ {
+			lo := rng.Intn(horizon)
+			cuts = append(cuts, [2]time.Time{at(lo), at(lo + rng.Intn(horizon-lo+1))})
+		}
+		c, wins, ref := randomSpanCapture(seed, cuts)
+		for _, flt := range scanFilters {
+			set := refSet(c.Flows(), flt.f)
+			checkScans(t, fmt.Sprintf("seed %d %s whole", seed, flt.name), c.Analyze(flt.f), ref.packets, set)
+			for i, cut := range cuts {
+				want := refWindow(ref.packets, cut[0], cut[1])
+				name := fmt.Sprintf("seed %d %s cut %d", seed, flt.name, i)
+				checkScans(t, name+" window", c.Window(cut[0], cut[1]).Analyze(flt.f), want, set)
+				checkScans(t, name+" streamed", wins[i].Analyze(flt.f), want, set)
+			}
+		}
+		for i, cut := range cuts {
+			want := refWindow(ref.packets, cut[0], cut[1])
+			cw, sw := c.Window(cut[0], cut[1]).FlowBytes(), wins[i].FlowBytes()
+			for id := range c.Flows() {
+				one := make([]bool, c.NumFlows())
+				one[id] = true
+				if b := refTotalWireBytes(want, one); cw[id] != b || sw[id] != b {
+					t.Errorf("seed %d cut %d flow %d: FlowBytes window %d, streamed %d, want %d",
+						seed, i, id, cw[id], sw[id], b)
+				}
+			}
+		}
+		if t.Failed() {
+			return
 		}
 	}
 }

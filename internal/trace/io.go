@@ -75,7 +75,12 @@ func parseFlags(s string) Flags {
 	}
 }
 
-// ReadCSV parses a capture previously produced by WriteCSV.
+// ReadCSV parses a capture previously produced by WriteCSV. It rejects
+// what no capture can hold: a flow row whose id is not its row index,
+// a protocol other than TCP, a direction other than up or down, a
+// negative payload, wire, segment or ACK-wire count, and a record
+// instant before the Unix epoch or at or after FarFuture, which no
+// analysis window holds.
 func ReadCSV(r io.Reader) (*Capture, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
@@ -103,12 +108,19 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 			if len(fields) != 9 {
 				return nil, fmt.Errorf("trace: line %d: flow record needs 9 fields, has %d", line, len(fields))
 			}
+			id, err0 := strconv.Atoi(fields[1])
 			cport, err1 := strconv.Atoi(fields[3])
 			sport, err2 := strconv.Atoi(fields[5])
 			proto, err3 := strconv.Atoi(fields[6])
 			opened, err4 := strconv.ParseInt(fields[8], 10, 64)
-			if err := firstErr(err1, err2, err3, err4); err != nil {
+			if err := firstErr(err0, err1, err2, err3, err4); err != nil {
 				return nil, fmt.Errorf("trace: line %d: %v", line, err)
+			}
+			if id != len(c.flows) {
+				return nil, fmt.Errorf("trace: line %d: flow id %d is not its row index %d", line, id, len(c.flows))
+			}
+			if Proto(proto) != TCP {
+				return nil, fmt.Errorf("trace: line %d: flow protocol %d is not TCP", line, proto)
 			}
 			c.OpenFlow(FlowKey{
 				ClientAddr: fields[2], ClientPort: cport,
@@ -131,6 +143,15 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 			}
 			if flow < 0 || flow >= len(c.flows) {
 				return nil, fmt.Errorf("trace: line %d: packet references unknown flow %d", line, flow)
+			}
+			if Direction(dir) != Upstream && Direction(dir) != Downstream {
+				return nil, fmt.Errorf("trace: line %d: direction %d is neither up nor down", line, dir)
+			}
+			if payload < 0 || wire < 0 || segs < 0 || ack < 0 {
+				return nil, fmt.Errorf("trace: line %d: negative byte or segment count", line)
+			}
+			if ns < 0 || ns >= FarFuture.UnixNano() {
+				return nil, fmt.Errorf("trace: line %d: instant %d ns is outside [Unix epoch, FarFuture)", line, ns)
 			}
 			p := Packet{
 				Time: time.Unix(0, ns).UTC(), Flow: FlowID(flow),

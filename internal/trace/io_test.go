@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestCSVRoundTrip(t *testing.T) {
@@ -56,6 +57,17 @@ func TestReadCSVErrors(t *testing.T) {
 		{"bad-int", "#cloudbench-trace-v1\nf,0,a,xx,b,2,0,n,0\n"},
 		{"unknown-flow", "#cloudbench-trace-v1\np,0,5,0,-,0,0,1,0\n"},
 		{"short-packet", "#cloudbench-trace-v1\np,0,0\n"},
+		{"flow-id-not-index", "#cloudbench-trace-v2\nf,1,a,1,b,2,0,n,0\n"},
+		{"udp-flow", "#cloudbench-trace-v2\nf,0,a,1,b,2,1,n,0\n"},
+		{"proto-7", "#cloudbench-trace-v2\nf,0,a,1,b,2,7,n,0\n"},
+		{"dir-9", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,9,A,100,166,1,0,0,0,0\n"},
+		{"dir-negative", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,-3,A,100,166,1,0,0,0,0\n"},
+		{"negative-payload", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,0,A,-100,166,1,0,0,0,0\n"},
+		{"negative-wire", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,0,A,100,-166,1,0,0,0,0\n"},
+		{"negative-segments", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,1,A,100,166,-4,0,0,0,0\n"},
+		{"before-epoch", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,-1,0,0,A,100,166,1,0,0,0,0\n"},
+		{"at-far-future", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,4102444800000000000,0,0,A,100,166,1,0,0,0,0\n"},
+		{"negative-ackwire", "#cloudbench-trace-v1\nf,0,a,1,b,2,0,n,0\np,0,0,1,A,100,166,1,-50\n"},
 	}
 	for _, c := range cases {
 		if _, err := ReadCSV(strings.NewReader(c.input)); err == nil {
@@ -79,16 +91,31 @@ func TestReadCSVTolerantOfBlanksAndComments(t *testing.T) {
 }
 
 // FuzzReadCSV feeds arbitrary text to the trace reader. No input may
-// panic it, and any input it accepts must survive a write and a
-// re-read unchanged: the same flows and the same records, span
-// parameters included. The committed corpus seeds a plain trace, a
-// span-bearing one, a v1 file with comments and out-of-order records,
-// and a corrupt span.
+// panic it. Any input it accepts must hold only TCP flows whose ids
+// are their indices and only up or down records with non-negative
+// counts at instants in [Unix epoch, FarFuture), and must survive a
+// write and a re-read unchanged: the same flows and the same records,
+// span parameters included. The committed corpus seeds a plain trace,
+// a span-bearing one, a v1 file with comments and out-of-order
+// records, a corrupt span, and a file with a foreign protocol, foreign
+// directions and negative counts.
 func FuzzReadCSV(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input string) {
 		c, err := ReadCSV(strings.NewReader(input))
 		if err != nil {
 			return
+		}
+		for i, fl := range c.Flows() {
+			if fl.ID != FlowID(i) || fl.Key.Proto != TCP {
+				t.Fatalf("accepted flow %d: %+v", i, fl)
+			}
+		}
+		for _, p := range c.Packets() {
+			if (p.Dir != Upstream && p.Dir != Downstream) ||
+				p.Payload < 0 || p.Wire < 0 || p.Segments < 0 || p.AckWire < 0 ||
+				p.Time.Before(time.Unix(0, 0)) || !p.Time.Before(FarFuture) {
+				t.Fatalf("accepted record %+v", p)
+			}
 		}
 		var buf bytes.Buffer
 		if err := c.WriteCSV(&buf); err != nil {

@@ -14,8 +14,8 @@
 // equivalent). Streamer folds records into pre-registered window
 // accumulators as they arrive and discards them, so a benchmark
 // repetition's trace memory is O(flows) instead of O(packets) — the
-// production-scale campaign mode. Both yield bit-identical Analysis
-// results; see sink.go.
+// production-scale campaign mode. Both analyze through one fold, the
+// Streamer's window accumulator; see sink.go.
 //
 // The design borrows gopacket's vocabulary (packets, flows, endpoints)
 // but stores segments in a compact aggregated form, at two levels.
@@ -26,9 +26,10 @@
 // Span), so a multi-MB steady-state transfer is a single record
 // instead of O(bytes/BDP) of them. Span records carry their exact
 // slicing parameters, so every analyzer either folds them in O(1)
-// (byte totals, payload brackets) or expands them deterministically
-// back into the per-slice records (window boundaries, per-packet
-// detectors) — bit-identical to recording the slices individually.
+// (byte totals, payload brackets), clips them at a streamed window's
+// bounds, or expands them deterministically back into the per-slice
+// records (buffered windows, per-packet detectors) — bit-identical to
+// recording the slices individually.
 // Control packets (SYN, FIN, RST and TLS handshake records) are always
 // individual, so connection counting and handshake analysis stay
 // exact.
@@ -89,19 +90,15 @@ func (d Direction) String() string {
 // Proto is the transport protocol of a flow.
 type Proto int
 
-const (
-	// TCP transport.
-	TCP Proto = iota
-	// UDP transport (DNS lookups).
-	UDP
-)
+// TCP is the one transport the simulated clients use.
+const TCP Proto = 0
 
-// String returns the protocol name.
+// String returns "tcp", or the raw number of any other protocol.
 func (p Proto) String() string {
 	if p == TCP {
 		return "tcp"
 	}
-	return "udp"
+	return fmt.Sprintf("proto(%d)", int(p))
 }
 
 // Flags models the TCP flag bits the analyzers care about.

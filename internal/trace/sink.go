@@ -17,12 +17,14 @@ import (
 //     at record time and then discards them — the "compute the
 //     counters in the kernel" equivalent, O(flows) memory.
 //
-// Both honour the same time-ordering discipline: connections simulate
-// on independent timelines, so records may arrive slightly out of
-// order, and every analyzer result is defined over the stably
-// time-sorted trace (Capture re-establishes the order with its reorder
-// buffer; Streamer's folds are order-independent except for the SYN
-// timeline, which it re-establishes the same way at read time).
+// The scalar analysis has one implementation, StreamWindow's fold:
+// Capture.Analyze replays its time-sorted records through a Streamer
+// with one unbounded window. Connections simulate on independent
+// timelines, so records may arrive slightly out of order; every
+// result is defined over the stably time-sorted trace. Capture
+// re-establishes that order with its reorder buffer, and the fold is
+// order-independent except for the SYN timeline, which
+// StreamWindow.Analyze re-establishes the same way at read time.
 type Sink interface {
 	// OpenFlow registers a new connection and returns its ID.
 	OpenFlow(key FlowKey, serverName string, at time.Time) FlowID
@@ -43,20 +45,20 @@ var (
 // (production-scale runs of the Sect. 5 benchmarks never re-read the
 // trace, they only need the per-window Analysis).
 //
-// The contract mirrors Capture exactly:
+// Its contract:
 //
-//   - StreamWindow.Analyze(f) is bit-identical to
-//     Capture.Window(from, to).Analyze(f) over the same records,
-//     including the SYNTimes order (stable time order, re-established
-//     by the same reorder discipline Capture.flush applies) and the
-//     HasPayload/FirstPayload/LastPayload bracket.
+//   - StreamWindow.Analyze(f) equals Capture.Window(from, to).Analyze(f)
+//     over the same records, including the SYNTimes order (stable time
+//     order, the discipline Capture.flush applies) and the
+//     HasPayload/FirstPayload/LastPayload bracket: a span straddling a
+//     window bound folds exactly the slices the cut keeps.
 //   - Filters are applied at read time, against FlowInfo, so
 //     classifiers that need per-flow traffic totals (the Wuala
 //     flow-size heuristic) work from StreamWindow.FlowBytes.
 //
 // Windows must be registered before any packet whose timestamp falls
 // inside them is recorded; AddWindow enforces this, which is what
-// makes a fold over a discarded trace provably equal to a scan over a
+// makes a fold over a discarded trace equal to the same fold over a
 // buffered one. Like Capture, a Streamer is not safe for concurrent
 // use — the campaign engine gives every experiment cell its own sink.
 type Streamer struct {
@@ -185,8 +187,8 @@ type synEvent struct {
 }
 
 // StreamWindow accumulates one [from, to) time slice of the stream.
-// It answers the same questions as a Capture.Window over the same
-// records — Analyze and FlowBytes — without the records.
+// It answers Analyze and FlowBytes without keeping the records; its
+// fold is the one Sect. 5 analysis, which Capture runs too.
 type StreamWindow struct {
 	s        *Streamer
 	from, to time.Time
@@ -205,9 +207,8 @@ func (w *StreamWindow) anchor() {
 	w.lo, w.hi = w.from.Sub(w.s.origin), w.to.Sub(w.s.origin)
 }
 
-// record folds one packet at offset at, mirroring Capture.Analyze's
-// per-packet body exactly — split per flow so filters can be applied
-// at read time. A plain record is in or out of the window as a whole
+// record folds one packet at offset at into its flow's accumulator,
+// so filters can be applied at read time. A plain record is in or out of the window as a whole
 // and folds in place. A span is first clipped to the window (O(1):
 // index arithmetic over the uniform slicing), so a span straddling a
 // boundary contributes exactly its in-window slices, and a fully
@@ -270,10 +271,9 @@ func (w *StreamWindow) fold(p *Packet, at time.Duration) {
 }
 
 // Analyze merges the per-flow accumulators of the selected flows into
-// one Analysis, bit-identical to Capture.Window(from, to).Analyze(f)
-// over the same records. The SYN timeline is re-established in stable
-// time order — the same discipline Capture's reorder buffer applies to
-// the whole trace before analyzers read it: sort by timestamp, equal
+// one Analysis. The SYN timeline is re-established in stable time
+// order — the same discipline Capture's reorder buffer applies to the
+// whole trace before analyzers read it: sort by timestamp, equal
 // timestamps keep arrival order.
 func (w *StreamWindow) Analyze(f FlowFilter) Analysis {
 	var a Analysis
@@ -317,8 +317,7 @@ func (w *StreamWindow) Analyze(f FlowFilter) Analysis {
 }
 
 // FlowBytes returns total wire bytes per flow within the window,
-// indexed by FlowID — the Wuala storage/control classifier input,
-// identical to Capture.Window(from, to).FlowBytes().
+// indexed by FlowID — the Wuala storage/control classifier input.
 func (w *StreamWindow) FlowBytes() []int64 {
 	out := make([]int64, w.s.flows.len())
 	for id := range w.perFlow.len() {

@@ -227,9 +227,6 @@ func TestSpanTraceMatchesSliceBySliceReference(t *testing.T) {
 			if got, want := c.CumulativeBytes(f), ref.CumulativeBytes(f); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: CumulativeBytes diverge", seed)
 			}
-			if got, want := c.ThroughputTimeline(f, 250*time.Millisecond), ref.ThroughputTimeline(f, 250*time.Millisecond); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: ThroughputTimeline diverges", seed)
-			}
 		}
 		if got, want := c.FlowBytes(), ref.FlowBytes(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: FlowBytes diverge: %v vs %v", seed, got, want)
@@ -241,11 +238,12 @@ func TestSpanTraceMatchesSliceBySliceReference(t *testing.T) {
 			from, to := at(b[0]), at(b[1])
 			refWin := ref.Window(from, to)
 			capWin := c.Window(from, to)
-			// Clipping can reorder slices of *different* records that
-			// share an exact instant (the relative order of equal-time
-			// records from independent connections is not part of any
-			// analyzer's contract), so the record comparison is
-			// canonicalized within tie groups.
+			// Expansion can order slices of *different* records that
+			// share an exact instant differently from the reference
+			// (the relative order of equal-time records from
+			// independent connections is not part of any analyzer's
+			// contract), so the record comparison is canonicalized
+			// within tie groups.
 			got := canonicalTies(capWin.ExpandedPackets())
 			want := canonicalTies(refWin.Packets())
 			if len(got) != len(want) {

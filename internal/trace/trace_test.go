@@ -211,54 +211,11 @@ func TestDirectionProtoStrings(t *testing.T) {
 	if Upstream.String() != "up" || Downstream.String() != "down" {
 		t.Fatal("Direction strings")
 	}
-	if TCP.String() != "tcp" || UDP.String() != "udp" {
+	if TCP.String() != "tcp" || Proto(7).String() != "proto(7)" {
 		t.Fatal("Proto strings")
 	}
 	k := FlowKey{"1.2.3.4", 1000, "5.6.7.8", 443, TCP}
 	if k.String() != "tcp 1.2.3.4:1000->5.6.7.8:443" {
 		t.Fatalf("FlowKey.String = %q", k.String())
 	}
-}
-
-func TestThroughputTimeline(t *testing.T) {
-	c := buildCapture()
-	tl := c.ThroughputTimeline(storageOnly, 100*time.Millisecond)
-	if len(tl) == 0 {
-		t.Fatal("empty timeline")
-	}
-	// First bucket covers the 60-70ms records (4380 B); the pause
-	// around 100-400ms shows as zero-rate buckets.
-	if tl[0].Bps <= 0 {
-		t.Fatalf("first bucket rate = %v", tl[0].Bps)
-	}
-	sawPause := false
-	for _, p := range tl {
-		if p.Bps == 0 {
-			sawPause = true
-		}
-	}
-	if !sawPause {
-		t.Fatal("chunk pause not visible in throughput timeline")
-	}
-	// Total bytes conserved across buckets.
-	var total float64
-	for _, p := range tl {
-		total += p.Bps / 8 * 0.1
-	}
-	if want := float64(1460 + 2920 + 1460); total < want-1 || total > want+1 {
-		t.Fatalf("timeline bytes = %.0f, want %.0f", total, want)
-	}
-}
-
-func TestThroughputTimelineEmptyAndBadBucket(t *testing.T) {
-	c := NewCapture()
-	if got := c.ThroughputTimeline(AllFlows, time.Second); got != nil {
-		t.Fatal("empty capture timeline")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on zero bucket")
-		}
-	}()
-	buildCapture().ThroughputTimeline(AllFlows, 0)
 }

@@ -10,10 +10,12 @@
 # whose idle workers join each other's pools, and so is the Table 1
 # capability suite (services, then the five detectors of each probe).
 # The what-if counterfactuals, Fig. 3 and discovery run the campaign
-# cells' upload script once per study. The smoke runs a fixed Fig. 6
-# matrix, an adaptive one, a fixed loss sweep, a fixed and an adaptive
-# location study, the Fig. 4 and Fig. 5 sweeps, Table 1, the what-if
-# studies, Fig. 3 and discovery at -parallel 1 and -parallel 4 and
+# cells' upload script once per study; Fig. 1 and the Sect. 3.1
+# protocol report analyze a buffered trace per service. The smoke runs
+# a fixed Fig. 6 matrix, an adaptive one, a fixed loss sweep, a fixed
+# and an adaptive location study, the Fig. 4 and Fig. 5 sweeps,
+# Table 1, the what-if studies, Fig. 3, discovery, Fig. 1 and the
+# protocol report at -parallel 1 and -parallel 4 and
 # byte-compares each pair of outputs; any diff is a determinism
 # regression in the driver, the scheduler or a layer on top of them.
 #
@@ -51,3 +53,5 @@ check table1 -experiment table1
 check whatif -experiment whatif
 check fig3 -experiment fig3
 check discover -experiment discover
+check fig1 -experiment fig1
+check protocols -experiment protocols
