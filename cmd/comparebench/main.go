@@ -31,6 +31,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -57,13 +58,9 @@ func main() {
 	)
 	flag.Parse()
 	rule := core.StopRule{TargetRelHW: *precision, MaxReps: *maxReps}
-	switch err := rule.Validate(); {
-	case *reps < 0:
-		usagef("-reps must be >= 0 (got %d)", *reps)
-	case err != nil:
-		usagef("-precision/-max-reps: %v", err)
-	case (*antithetic || *crn) && *precision == 0:
-		usagef("-antithetic and -crn require -precision")
+	if err := checkFlags(*reps, rule, *antithetic || *crn); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	switch {
@@ -124,6 +121,22 @@ func main() {
 	}
 }
 
+// checkFlags rejects a repetition count below zero (zero means the
+// paper's DefaultReps), a stopping rule no campaign can honour, and
+// variance reduction without the precision target it serves.
+func checkFlags(reps int, rule core.StopRule, varianceReduction bool) error {
+	if reps < 0 {
+		return fmt.Errorf("-reps must be >= 0 (got %d)", reps)
+	}
+	if err := rule.Validate(); err != nil {
+		return fmt.Errorf("-precision/-max-reps: %w", err)
+	}
+	if varianceReduction && rule.TargetRelHW == 0 {
+		return errors.New("-antithetic and -crn require -precision")
+	}
+	return nil
+}
+
 func readCampaign(path string) core.Campaign {
 	f, err := os.Open(path)
 	if err != nil {
@@ -135,12 +148,6 @@ func readCampaign(path string) core.Campaign {
 		fatalf("%s: %v", path, err)
 	}
 	return c
-}
-
-// usagef reports a flag error and exits 2, like the flag package.
-func usagef(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(2)
 }
 
 func fatalf(format string, args ...any) {

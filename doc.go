@@ -109,12 +109,19 @@
 //     file materialisation is memory-bandwidth bound.
 //   - internal/workload generates files as content descriptors: a
 //     folder file is the lazy recipe (Kind, Seed, Size), not bytes.
-//     The planner (internal/client) materialises at the chunk boundary
-//     and only when a capability genuinely needs bytes — CDC chunking,
-//     dedup hashing, delta signatures, encryption, or a compression
-//     cache miss — into pooled buffers released at the end of each
-//     plan. A no-capability client (Cloud Drive) plans entire uploads
-//     from descriptors alone: zero content bytes ever exist.
+//     An edit keeps it a recipe: Append and InsertAt turn a
+//     descriptor into spliced content (the descriptor plus the
+//     inserted bytes at one offset), so the Fig. 4 edits never hold a
+//     whole file either; only a second edit, or a file the script
+//     writes, is eager bytes. The planner (internal/client)
+//     materialises at the chunk boundary and only when a capability
+//     genuinely needs bytes — CDC chunking, dedup hashing, delta
+//     signatures, encryption, or a compression cache miss — into
+//     pooled buffers released at the end of each plan; spliced
+//     content always takes that path, and its chunks that end before
+//     the splice keep the base descriptor's cache keys. A
+//     no-capability client (Cloud Drive) plans entire uploads from
+//     descriptors alone: zero content bytes ever exist.
 //     cmd/perfbench's traced runs report the generation cost as
 //     workload.cpu_frac.
 //   - internal/compressor memoises size-only DEFLATE twice over:

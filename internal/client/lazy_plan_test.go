@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/dedup"
 	"repro/internal/sim"
@@ -17,7 +18,10 @@ import (
 // would — same units, same wire sizes, same commit flags, same dedup
 // accounting. The lazy path may skip generation entirely (Cloud
 // Drive) or resolve through the keyed size cache; neither may change
-// a planned byte.
+// a planned byte. Each file is then edited by a random insert, and the
+// spliced content Folder.InsertAt makes must plan exactly like its
+// bytes too: over compressible kinds, a chunk keyed by the base's
+// window although it reaches the splice would change a wire size.
 func TestLazyPlanMatchesMaterializedPlan(t *testing.T) {
 	meta := rand.New(rand.NewSource(31))
 	kinds := []workload.Kind{workload.Binary, workload.Text, workload.FakeJPEG, workload.PixelImage}
@@ -32,11 +36,23 @@ func TestLazyPlanMatchesMaterializedPlan(t *testing.T) {
 			lazy := lazyPl.PlanFile("f.bin", workload.DescriptorContent(d))
 
 			eagerPl := newPlanner(p, dedup.NewStore())
-			eager := eagerPl.PlanFile("f.bin", workload.BytesContent(d.Bytes()))
+			eager := eagerPl.PlanFile("f.bin", workload.BytesContent(workload.DescriptorContent(d).Bytes()))
 
 			if !reflect.DeepEqual(lazy, eager) {
 				t.Fatalf("%s %v size=%d seed=%d: lazy plan differs\n lazy  %+v\n eager %+v",
 					p.Service, kind, size, seed, lazy, eager)
+			}
+
+			off := meta.Int63n(size + 1)
+			f := workload.NewFolder()
+			f.CreateLazy(time.Time{}, "f.bin", d)
+			f.InsertAt(time.Time{}, "f.bin", off, workload.Generate(sim.NewRNG(seed+1), kind, 100<<10))
+			file, _ := f.Get("f.bin")
+			spliced := lazyPl.PlanFile("f.bin", file.Content())
+			eager = eagerPl.PlanFile("f.bin", workload.BytesContent(file.Bytes()))
+			if !reflect.DeepEqual(spliced, eager) {
+				t.Fatalf("%s %v size=%d seed=%d insert at %d: spliced plan differs\n spliced %+v\n eager   %+v",
+					p.Service, kind, size, seed, off, spliced, eager)
 			}
 		}
 	}
@@ -70,9 +86,36 @@ func TestFixedChunkLazyBoundaries(t *testing.T) {
 	for _, size := range []int64{0, 1, 8 << 20, 8<<20 + 1, 24 << 20, 24<<20 - 1} {
 		d := workload.Describe(sim.NewRNG(size), workload.Binary, size)
 		lazy := newPlanner(p, dedup.NewStore()).PlanFile("f.bin", workload.DescriptorContent(d))
-		eager := newPlanner(p, dedup.NewStore()).PlanFile("f.bin", workload.BytesContent(d.Bytes()))
+		eager := newPlanner(p, dedup.NewStore()).PlanFile("f.bin", workload.BytesContent(workload.DescriptorContent(d).Bytes()))
 		if !reflect.DeepEqual(lazy, eager) {
 			t.Fatalf("size %d: lazy chunk geometry differs\n lazy  %+v\n eager %+v", size, lazy, eager)
+		}
+	}
+}
+
+// TestSplicedPlanKeysOnlyBeforeTheSplice: Google Drive's first 8 MB
+// chunk of a 10 MB text file, after 100 kB went in at 9 MB (the chunk
+// ends before the splice and takes the base's key) or at 1 MB (it
+// reaches the splice and must not), plans exactly like the same bytes.
+// Text deflates to a content-dependent size, so a chunk keyed by the
+// base's window although it covers the insert would change a wire
+// size; the same edit of random bytes would not show it.
+func TestSplicedPlanKeysOnlyBeforeTheSplice(t *testing.T) {
+	p := GoogleDrive() // 8 MB fixed chunks, smart compression
+	d := workload.Describe(sim.NewRNG(3), workload.Text, 10<<20)
+	insert := workload.Generate(sim.NewRNG(4), workload.Binary, 100<<10)
+	for _, off := range []int64{9 << 20, 1 << 20} {
+		f := workload.NewFolder()
+		f.CreateLazy(time.Time{}, "f.txt", d)
+		f.InsertAt(time.Time{}, "f.txt", off, insert)
+		file, _ := f.Get("f.txt")
+
+		splicedPl := newPlanner(p, dedup.NewStore())
+		splicedPl.PlanFile("f.txt", workload.DescriptorContent(d))
+		spliced := splicedPl.PlanFile("f.txt", file.Content())
+		eager := newPlanner(p, dedup.NewStore()).PlanFile("f.txt", workload.BytesContent(file.Bytes()))
+		if !reflect.DeepEqual(spliced, eager) {
+			t.Fatalf("insert at %d: spliced plan differs\n spliced %+v\n eager   %+v", off, spliced, eager)
 		}
 	}
 }

@@ -48,16 +48,21 @@ func (p FilePlan) UploadBytes() int64 {
 // read — chunk hashes without dedup, signatures without delta
 // encoding — is not computed at all.
 //
-// Files arrive as workload.Content, which may be a lazy descriptor.
-// The planner materialises at the chunk boundary, and only when a
+// Files arrive as workload.Content: a lazy descriptor, a descriptor
+// with one splice (an edited generated file), or eager bytes. The
+// planner materialises at the chunk boundary, and only when a
 // capability genuinely needs bytes: content-defined chunking, hashing
 // for dedup, delta signatures, encryption, or a compression-size cache
 // miss. A capability-poor profile (Cloud Drive: no chunking, no
-// compression) plans a whole upload from the descriptor alone — zero
-// content bytes ever exist — which removes what used to be ~50% of its
-// campaign repetitions. Materialisation goes into pooled buffers
-// (workload.GetBuffer) released at the end of each plan; nothing the
-// planner retains (hashes, signatures, sizes) aliases them.
+// compression) plans a whole upload of a plain descriptor from the
+// descriptor alone — zero content bytes ever exist — which removes
+// what used to be ~50% of its campaign repetitions. Spliced content
+// always materialises, once, on the same path as a lazy descriptor a
+// capability needs bytes of; its chunks that end before the splice
+// still resolve compression sizes through the base descriptor's keys.
+// Materialisation goes into pooled buffers (workload.GetBuffer)
+// released at the end of each plan; nothing the planner retains
+// (hashes, signatures, sizes) aliases them.
 type planner struct {
 	profile  Profile
 	chunker  chunker.Chunker // nil for NoChunking
@@ -114,18 +119,17 @@ func (pl *planner) PlanFile(path string, content workload.Content) FilePlan {
 		return plan
 	}
 	if !content.Lazy() {
-		return pl.planBytes(path, content.Bytes(), workload.Descriptor{}, false)
+		return pl.planBytes(path, content.Bytes(), content)
 	}
-	// A capability needs bytes: materialise once into a pooled buffer
-	// for the duration of this plan.
-	desc, _ := content.Descriptor()
+	// A capability needs bytes of lazy or spliced content: materialise
+	// once into a pooled buffer for the duration of this plan.
 	buf := content.AppendTo(workload.GetBuffer(content.Size()))
-	plan := pl.planBytes(path, buf, desc, true)
+	plan := pl.planBytes(path, buf, content)
 	workload.PutBuffer(buf)
 	return plan
 }
 
-// planLazy plans a descriptor-backed file without materialising it.
+// planLazy plans a plain-descriptor file without materialising it.
 // It applies when chunk boundaries are computable from the size alone
 // (no content-defined chunking) and no capability hashes, signs or
 // encrypts content. Transmit sizes come from the chunk length (no
@@ -169,9 +173,10 @@ func (pl *planner) planLazy(path string, content workload.Content) (FilePlan, bo
 	return plan, true
 }
 
-// planBytes is the materialised planning path. haveDesc marks data as
-// the content of desc, enabling descriptor-keyed compression sizes.
-func (pl *planner) planBytes(path string, data []byte, desc workload.Descriptor, haveDesc bool) FilePlan {
+// planBytes is the materialised planning path: data holds the bytes of
+// content, whose descriptor windows (Content.Window) key compression
+// sizes.
+func (pl *planner) planBytes(path string, data []byte, content workload.Content) FilePlan {
 	prof := pl.profile
 	plan := FilePlan{Path: path, FileBytes: int64(len(data))}
 
@@ -216,7 +221,7 @@ func (pl *planner) planBytes(path string, data []byte, desc workload.Descriptor,
 			continue
 		}
 
-		wire := pl.unitBytes(i, ch, payload, oldSigs, desc, haveDesc)
+		wire := pl.unitBytes(i, ch, payload, oldSigs, content)
 		plan.Units = append(plan.Units, TransferUnit{
 			Path:     path,
 			Bytes:    wire,
@@ -238,10 +243,13 @@ func (pl *planner) planBytes(path string, data []byte, desc workload.Descriptor,
 // delta encoding against the previous revision's same-index chunk
 // (Dropbox applies its rsync per chunk, Sect. 4.4) and then the
 // compression policy. Only transmitted sizes matter to the plan, so
-// compression runs in size-only mode and never materialises output;
-// descriptor-backed plaintext chunks resolve through the keyed size
-// cache, skipping even the content hash on repeats.
-func (pl *planner) unitBytes(idx int, ch chunker.Chunk, payload []byte, oldSigs []*deltaenc.Signature, desc workload.Descriptor, haveDesc bool) int64 {
+// compression runs in size-only mode and never materialises output.
+// A plaintext chunk whose window the content can name as a
+// descriptor's bytes (Content.Window) resolves through the keyed size
+// cache, skipping even the content hash on repeats; the key is exact
+// because it names the same bytes. Any other chunk is sized by its
+// content hash.
+func (pl *planner) unitBytes(idx int, ch chunker.Chunk, payload []byte, oldSigs []*deltaenc.Signature, content workload.Content) int64 {
 	prof := pl.profile
 	if prof.DeltaEncoding && idx < len(oldSigs) && oldSigs[idx] != nil {
 		d := deltaenc.Compute(oldSigs[idx], ch.Data)
@@ -256,8 +264,8 @@ func (pl *planner) unitBytes(idx int, ch chunker.Chunk, payload []byte, oldSigs 
 		pl.litBuf = lits
 		return compressor.TransmitSize(prof.Compression, lits) + (d.WireSize() - d.LiteralBytes())
 	}
-	if haveDesc && !prof.Encryption {
-		return compressor.TransmitSizeKeyed(prof.Compression, descChunkKey(desc, ch.Offset, ch.Len()), ch.Len(),
+	if d, ok := content.Window(ch.Offset, ch.Len()); ok && !prof.Encryption {
+		return compressor.TransmitSizeKeyed(prof.Compression, descChunkKey(d, ch.Offset, ch.Len()), ch.Len(),
 			func() []byte { return ch.Data })
 	}
 	return compressor.TransmitSize(prof.Compression, payload)

@@ -56,32 +56,48 @@ type VolumePoint struct {
 func Fig4DeltaSeries(p client.Profile, mod ModKind, sizes []int64, added int64, seed int64) []VolumePoint {
 	return sweepLargestFirst(sizes, func(i int) VolumePoint {
 		size := sizes[i]
-		tb := streamingTestbed(p, seed+int64(i)*101)
-		start := tb.Settle()
-
-		t0 := tb.Clock.Now()
-		tb.Folder.CreateLazy(t0, "target.bin", workload.Describe(tb.RNG.Fork(1), workload.Binary, size))
-		res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-		tb.Clock.AdvanceTo(res.Done.Add(10 * time.Second))
-
-		t1 := tb.Clock.Now()
-		tb.StartWindow(t1)
-		chunk := workload.Generate(tb.RNG.Fork(2), workload.Binary, added)
-		switch mod {
-		case ModAppend:
-			tb.Folder.Append(t1, "target.bin", chunk)
-		case ModPrepend:
-			tb.Folder.InsertAt(t1, "target.bin", 0, chunk)
-		default:
-			off := tb.RNG.Int63n(size)
-			tb.Folder.InsertAt(t1, "target.bin", off, chunk)
-		}
-		res = tb.Client.SyncChanges(tb.Folder, t1.Add(-time.Millisecond))
-		tb.Clock.AdvanceTo(res.Done)
-
+		tb, t1, _ := deltaCell(p, size, seed+int64(i)*101, func(tb *Testbed, t1 time.Time) {
+			fig4Edit(tb, t1, mod, size, added)
+		})
 		up := tb.AnalyzeWindow(t1, tb.StorageFilter(t1)).WireUp
 		return VolumePoint{FileSize: size, Upload: up}
 	})
+}
+
+// deltaCell runs one delta-encoding cell up to its measurement: it
+// synchronises a size-byte generated file on a fresh testbed, opens the
+// measurement window 10 s after that upload completes, lets edit modify
+// the file at that instant, and synchronises again. It returns the
+// testbed, the edit instant and the second synchronisation.
+func deltaCell(p client.Profile, size, seed int64, edit func(tb *Testbed, t1 time.Time)) (*Testbed, time.Time, client.SyncResult) {
+	tb := streamingTestbed(p, seed)
+	start := tb.Settle()
+
+	t0 := tb.Clock.Now()
+	tb.Folder.CreateLazy(t0, "target.bin", workload.Describe(tb.RNG.Fork(1), workload.Binary, size))
+	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
+	tb.Clock.AdvanceTo(res.Done.Add(10 * time.Second))
+
+	t1 := tb.Clock.Now()
+	tb.StartWindow(t1)
+	edit(tb, t1)
+	res = tb.Client.SyncChanges(tb.Folder, t1.Add(-time.Millisecond))
+	tb.Clock.AdvanceTo(res.Done)
+	return tb, t1, res
+}
+
+// fig4Edit applies a Fig. 4 modification to the size-byte target file:
+// added generated bytes at its end, its start, or a random offset.
+func fig4Edit(tb *Testbed, at time.Time, mod ModKind, size, added int64) {
+	chunk := workload.Generate(tb.RNG.Fork(2), workload.Binary, added)
+	switch mod {
+	case ModAppend:
+		tb.Folder.Append(at, "target.bin", chunk)
+	case ModPrepend:
+		tb.Folder.InsertAt(at, "target.bin", 0, chunk)
+	default:
+		tb.Folder.InsertAt(at, "target.bin", tb.RNG.Int63n(size), chunk)
+	}
 }
 
 // Fig5CompressionSeries runs the compression test (Sect. 4.5) for one

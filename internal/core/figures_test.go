@@ -1,7 +1,9 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/workload"
@@ -118,5 +120,50 @@ func TestFig6ForServiceShape(t *testing.T) {
 func TestModKindString(t *testing.T) {
 	if ModAppend.String() != "append" || ModPrepend.String() != "prepend" || ModRandom.String() != "random" {
 		t.Fatal("mod kind names")
+	}
+}
+
+// TestFig4SplicedPlansMatchBytes is the proof behind spliced content:
+// for every profile and every Fig. 4 cell shape (append, prepend and
+// random insert at each Fig4Sizes size, 100 kB added), the edit planned
+// as spliced content, the way Folder.Append and Folder.InsertAt leave
+// a generated file, must give exactly the FilePlans of the same bytes
+// written as plain content. Both plans run on a planner that has
+// already planned the base. The cells use the seeds Fig4DeltaSeries
+// gives them at seed 3, where Google Drive's 10 MB random insert lands
+// past its first 8 MB chunk (at seed 42 it does not), so that chunk's
+// window names the base and takes the keyed path; the test checks
+// that such a cell is among those it plans.
+func TestFig4SplicedPlansMatchBytes(t *testing.T) {
+	const chunk8MB = 8 << 20
+	keyedPrefix := false
+	for _, p := range client.Profiles() {
+		for _, mod := range []ModKind{ModAppend, ModPrepend, ModRandom} {
+			for i, size := range Fig4Sizes(mod) {
+				seed := 3 + int64(i)*101
+				var edited workload.Content
+				_, _, spliced := deltaCell(p, size, seed, func(tb *Testbed, t1 time.Time) {
+					fig4Edit(tb, t1, mod, size, added100k)
+					f, _ := tb.Folder.Get("target.bin")
+					edited = f.Content()
+				})
+				if _, plain := edited.Descriptor(); !edited.Lazy() || plain {
+					t.Fatalf("%s %v %d: the edit left lazy=%v plain=%v, want spliced content", p.Service, mod, size, edited.Lazy(), plain)
+				}
+				_, _, eager := deltaCell(p, size, seed, func(tb *Testbed, t1 time.Time) {
+					tb.Folder.Write(t1, "target.bin", edited.Bytes())
+				})
+				if !reflect.DeepEqual(spliced.Plans, eager.Plans) {
+					t.Fatalf("%s %v %d: spliced plan differs from plain bytes\n spliced %+v\n bytes   %+v",
+						p.Service, mod, size, spliced.Plans, eager.Plans)
+				}
+				if _, ok := edited.Window(0, chunk8MB); ok && p.Service == "googledrive" && size == 10<<20 {
+					keyedPrefix = true
+				}
+			}
+		}
+	}
+	if !keyedPrefix {
+		t.Error("no Google Drive 10 MB cell spliced past 8 MB: the keyed prefix window went untested")
 	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -40,9 +41,10 @@ type Change struct {
 }
 
 // File is one file in the synchronized folder. Its content may be a
-// lazy descriptor (generated benchmark files) or eager bytes (files
-// edited by the workload script); consumers that only need the length
-// use Size and never force materialisation.
+// lazy descriptor (generated benchmark files), a descriptor with one
+// splice (a generated file after one edit) or eager bytes (files the
+// workload script writes, or edits again); consumers that only need
+// the length use Size and never force materialisation.
 type File struct {
 	Path    string
 	ModTime time.Time
@@ -56,7 +58,7 @@ func (f *File) Content() Content { return f.content }
 func (f *File) Size() int64 { return f.content.Size() }
 
 // Bytes returns the file content as a byte slice, materialising lazy
-// descriptors. The returned slice must not be modified.
+// and spliced content. The returned slice must not be modified.
 func (f *File) Bytes() []byte { return f.content.Bytes() }
 
 // Folder is the virtual synchronized directory manipulated by the
@@ -103,40 +105,35 @@ func (f *Folder) CreateContent(at time.Time, path string, c Content) {
 // Write replaces the content of an existing file ("the modified file
 // replaces its old copy", Sect. 4.4).
 func (f *Folder) Write(at time.Time, path string, data []byte) {
-	file, ok := f.files[path]
-	if !ok {
-		panic(fmt.Sprintf("workload: Write to missing path %q", path))
-	}
-	file.content = BytesContent(data)
-	file.ModTime = at
-	f.log(at, path, Modified)
+	f.replace(at, path, BytesContent(data))
 }
 
-// Append adds data at the end of an existing file, materialising lazy
-// content first — an edited file has concrete bytes by definition.
+// Append adds data at the end of an existing file. A file that holds a
+// plain descriptor stays lazy: it becomes spliced content, the
+// descriptor plus a copy of data. Any other file is materialised with
+// data appended.
 func (f *Folder) Append(at time.Time, path string, data []byte) {
-	file := f.mustGet(path)
-	buf := make([]byte, 0, file.Size()+int64(len(data)))
-	buf = file.content.AppendTo(buf)
-	buf = append(buf, data...)
-	f.Write(at, path, buf)
+	f.InsertAt(at, path, f.mustGet(path).Size(), data)
 }
 
 // InsertAt inserts data at the given offset of an existing file,
-// shifting the remainder — the "random position" delta-encoding case.
+// shifting the remainder — the "random position" delta-encoding case,
+// and at offset 0 the prepend case. Like Append, it splices a copy of
+// data into a plain descriptor without materialising it, and makes
+// eager bytes of anything else (a second edit included).
 func (f *Folder) InsertAt(at time.Time, path string, offset int64, data []byte) {
 	file := f.mustGet(path)
 	if offset < 0 || offset > file.Size() {
 		panic(fmt.Sprintf("workload: InsertAt offset %d outside %q (%d bytes)", offset, path, file.Size()))
 	}
+	if d, ok := file.content.Descriptor(); ok {
+		f.replace(at, path, Content{desc: d, data: slices.Clone(data), off: offset, form: splicedForm})
+		return
+	}
 	// One copy of the old content: materialise it into a buffer of the
-	// final size, then open the gap by shifting the suffix in place.
-	buf := make([]byte, 0, file.Size()+int64(len(data)))
-	buf = file.content.AppendTo(buf)
-	buf = buf[:len(buf)+len(data)]
-	copy(buf[offset+int64(len(data)):], buf[offset:])
-	copy(buf[offset:], data)
-	f.Write(at, path, buf)
+	// final size, then open the gap in place.
+	buf := file.content.AppendTo(make([]byte, 0, file.Size()+int64(len(data))))
+	f.Write(at, path, openSplice(buf, 0, offset, data))
 }
 
 // Copy duplicates src to dst (same payload, different name — the
@@ -183,6 +180,18 @@ func (f *Folder) ChangesSince(t time.Time) []Change {
 		return f.journal[i].Time.After(t)
 	})
 	return f.journal[i:]
+}
+
+// replace swaps in new content for an existing file and logs the
+// modification.
+func (f *Folder) replace(at time.Time, path string, c Content) {
+	file, ok := f.files[path]
+	if !ok {
+		panic(fmt.Sprintf("workload: Write to missing path %q", path))
+	}
+	file.content = c
+	file.ModTime = at
+	f.log(at, path, Modified)
 }
 
 func (f *Folder) mustGet(path string) *File {

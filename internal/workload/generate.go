@@ -8,12 +8,18 @@
 // compression benchmarks (Fig. 5) additionally need fake JPEGs: JPEG
 // extension and header, text body.
 //
-// Since the descriptor pipeline, generated files are not byte slices
-// but Descriptors — the (Kind, Seed, Size) recipe that deterministically
-// reproduces the content. A Descriptor materialises only when a
+// Generated files are not byte slices but Descriptors — the (Kind,
+// Seed, Size) recipe that deterministically reproduces the content. A
+// folder file's Content takes one of three forms: lazy (a Descriptor),
+// spliced (a Descriptor with bytes inserted at one offset, which is
+// what Folder.Append and Folder.InsertAt make of a generated file, so
+// the Sect. 4.4 edits stay lazy too) and eager (plain bytes, for files
+// the script writes and for edits of anything but a plain
+// descriptor). Lazy and spliced content materialise only when a
 // consumer actually needs bytes (content-defined chunking, hashing,
 // DEFLATE), writing into reusable buffers; capability-poor clients
-// plan whole uploads without a single content byte ever existing.
+// plan whole uploads of generated files without a single content byte
+// ever existing.
 package workload
 
 import (

@@ -54,7 +54,7 @@ func TestDescriptorMatchesGenerate(t *testing.T) {
 			seed := int64(kind)*31 + size
 			want := Generate(sim.NewRNG(seed), kind, size)
 			d := Describe(sim.NewRNG(seed), kind, size)
-			if got := d.Bytes(); !bytes.Equal(got, want) {
+			if got := DescriptorContent(d).Bytes(); !bytes.Equal(got, want) {
 				t.Fatalf("%v: descriptor bytes differ from Generate", kind)
 			}
 			buf := GetBuffer(size)
@@ -79,7 +79,7 @@ func TestDescriptorDeterministicAcrossForksAndWorkers(t *testing.T) {
 	if d1 != d2 {
 		t.Fatal("forked descriptors differ across identical parents")
 	}
-	want := d1.Bytes()
+	want := DescriptorContent(d1).Bytes()
 
 	const workers = 8
 	results := make([][]byte, workers)
@@ -115,7 +115,7 @@ func TestPooledBufferReuseIsSafe(t *testing.T) {
 	}
 	refs := make([][]byte, len(descs))
 	for i, d := range descs {
-		refs[i] = d.Bytes()
+		refs[i] = DescriptorContent(d).Bytes()
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

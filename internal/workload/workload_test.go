@@ -113,31 +113,44 @@ func TestFolderAppendAndInsert(t *testing.T) {
 	}
 }
 
-// TestFolderInsertAtMatchesSplice pins the in-place InsertAt against a
-// naive three-part splice, for lazy and eager content at the first,
-// a middle and the past-the-end offset, and checks that the edit
-// leaves the replaced eager content untouched.
+// TestFolderInsertAtMatchesSplice pins InsertAt against a naive
+// three-part splice, for lazy and eager content at the first, a middle
+// and the past-the-end offset. A plain descriptor must come out
+// spliced (still lazy, no descriptor of its own), eager content eager;
+// the edit must leave the replaced eager content untouched, and the
+// file must not alias the caller's insert. A second edit of spliced
+// content makes it eager.
 func TestFolderInsertAtMatchesSplice(t *testing.T) {
 	const size = 64 << 10
 	d := Describe(sim.NewRNG(5), Binary, size)
-	insert := Generate(sim.NewRNG(6), Binary, 3000)
 	for _, lazy := range []bool{true, false} {
 		for _, off := range []int64{0, size / 3, size} {
+			insert := Generate(sim.NewRNG(6), Binary, 3000)
 			f := NewFolder()
-			old := d.Bytes()
+			old := DescriptorContent(d).Bytes()
 			if lazy {
 				f.CreateLazy(at(0), "x", d)
 			} else {
 				f.Create(at(0), "x", old)
 			}
 			f.InsertAt(at(1), "x", off, insert)
-			want := slices.Concat(d.Bytes()[:off], insert, d.Bytes()[off:])
+			fresh := DescriptorContent(d).Bytes()
+			want := slices.Concat(fresh[:off], insert, fresh[off:])
+			clear(insert)
 			file, _ := f.Get("x")
 			if got := file.Bytes(); !bytes.Equal(got, want) {
 				t.Fatalf("lazy=%v off=%d: InsertAt differs from splice (len %d, want %d)", lazy, off, len(got), len(want))
 			}
-			if !bytes.Equal(old, d.Bytes()) {
+			if _, plain := file.Content().Descriptor(); file.Content().Lazy() != lazy || plain {
+				t.Fatalf("lazy=%v off=%d: edited content Lazy() = %v, plain descriptor %v", lazy, off, file.Content().Lazy(), plain)
+			}
+			if !bytes.Equal(old, fresh) {
 				t.Fatalf("lazy=%v off=%d: InsertAt modified the replaced content", lazy, off)
+			}
+
+			f.Append(at(2), "x", []byte("again"))
+			if file, _ = f.Get("x"); file.Content().Lazy() || !bytes.Equal(file.Bytes(), append(want, "again"...)) {
+				t.Fatalf("lazy=%v off=%d: second edit lazy=%v or wrong bytes", lazy, off, file.Content().Lazy())
 			}
 		}
 	}
