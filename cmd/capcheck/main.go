@@ -84,11 +84,8 @@ func main() {
 		c := caps[p.Service]
 		order = append(order, p.Service)
 		if *verbose {
-			b := core.DetectBundling(p, *seed)
 			fmt.Printf("%s:\n", p.Name)
 			fmt.Printf("  chunking:          %s\n", c.Chunking)
-			fmt.Printf("  connections/file:  %.2f\n", b.ConnsPerFile)
-			fmt.Printf("  sequential acks:   %v\n", b.SequentialAcks)
 			fmt.Printf("  bundling:          %v\n", c.Bundling)
 			fmt.Printf("  compression:       %s\n", c.Compression)
 			fmt.Printf("  dedup:             %v (after delete/restore: %v)\n", c.Dedup, c.DedupAfterDelete)

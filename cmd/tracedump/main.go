@@ -1,11 +1,12 @@
 // Command tracedump captures and inspects benchmark traces. It is a
-// packet-level tool, so it runs its experiment on a buffered
-// trace.Capture — the one consumer that exists precisely to show the
-// packets the streaming campaign engine never keeps. The capture
-// stores steady-state transfers as span records (one record per run of
-// uniform rate-limited slices); the summaries report both the stored
-// record count and the per-round packet count the spans stand for, so
-// the span-record reduction is visible from the CLI.
+// packet-level tool: before the client starts, it registers a
+// recorder over the whole run on the testbed's streaming trace, a
+// trace.Capture that keeps the packets the campaign engine's fold
+// discards. The capture stores steady-state transfers as span records
+// (one record per run of uniform rate-limited slices); the summaries
+// report both the stored record count and the per-round packet count
+// the spans stand for, so the span-record reduction is visible from
+// the CLI.
 //
 // Run a synchronization experiment and save its packet trace:
 //
@@ -63,13 +64,14 @@ func main() {
 		os.Exit(2)
 	}
 	tb := core.NewTestbed(p, *seed, 0)
+	rec := tb.Stream.AddRecorder(time.Time{}, trace.FarFuture)
 	start := tb.Settle()
 	batch.Materialize(tb.Folder, tb.RNG, tb.Clock.Now(), "bench")
 	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
 	tb.Clock.AdvanceTo(res.Done)
 
 	if *out == "" {
-		printAny(tb.Cap, *flows)
+		printAny(rec, *flows)
 		return
 	}
 	f, err := os.Create(*out)
@@ -78,12 +80,12 @@ func main() {
 		os.Exit(1)
 	}
 	defer f.Close()
-	if err := tb.Cap.WriteCSV(f); err != nil {
+	if err := rec.WriteCSV(f); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %d records (%d packets) on %d flows to %s\n",
-		tb.Cap.Len(), tb.Cap.ExpandedLen(), tb.Cap.NumFlows(), *out)
+		rec.Len(), rec.ExpandedLen(), rec.NumFlows(), *out)
 }
 
 func summarize(path string, flows bool) error {

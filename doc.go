@@ -35,14 +35,19 @@
 //     exact record and draw counts of a 16 MB upload loss-free and at
 //     2% loss; cmd/perfbench's clouddrive_loss workload times it.
 //   - internal/trace.Sink is the recording boundary the transport
-//     simulator writes against, with two implementations. Capture
-//     records packets append-only; stragglers from connections
-//     simulating on independent timelines land in a reorder buffer
-//     that is merged back — stably — on first read, so recording is
-//     O(1) and analyzers always see a time-sorted trace. Streamer
-//     folds each packet into the per-flow accumulators of every
-//     pre-registered window and discards it, so a repetition's trace
-//     memory is O(flows) instead of O(packets). The fold is copy-free
+//     simulator writes against, with two implementations. Streamer,
+//     the trace of every core.Testbed, folds each packet into the
+//     per-flow accumulators of every pre-registered window and
+//     discards it, so a repetition's trace memory is O(flows) instead
+//     of O(packets). Capture records packets append-only; stragglers
+//     from connections simulating on independent timelines land in a
+//     reorder buffer that is merged back — stably — on first read, so
+//     recording is O(1) and analyzers always see a time-sorted trace.
+//     A study that walks packets registers a Capture on the Streamer
+//     (Streamer.AddRecorder): the Streamer hands it every record of
+//     the recorder's time range, clipped to it, and mirrors its flow
+//     table, so the recorder equals the same cut of a capture of the
+//     whole run. The fold is copy-free
 //     and pointer-free: a plain record folds in place (only spans go
 //     through Packet.Clip), every instant it keeps is an integer
 //     offset from the first recorded one, so window bounds are
@@ -55,14 +60,18 @@
 //     (Packet.Clip) — byte- and time-identical to the per-round
 //     records it stands for. Capture.ExpandedPackets is the
 //     materialized per-round view, which the per-packet analyzers
-//     (Bursts, UploadPauses, the cumulative timeline) walk; the CSV
+//     (Bursts, which also yield the Sect. 4.1 chunk sizes, and the
+//     cumulative timeline) walk; the CSV
 //     trace format (v2) round-trips spans intact, and cmd/tracedump
 //     reports stored records vs expanded packets.
 //   - Capture.Window is a plain time cut (half-open [from, to)) of
 //     the per-round trace: it binary-searches ExpandedPackets, so a
 //     span contributes exactly its in-window slices, and on a
 //     span-free trace the view is zero-copy, sharing the backing
-//     store.
+//     store. The studies that cut a recorder after the fact (the
+//     Fig. 1 and Sect. 3.1 login and idle windows) use it: login
+//     traffic can outlast the instant Login returns, so the login cut
+//     cannot be a streamed window closed at that instant.
 //   - Every scalar metric of Sect. 5 — byte accounting in both
 //     directions, payload bracket, SYN timeline, connection count —
 //     comes from one fold, StreamWindow's per-flow accumulator:
@@ -71,19 +80,18 @@
 //     no per-metric methods, so a caller reads each number off the
 //     one Analysis it took. Seed-style per-metric scans in
 //     internal/trace, sharing no code with the fold, pin it over
-//     span-bearing traces and random window cuts in both modes.
+//     span-bearing traces, random window cuts and recorders.
 //   - core.MeasureWindow reads all Sect. 5 metrics off two Analyze
-//     passes (all flows, storage flows) of one window, in either
-//     trace mode. One upload script (settle, open the window, create
-//     the batch, sync) serves every single-upload study and campaign
-//     cell. The campaign cells (RunSync, RunSyncLossy), RunSYNCount,
-//     the what-if studies, the Fig. 4/5 sweeps and the delta and
-//     compression detectors that read them stream; consumers that
-//     genuinely re-window after the fact or walk individual packets —
-//     RunIdle's cumulative timeline, AnalyzeProtocols' activity
-//     clustering, the chunking, bundling and dedup detectors,
-//     Discover, RunPropagation, RunRecovery, cmd/tracedump — keep a
-//     buffered Capture.
+//     passes (all flows, storage flows) of the testbed's one
+//     benchmark window. One upload script (settle, open the window,
+//     create the batch, sync) serves every single-upload study and
+//     campaign cell. Every testbed streams; the consumers that walk
+//     individual packets or cut the trace after the fact — RunIdle's
+//     cumulative timeline, AnalyzeProtocols' activity clustering, the
+//     chunking and bundling detectors, cmd/tracedump — read a
+//     recorder registered on the Streamer, the dedup and recovery
+//     studies open a window per step, and Discover reads the
+//     Streamer's flow table.
 //   - A testbed has a static half and a per-run half. The static
 //     half draws no random numbers: cloud.Build's hosts, address
 //     pools, whois records, DNS policies and PTR records, on a

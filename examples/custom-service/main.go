@@ -83,6 +83,7 @@ func main() {
 	tb := core.NewTestbedFor(euroSyncProfile(), euroSyncSpec(), 1, core.DefaultJitter)
 	start := tb.Settle()
 	t0 := tb.Clock.Now()
+	tb.StartWindow(t0)
 	batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
 	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
 	tb.Clock.AdvanceTo(res.Done)

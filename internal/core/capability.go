@@ -34,14 +34,13 @@ type Capabilities struct {
 // delta encoding.
 //
 // Delta encoding and compression are the verdicts of the Sect. 4.4
-// and 4.5 upload experiments, so they read the Fig. 4 and Fig. 5 cells
-// and stream like them. Chunking and bundling run the shared upload
-// script on a buffered trace, and dedup keeps a buffered testbed of
-// its own: they walk individual packets (UploadPauses, Bursts,
-// estimateRTT's SYN/SYN-ACK pairing) or re-window the trace at
-// instants discovered mid-experiment (each dedup step), none of which
-// survives the streaming fold. Their traces are single files or 100
-// tiny ones, so O(packets) buffering is irrelevant here.
+// and 4.5 upload experiments, so they read the Fig. 4 and Fig. 5
+// cells. Chunking and bundling run the shared upload script with a
+// recorder over its window (uploadBursts): they walk individual
+// packets (Bursts, estimateRTT's SYN/SYN-ACK pairing), which the
+// streaming fold does not keep. Their traces are single files or 100
+// tiny ones, so O(packets) recording is irrelevant here. Dedup opens
+// a fresh window at each of its four steps.
 const numDetectors = 5
 
 // CapabilityConfidence is a repeated Table 1 row: the detected
@@ -169,6 +168,21 @@ func estimateRTT(cap *trace.Capture, f trace.FlowFilter) time.Duration {
 	return fallbackRTT
 }
 
+// uploadBursts runs the upload script once on seed with a recorder
+// over its window, and splits the window's storage upload into bursts
+// at 1.4 handshake RTTs — the quiet gap that separates chunks (Sect.
+// 4.1) and per-file acknowledgments (Sect. 4.2). It returns the
+// testbed, the window start and the bursts.
+func uploadBursts(p client.Profile, batch workload.Batch, seed int64) (*Testbed, time.Time, []trace.Burst) {
+	c := syncCell{p: p, batch: batch, host: campusHost}
+	tb, t0 := c.openOnce(seed)
+	rec := tb.Stream.AddRecorder(t0, trace.FarFuture)
+	c.upload(tb, t0)
+	storage := tb.StorageFilter(t0)
+	rtt := estimateRTT(rec, storage)
+	return tb, t0, rec.Bursts(storage, rtt+2*rtt/5)
+}
+
 // DetectChunking uploads one large file and infers the chunking
 // strategy from upload pauses (Sect. 4.1): no pauses means the file
 // travelled as a single object; regular pause spacing means fixed
@@ -181,28 +195,21 @@ func DetectChunking(p client.Profile, seed int64) string {
 	// detectable and excluded.
 	const fileSize = 61 << 20
 	big := workload.Batch{Count: 1, Size: fileSize, Kind: workload.Binary}
-	tb, t0 := syncCell{p: p, batch: big, host: campusHost}.syncOnce(seed, false)
-	win := tb.Cap.Window(t0, trace.FarFuture)
-	storage := tb.StorageFilter(t0)
-	rtt := estimateRTT(win, storage)
-	pauses := win.UploadPauses(storage, rtt+2*rtt/5)
-	if len(pauses) == 0 {
+	_, _, bursts := uploadBursts(p, big, seed)
+	if len(bursts) <= 1 {
 		return "no"
 	}
-	// Chunk sizes are the differences of the cumulative byte marks.
-	// Segments below a small floor are protocol artifacts (the TLS
-	// handshake before the first data, trailing acknowledgments),
-	// not chunks. The remainder after the last pause is excluded:
-	// the final chunk of a fixed-size chunker is legitimately short
-	// and would fake variability.
+	// Each burst before a pause is one chunk. Bursts below a small
+	// floor are protocol artifacts (the TLS handshake before the
+	// first data, trailing acknowledgments), not chunks. The last
+	// burst is excluded: the final chunk of a fixed-size chunker is
+	// legitimately short and would fake variability.
 	const chunkFloor = 64 << 10
 	var sizes []float64
-	prev := int64(0)
-	for _, pa := range pauses {
-		if s := pa.BytesBefore - prev; s >= chunkFloor {
-			sizes = append(sizes, float64(s))
+	for _, b := range bursts[:len(bursts)-1] {
+		if b.Bytes >= chunkFloor {
+			sizes = append(sizes, float64(b.Bytes))
 		}
-		prev = pa.BytesBefore
 	}
 	if len(sizes) <= 1 {
 		return "no"
@@ -231,13 +238,8 @@ type BundlingResult struct {
 func DetectBundling(p client.Profile, seed int64) BundlingResult {
 	const files = 100
 	batch := workload.Batch{Count: files, Size: 10_000, Kind: workload.Binary}
-	tb, t0 := syncCell{p: p, batch: batch, host: campusHost}.syncOnce(seed, false)
-
-	win := tb.Cap.Window(t0, trace.FarFuture)
-	storage := tb.StorageFilter(t0)
-	conns := win.Analyze(trace.AllFlows).Connections
-	rtt := estimateRTT(tb.Cap, storage)
-	bursts := win.Bursts(storage, rtt+2*rtt/5)
+	tb, t0, bursts := uploadBursts(p, batch, seed)
+	conns := tb.AnalyzeWindow(t0, trace.AllFlows).Connections
 
 	r := BundlingResult{ConnsPerFile: float64(conns) / files}
 	r.SequentialAcks = len(bursts) >= files*3/4
@@ -254,13 +256,15 @@ type DedupResult struct {
 // DetectDedup runs the paper's four-step deduplication test: (i) a
 // random file; (ii) a replica under a different name; (iii) a copy in
 // a third folder; (iv) delete everything, then place the original
-// back. Upload volumes per step tell whether replicas travelled.
+// back. Upload volumes per step tell whether replicas travelled; each
+// step reads a window opened at its own start.
 func DetectDedup(p client.Profile, seed int64) DedupResult {
 	const size = 512 << 10
 	tb := NewTestbed(p, seed, 0)
 	start := tb.Settle()
 
 	syncStep := func(t0 time.Time) int64 {
+		tb.StartWindow(t0)
 		res := tb.Client.SyncChanges(tb.Folder, t0.Add(-time.Millisecond))
 		tb.Clock.AdvanceTo(res.Done.Add(10 * time.Second))
 		return tb.AnalyzeWindow(t0, tb.StorageFilter(t0)).WireUp

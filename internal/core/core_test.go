@@ -13,14 +13,15 @@ import (
 
 func TestTestbedSettleSeparatesLogin(t *testing.T) {
 	tb := NewTestbed(client.Dropbox(), 1, 0)
+	rec := tb.Stream.AddRecorder(sim.Epoch, trace.FarFuture)
 	start := tb.Settle()
 	// Login traffic exists and ends before the benchmark start.
-	login := tb.Cap.Window(sim.Epoch, start).Analyze(trace.AllFlows)
+	login := rec.Window(sim.Epoch, start).Analyze(trace.AllFlows)
 	if !login.HasPayload || !login.LastPayload.Before(start) {
 		t.Fatal("Settle must end after login")
 	}
 	// All login traffic predates the benchmark start.
-	win := tb.Cap.Window(start, trace.FarFuture)
+	win := rec.Window(start, trace.FarFuture)
 	if win.Len() != 0 {
 		t.Fatalf("traffic after settle: %d packets", win.Len())
 	}
@@ -291,17 +292,12 @@ func TestStorageFilterWualaHeuristic(t *testing.T) {
 	// Wuala has no control/storage name split: the filter must fall
 	// back to connection sequences (flows opened after the workload)
 	// and flow sizes, and must exclude the login-era control session.
-	tb := NewTestbed(client.Wuala(), 91, 0)
-	start := tb.Settle()
-	t0 := tb.Clock.Now()
-	workload.Batch{Count: 2, Size: 200 << 10, Kind: workload.Binary}.
-		Materialize(tb.Folder, tb.RNG, t0, "bench")
-	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-	tb.Clock.AdvanceTo(res.Done)
+	batch := workload.Batch{Count: 2, Size: 200 << 10, Kind: workload.Binary}
+	tb, t0 := syncCell{p: client.Wuala(), batch: batch, host: campusHost}.syncOnce(91)
 
 	filter := tb.StorageFilter(t0)
 	var storageFlows, controlFlows int
-	for _, f := range tb.Cap.Flows() {
+	for _, f := range tb.Stream.Flows() {
 		if filter(f) {
 			storageFlows++
 			if f.OpenedAt.Before(t0) {
@@ -315,8 +311,7 @@ func TestStorageFilterWualaHeuristic(t *testing.T) {
 		t.Fatalf("classification degenerate: %d storage, %d control", storageFlows, controlFlows)
 	}
 	// The classified storage traffic must carry the content volume.
-	win := tb.Cap.Window(t0, trace.FarFuture)
-	up := win.Analyze(filter).WireUp
+	up := tb.AnalyzeWindow(t0, filter).WireUp
 	if up < 400<<10 {
 		t.Fatalf("storage upstream = %d, want >= content", up)
 	}
@@ -324,20 +319,22 @@ func TestStorageFilterWualaHeuristic(t *testing.T) {
 
 func TestEstimateRTTFromHandshake(t *testing.T) {
 	tb := NewTestbed(client.SkyDrive(), 92, 0)
+	rec := tb.Stream.AddRecorder(sim.Epoch, trace.FarFuture)
 	start := tb.Settle()
 	t0 := tb.Clock.Now()
+	tb.StartWindow(t0)
 	tb.Folder.Create(t0, "f.bin", workload.Generate(tb.RNG, workload.Binary, 50_000))
 	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
 	tb.Clock.AdvanceTo(res.Done)
 
-	rtt := estimateRTT(tb.Cap, tb.StorageFilter(t0))
+	rtt := estimateRTT(rec, tb.StorageFilter(t0))
 	// SkyDrive storage sits in the US: the sniffer-estimated RTT must
 	// land in the transatlantic/transcontinental band.
 	if rtt < 80*time.Millisecond || rtt > 220*time.Millisecond {
 		t.Fatalf("estimated RTT = %v, want 80-220 ms", rtt)
 	}
 	// Fallback path: no SYNs matching the filter.
-	none := estimateRTT(tb.Cap, func(trace.FlowInfo) bool { return false })
+	none := estimateRTT(rec, func(trace.FlowInfo) bool { return false })
 	if none != fallbackRTT {
 		t.Fatalf("fallback RTT = %v, want %v", none, fallbackRTT)
 	}

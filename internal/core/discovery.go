@@ -56,12 +56,12 @@ func Discover(p client.Profile, seed int64) Discovery {
 	// Phase 1: drive the client through start / file sync / idle and
 	// collect contacted names from the trace.
 	probe := workload.Batch{Count: 3, Size: 50_000, Kind: workload.Binary}
-	tb, _ := syncCell{p: p, batch: probe, host: campusHost}.syncOnce(seed, false)
+	tb, _ := syncCell{p: p, batch: probe, host: campusHost}.syncOnce(seed)
 	tb.Client.InstallPoller(tb.Sched)
 	tb.Sched.RunUntil(tb.Clock.Now().Add(5 * time.Minute))
 
 	nameSet := map[string]bool{}
-	for _, f := range tb.Cap.Flows() {
+	for _, f := range tb.Stream.Flows() {
 		nameSet[f.ServerName] = true
 	}
 	d := Discovery{

@@ -26,12 +26,12 @@ import (
 // then folds each cell's batch in index order and asks that cell's
 // rule whether to stop.
 //
-// A syncCell also owns the one upload script (syncCell.sync) — settle,
-// open the window, create the batch, sync, advance the clock — so the
-// single-upload studies (Fig. 3's SYN count, the what-if
-// counterfactuals, the bundling and chunking detectors, Discover's
-// probe phase) run the very repetition the campaign layers repeat,
-// once, in whichever trace mode they read.
+// A syncCell also owns the one upload script (syncCell.open, then
+// syncCell.upload) — settle, open the window, create the batch, sync,
+// advance the clock — so the single-upload studies (Fig. 3's SYN
+// count, the what-if counterfactuals, the bundling and chunking
+// detectors, Discover's probe phase) run the very repetition the
+// campaign layers repeat, once.
 //
 // A fixed budget is the rule preset MinReps = MaxReps = reps
 // (fixedRule): every cell closes after the opening batch, so the run
@@ -244,32 +244,35 @@ func vrRNG(seed int64, anti bool) *sim.RNG {
 	return sim.NewRNG(seed)
 }
 
-// sync is the one upload script behind every single-upload study and
-// campaign layer: a fresh testbed seeded with randomness root rng on
-// the cell's world, login, settle, open the benchmark window,
-// materialize the batch, let the client synchronize and advance the
-// clock to its end. streaming selects the trace mode (see Testbed):
-// measured repetitions stream, detectors that walk packets buffer. The
-// cell's loss rate applies to every path, set before any traffic, so
-// login and settle share the lossy path as they would under netem. It
-// returns the synced testbed and the window start.
-func (c *syncCell) sync(w *world, rng *sim.RNG, streaming bool) (*Testbed, time.Time) {
-	tb := w.testbed(c.p, c.host(), rng, c.jitter, streaming)
+// open is the first half of the one upload script behind every
+// single-upload study and campaign layer: a fresh testbed seeded with
+// randomness root rng on the cell's world, login, settle, and open
+// the benchmark window at the instant t0 it returns. The cell's loss
+// rate applies to every path, set before any traffic, so login and
+// settle share the lossy path as they would under netem. A study that
+// walks packets registers its recorder at t0, between the two halves.
+func (c *syncCell) open(w *world, rng *sim.RNG) (*Testbed, time.Time) {
+	tb := w.testbed(c.p, c.host(), rng, c.jitter)
 	tb.Net.LossRate = c.loss
-	start := tb.Settle()
-	t0 := tb.Clock.Now()
+	t0 := tb.Settle()
 	tb.StartWindow(t0)
-	c.batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
-	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-	tb.Clock.AdvanceTo(res.Done)
 	return tb, t0
 }
 
+// upload is the second half of the upload script: materialize the
+// batch at the window start t0, let the client synchronize and
+// advance the clock to its end.
+func (c *syncCell) upload(tb *Testbed, t0 time.Time) {
+	c.batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
+	res := tb.Client.SyncChanges(tb.Folder, t0.Add(-time.Second))
+	tb.Clock.AdvanceTo(res.Done)
+}
+
 // runSync is one measured synchronization-benchmark repetition: the
-// upload script on a streaming trace, then the Sect. 5 metrics of its
-// window.
+// upload script, then the Sect. 5 metrics of its window.
 func (c *syncCell) runSync(w *world, rng *sim.RNG) Metrics {
-	tb, t0 := c.sync(w, rng, true)
+	tb, t0 := c.open(w, rng)
+	c.upload(tb, t0)
 	return MeasureWindow(tb, t0, c.batch.Total())
 }
 
@@ -285,10 +288,18 @@ type syncCell struct {
 	seed   func(rep int) int64
 }
 
-// syncOnce runs the upload script once on seed, on a world of its
-// own.
-func (c syncCell) syncOnce(seed int64, streaming bool) (*Testbed, time.Time) {
-	return c.sync(cellWorlds([]syncCell{c})[0], sim.NewRNG(seed), streaming)
+// openOnce opens the cell once on seed, on a world of its own: the
+// first half of the upload script.
+func (c syncCell) openOnce(seed int64) (*Testbed, time.Time) {
+	return c.open(cellWorlds([]syncCell{c})[0], sim.NewRNG(seed))
+}
+
+// syncOnce runs the whole upload script once on seed, on a world of
+// its own, and returns the synced testbed and the window start.
+func (c syncCell) syncOnce(seed int64) (*Testbed, time.Time) {
+	tb, t0 := c.openOnce(seed)
+	c.upload(tb, t0)
+	return tb, t0
 }
 
 // runOnce is a single measured repetition of the cell on seed, on a

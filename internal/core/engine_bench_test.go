@@ -11,33 +11,27 @@ import (
 )
 
 // syncedTestbed simulates one full 100x10 kB upload and returns the
-// testbed ready for measurement.
-func syncedTestbed(b *testing.B, p client.Profile) (*Testbed, time.Time, int64) {
-	b.Helper()
+// testbed ready for measurement, with a recorder over its window.
+func syncedTestbed(p client.Profile) (*Testbed, *trace.Capture, time.Time, int64) {
 	batch := workload.Batch{Count: 100, Size: 10_000, Kind: workload.Binary}
-	tb := NewTestbed(p, 42, DefaultJitter)
-	start := tb.Settle()
-	t0 := tb.Clock.Now()
-	batch.Materialize(tb.Folder, tb.RNG, t0, "bench")
-	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
-	tb.Clock.AdvanceTo(res.Done)
-	return tb, t0, batch.Total()
+	tb, t0, rec := recordedRun(syncCell{p: p, batch: batch, host: campusHost, jitter: DefaultJitter}, 42)
+	return tb, rec, t0, batch.Total()
 }
 
 // seedMeasureWindow replicates the pre-rewrite measurement path scan
 // for scan: a copying window, then one independent full pass (with its
 // own flow-set materialisation) per metric. It is the baseline the
 // BENCH snapshots track MeasureWindow against.
-func seedMeasureWindow(tb *Testbed, t0 time.Time, contentBytes int64) Metrics {
+func seedMeasureWindow(tb *Testbed, rec *trace.Capture, t0 time.Time, contentBytes int64) Metrics {
 	// Seed Window: copy every packet in range (spans expanded — the
 	// seed engine recorded every transmission round individually).
 	var packets []trace.Packet
-	for _, p := range tb.Cap.ExpandedPackets() {
+	for _, p := range rec.ExpandedPackets() {
 		if !p.Time.Before(t0) && p.Time.Before(trace.FarFuture) {
 			packets = append(packets, p)
 		}
 	}
-	flows := tb.Cap.Flows()
+	flows := rec.Flows()
 	set := func(f trace.FlowFilter) []bool {
 		s := make([]bool, len(flows))
 		for i, fl := range flows {
@@ -106,9 +100,9 @@ func seedMeasureWindow(tb *Testbed, t0 time.Time, contentBytes int64) Metrics {
 // it must agree with the production MeasureWindow.
 func TestSeedMeasureWindowReference(t *testing.T) {
 	for _, p := range client.Profiles() {
-		tb, t0, total := syncedTestbed(&testing.B{}, p)
+		tb, rec, t0, total := syncedTestbed(p)
 		got := MeasureWindow(tb, t0, total)
-		want := seedMeasureWindow(tb, t0, total)
+		want := seedMeasureWindow(tb, rec, t0, total)
 		if got != want {
 			t.Errorf("%s: MeasureWindow %+v != seed reference %+v", p.Service, got, want)
 		}
@@ -119,7 +113,7 @@ func TestSeedMeasureWindowReference(t *testing.T) {
 // measurement path: new engine vs the seed copy-and-rescan scheme on
 // an identical synced testbed.
 func BenchmarkMeasureWindow(b *testing.B) {
-	tb, t0, total := syncedTestbed(b, client.CloudDrive())
+	tb, rec, t0, total := syncedTestbed(client.CloudDrive())
 	b.Run("one-pass", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			MeasureWindow(tb, t0, total)
@@ -127,7 +121,7 @@ func BenchmarkMeasureWindow(b *testing.B) {
 	})
 	b.Run("seed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			seedMeasureWindow(tb, t0, total)
+			seedMeasureWindow(tb, rec, t0, total)
 		}
 	})
 }

@@ -18,11 +18,9 @@ const DefaultJitter = 0.10
 
 // RunSync executes one repetition of a synchronization benchmark:
 // fresh testbed, login, settle, materialize the batch, let the client
-// synchronize, and measure everything from the trace. Repetitions run
-// in streaming-trace mode: packets are folded into the benchmark
-// window at record time and discarded, so a repetition's trace memory
-// is O(flows) regardless of workload size. Metrics are bit-identical
-// to the buffered path (pinned by the golden and equivalence tests).
+// synchronize, and measure everything from the trace. Packets are
+// folded into the benchmark window at record time and discarded, so a
+// repetition's trace memory is O(flows) regardless of workload size.
 func RunSync(p client.Profile, batch workload.Batch, seed int64, jitter float64) Metrics {
 	return syncCell{p: p, batch: batch, host: campusHost, jitter: jitter}.runOnce(seed)
 }
@@ -30,9 +28,8 @@ func RunSync(p client.Profile, batch workload.Batch, seed int64, jitter float64)
 // MeasureWindow computes the Sect. 5 metrics for the benchmark window
 // starting at t0, for a workload of contentBytes. Every scalar comes
 // off two Analysis reads (one per flow selection: all flows, storage
-// flows) of the one Sect. 5 fold: on a streaming testbed each reads
-// the accumulators folded while recording; on a buffered testbed each
-// replays a time cut of the trace through the same fold.
+// flows) of the accumulators the one Sect. 5 fold filled while
+// recording.
 func MeasureWindow(tb *Testbed, t0 time.Time, contentBytes int64) Metrics {
 	storage := tb.AnalyzeWindow(t0, tb.StorageFilter(t0))
 	all := tb.AnalyzeWindow(t0, trace.AllFlows)
@@ -107,21 +104,15 @@ const IdleWindow = 16 * time.Minute
 
 // RunIdle executes the Fig. 1 experiment for one service: start the
 // client, let it log in and then sit idle, and watch the control
-// traffic accumulate for 16 minutes. It runs on a buffered trace by
-// necessity: the cumulative timeline is a per-packet output, and the
-// login/idle windows are only known after the fact.
+// traffic accumulate for 16 minutes. The cumulative timeline is a
+// per-packet output, and login traffic can outlast the instant Login
+// returns, so the login cut is taken after the fact: the run keeps a
+// recorder from the start (idleTrace).
 func RunIdle(p client.Profile, seed int64) IdleResult {
-	tb := NewTestbed(p, seed, 0)
-	t0 := tb.Clock.Now()
-	loginDone := tb.Client.Login(t0)
-	tb.Clock.AdvanceTo(loginDone)
-	tb.Client.InstallPoller(tb.Sched)
-	end := t0.Add(IdleWindow)
-	tb.Sched.RunUntil(end)
-
-	win := tb.Cap.Window(t0, end)
+	rec, t0, loginDone, end := idleTrace(p, seed)
+	win := rec.Window(t0, end)
 	all := win.Analyze(trace.AllFlows)
-	login := tb.Cap.Window(t0, loginDone).Analyze(trace.AllFlows)
+	login := rec.Window(t0, loginDone).Analyze(trace.AllFlows)
 	idleBytes := all.TotalWire - login.TotalWire
 	idleSecs := end.Sub(loginDone).Seconds()
 
@@ -131,6 +122,23 @@ func RunIdle(p client.Profile, seed int64) IdleResult {
 		LoginBytes:  login.TotalWire,
 		IdleRateBps: float64(idleBytes*8) / idleSecs,
 	}
+}
+
+// idleTrace drives a fresh client through login and the IdleWindow
+// idle period with a recorder registered at the start, the run
+// Fig. 1 and the Sect. 3.1 protocol report both cut. It returns the
+// recorder, the client start, the instant Login returned and the end
+// of the idle period.
+func idleTrace(p client.Profile, seed int64) (rec *trace.Capture, t0, loginDone, end time.Time) {
+	tb := NewTestbed(p, seed, 0)
+	t0 = tb.Clock.Now()
+	rec = tb.Stream.AddRecorder(t0, trace.FarFuture)
+	loginDone = tb.Client.Login(t0)
+	tb.Clock.AdvanceTo(loginDone)
+	tb.Client.InstallPoller(tb.Sched)
+	end = t0.Add(IdleWindow)
+	tb.Sched.RunUntil(end)
+	return rec, t0, loginDone, end
 }
 
 // SYNSeries is one service's Fig. 3 dataset: cumulative TCP SYNs over
@@ -145,11 +153,10 @@ type SYNSeries struct {
 
 // RunSYNCount executes the Fig. 3 experiment: upload 100 files of
 // 10 kB and record every connection the client opens. The SYN
-// timeline survives streaming (one instant per connection, O(flows)),
-// so this runs the upload script on the streaming trace like the
-// campaign cells.
+// timeline is part of the streamed fold (one instant per connection,
+// O(flows)), so this is the campaign cells' upload script, read once.
 func RunSYNCount(p client.Profile, batch workload.Batch, seed int64) SYNSeries {
-	tb, t0 := syncCell{p: p, batch: batch, host: campusHost}.syncOnce(seed, true)
+	tb, t0 := syncCell{p: p, batch: batch, host: campusHost}.syncOnce(seed)
 	out := SYNSeries{Service: p.Service}
 	for _, ts := range tb.AnalyzeWindow(t0, trace.AllFlows).SYNTimes {
 		out.Times = append(out.Times, ts.Sub(t0))

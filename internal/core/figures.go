@@ -70,7 +70,7 @@ func Fig4DeltaSeries(p client.Profile, mod ModKind, sizes []int64, added int64, 
 // the file at that instant, and synchronises again. It returns the
 // testbed, the edit instant and the second synchronisation.
 func deltaCell(p client.Profile, size, seed int64, edit func(tb *Testbed, t1 time.Time)) (*Testbed, time.Time, client.SyncResult) {
-	tb := streamingTestbed(p, seed)
+	tb := NewTestbed(p, seed, 0)
 	start := tb.Settle()
 
 	t0 := tb.Clock.Now()
@@ -106,7 +106,7 @@ func fig4Edit(tb *Testbed, at time.Time, mod ModKind, size, added int64) {
 func Fig5CompressionSeries(p client.Profile, kind workload.Kind, sizes []int64, seed int64) []VolumePoint {
 	return sweepLargestFirst(sizes, func(i int) VolumePoint {
 		size := sizes[i]
-		tb := streamingTestbed(p, seed+int64(i)*103)
+		tb := NewTestbed(p, seed+int64(i)*103, 0)
 		start := tb.Settle()
 		t0 := tb.Clock.Now()
 		tb.StartWindow(t0)
@@ -202,10 +202,4 @@ func fig6(profiles []client.Profile, host func() *netem.Host, rule StopRule, vr 
 		out[si] = Fig6Result{Service: p.Service, Workloads: batches, Summaries: sums[lo:hi:hi]}
 	}
 	return out
-}
-
-// fig4SingleBatch is the 1x1MB convenience workload used by several
-// single-file studies.
-func fig4SingleBatch() workload.Batch {
-	return workload.Batch{Count: 1, Size: 1 << 20, Kind: workload.Binary}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/goldenfile"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -103,12 +104,14 @@ func TestCampaignParallelEquivalence(t *testing.T) {
 func TestMeasureWindowBoundary(t *testing.T) {
 	p := client.Dropbox()
 	tb := NewTestbed(p, 5, 0)
+	rec := tb.Stream.AddRecorder(sim.Epoch, trace.FarFuture)
 	start := tb.Settle()
-	preTraffic := tb.Cap.Window(tb.Cap.Packets()[0].Time, start).Analyze(nil).TotalWire
+	preTraffic := rec.Window(rec.Packets()[0].Time, start).Analyze(nil).TotalWire
 	if preTraffic == 0 {
 		t.Fatal("login produced no traffic")
 	}
 	t0 := tb.Clock.Now()
+	tb.StartWindow(t0)
 	m := MeasureWindow(tb, t0, 0)
 	if m.TotalTraffic != 0 {
 		t.Errorf("benchmark window sees %d bytes of pre-window traffic", m.TotalTraffic)
@@ -175,7 +178,8 @@ type goldenIdle struct {
 	Last        trace.TimelinePoint
 }
 
-// goldenBufferedProfile pins the buffered-trace studies of one profile.
+// goldenBufferedProfile pins the studies of one profile that read a
+// recorder or open windows mid-experiment.
 type goldenBufferedProfile struct {
 	Idle        goldenIdle
 	Protocols   ProtocolReport
@@ -183,18 +187,19 @@ type goldenBufferedProfile struct {
 	Propagation PropagationResult
 }
 
-// goldenBuffered pins every study that analyzes a buffered trace
-// outside the upload script.
+// goldenBuffered pins every study that reads a recorder or opens
+// windows outside the upload script.
 type goldenBuffered struct {
 	Profiles map[string]goldenBufferedProfile
 	Recovery []RecoveryStudy
 }
 
-// TestGoldenBufferedStudies pins the studies that read a buffered
-// capture through Window and Analyze — Fig. 1's idle run, the Sect. 3.1
-// protocol report, the dedup detector, two-device propagation at 1 MB
-// and upload recovery at cloudbench's four chunk sizes — at seed 42
-// against testdata/golden_buffered.json.
+// TestGoldenBufferedStudies pins the studies that read a recorder
+// through Window and Analyze (Fig. 1's idle run, the Sect. 3.1
+// protocol report) or open windows step by step (the dedup detector,
+// upload recovery at cloudbench's four chunk sizes), and two-device
+// propagation at 1 MB, at seed 42 against
+// testdata/golden_buffered.json.
 func TestGoldenBufferedStudies(t *testing.T) {
 	got := goldenBuffered{Profiles: map[string]goldenBufferedProfile{}}
 	batch := workload.Batch{Count: 1, Size: 1 << 20, Kind: workload.Binary}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/goldenfile"
+	"repro/internal/sim"
 	"repro/internal/tcpsim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -19,11 +21,17 @@ import (
 // retransmission accounting conventions.
 
 // lossyRun drives the shared upload script over a path with the given
-// loss rate and returns its metrics plus (in buffered mode) the
-// capture.
-func lossyRun(p client.Profile, batch workload.Batch, seed int64, loss float64, streaming bool) (Metrics, *trace.Capture) {
-	tb, t0 := syncCell{p: p, batch: batch, host: campusHost, loss: loss}.syncOnce(seed, streaming)
-	return MeasureWindow(tb, t0, batch.Total()), tb.Cap
+// loss rate, with a recorder over the whole run (login included), and
+// returns its metrics and the recorder.
+func lossyRun(p client.Profile, batch workload.Batch, seed int64, loss float64) (Metrics, *trace.Capture) {
+	c := syncCell{p: p, batch: batch, host: campusHost, loss: loss}
+	tb := cellWorlds([]syncCell{c})[0].testbed(p, c.host(), sim.NewRNG(seed), c.jitter)
+	tb.Net.LossRate = loss
+	rec := tb.Stream.AddRecorder(time.Time{}, trace.FarFuture)
+	t0 := tb.Settle()
+	tb.StartWindow(t0)
+	c.upload(tb, t0)
+	return MeasureWindow(tb, t0, batch.Total()), rec
 }
 
 // countRetransmits counts fast-retransmit records: MSS-sized wire-only
@@ -53,7 +61,7 @@ func TestGoldenLossyCampaign(t *testing.T) {
 	batch := workload.Batch{Count: 2, Size: 1 << 20, Kind: workload.Binary}
 	p := client.SkyDrive()
 
-	m, cap := lossyRun(p, batch, 99, 0.02, false)
+	m, cap := lossyRun(p, batch, 99, 0.02)
 
 	got := struct {
 		Metrics     Metrics
@@ -69,7 +77,7 @@ func TestGoldenLossyCampaign(t *testing.T) {
 
 	// A clean run of the same cell must beat the lossy one on both
 	// wire volume and completion — retransmissions are pure overhead.
-	clean, _ := lossyRun(p, batch, 99, 0, false)
+	clean, _ := lossyRun(p, batch, 99, 0)
 	if clean.TotalTraffic >= m.TotalTraffic {
 		t.Errorf("lossy run carried no extra wire bytes: %d vs clean %d", m.TotalTraffic, clean.TotalTraffic)
 	}
@@ -78,18 +86,15 @@ func TestGoldenLossyCampaign(t *testing.T) {
 	}
 }
 
-// TestLossyStreamingMatchesBuffered extends the streaming-vs-buffered
+// TestLossyStreamingMatchesBuffered extends the stream-vs-recorder
 // equivalence to lossy paths: the streaming fold must agree with the
-// buffered trace bit for bit even when the engine interleaves span
-// records with retransmissions.
+// recorder's buffered copy of the window bit for bit even when the
+// engine interleaves span records with retransmissions.
 func TestLossyStreamingMatchesBuffered(t *testing.T) {
 	batch := workload.Batch{Count: 2, Size: 1 << 20, Kind: workload.Binary}
 	for _, svc := range []string{"skydrive", "dropbox", "googledrive"} {
 		p, _ := client.ProfileFor(svc)
-		sm, _ := lossyRun(p, batch, 7, 0.03, true)
-		bm, _ := lossyRun(p, batch, 7, 0.03, false)
-		if sm != bm {
-			t.Errorf("%s: lossy streaming metrics diverge\n stream %+v\n buffer %+v", svc, sm, bm)
-		}
+		tb, t0, rec := recordedRun(syncCell{p: p, batch: batch, host: campusHost, loss: 0.03}, 7)
+		checkWindowMatchesRecorder(t, svc, tb, t0, rec)
 	}
 }

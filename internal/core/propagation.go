@@ -40,7 +40,7 @@ func RunPropagation(p client.Profile, batch workload.Batch, seed int64) Propagat
 	})
 	clientB := client.New(client.Config{
 		Profile: p, Deploy: tb.Deploy, Net: tb.Net, Host: hostB,
-		Cap: tb.Cap, DNS: tb.DNS, RNG: sim.NewRNG(seed + 1),
+		Cap: tb.Stream, DNS: tb.DNS, RNG: sim.NewRNG(seed + 1),
 	})
 
 	start := tb.Settle()

@@ -41,24 +41,18 @@ type ProtocolReport struct {
 }
 
 // AnalyzeProtocols drives a client through login and a 16-minute idle
-// period and infers the Sect. 3.1 protocol behaviour from the capture.
-// It needs a buffered trace: the login/idle windows are only known
-// after the run, and activityClusterStarts walks individual packets.
+// period and infers the Sect. 3.1 protocol behaviour from the trace.
+// It reads the recorder of idleTrace: the login/idle windows are only
+// known after the run, and activityClusterStarts walks individual
+// packets.
 func AnalyzeProtocols(p client.Profile, seed int64) ProtocolReport {
-	tb := NewTestbed(p, seed, 0)
-	t0 := tb.Clock.Now()
-	loginDone := tb.Client.Login(t0)
-	tb.Clock.AdvanceTo(loginDone)
-	tb.Client.InstallPoller(tb.Sched)
-	end := t0.Add(IdleWindow)
-	tb.Sched.RunUntil(end)
-
+	rec, t0, loginDone, end := idleTrace(p, seed)
 	r := ProtocolReport{Service: p.Service}
 
 	// Plain-HTTP channels and name split.
 	names := map[string]bool{}
 	plain := map[string]bool{}
-	for _, f := range tb.Cap.Flows() {
+	for _, f := range rec.Flows() {
 		names[f.ServerName] = true
 		if f.Key.ServerPort == 80 {
 			plain[f.ServerName] = true
@@ -72,7 +66,7 @@ func AnalyzeProtocols(p client.Profile, seed int64) ProtocolReport {
 	r.SplitControlStorage = len(names) > 1
 
 	// Login phase: distinct server addresses and volume.
-	loginWin := tb.Cap.Window(t0, loginDone)
+	loginWin := rec.Window(t0, loginDone)
 	addrs := map[string]bool{}
 	active := loginWin.FlowsWithTraffic() // []bool indexed by FlowID
 	for _, f := range loginWin.Flows() {
@@ -84,7 +78,7 @@ func AnalyzeProtocols(p client.Profile, seed int64) ProtocolReport {
 	r.LoginBytes = loginWin.Analyze(trace.AllFlows).TotalWire
 
 	// Idle phase: cluster activity into polls and estimate cadence.
-	idleWin := tb.Cap.Window(loginDone.Add(2*time.Second), end)
+	idleWin := rec.Window(loginDone.Add(2*time.Second), end)
 	starts := activityClusterStarts(idleWin, 2*time.Second)
 	r.PollInterval = medianGap(starts)
 	idle := idleWin.Analyze(trace.AllFlows)

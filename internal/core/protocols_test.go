@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/workload"
 )
 
 func TestAnalyzeProtocolsSect31(t *testing.T) {
@@ -95,7 +96,7 @@ func TestWualaStorageUsesPlainHTTP(t *testing.T) {
 	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))
 	tb.Clock.AdvanceTo(res.Done)
 	sawPort80Storage := false
-	for _, f := range tb.Cap.Flows() {
+	for _, f := range tb.Stream.Flows() {
 		if f.Key.ServerPort == 80 && !f.OpenedAt.Before(t0) {
 			sawPort80Storage = true
 		}
@@ -103,6 +104,12 @@ func TestWualaStorageUsesPlainHTTP(t *testing.T) {
 	if !sawPort80Storage {
 		t.Fatal("Wuala storage operations should run over plain HTTP (Sect. 3.1)")
 	}
+}
+
+// fig4SingleBatch is the 1x1MB single-file workload of the Wuala
+// plain-HTTP check.
+func fig4SingleBatch() workload.Batch {
+	return workload.Batch{Count: 1, Size: 1 << 20, Kind: workload.Binary}
 }
 
 func TestMedianGap(t *testing.T) {

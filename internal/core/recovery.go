@@ -42,6 +42,7 @@ func RunRecovery(chunkSize int64, fileSize int64, every time.Duration, seed int6
 	tb := NewTestbed(p, seed, 0)
 	start := tb.Settle()
 	t0 := tb.Clock.Now()
+	tb.StartWindow(t0)
 	tb.Folder.Create(t0, "big.bin", workload.Generate(tb.RNG, workload.Binary, fileSize))
 	res := tb.Client.RecoveryUpload(tb.Folder, start.Add(-time.Second), every)
 	tb.Clock.AdvanceTo(res.Done)

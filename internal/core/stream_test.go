@@ -2,67 +2,76 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// runModes drives the identical repetition of the shared upload script
-// through a streaming and a buffered testbed and returns both window
-// analyses plus both Metrics.
-func runModes(p client.Profile, batch workload.Batch, seed int64, jitter float64) (sm, bm Metrics, sa, ba trace.Analysis) {
-	c := syncCell{p: p, batch: batch, host: campusHost, jitter: jitter}
-	run := func(streaming bool) (Metrics, trace.Analysis) {
-		tb, t0 := c.syncOnce(seed, streaming)
-		return MeasureWindow(tb, t0, batch.Total()), tb.AnalyzeWindow(t0, trace.AllFlows)
-	}
-	sm, sa = run(true)
-	bm, ba = run(false)
-	return sm, bm, sa, ba
+// recordedRun runs the cell's upload script once on seed with a
+// recorder registered over its window, the way the packet-walking
+// detectors do, and returns the synced testbed, the window start and
+// the recorder.
+func recordedRun(c syncCell, seed int64) (*Testbed, time.Time, *trace.Capture) {
+	tb, t0 := c.openOnce(seed)
+	rec := tb.Stream.AddRecorder(t0, trace.FarFuture)
+	c.upload(tb, t0)
+	return tb, t0, rec
 }
 
-// TestStreamingMatchesBufferedMeasurement is the end-to-end
-// counterpart of the trace-level randomized equivalence test: whole
-// repetitions through real service profiles must measure bit-identical
-// in both trace modes. The profile set covers the interesting
-// classifier paths — split-name services, the edge-terminated
-// same-name Google Drive (flow-size heuristic plus per-file
-// connections, so hundreds of SYNs), the same-name Wuala, and Cloud
-// Drive's per-file control connections.
-func TestStreamingMatchesBufferedMeasurement(t *testing.T) {
-	batch := workload.Batch{Count: 25, Size: 10_000, Kind: workload.Binary}
-	for _, p := range client.Profiles() {
-		sm, bm, sa, ba := runModes(p, batch, 77, DefaultJitter)
-		if sm != bm {
-			t.Errorf("%s: streaming metrics diverge\n stream %+v\n buffer %+v", p.Service, sm, bm)
+// checkWindowMatchesRecorder asserts that the streamed benchmark
+// window and a replay of the recorder over the same window analyze
+// field for field alike, on all flows and on the storage flows.
+func checkWindowMatchesRecorder(t *testing.T, name string, tb *Testbed, t0 time.Time, rec *trace.Capture) {
+	t.Helper()
+	for _, f := range []trace.FlowFilter{trace.AllFlows, tb.StorageFilter(t0)} {
+		sa, ra := tb.AnalyzeWindow(t0, f), rec.Analyze(f)
+		if sa.Packets != ra.Packets || sa.TotalWire != ra.TotalWire ||
+			sa.WireUp != ra.WireUp || sa.WireDown != ra.WireDown ||
+			sa.PayloadUp != ra.PayloadUp || sa.PayloadDown != ra.PayloadDown ||
+			sa.Connections != ra.Connections || sa.HasPayload != ra.HasPayload ||
+			!sa.FirstPayload.Equal(ra.FirstPayload) || !sa.LastPayload.Equal(ra.LastPayload) {
+			t.Errorf("%s: window analyses diverge\n stream   %+v\n recorder %+v", name, sa, ra)
 		}
-		if sa.Packets != ba.Packets || sa.TotalWire != ba.TotalWire ||
-			sa.Connections != ba.Connections || sa.HasPayload != ba.HasPayload ||
-			!sa.FirstPayload.Equal(ba.FirstPayload) || !sa.LastPayload.Equal(ba.LastPayload) {
-			t.Errorf("%s: window analyses diverge\n stream %+v\n buffer %+v", p.Service, sa, ba)
-		}
-		if len(sa.SYNTimes) != len(ba.SYNTimes) {
-			t.Fatalf("%s: SYN timeline length %d vs %d", p.Service, len(sa.SYNTimes), len(ba.SYNTimes))
+		if len(sa.SYNTimes) != len(ra.SYNTimes) {
+			t.Fatalf("%s: SYN timeline length %d vs %d", name, len(sa.SYNTimes), len(ra.SYNTimes))
 		}
 		for i := range sa.SYNTimes {
-			if !sa.SYNTimes[i].Equal(ba.SYNTimes[i]) {
-				t.Fatalf("%s: SYN[%d] = %v (stream) vs %v (buffer)", p.Service, i, sa.SYNTimes[i], ba.SYNTimes[i])
+			if !sa.SYNTimes[i].Equal(ra.SYNTimes[i]) {
+				t.Fatalf("%s: SYN[%d] = %v (stream) vs %v (recorder)", name, i, sa.SYNTimes[i], ra.SYNTimes[i])
 			}
 		}
 	}
 }
 
+// TestStreamingMatchesBufferedMeasurement is the end-to-end
+// counterpart of the trace-level randomized equivalence test: in one
+// repetition per real service profile, the window the Streamer folded
+// at record time must analyze bit-identically to the recorder's
+// buffered copy of the same window. The profile set covers the
+// interesting classifier paths — split-name services, the
+// edge-terminated same-name Google Drive (flow-size heuristic plus
+// per-file connections, so hundreds of SYNs), the same-name Wuala, and
+// Cloud Drive's per-file control connections.
+func TestStreamingMatchesBufferedMeasurement(t *testing.T) {
+	batch := workload.Batch{Count: 25, Size: 10_000, Kind: workload.Binary}
+	for _, p := range client.Profiles() {
+		c := syncCell{p: p, batch: batch, host: campusHost, jitter: DefaultJitter}
+		tb, t0, rec := recordedRun(c, 77)
+		checkWindowMatchesRecorder(t, p.Service, tb, t0, rec)
+	}
+}
+
 // TestStreamingMeasureRequiresStartWindow pins the misuse guard: a
-// streaming testbed measured without a registered window must fail
-// loudly, never silently return an empty analysis of discarded
-// packets.
+// testbed measured without a registered window must fail loudly,
+// never silently return an empty analysis of discarded packets.
 func TestStreamingMeasureRequiresStartWindow(t *testing.T) {
-	tb := streamingTestbed(client.Dropbox(), 3)
+	tb := NewTestbed(client.Dropbox(), 3, 0)
 	start := tb.Settle()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MeasureWindow on an unregistered streaming window did not panic")
+			t.Fatal("MeasureWindow on an unregistered window did not panic")
 		}
 	}()
 	MeasureWindow(tb, start, 0)

@@ -41,17 +41,12 @@ var TwenteCoord = geo.Coord{Lat: 52.24, Lon: 6.85}
 // state (the dedup store) and client state therefore start clean every
 // repetition, exactly as the paper resets its test accounts.
 //
-// The trace runs in one of two modes. Buffered (Cap non-nil) keeps
-// every packet record, supporting arbitrary re-windowing and
-// per-packet analyzers afterwards — what the studies that walk
-// packets or re-window mid-experiment (idle timeline, protocols,
-// chunking, bundling, dedup, recovery, discovery) and cmd/tracedump
-// need. Streaming (Stream non-nil) folds packets into the registered
+// The trace is a Streamer: it folds packets into the registered
 // benchmark window at record time and discards them, capping
-// per-repetition memory at O(flows) — what the Sect. 5 campaign engine
-// and the single-window studies (Fig. 3, Figs. 4/5 and the delta and
-// compression detectors that read them, the what-if counterfactuals)
-// use. Exactly one of Cap/Stream is set.
+// per-repetition memory at O(flows). A study that walks individual
+// packets (the idle timeline, the protocol report, the chunking and
+// bundling detectors, cmd/tracedump) registers a recorder on it
+// (trace.Streamer.AddRecorder), a Capture of just the range it reads.
 type Testbed struct {
 	Seed    int64
 	Clock   *sim.Clock
@@ -59,39 +54,33 @@ type Testbed struct {
 	Net     *netem.Network
 	DNS     *dnssim.System
 	Whois   *whois.Registry
-	Cap     *trace.Capture  // buffered trace; nil in streaming mode
-	Stream  *trace.Streamer // streaming folds; nil in buffered mode
+	Stream  *trace.Streamer // the trace; windows and recorders register on it
 	Deploy  *cloud.Deployment
 	Client  *client.Client
 	Folder  *workload.Folder
 	RNG     *sim.RNG
 	Profile client.Profile
 
-	// win is the registered benchmark window in streaming mode.
+	// win is the registered benchmark window.
 	win *trace.StreamWindow
 }
 
-// NewTestbed builds a buffered-trace testbed for one of the five
-// studied services. Jitter makes RTT samples vary around their
-// geographic base value, giving the 24 repetitions realistic
-// dispersion; pass jitter=0 for exact analytic assertions in tests.
+// NewTestbed builds a testbed for one of the five studied services.
+// Jitter makes RTT samples vary around their geographic base value,
+// giving the 24 repetitions realistic dispersion; pass jitter=0 for
+// exact analytic assertions in tests.
 func NewTestbed(p client.Profile, seed int64, jitter float64) *Testbed {
 	return NewTestbedFor(p, cloud.SpecFor(p.Service), seed, jitter)
 }
 
-// NewTestbedFor builds a buffered testbed for an arbitrary
-// profile/deployment pair — the extension hook for benchmarking
-// services beyond the five in the paper ("to extend the number of
-// tested services").
+// NewTestbedFor builds a testbed for an arbitrary profile/deployment
+// pair — the extension hook for benchmarking services beyond the five
+// in the paper ("to extend the number of tested services"). It is a
+// world built for the campus vantage, then one run on it.
 func NewTestbedFor(p client.Profile, spec cloud.Spec, seed int64, jitter float64) *Testbed {
-	return assembleTestbed(p, spec, campusHost(), sim.NewRNG(seed), jitter, false)
-}
-
-// streamingTestbed is the jitter-free campus testbed of a Fig. 4/5
-// cell: NewTestbed's assembly path on a streaming trace, whose one
-// measurement window the cell registers with StartWindow.
-func streamingTestbed(p client.Profile, seed int64) *Testbed {
-	return assembleTestbed(p, cloud.SpecFor(p.Service), campusHost(), sim.NewRNG(seed), 0, true)
+	mustPath(0, jitter)
+	host := campusHost()
+	return newWorld(spec, host.Coord).testbed(p, host, sim.NewRNG(seed), jitter)
 }
 
 // campusHost is the paper's test computer: the University of Twente
@@ -104,16 +93,6 @@ func campusHost() *netem.Host {
 		// 1 Gb/s campus Ethernet: "the network is not a
 		// bottleneck" — leave the client side uncapped.
 	}
-}
-
-// assembleTestbed is the one-off testbed behind the constructors: a
-// world built for host's vantage, then one run on it.
-// host describes the (not yet added) test computer, rng is the top of
-// the repetition's randomness tree, and streaming selects the trace
-// mode.
-func assembleTestbed(p client.Profile, spec cloud.Spec, host *netem.Host, rng *sim.RNG, jitter float64, streaming bool) *Testbed {
-	mustPath(0, jitter)
-	return newWorld(spec, host.Coord).testbed(p, host, rng, jitter, streaming)
 }
 
 // mustPath panics unless loss and jitter are valid path impairments.
@@ -148,7 +127,7 @@ func newWorld(spec cloud.Spec, vantage geo.Coord) *world {
 // testbed seeds one run on the world. Every draw is per run and in a
 // fixed order — network, DNS, client, workload forks of rng — so a run
 // is a pure function of its seed, whichever world instance it shares.
-func (w *world) testbed(p client.Profile, host *netem.Host, rng *sim.RNG, jitter float64, streaming bool) *Testbed {
+func (w *world) testbed(p client.Profile, host *netem.Host, rng *sim.RNG, jitter float64) *Testbed {
 	clock := sim.NewClock()
 	n := w.topo.NewNetwork(clock, rng.Fork(1))
 	n.JitterFraction = jitter
@@ -157,21 +136,13 @@ func (w *world) testbed(p client.Profile, host *netem.Host, rng *sim.RNG, jitter
 	h := n.AddHost(host)
 	tb := &Testbed{
 		Seed: rng.Seed(), Clock: clock, Sched: sim.NewScheduler(clock),
-		Net: n, DNS: dns, Whois: w.whois, Deploy: deploy,
+		Net: n, DNS: dns, Whois: w.whois, Stream: trace.NewStreamer(), Deploy: deploy,
 		Folder: workload.NewFolder(), RNG: rng.Fork(4),
 		Profile: p,
 	}
-	var sink trace.Sink
-	if streaming {
-		tb.Stream = trace.NewStreamer()
-		sink = tb.Stream
-	} else {
-		tb.Cap = trace.NewCapture()
-		sink = tb.Cap
-	}
 	tb.Client = client.New(client.Config{
 		Profile: p, Deploy: deploy, Net: n, Host: h,
-		Cap: sink, DNS: dns, RNG: rng.Fork(3),
+		Cap: tb.Stream, DNS: dns, RNG: rng.Fork(3),
 	})
 	return tb
 }
@@ -188,49 +159,32 @@ func (tb *Testbed) Settle() time.Time {
 }
 
 // StartWindow registers the benchmark measurement window [t0,
-// FarFuture) on a streaming testbed, so that every packet recorded
-// from here on is folded into it. It must be called right when the
-// window opens — after login/settle traffic, before the workload is
-// materialized. On a buffered testbed it is a no-op: buffered windows
-// are zero-copy views taken at read time.
+// FarFuture), so that every packet recorded from here on is folded
+// into it. It must be called right when the window opens — after
+// login/settle traffic, before the workload is materialized.
 func (tb *Testbed) StartWindow(t0 time.Time) {
-	if tb.Stream != nil {
-		tb.win = tb.Stream.AddWindow(t0, trace.FarFuture)
-	}
+	tb.win = tb.Stream.AddWindow(t0, trace.FarFuture)
 }
 
-// benchWindow returns the registered streaming window, insisting it
-// matches the requested start: a streamed repetition has exactly one
-// measurement window, registered up front, and reading any other
-// window would silently analyze discarded packets.
+// benchWindow returns the registered window, insisting it matches the
+// requested start: a repetition has exactly one measurement window,
+// registered up front, and reading any other window would silently
+// analyze discarded packets.
 func (tb *Testbed) benchWindow(t0 time.Time) *trace.StreamWindow {
 	if tb.win == nil {
-		panic("core: streaming testbed measured without StartWindow")
+		panic("core: testbed measured without StartWindow")
 	}
 	if !tb.win.From().Equal(t0) {
-		panic("core: streaming testbed measured at a window start it never registered")
+		panic("core: testbed measured at a window start it never registered")
 	}
 	return tb.win
 }
 
 // AnalyzeWindow computes every scalar trace metric over the selected
-// flows within the benchmark window [t0, FarFuture), in whichever
-// trace mode the testbed runs: a read of the streaming accumulators,
-// or the same fold run over a time cut of the buffered trace.
+// flows within the benchmark window [t0, FarFuture): a read of the
+// accumulators folded while recording.
 func (tb *Testbed) AnalyzeWindow(t0 time.Time, f trace.FlowFilter) trace.Analysis {
-	if tb.Stream != nil {
-		return tb.benchWindow(t0).Analyze(f)
-	}
-	return tb.Cap.Window(t0, trace.FarFuture).Analyze(f)
-}
-
-// windowFlowBytes returns per-flow wire bytes within the benchmark
-// window, for the same-name storage classifier.
-func (tb *Testbed) windowFlowBytes(t0 time.Time) []int64 {
-	if tb.Stream != nil {
-		return tb.benchWindow(t0).FlowBytes()
-	}
-	return tb.Cap.Window(t0, trace.FarFuture).FlowBytes()
+	return tb.benchWindow(t0).Analyze(f)
 }
 
 // StorageFilter classifies flows for measurement. Services that split
@@ -251,7 +205,7 @@ func (tb *Testbed) StorageFilter(winStart time.Time) trace.FlowFilter {
 		return func(f trace.FlowInfo) bool { return f.ServerName == storageName }
 	}
 	// Same-name service: flow sizes and connection sequences.
-	bytes := tb.windowFlowBytes(winStart)
+	bytes := tb.benchWindow(winStart).FlowBytes()
 	return func(f trace.FlowInfo) bool {
 		if f.ServerName != storageName {
 			return false

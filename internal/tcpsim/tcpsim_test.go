@@ -298,7 +298,7 @@ func TestDialerPortsWrap(t *testing.T) {
 
 func TestChunkPausesVisibleInTrace(t *testing.T) {
 	// Upload 3 chunks with an application wait between them and check
-	// the pause detector recovers the chunk size — the Sect. 4.1 test.
+	// the burst detector recovers the chunk size — the Sect. 4.1 test.
 	n, cap, d, server := testbed(iadCoord(), 50e6, 40*time.Millisecond)
 	client, _ := n.HostByName("client.sim")
 	rtt := n.BaseRTT(client, server)
@@ -313,11 +313,11 @@ func TestChunkPausesVisibleInTrace(t *testing.T) {
 	// Intra-transfer gaps are at most one RTT (ACK clocking); the
 	// commit wait adds at least another half RTT plus processing, so
 	// a 1.3xRTT threshold separates chunk boundaries cleanly.
-	pauses := cap.UploadPauses(trace.AllFlows, rtt+rtt/3)
-	if len(pauses) != 2 {
-		t.Fatalf("pauses = %d, want 2 (3 chunks)", len(pauses))
+	bursts := cap.Bursts(trace.AllFlows, rtt+rtt/3)
+	if len(bursts) != 3 {
+		t.Fatalf("bursts = %d, want 3 (3 chunks)", len(bursts))
 	}
-	got := pauses[0].BytesBefore
+	got := bursts[0].Bytes
 	if got < chunk || got > chunk+chunk/10 {
 		t.Fatalf("first chunk size from trace = %d, want ~%d", got, chunk)
 	}

@@ -12,7 +12,7 @@ import (
 //   - first/last payload packet  -> completion time (Fig. 6b)
 //   - SYN timeline               -> connection-per-file detection (Fig. 3)
 //   - burst detection            -> sequential-upload detection (Sect. 4.2)
-//   - pause detection            -> chunk-size inference (Sect. 4.1)
+//                                   and chunk-size inference (Sect. 4.1)
 //   - cumulative byte timeline   -> idle/background traffic (Fig. 1)
 //
 // The scalar metrics all come from one fold, StreamWindow's per-flow
@@ -105,7 +105,10 @@ func (c *Capture) CumulativeBytes(f FlowFilter) []TimelinePoint {
 // Burst is a run of upstream payload packets not separated by a gap
 // larger than the detection threshold. The paper counts bursts to
 // detect clients that upload files sequentially, waiting for an
-// application-layer acknowledgment between files (SkyDrive, Wuala).
+// application-layer acknowledgment between files (SkyDrive, Wuala),
+// and reads chunk sizes off them: a client that splits a large file
+// into chunks pauses between chunk submissions while it waits for the
+// per-chunk acknowledgment, so every burst but the last is one chunk.
 type Burst struct {
 	Start, End time.Time
 	Bytes      int64 // payload bytes in the burst
@@ -140,42 +143,6 @@ func (c *Capture) Bursts(f FlowFilter, gap time.Duration) []Burst {
 	}
 	if cur != nil {
 		out = append(out, *cur)
-	}
-	return out
-}
-
-// Pause is a quiet period inside an upload, used to infer chunk
-// boundaries (Sect. 4.1): a client that splits a large file into
-// chunks pauses between chunk submissions while it waits for the
-// per-chunk acknowledgment.
-type Pause struct {
-	At          time.Time // when the quiet period began
-	Gap         time.Duration
-	BytesBefore int64 // cumulative upstream payload before the pause
-}
-
-// UploadPauses returns pauses of at least gap between consecutive
-// upstream payload packets over the selected flows, together with the
-// cumulative payload uploaded before each pause. Differencing the
-// BytesBefore values recovers the chunk size.
-func (c *Capture) UploadPauses(f FlowFilter, gap time.Duration) []Pause {
-	set := c.flowSet(f)
-	var out []Pause
-	var last time.Time
-	var seen bool
-	var cum int64
-	for _, p := range c.ExpandedPackets() {
-		if !set[p.Flow] || p.Dir != Upstream || !p.HasPayload() {
-			continue
-		}
-		if seen {
-			if g := p.Time.Sub(last); g >= gap {
-				out = append(out, Pause{At: last, Gap: g, BytesBefore: cum})
-			}
-		}
-		cum += p.Payload
-		last = p.Time
-		seen = true
 	}
 	return out
 }

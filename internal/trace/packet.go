@@ -9,13 +9,14 @@
 // in the reproduction: internal/tcpsim writes packets into a Sink,
 // and internal/core reads only the trace.
 //
-// The Sink has two implementations. Capture buffers every record for
-// arbitrary re-windowing and per-packet analyzers (the tcpdump
-// equivalent). Streamer folds records into pre-registered window
-// accumulators as they arrive and discards them, so a benchmark
-// repetition's trace memory is O(flows) instead of O(packets) — the
-// production-scale campaign mode. Both analyze through one fold, the
-// Streamer's window accumulator; see sink.go.
+// The Sink has two implementations. Streamer folds records into
+// pre-registered window accumulators as they arrive and discards them,
+// so a benchmark repetition's trace memory is O(flows) instead of
+// O(packets); it is the trace of every testbed. Capture buffers every
+// record for arbitrary re-windowing and per-packet analyzers (the
+// tcpdump equivalent); a study that needs packets registers one on the
+// Streamer as a recorder of the time range it reads. Both analyze
+// through one fold, the Streamer's window accumulator; see sink.go.
 //
 // The design borrows gopacket's vocabulary (packets, flows, endpoints)
 // but stores segments in a compact aggregated form, at two levels.

@@ -10,12 +10,16 @@ import (
 // simulator (tcpsim, and everything stacked on it) writes against.
 // Two implementations exist:
 //
-//   - Capture buffers every packet record and supports arbitrary
-//     re-windowing and per-packet analyzers afterwards — the tcpdump
-//     equivalent, O(packets) memory.
-//   - Streamer folds packets into pre-registered window accumulators
-//     at record time and then discards them — the "compute the
-//     counters in the kernel" equivalent, O(flows) memory.
+//   - Streamer is the trace of every testbed: it folds packets into
+//     pre-registered window accumulators at record time and then
+//     discards them — the "compute the counters in the kernel"
+//     equivalent, O(flows) memory — and feeds the recorders
+//     registered on it.
+//   - Capture buffers every packet record it is given and supports
+//     arbitrary re-windowing and per-packet analyzers afterwards —
+//     the tcpdump equivalent, O(packets) memory. A study that walks
+//     packets reads a Capture registered on its testbed's Streamer
+//     (AddRecorder); a trace read back from CSV is one too.
 //
 // The scalar analysis has one implementation, StreamWindow's fold:
 // Capture.Analyze replays its time-sorted records through a Streamer
@@ -37,9 +41,10 @@ var (
 	_ Sink = (*Streamer)(nil)
 )
 
-// Streamer is a packet sink that never buffers packets: each Record
-// folds the packet into the accumulators of every registered window
-// that contains its timestamp, then drops it. Memory is
+// Streamer is a packet sink that never buffers packets itself: each
+// Record folds the packet into the accumulators of every registered
+// window that contains its timestamp, hands it to the recorders whose
+// range it meets, then drops it. Without recorders memory is
 // O(flows + windows), independent of trace length — the property that
 // lets campaign size scale with repetitions instead of packets
 // (production-scale runs of the Sect. 5 benchmarks never re-read the
@@ -56,14 +61,16 @@ var (
 //     classifiers that need per-flow traffic totals (the Wuala
 //     flow-size heuristic) work from StreamWindow.FlowBytes.
 //
-// Windows must be registered before any packet whose timestamp falls
-// inside them is recorded; AddWindow enforces this, which is what
-// makes a fold over a discarded trace equal to the same fold over a
-// buffered one. Like Capture, a Streamer is not safe for concurrent
-// use — the campaign engine gives every experiment cell its own sink.
+// Windows and recorders must be registered before any packet whose
+// timestamp falls inside them is recorded; AddWindow and AddRecorder
+// enforce this, which is what makes a fold over a discarded trace
+// equal to the same fold over a buffered one. Like Capture, a
+// Streamer is not safe for concurrent use — the campaign engine gives
+// every experiment cell its own sink.
 type Streamer struct {
 	flows chunked[FlowInfo]
 	wins  []*StreamWindow
+	recs  []recorder
 
 	// origin is the instant of the first recorded packet; seen is set
 	// from then on. Every instant the streamer keeps afterwards is an
@@ -89,6 +96,9 @@ func (s *Streamer) OpenFlow(key FlowKey, serverName string, at time.Time) FlowID
 	id := FlowID(s.flows.len())
 	s.flows.grow(int(id) + 1)
 	*s.flows.at(int(id)) = FlowInfo{ID: id, Key: key, ServerName: serverName, OpenedAt: at}
+	for _, r := range s.recs {
+		r.c.OpenFlow(key, serverName, at)
+	}
 	return id
 }
 
@@ -108,7 +118,8 @@ func (s *Streamer) offset(t time.Time) time.Duration {
 }
 
 // Record folds a packet into every registered window containing its
-// timestamp and discards it. O(windows) per packet, no retention.
+// timestamp, hands its in-range part to every recorder, and discards
+// it. O(windows + recorders) per packet, no retention of its own.
 // Span records fold in O(1) per window: totals when fully contained,
 // a deterministic O(1) clip at window boundaries otherwise.
 func (s *Streamer) Record(p Packet) {
@@ -130,6 +141,11 @@ func (s *Streamer) Record(p Packet) {
 	for _, w := range s.wins {
 		w.record(&p, at)
 	}
+	for _, r := range s.recs {
+		if cl, ok := p.Clip(r.from, r.to); ok {
+			r.c.Record(cl)
+		}
+	}
 }
 
 // AddWindow registers a half-open accumulation window [from, to),
@@ -140,27 +156,50 @@ func (s *Streamer) Record(p Packet) {
 // engine does so right when the window opens, after the trace has
 // settled).
 func (s *Streamer) AddWindow(from, to time.Time) *StreamWindow {
+	s.rejectLate(from, "AddWindow")
 	w := &StreamWindow{s: s, from: from, to: to}
 	if s.seen {
 		w.anchor()
-		if w.lo <= s.maxSeen {
-			panic(fmt.Sprintf(
-				"trace: AddWindow(from=%v) after recording a packet at %v; streaming windows must be registered before their traffic",
-				from, s.origin.Add(s.maxSeen)))
-		}
 	}
 	s.wins = append(s.wins, w)
 	return w
 }
 
+// recorder is a Capture the streamer feeds with the records of one
+// half-open time range.
+type recorder struct {
+	from, to time.Time
+	c        *Capture
+}
+
+// AddRecorder registers a Capture that keeps every record of [from,
+// to), each clipped to the range with Packet.Clip the way a window
+// folds it. Its flow table mirrors the streamer's, so FlowIDs agree
+// with every window's. Registered at a quiet instant, one no span
+// record crosses, the recorder equals Capture.Window(from, to) of a
+// capture that buffered the whole run. (A span clipped at from sorts
+// among records at equal instants by its first kept slice, not by its
+// start.) It panics on late registration, as AddWindow does.
+func (s *Streamer) AddRecorder(from, to time.Time) *Capture {
+	s.rejectLate(from, "AddRecorder")
+	c := &Capture{flows: s.flows.slice()}
+	s.recs = append(s.recs, recorder{from: from, to: to, c: c})
+	return c
+}
+
+// rejectLate panics unless from is strictly after every instant
+// recorded so far: a window or recorder opening earlier would miss
+// packets that are already gone.
+func (s *Streamer) rejectLate(from time.Time, what string) {
+	if s.seen && from.Sub(s.origin) <= s.maxSeen {
+		panic(fmt.Sprintf(
+			"trace: %s(from=%v) after recording a packet at %v; streaming windows must be registered before their traffic",
+			what, from, s.origin.Add(s.maxSeen)))
+	}
+}
+
 // Flows returns metadata for every connection seen by the streamer.
 func (s *Streamer) Flows() []FlowInfo { return s.flows.slice() }
-
-// Flow returns the metadata for one connection.
-func (s *Streamer) Flow(id FlowID) FlowInfo { return *s.flows.at(int(id)) }
-
-// NumFlows returns how many connections the streamer saw.
-func (s *Streamer) NumFlows() int { return s.flows.len() }
 
 // flowAcc is the per-(window, flow) fold of every commutative Analysis
 // metric. 72 pointer-free bytes per flow per window — together with

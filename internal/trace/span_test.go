@@ -218,11 +218,10 @@ func TestSpanTraceMatchesSliceBySliceReference(t *testing.T) {
 		}
 		// Per-packet detectors run on the expanded view.
 		for _, f := range filters[1:] {
-			if got, want := c.Bursts(f, 150*time.Millisecond), ref.Bursts(f, 150*time.Millisecond); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: Bursts diverge", seed)
-			}
-			if got, want := c.UploadPauses(f, 200*time.Millisecond), ref.UploadPauses(f, 200*time.Millisecond); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: UploadPauses diverge", seed)
+			for _, gap := range []time.Duration{150 * time.Millisecond, 200 * time.Millisecond} {
+				if got, want := c.Bursts(f, gap), ref.Bursts(f, gap); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: Bursts at %v diverge", seed, gap)
+				}
 			}
 			if got, want := c.CumulativeBytes(f), ref.CumulativeBytes(f); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: CumulativeBytes diverge", seed)

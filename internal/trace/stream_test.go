@@ -16,10 +16,19 @@ import (
 // produces field-for-field the same Analysis as buffering everything
 // in a Capture and running Window(...).Analyze(...) afterwards —
 // including the SYNTimes order and the HasPayload payload bracket.
+// A recorder registered mid-stream at a random quiet instant must
+// hold exactly the capture's Window over its range: the same
+// per-round packets and the same flow table.
 func TestStreamerMatchesCaptureRandomized(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		wins, cwins, filters := buildRandomPair(rng)
+		wins, cwins, filters, rec, crec := buildRandomPair(rng)
+		if got, want := rec.ExpandedPackets(), crec.ExpandedPackets(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: recorder holds %d packets, capture window %d, or they differ", seed, len(got), len(want))
+		}
+		if got, want := rec.Flows(), crec.Flows(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: recorder flows %v, capture %v", seed, got, want)
+		}
 
 		for wi := range wins {
 			for fi, f := range filters {
@@ -38,8 +47,9 @@ func TestStreamerMatchesCaptureRandomized(t *testing.T) {
 }
 
 // buildRandomPair records one random trace into both a Capture and a
-// Streamer and returns matching window views over both.
-func buildRandomPair(rng *rand.Rand) ([]*StreamWindow, []*Capture, []FlowFilter) {
+// Streamer and returns matching window views over both, plus a
+// recorder the Streamer fed and the Capture's window over its range.
+func buildRandomPair(rng *rand.Rand) ([]*StreamWindow, []*Capture, []FlowFilter, *Capture, *Capture) {
 	cap := NewCapture()
 	str := NewStreamer()
 
@@ -159,15 +169,52 @@ func buildRandomPair(rng *rand.Rand) ([]*StreamWindow, []*Capture, []FlowFilter)
 		bounds = append(bounds, [2]time.Time{lo, hi}, [2]time.Time{lo, FarFuture})
 	}
 
+	// The recorder opens at a quiet instant: inside no span, and after
+	// every record of the stream's prefix up to its registration
+	// point k. Later stragglers may still fall before it; both sides
+	// drop them.
+	from := instant()
+	for moved := true; moved; {
+		moved = false
+		for _, sp := range spans {
+			if sp.Time.Before(from) && !sp.End().Before(from) {
+				from, moved = sp.End().Add(time.Nanosecond), true
+			}
+		}
+	}
+	k := 0
+	for k < len(pkts) && pkts[k].End().Before(from) {
+		k++
+	}
+	to := FarFuture
+	if rng.Intn(2) == 0 {
+		to = instant()
+	}
+
 	// Windows are registered before any record (the streaming
 	// contract); the capture's are views taken afterwards.
 	var swins []*StreamWindow
 	for _, b := range bounds {
 		swins = append(swins, str.AddWindow(b[0], b[1]))
 	}
-	for _, p := range pkts {
+	// A connection opened after the recorder registers must reach its
+	// flow table too.
+	var rec *Capture
+	register := func() {
+		rec = str.AddRecorder(from, to)
+		key := FlowKey{ClientAddr: "10.0.0.1", ClientPort: 50000, ServerAddr: "203.0.113.9", ServerPort: 443, Proto: TCP}
+		cap.OpenFlow(key, names[0], from)
+		str.OpenFlow(key, names[0], from)
+	}
+	for i, p := range pkts {
+		if i == k {
+			register()
+		}
 		cap.Record(p)
 		str.Record(p)
+	}
+	if rec == nil {
+		register()
 	}
 	var cwins []*Capture
 	for _, b := range bounds {
@@ -181,7 +228,7 @@ func buildRandomPair(rng *rand.Rand) ([]*StreamWindow, []*Capture, []FlowFilter)
 		func(f FlowInfo) bool { return f.ID%2 == 0 },
 		func(FlowInfo) bool { return false },
 	}
-	return swins, cwins, filters
+	return swins, cwins, filters, rec, cap.Window(from, to)
 }
 
 // analysesEqual compares two Analysis values field-for-field, treating
@@ -209,18 +256,29 @@ func analysesEqual(a, b Analysis) bool {
 }
 
 // TestAddWindowRejectsLateRegistration pins the streaming contract: a
-// window whose lower bound is not strictly after every recorded
-// timestamp would have to see packets that were already discarded.
+// window or recorder whose lower bound is not strictly after every
+// recorded timestamp would have to see packets that were already
+// discarded.
 func TestAddWindowRejectsLateRegistration(t *testing.T) {
-	s := NewStreamer()
-	id := s.OpenFlow(FlowKey{}, "x", at(0))
-	s.Record(Packet{Time: at(100), Flow: id, Wire: 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddWindow accepted a lower bound at an already-recorded timestamp")
-		}
-	}()
-	s.AddWindow(at(100), FarFuture)
+	for _, tc := range []struct {
+		name     string
+		register func(s *Streamer, from time.Time)
+	}{
+		{"AddWindow", func(s *Streamer, from time.Time) { s.AddWindow(from, FarFuture) }},
+		{"AddRecorder", func(s *Streamer, from time.Time) { s.AddRecorder(from, FarFuture) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStreamer()
+			id := s.OpenFlow(FlowKey{}, "x", at(0))
+			s.Record(Packet{Time: at(100), Flow: id, Wire: 1})
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s accepted a lower bound at an already-recorded timestamp", tc.name)
+				}
+			}()
+			tc.register(s, at(100))
+		})
+	}
 }
 
 // TestAddWindowAfterQuietPointOK registers a window strictly after the

@@ -11,13 +11,19 @@
 # capability suite (services, then the five detectors of each probe).
 # The what-if counterfactuals, Fig. 3 and discovery run the campaign
 # cells' upload script once per study; Fig. 1 and the Sect. 3.1
-# protocol report analyze a buffered trace per service. The smoke runs
-# a fixed Fig. 6 matrix, an adaptive one, a fixed loss sweep, a fixed
-# and an adaptive location study, the Fig. 4 and Fig. 5 sweeps,
-# Table 1, the what-if studies, Fig. 3, discovery, Fig. 1 and the
-# protocol report at -parallel 1 and -parallel 4 and
-# byte-compares each pair of outputs; any diff is a determinism
-# regression in the driver, the scheduler or a layer on top of them.
+# protocol report walk a recorder registered on each service's
+# streaming trace. The smoke runs a fixed Fig. 6 matrix, an adaptive
+# one, a fixed loss sweep, a fixed and an adaptive location study, the
+# Fig. 4 and Fig. 5 sweeps, Table 1, the what-if studies, Fig. 3,
+# discovery, Fig. 1 and the protocol report at -parallel 1 and
+# -parallel 4 and byte-compares each pair of outputs; any diff is a
+# determinism regression in the driver, the scheduler or a layer on
+# top of them.
+#
+# It then runs examples/custom-service, which drives a Testbed by hand
+# (settle, StartWindow, sync, MeasureWindow), and a tracedump round
+# trip: a trace written with -out and read back with -in must print
+# the summary of the direct run.
 #
 # Usage: scripts/campaignsmoke.sh [seed]
 set -euo pipefail
@@ -55,3 +61,19 @@ check fig3 -experiment fig3
 check discover -experiment discover
 check fig1 -experiment fig1
 check protocols -experiment protocols
+
+go run ./examples/custom-service > "${dir}/custom-service.out"
+echo "campaignsmoke: examples/custom-service ran"
+
+go build -o "${dir}/tracedump" ./cmd/tracedump
+for svc in dropbox wuala skydrive; do
+  "${dir}/tracedump" -service "${svc}" -seed "${seed}" > "${dir}/${svc}.direct"
+  "${dir}/tracedump" -service "${svc}" -seed "${seed}" -out "${dir}/${svc}.trace" > /dev/null
+  "${dir}/tracedump" -in "${dir}/${svc}.trace" > "${dir}/${svc}.back"
+  if ! cmp -s "${dir}/${svc}.direct" "${dir}/${svc}.back"; then
+    echo "campaignsmoke: tracedump ${svc} summary differs after an -out/-in round trip" >&2
+    diff "${dir}/${svc}.direct" "${dir}/${svc}.back" | head -40 >&2 || true
+    exit 1
+  fi
+  echo "campaignsmoke: tracedump ${svc} round trip matches the direct run"
+done
