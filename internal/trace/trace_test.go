@@ -152,11 +152,6 @@ func TestBurstDetection(t *testing.T) {
 	if bursts[1].Bytes != 1460 {
 		t.Fatalf("burst[1] = %+v", bursts[1])
 	}
-	// The quiet gap between them is the Sect. 4.1 chunk pause, and
-	// the first burst's bytes the chunk size.
-	if g := bursts[1].Start.Sub(bursts[0].End); g != 400*time.Millisecond {
-		t.Fatalf("pause between bursts = %v, want 400ms", g)
-	}
 	// With a huge threshold everything is one burst.
 	if got := len(c.Bursts(storageOnly, time.Hour)); got != 1 {
 		t.Fatalf("one-burst case = %d", got)
@@ -164,6 +159,23 @@ func TestBurstDetection(t *testing.T) {
 	// No payload -> no bursts.
 	if got := len(c.Bursts(func(FlowInfo) bool { return false }, time.Millisecond)); got != 0 {
 		t.Fatalf("empty filter bursts = %d", got)
+	}
+}
+
+// TestUploadPauses checks the Sect. 4.1 chunk-size inference: the
+// quiet gaps of an upload are the gaps between its bursts, and every
+// burst but the last is one chunk.
+func TestUploadPauses(t *testing.T) {
+	c := buildCapture()
+	bursts := c.Bursts(storageOnly, 200*time.Millisecond)
+	if pauses := len(bursts) - 1; pauses != 1 {
+		t.Fatalf("pauses = %d, want 1", pauses)
+	}
+	if got := bursts[0].Bytes; got != 1460+2920 {
+		t.Fatalf("chunk bytes = %d, want 4380 (chunk size)", got)
+	}
+	if g := bursts[1].Start.Sub(bursts[0].End); g != 400*time.Millisecond {
+		t.Fatalf("Gap = %v", g)
 	}
 }
 
