@@ -15,6 +15,15 @@
 // reports whether the boolean verdicts were unanimous — detection
 // robustness quantified instead of assumed from one seed.
 //
+// -verbose prints each service's verdicts one per line before the
+// table: chunking, bundling, compression, both deduplication verdicts
+// and delta encoding. It prints no connections per file or sequential
+// acknowledgments: those are the bundling detector's intermediate
+// statistics, which the probe does not hand out. -precision reports
+// how tight connections per file became; cloudbench -experiment fig3
+// prints the connections of the same 100-file upload for Google Drive
+// and Cloud Drive.
+//
 // -parallel fans the services, their probes and the detectors of each
 // probe out over a shared worker pool (0 = one worker per CPU, 1 =
 // sequential); detections are bit-identical at any setting.

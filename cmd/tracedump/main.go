@@ -64,7 +64,7 @@ func main() {
 		os.Exit(2)
 	}
 	tb := core.NewTestbed(p, *seed, 0)
-	rec := tb.Stream.AddRecorder(time.Time{}, trace.FarFuture)
+	rec := tb.Stream.AddRecorder(time.Time{})
 	start := tb.Settle()
 	batch.Materialize(tb.Folder, tb.RNG, tb.Clock.Now(), "bench")
 	res := tb.Client.SyncChanges(tb.Folder, start.Add(-time.Second))

@@ -44,8 +44,8 @@
 //     reorder buffer that is merged back — stably — on first read, so
 //     recording is O(1) and analyzers always see a time-sorted trace.
 //     A study that walks packets registers a Capture on the Streamer
-//     (Streamer.AddRecorder): the Streamer hands it every record of
-//     the recorder's time range, clipped to it, and mirrors its flow
+//     (Streamer.AddRecorder): the Streamer hands it every record from
+//     the recorder's start on, clipped at it, and mirrors its flow
 //     table, so the recorder equals the same cut of a capture of the
 //     whole run. The fold is copy-free
 //     and pointer-free: a plain record folds in place (only spans go

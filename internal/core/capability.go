@@ -174,10 +174,7 @@ func estimateRTT(cap *trace.Capture, f trace.FlowFilter) time.Duration {
 // 4.1) and per-file acknowledgments (Sect. 4.2). It returns the
 // testbed, the window start and the bursts.
 func uploadBursts(p client.Profile, batch workload.Batch, seed int64) (*Testbed, time.Time, []trace.Burst) {
-	c := syncCell{p: p, batch: batch, host: campusHost}
-	tb, t0 := c.openOnce(seed)
-	rec := tb.Stream.AddRecorder(t0, trace.FarFuture)
-	c.upload(tb, t0)
+	tb, t0, rec := syncCell{p: p, batch: batch, host: campusHost}.recordedRun(seed)
 	storage := tb.StorageFilter(t0)
 	rtt := estimateRTT(rec, storage)
 	return tb, t0, rec.Bursts(storage, rtt+2*rtt/5)

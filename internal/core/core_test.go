@@ -13,7 +13,7 @@ import (
 
 func TestTestbedSettleSeparatesLogin(t *testing.T) {
 	tb := NewTestbed(client.Dropbox(), 1, 0)
-	rec := tb.Stream.AddRecorder(sim.Epoch, trace.FarFuture)
+	rec := tb.Stream.AddRecorder(sim.Epoch)
 	start := tb.Settle()
 	// Login traffic exists and ends before the benchmark start.
 	login := rec.Window(sim.Epoch, start).Analyze(trace.AllFlows)
@@ -319,7 +319,7 @@ func TestStorageFilterWualaHeuristic(t *testing.T) {
 
 func TestEstimateRTTFromHandshake(t *testing.T) {
 	tb := NewTestbed(client.SkyDrive(), 92, 0)
-	rec := tb.Stream.AddRecorder(sim.Epoch, trace.FarFuture)
+	rec := tb.Stream.AddRecorder(sim.Epoch)
 	start := tb.Settle()
 	t0 := tb.Clock.Now()
 	tb.StartWindow(t0)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -300,6 +301,17 @@ func (c syncCell) syncOnce(seed int64) (*Testbed, time.Time) {
 	tb, t0 := c.openOnce(seed)
 	c.upload(tb, t0)
 	return tb, t0
+}
+
+// recordedRun runs the whole upload script once on seed, on a world
+// of its own, with a recorder registered at the window start between
+// its two halves — the run every packet-walking detector reads. It
+// returns the synced testbed, the window start and the recorder.
+func (c syncCell) recordedRun(seed int64) (*Testbed, time.Time, *trace.Capture) {
+	tb, t0 := c.openOnce(seed)
+	rec := tb.Stream.AddRecorder(t0)
+	c.upload(tb, t0)
+	return tb, t0, rec
 }
 
 // runOnce is a single measured repetition of the cell on seed, on a

@@ -14,7 +14,7 @@ import (
 // testbed ready for measurement, with a recorder over its window.
 func syncedTestbed(p client.Profile) (*Testbed, *trace.Capture, time.Time, int64) {
 	batch := workload.Batch{Count: 100, Size: 10_000, Kind: workload.Binary}
-	tb, t0, rec := recordedRun(syncCell{p: p, batch: batch, host: campusHost, jitter: DefaultJitter}, 42)
+	tb, t0, rec := syncCell{p: p, batch: batch, host: campusHost, jitter: DefaultJitter}.recordedRun(42)
 	return tb, rec, t0, batch.Total()
 }
 

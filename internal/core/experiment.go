@@ -132,7 +132,7 @@ func RunIdle(p client.Profile, seed int64) IdleResult {
 func idleTrace(p client.Profile, seed int64) (rec *trace.Capture, t0, loginDone, end time.Time) {
 	tb := NewTestbed(p, seed, 0)
 	t0 = tb.Clock.Now()
-	rec = tb.Stream.AddRecorder(t0, trace.FarFuture)
+	rec = tb.Stream.AddRecorder(t0)
 	loginDone = tb.Client.Login(t0)
 	tb.Clock.AdvanceTo(loginDone)
 	tb.Client.InstallPoller(tb.Sched)

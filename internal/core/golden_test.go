@@ -104,7 +104,7 @@ func TestCampaignParallelEquivalence(t *testing.T) {
 func TestMeasureWindowBoundary(t *testing.T) {
 	p := client.Dropbox()
 	tb := NewTestbed(p, 5, 0)
-	rec := tb.Stream.AddRecorder(sim.Epoch, trace.FarFuture)
+	rec := tb.Stream.AddRecorder(sim.Epoch)
 	start := tb.Settle()
 	preTraffic := rec.Window(rec.Packets()[0].Time, start).Analyze(nil).TotalWire
 	if preTraffic == 0 {

@@ -20,18 +20,29 @@ import (
 // for bit, so the lossy engine can never silently drift from its
 // retransmission accounting conventions.
 
-// lossyRun drives the shared upload script over a path with the given
-// loss rate, with a recorder over the whole run (login included), and
-// returns its metrics and the recorder.
-func lossyRun(p client.Profile, batch workload.Batch, seed int64, loss float64) (Metrics, *trace.Capture) {
+// lossyRun measures one repetition of the production upload script
+// (runOnce) over a path with the given loss rate, and returns its
+// metrics with a recorder over the whole run, login included. The
+// recorder must open before the login traffic, so it comes from a
+// second run that copies syncCell.open with the recorder registered
+// first; that copy must measure exactly what runOnce did, so a change
+// to the production script changes the golden rather than slipping
+// past it.
+func lossyRun(t *testing.T, p client.Profile, batch workload.Batch, seed int64, loss float64) (Metrics, *trace.Capture) {
+	t.Helper()
 	c := syncCell{p: p, batch: batch, host: campusHost, loss: loss}
+	m := c.runOnce(seed)
+
 	tb := cellWorlds([]syncCell{c})[0].testbed(p, c.host(), sim.NewRNG(seed), c.jitter)
 	tb.Net.LossRate = loss
-	rec := tb.Stream.AddRecorder(time.Time{}, trace.FarFuture)
+	rec := tb.Stream.AddRecorder(time.Time{})
 	t0 := tb.Settle()
 	tb.StartWindow(t0)
 	c.upload(tb, t0)
-	return MeasureWindow(tb, t0, batch.Total()), rec
+	if cm := MeasureWindow(tb, t0, batch.Total()); cm != m {
+		t.Fatalf("whole-run recorder copy measured %+v, production script %+v", cm, m)
+	}
+	return m, rec
 }
 
 // countRetransmits counts fast-retransmit records: MSS-sized wire-only
@@ -61,7 +72,7 @@ func TestGoldenLossyCampaign(t *testing.T) {
 	batch := workload.Batch{Count: 2, Size: 1 << 20, Kind: workload.Binary}
 	p := client.SkyDrive()
 
-	m, cap := lossyRun(p, batch, 99, 0.02)
+	m, cap := lossyRun(t, p, batch, 99, 0.02)
 
 	got := struct {
 		Metrics     Metrics
@@ -77,7 +88,7 @@ func TestGoldenLossyCampaign(t *testing.T) {
 
 	// A clean run of the same cell must beat the lossy one on both
 	// wire volume and completion — retransmissions are pure overhead.
-	clean, _ := lossyRun(p, batch, 99, 0)
+	clean, _ := lossyRun(t, p, batch, 99, 0)
 	if clean.TotalTraffic >= m.TotalTraffic {
 		t.Errorf("lossy run carried no extra wire bytes: %d vs clean %d", m.TotalTraffic, clean.TotalTraffic)
 	}
@@ -94,7 +105,7 @@ func TestLossyStreamingMatchesBuffered(t *testing.T) {
 	batch := workload.Batch{Count: 2, Size: 1 << 20, Kind: workload.Binary}
 	for _, svc := range []string{"skydrive", "dropbox", "googledrive"} {
 		p, _ := client.ProfileFor(svc)
-		tb, t0, rec := recordedRun(syncCell{p: p, batch: batch, host: campusHost, loss: 0.03}, 7)
+		tb, t0, rec := syncCell{p: p, batch: batch, host: campusHost, loss: 0.03}.recordedRun(7)
 		checkWindowMatchesRecorder(t, svc, tb, t0, rec)
 	}
 }

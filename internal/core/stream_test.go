@@ -9,17 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// recordedRun runs the cell's upload script once on seed with a
-// recorder registered over its window, the way the packet-walking
-// detectors do, and returns the synced testbed, the window start and
-// the recorder.
-func recordedRun(c syncCell, seed int64) (*Testbed, time.Time, *trace.Capture) {
-	tb, t0 := c.openOnce(seed)
-	rec := tb.Stream.AddRecorder(t0, trace.FarFuture)
-	c.upload(tb, t0)
-	return tb, t0, rec
-}
-
 // checkWindowMatchesRecorder asserts that the streamed benchmark
 // window and a replay of the recorder over the same window analyze
 // field for field alike, on all flows and on the storage flows.
@@ -58,7 +47,7 @@ func TestStreamingMatchesBufferedMeasurement(t *testing.T) {
 	batch := workload.Batch{Count: 25, Size: 10_000, Kind: workload.Binary}
 	for _, p := range client.Profiles() {
 		c := syncCell{p: p, batch: batch, host: campusHost, jitter: DefaultJitter}
-		tb, t0, rec := recordedRun(c, 77)
+		tb, t0, rec := c.recordedRun(77)
 		checkWindowMatchesRecorder(t, p.Service, tb, t0, rec)
 	}
 }

@@ -46,7 +46,8 @@ var TwenteCoord = geo.Coord{Lat: 52.24, Lon: 6.85}
 // per-repetition memory at O(flows). A study that walks individual
 // packets (the idle timeline, the protocol report, the chunking and
 // bundling detectors, cmd/tracedump) registers a recorder on it
-// (trace.Streamer.AddRecorder), a Capture of just the range it reads.
+// (trace.Streamer.AddRecorder), a Capture of the trace from the instant
+// it reads from.
 type Testbed struct {
 	Seed    int64
 	Clock   *sim.Clock

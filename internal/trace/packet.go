@@ -15,7 +15,7 @@
 // O(packets); it is the trace of every testbed. Capture buffers every
 // record for arbitrary re-windowing and per-packet analyzers (the
 // tcpdump equivalent); a study that needs packets registers one on the
-// Streamer as a recorder of the time range it reads. Both analyze
+// Streamer as a recorder from the instant it reads from. Both analyze
 // through one fold, the Streamer's window accumulator; see sink.go.
 //
 // The design borrows gopacket's vocabulary (packets, flows, endpoints)

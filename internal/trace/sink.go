@@ -43,10 +43,11 @@ var (
 
 // Streamer is a packet sink that never buffers packets itself: each
 // Record folds the packet into the accumulators of every registered
-// window that contains its timestamp, hands it to the recorders whose
-// range it meets, then drops it. Without recorders memory is
-// O(flows + windows), independent of trace length — the property that
-// lets campaign size scale with repetitions instead of packets
+// window that contains its timestamp, hands it to the recorders that
+// opened at or before its last instant, then drops it. Without
+// recorders memory is O(flows + windows), independent of trace
+// length — the property that lets campaign size scale with
+// repetitions instead of packets
 // (production-scale runs of the Sect. 5 benchmarks never re-read the
 // trace, they only need the per-window Analysis).
 //
@@ -142,7 +143,7 @@ func (s *Streamer) Record(p Packet) {
 		w.record(&p, at)
 	}
 	for _, r := range s.recs {
-		if cl, ok := p.Clip(r.from, r.to); ok {
+		if cl, ok := p.Clip(r.from, FarFuture); ok {
 			r.c.Record(cl)
 		}
 	}
@@ -165,25 +166,27 @@ func (s *Streamer) AddWindow(from, to time.Time) *StreamWindow {
 	return w
 }
 
-// recorder is a Capture the streamer feeds with the records of one
-// half-open time range.
+// recorder is a Capture the streamer feeds with every record from one
+// instant on.
 type recorder struct {
-	from, to time.Time
-	c        *Capture
+	from time.Time
+	c    *Capture
 }
 
 // AddRecorder registers a Capture that keeps every record of [from,
-// to), each clipped to the range with Packet.Clip the way a window
-// folds it. Its flow table mirrors the streamer's, so FlowIDs agree
-// with every window's. Registered at a quiet instant, one no span
-// record crosses, the recorder equals Capture.Window(from, to) of a
-// capture that buffered the whole run. (A span clipped at from sorts
-// among records at equal instants by its first kept slice, not by its
-// start.) It panics on late registration, as AddWindow does.
-func (s *Streamer) AddRecorder(from, to time.Time) *Capture {
+// FarFuture), each clipped at from with Packet.Clip the way a window
+// folds it; a caller that needs a finite end cuts the recorder with
+// Capture.Window. Its flow table mirrors the streamer's, so FlowIDs
+// agree with every window's. Registered at a quiet instant, one no
+// span record crosses, the recorder equals Capture.Window(from,
+// FarFuture) of a capture that buffered the whole run. (A span clipped
+// at from sorts among records at equal instants by its first kept
+// slice, not by its start.) It panics on late registration, as
+// AddWindow does.
+func (s *Streamer) AddRecorder(from time.Time) *Capture {
 	s.rejectLate(from, "AddRecorder")
 	c := &Capture{flows: s.flows.slice()}
-	s.recs = append(s.recs, recorder{from: from, to: to, c: c})
+	s.recs = append(s.recs, recorder{from: from, c: c})
 	return c
 }
 

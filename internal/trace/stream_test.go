@@ -17,7 +17,7 @@ import (
 // in a Capture and running Window(...).Analyze(...) afterwards —
 // including the SYNTimes order and the HasPayload payload bracket.
 // A recorder registered mid-stream at a random quiet instant must
-// hold exactly the capture's Window over its range: the same
+// hold exactly the capture's Window from that instant on: the same
 // per-round packets and the same flow table.
 func TestStreamerMatchesCaptureRandomized(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
@@ -186,10 +186,6 @@ func buildRandomPair(rng *rand.Rand) ([]*StreamWindow, []*Capture, []FlowFilter,
 	for k < len(pkts) && pkts[k].End().Before(from) {
 		k++
 	}
-	to := FarFuture
-	if rng.Intn(2) == 0 {
-		to = instant()
-	}
 
 	// Windows are registered before any record (the streaming
 	// contract); the capture's are views taken afterwards.
@@ -201,7 +197,7 @@ func buildRandomPair(rng *rand.Rand) ([]*StreamWindow, []*Capture, []FlowFilter,
 	// flow table too.
 	var rec *Capture
 	register := func() {
-		rec = str.AddRecorder(from, to)
+		rec = str.AddRecorder(from)
 		key := FlowKey{ClientAddr: "10.0.0.1", ClientPort: 50000, ServerAddr: "203.0.113.9", ServerPort: 443, Proto: TCP}
 		cap.OpenFlow(key, names[0], from)
 		str.OpenFlow(key, names[0], from)
@@ -228,7 +224,7 @@ func buildRandomPair(rng *rand.Rand) ([]*StreamWindow, []*Capture, []FlowFilter,
 		func(f FlowInfo) bool { return f.ID%2 == 0 },
 		func(FlowInfo) bool { return false },
 	}
-	return swins, cwins, filters, rec, cap.Window(from, to)
+	return swins, cwins, filters, rec, cap.Window(from, FarFuture)
 }
 
 // analysesEqual compares two Analysis values field-for-field, treating
@@ -265,7 +261,7 @@ func TestAddWindowRejectsLateRegistration(t *testing.T) {
 		register func(s *Streamer, from time.Time)
 	}{
 		{"AddWindow", func(s *Streamer, from time.Time) { s.AddWindow(from, FarFuture) }},
-		{"AddRecorder", func(s *Streamer, from time.Time) { s.AddRecorder(from, FarFuture) }},
+		{"AddRecorder", func(s *Streamer, from time.Time) { s.AddRecorder(from) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewStreamer()
