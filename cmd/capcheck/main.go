@@ -54,7 +54,7 @@ func main() {
 	}
 	core.CampaignWorkers = *parallel
 	rule := core.StopRule{TargetRelHW: *precision, MaxReps: *maxReps}
-	if err := rule.Validate(); err != nil {
+	if err := rule.Validate(core.VarianceReduction{}); err != nil {
 		fmt.Fprintf(os.Stderr, "-precision/-max-reps: %v\n", err)
 		os.Exit(2)
 	}

@@ -169,8 +169,8 @@ func (d design) adaptive() bool { return d.rule.TargetRelHW > 0 }
 
 // checkFlags rejects a worker or repetition count below zero (zero
 // means one worker per CPU, or the paper's DefaultReps), a stopping
-// rule no campaign can honour, and variance reduction without the
-// precision target it serves.
+// rule no campaign under the design's variance reduction can honour,
+// and variance reduction without the precision target it serves.
 func checkFlags(parallel, reps int, d design) error {
 	switch {
 	case parallel < 0:
@@ -178,7 +178,7 @@ func checkFlags(parallel, reps int, d design) error {
 	case reps < 0:
 		return fmt.Errorf("-reps must be >= 0 (got %d)", reps)
 	}
-	if err := d.rule.Validate(); err != nil {
+	if err := d.rule.Validate(d.vr); err != nil {
 		return fmt.Errorf("-precision/-min-reps/-max-reps: %w", err)
 	}
 	if (d.vr.Antithetic || d.vr.CRN) && !d.adaptive() {

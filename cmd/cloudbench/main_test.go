@@ -44,6 +44,12 @@ func TestCheckFlags(t *testing.T) {
 		{"precision at 1", 0, 0, design{rule: rule(1, 8, 16)}, false},
 		{"negative max reps", 0, 0, design{rule: rule(0.05, 8, -1)}, false},
 		{"min above max", 0, 0, design{rule: rule(0.05, 32, 16)}, false},
+		{"one rep is below the resolved min of 2", 0, 0, design{rule: rule(0.05, 1, 1)}, false},
+		{"two reps are below the antithetic min of 4", 0, 0, design{rule: rule(0.05, 2, 2),
+			vr: core.VarianceReduction{Antithetic: true}}, false},
+		{"two reps fit a plain rule", 0, 0, design{rule: rule(0.05, 2, 2)}, true},
+		{"odd antithetic cap rounds down to whole pairs", 0, 0, design{rule: rule(0.05, 4, 5),
+			vr: core.VarianceReduction{Antithetic: true}}, true},
 		{"antithetic without precision", 0, 0, design{rule: defaults, vr: core.VarianceReduction{Antithetic: true}}, false},
 		{"crn without precision", 0, 0, design{rule: defaults, vr: core.VarianceReduction{CRN: true}}, false},
 	} {

@@ -58,7 +58,8 @@ func main() {
 	)
 	flag.Parse()
 	rule := core.StopRule{TargetRelHW: *precision, MaxReps: *maxReps}
-	if err := checkFlags(*reps, rule, *antithetic || *crn); err != nil {
+	vr := core.VarianceReduction{Antithetic: *antithetic, CRN: *crn}
+	if err := checkFlags(*reps, rule, vr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -71,7 +72,6 @@ func main() {
 		}
 		var c core.Campaign
 		if *precision > 0 {
-			vr := core.VarianceReduction{Antithetic: *antithetic, CRN: *crn}
 			c = core.RunFullCampaignAdaptive(v, rule, vr, *seed)
 		} else {
 			c = core.RunFullCampaign(v, *reps, *seed)
@@ -122,16 +122,17 @@ func main() {
 }
 
 // checkFlags rejects a repetition count below zero (zero means the
-// paper's DefaultReps), a stopping rule no campaign can honour, and
-// variance reduction without the precision target it serves.
-func checkFlags(reps int, rule core.StopRule, varianceReduction bool) error {
+// paper's DefaultReps), a stopping rule no campaign under vr can
+// honour, and variance reduction without the precision target it
+// serves.
+func checkFlags(reps int, rule core.StopRule, vr core.VarianceReduction) error {
 	if reps < 0 {
 		return fmt.Errorf("-reps must be >= 0 (got %d)", reps)
 	}
-	if err := rule.Validate(); err != nil {
+	if err := rule.Validate(vr); err != nil {
 		return fmt.Errorf("-precision/-max-reps: %w", err)
 	}
-	if varianceReduction && rule.TargetRelHW == 0 {
+	if (vr.Antithetic || vr.CRN) && rule.TargetRelHW == 0 {
 		return errors.New("-antithetic and -crn require -precision")
 	}
 	return nil

@@ -3,40 +3,34 @@ package analysis
 import (
 	"bufio"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// testOnlyAllowlist names the exported identifiers under internal/
-// that no non-test file references, each with a one-line reason it
-// stays exported. TestNoTestOnlyExports keeps it exact.
+// testOnlyAllowlist names the declarations under internal/ that no
+// non-test file uses, each with a one-line reason it stays.
+// TestNoTestOnlyExports keeps it exact.
 const testOnlyAllowlist = "testdata/testonly_exports.txt"
 
-// TestNoTestOnlyExports keeps API that only tests use from growing
-// back. It parses every non-test Go file of the repository (internal/,
-// cmd/ including the cmd/perfbench module, examples/ and the root
-// package), lists each exported identifier declared at top level in a
-// non-test file under internal/ that no non-test file references, and
-// compares that list with the committed allowlist. It fails on a new
-// test-only export, and on an allowlist entry that gained a caller or
-// no longer exists.
-//
-// A package-level identifier counts as referenced when another package
-// selects it through its import (core.RunFleet) or when a file of its
-// own package names it. A method counts as referenced when any
-// non-test file selects a member of that name on anything: matching by
-// name can only over-count callers, so the list never holds a method
-// that has one.
+// TestNoTestOnlyExports keeps code that only tests use from growing
+// back. testOnlyDecls lists what under internal/ no non-test code of
+// the repository calls; the list must equal the committed allowlist.
+// The test fails on a new test-only declaration, and on an allowlist
+// entry that gained a caller or no longer exists.
 func TestNoTestOnlyExports(t *testing.T) {
-	root := filepath.Join("..", "..")
-	got := testOnlyExports(t, root)
+	got, err := testOnlyDecls(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	allowed := readAllowlist(t)
 	var fresh, stale []string
@@ -56,10 +50,25 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	sort.Strings(stale)
 	for _, id := range fresh {
-		t.Errorf("%s is exported but only tests use it: delete it, unexport it, or add it to %s with a reason", id, testOnlyAllowlist)
+		t.Errorf("%s has no non-test caller: delete it, or add it to %s with a reason", id, testOnlyAllowlist)
 	}
 	for _, id := range stale {
 		t.Errorf("%s is in %s but is gone or has a non-test caller: drop the entry", id, testOnlyAllowlist)
+	}
+}
+
+// TestTestOnlyDeclsFixture runs the gate on a module built to defeat
+// a gate that matches by name: a test-only Bytes method whose name a
+// non-test call on another type shares, an uncalled unexported
+// function, and a method reached only through an interface.
+func TestTestOnlyDeclsFixture(t *testing.T) {
+	got, err := testOnlyDecls(filepath.Join("testdata", "deadcode"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"lib.File.Bytes", "lib.unused"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("testOnlyDecls = %q, want %q", got, want)
 	}
 }
 
@@ -93,151 +102,313 @@ func readAllowlist(t *testing.T) map[string]string {
 	return entries
 }
 
-// goFile is one parsed non-test file and the package directory it
-// belongs to, relative to the repository root.
-type goFile struct {
-	dir  string
-	file *ast.File
-}
-
-// testOnlyExports returns the sorted test-only exports under root's
-// internal/ directory, named "pkg.Name" for a package-level identifier
-// and "pkg.Type.Method" for a method, pkg being the directory below
-// internal/.
-func testOnlyExports(t *testing.T, root string) []string {
-	var files []goFile
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		files = append(files, goFile{dir: filepath.ToSlash(rel), file: f})
-		return nil
-	})
+// testOnlyDecls type-checks the non-test files of every package under
+// root, including nested modules (a go.mod below root starts one), and
+// returns the sorted declarations under root's internal/ directory
+// that no non-test file uses: every function and method, and every
+// exported type, variable and constant. A declaration is named
+// "pkg.Name", or "pkg.Type.Method" for a method, pkg being its
+// directory below internal/.
+//
+// A use is an identifier or selector that go/types resolves to the
+// declaration (a generic instance counts for its origin). A method
+// also counts as used when it implements a method of an interface
+// that non-test code mentions, since a call through the interface
+// reaches it; code that calls fmt mentions fmt.Stringer. Standard
+// library packages are checked from source.
+func testOnlyDecls(root string) ([]string, error) {
+	ld, err := newDeclLoader(root)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
+	}
+	paths := make([]string, 0, len(ld.dirs))
+	for path := range ld.dirs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := ld.load(path); err != nil {
+			return nil, err
+		}
 	}
 
-	// References: package-level names by "dir.Name", methods and
-	// fields by bare name.
-	pkgRefs := make(map[string]bool)
-	memberRefs := make(map[string]bool)
-	for _, gf := range files {
-		imports := make(map[string]string) // local name -> dir
-		for _, spec := range gf.file.Imports {
-			path, _ := strconv.Unquote(spec.Path.Value)
-			dir, ok := strings.CutPrefix(path, ModulePath+"/")
-			if !ok {
-				continue
+	used := make(map[types.Object]bool)
+	ifaces := make(map[types.Type]bool)
+	for _, info := range ld.infos {
+		for _, obj := range info.Uses {
+			used[origin(obj)] = true
+			interfacesIn(obj.Type(), ifaces)
+			if p := obj.Pkg(); p != nil && p.Path() == "fmt" {
+				// fmt's print family asserts its operands to
+				// fmt.Stringer, so a String method reaches it that way.
+				ifaces[p.Scope().Lookup("Stringer").Type()] = true
 			}
-			name := dir[strings.LastIndex(dir, "/")+1:]
-			if spec.Name != nil {
-				name = spec.Name.Name
-			}
-			imports[name] = dir
 		}
-		declared := declIdents(gf.file)
-		ast.Inspect(gf.file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok {
-					if dir, ok := imports[x.Name]; ok {
-						pkgRefs[dir+"."+n.Sel.Name] = true
-						return false
-					}
-				}
-				memberRefs[n.Sel.Name] = true
-			case *ast.Ident:
-				if !declared[n] {
-					pkgRefs[gf.dir+"."+n.Name] = true
-				}
+		for _, sel := range info.Selections {
+			used[origin(sel.Obj())] = true
+		}
+		for _, obj := range info.Defs {
+			if obj != nil {
+				interfacesIn(obj.Type(), ifaces)
 			}
-			return true
-		})
+		}
+		for _, tv := range info.Types {
+			interfacesIn(tv.Type, ifaces)
+		}
+	}
+	for _, path := range paths {
+		markImplementations(ld.pkgs[path], ifaces, used)
 	}
 
 	var out []string
-	for _, gf := range files {
-		pkg, ok := strings.CutPrefix(gf.dir, "internal/")
-		if !ok {
-			continue
-		}
-		for _, d := range gf.file.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if !d.Name.IsExported() {
-					continue
-				}
-				if d.Recv == nil {
-					if !pkgRefs[gf.dir+"."+d.Name.Name] {
-						out = append(out, pkg+"."+d.Name.Name)
-					}
-				} else if recv := recvType(d.Recv.List[0].Type); ast.IsExported(recv) && !memberRefs[d.Name.Name] {
-					// A method of an unexported type is no API: only
-					// an interface reaches it.
-					out = append(out, pkg+"."+recv+"."+d.Name.Name)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					var names []*ast.Ident
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						names = []*ast.Ident{s.Name}
-					case *ast.ValueSpec:
-						names = s.Names
-					}
-					for _, name := range names {
-						if name.IsExported() && !pkgRefs[gf.dir+"."+name.Name] {
-							out = append(out, pkg+"."+name.Name)
-						}
-					}
-				}
-			}
+	for _, d := range ld.decls {
+		if !used[d.obj] {
+			out = append(out, d.name)
 		}
 	}
 	sort.Strings(out)
-	return out
+	return out, nil
 }
 
-// declIdents returns the identifiers that declare a top-level name in
-// f, so a declaration does not count as a reference to itself.
-func declIdents(f *ast.File) map[*ast.Ident]bool {
-	decl := make(map[*ast.Ident]bool)
+// declLoader type-checks the packages found under one root, resolving
+// their imports of each other from source files and every other import
+// from the standard library's sources.
+type declLoader struct {
+	root  string
+	fset  *token.FileSet
+	std   types.Importer
+	dirs  map[string]string // import path -> directory
+	pkgs  map[string]*types.Package
+	infos []*types.Info
+	decls []decl // the declarations the gate judges
+}
+
+// decl is one declaration under internal/ and its report name.
+type decl struct {
+	name string
+	obj  types.Object
+}
+
+func newDeclLoader(root string) (*declLoader, error) {
+	fset := token.NewFileSet()
+	ld := &declLoader{
+		root: root,
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil),
+		dirs: make(map[string]string),
+		pkgs: make(map[string]*types.Package),
+	}
+	type module struct{ dir, path string }
+	var mods []module // enclosing modules, innermost last
+	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		for len(mods) > 0 && !within(dir, mods[len(mods)-1].dir) {
+			mods = mods[:len(mods)-1]
+		}
+		if mod, err := os.ReadFile(filepath.Join(dir, "go.mod")); err == nil {
+			mods = append(mods, module{dir, modulePath(mod)})
+		}
+		if len(mods) == 0 {
+			return nil
+		}
+		m := mods[len(mods)-1]
+		rel, err := filepath.Rel(m.dir, dir)
+		if err != nil {
+			return err
+		}
+		path := m.path
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
+		}
+		ld.dirs[path] = dir
+		return nil
+	})
+	return ld, err
+}
+
+// within reports whether dir is base or lies below it.
+func within(dir, base string) bool {
+	return dir == base || strings.HasPrefix(dir, base+string(filepath.Separator))
+}
+
+// modulePath returns the module path a go.mod file declares.
+func modulePath(mod []byte) string {
+	for _, line := range strings.Split(string(mod), "\n") {
+		if path, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.Trim(strings.TrimSpace(path), `"`)
+		}
+	}
+	return ""
+}
+
+// load type-checks a package under root from its non-test files,
+// once, and imports any other package from std.
+func (ld *declLoader) load(path string) (*types.Package, error) {
+	if pkg, ok := ld.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dir, ok := ld.dirs[path]
+	if !ok {
+		return ld.std.Import(path)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		ld.pkgs[path] = nil
+		return nil, nil
+	}
+	info := NewInfo()
+	cfg := types.Config{Importer: importerFunc(ld.load)}
+	pkg, err := cfg.Check(path, ld.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	ld.pkgs[path] = pkg
+	ld.infos = append(ld.infos, info)
+
+	rel, err := filepath.Rel(ld.root, dir)
+	if err != nil {
+		return nil, err
+	}
+	if name, ok := strings.CutPrefix(filepath.ToSlash(rel), "internal/"); ok {
+		for _, f := range files {
+			ld.decls = append(ld.decls, judged(name, f, info)...)
+		}
+	}
+	return pkg, nil
+}
+
+// judged returns the declarations of f that the gate judges, named
+// below package name pkg.
+func judged(pkg string, f *ast.File, info *types.Info) []decl {
+	var out []decl
 	for _, d := range f.Decls {
 		switch d := d.(type) {
 		case *ast.FuncDecl:
-			decl[d.Name] = true
+			if d.Recv == nil && d.Name.Name == "init" {
+				continue
+			}
+			name := pkg + "." + d.Name.Name
+			if d.Recv != nil {
+				name = pkg + "." + recvType(d.Recv.List[0].Type) + "." + d.Name.Name
+			}
+			out = append(out, decl{name, info.Defs[d.Name]})
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
+				var names []*ast.Ident
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					decl[s.Name] = true
+					names = []*ast.Ident{s.Name}
 				case *ast.ValueSpec:
-					for _, name := range s.Names {
-						decl[name] = true
+					names = s.Names
+				}
+				for _, n := range names {
+					if n.IsExported() {
+						out = append(out, decl{pkg + "." + n.Name, info.Defs[n]})
 					}
 				}
 			}
 		}
 	}
-	return decl
+	return out
+}
+
+// origin maps a generic instance's method or field back to the object
+// its declaration defines.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// interfacesIn adds to set every interface with methods that t is or
+// that t's signature, pointer, slice, array, map or channel structure
+// mentions.
+func interfacesIn(t types.Type, set map[types.Type]bool) {
+	switch t := t.(type) {
+	case *types.Named:
+		if iface, ok := t.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
+			set[t] = true
+		}
+	case *types.Interface:
+		if t.NumMethods() > 0 {
+			set[t] = true
+		}
+	case *types.Pointer:
+		interfacesIn(t.Elem(), set)
+	case *types.Slice:
+		interfacesIn(t.Elem(), set)
+	case *types.Array:
+		interfacesIn(t.Elem(), set)
+	case *types.Chan:
+		interfacesIn(t.Elem(), set)
+	case *types.Map:
+		interfacesIn(t.Key(), set)
+		interfacesIn(t.Elem(), set)
+	case *types.Signature:
+		for _, tuple := range []*types.Tuple{t.Params(), t.Results()} {
+			for i := range tuple.Len() {
+				interfacesIn(tuple.At(i).Type(), set)
+			}
+		}
+	}
+}
+
+// markImplementations marks as used every method through which one of
+// pkg's named types, or a pointer to one, implements an interface of
+// ifaces.
+func markImplementations(pkg *types.Package, ifaces map[types.Type]bool, used map[types.Object]bool) {
+	if pkg == nil {
+		return
+	}
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		named, ok := tn.Type().(*types.Named)
+		if !ok || types.IsInterface(named) || named.TypeParams().Len() > 0 {
+			continue
+		}
+		ptr := types.NewPointer(named)
+		mset := types.NewMethodSet(ptr)
+		for it := range ifaces {
+			iface := it.Underlying().(*types.Interface)
+			if !types.Implements(ptr, iface) {
+				continue
+			}
+			for i := range iface.NumMethods() {
+				m := iface.Method(i)
+				if sel := mset.Lookup(m.Pkg(), m.Name()); sel != nil {
+					used[sel.Obj()] = true
+				}
+			}
+		}
+	}
 }
 
 // recvType names a method's receiver type without pointer or type

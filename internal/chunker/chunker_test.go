@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func reassemble(chunks []Chunk) []byte {
@@ -60,7 +61,7 @@ func TestFixedPartitionProperty(t *testing.T) {
 	rng := sim.NewRNG(1)
 	f := func(sizeSeed uint16, n uint16) bool {
 		size := int64(sizeSeed%4096) + 1
-		data := rng.Bytes(int(n))
+		data := workload.Generate(rng, workload.Binary, int64(n))
 		chunks := NewFixed(size).Split(data)
 		// Exact coverage, in order, all within size.
 		var off int64
@@ -81,7 +82,7 @@ func TestContentDefinedPartitionProperty(t *testing.T) {
 	rng := sim.NewRNG(2)
 	cd := NewContentDefined(1024)
 	f := func(n uint16) bool {
-		data := rng.Bytes(int(n))
+		data := workload.Generate(rng, workload.Binary, int64(n))
 		chunks := cd.Split(data)
 		var off int64
 		for _, c := range chunks {
@@ -101,7 +102,7 @@ func TestContentDefinedPartitionProperty(t *testing.T) {
 func TestContentDefinedAverageSize(t *testing.T) {
 	rng := sim.NewRNG(3)
 	cd := NewContentDefined(4096)
-	data := rng.Bytes(1 << 20)
+	data := workload.Generate(rng, workload.Binary, 1<<20)
 	chunks := cd.Split(data)
 	avg := float64(len(data)) / float64(len(chunks))
 	if avg < 1024 || avg > 16384 {
@@ -116,7 +117,7 @@ func TestContentDefinedAverageSize(t *testing.T) {
 
 func TestContentDefinedDeterminism(t *testing.T) {
 	rng := sim.NewRNG(4)
-	data := rng.Bytes(100_000)
+	data := workload.Generate(rng, workload.Binary, 100_000)
 	cd := NewContentDefined(2048)
 	a, b := cd.Split(data), cd.Split(data)
 	if len(a) != len(b) {
@@ -135,7 +136,7 @@ func TestContentDefinedDeterminism(t *testing.T) {
 // after the edit point.
 func TestContentDefinedLocality(t *testing.T) {
 	rng := sim.NewRNG(5)
-	data := rng.Bytes(512 << 10)
+	data := workload.Generate(rng, workload.Binary, 512<<10)
 	cd := NewContentDefined(4096)
 	before := cd.Split(data)
 
@@ -143,7 +144,7 @@ func TestContentDefinedLocality(t *testing.T) {
 	edit := make([]byte, 0, len(data)+100)
 	mid := len(data) / 2
 	edit = append(edit, data[:mid]...)
-	edit = append(edit, rng.Bytes(100)...)
+	edit = append(edit, workload.Generate(rng, workload.Binary, 100)...)
 	edit = append(edit, data[mid:]...)
 	after := cd.Split(edit)
 

@@ -3,6 +3,7 @@ package client
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -49,7 +50,7 @@ func TestLazyPlanMatchesMaterializedPlan(t *testing.T) {
 			f.InsertAt(time.Time{}, "f.bin", off, workload.Generate(sim.NewRNG(seed+1), kind, 100<<10))
 			file, _ := f.Get("f.bin")
 			spliced := lazyPl.PlanFile("f.bin", file.Content())
-			eager = eagerPl.PlanFile("f.bin", workload.BytesContent(file.Bytes()))
+			eager = eagerPl.PlanFile("f.bin", workload.BytesContent(file.Content().Bytes()))
 			if !reflect.DeepEqual(spliced, eager) {
 				t.Fatalf("%s %v size=%d seed=%d insert at %d: spliced plan differs\n spliced %+v\n eager   %+v",
 					p.Service, kind, size, seed, off, spliced, eager)
@@ -76,6 +77,32 @@ func TestLazyPlanSkipsGeneration(t *testing.T) {
 	// as thousands of page-sized allocations worth of bytes.
 	if allocs > 4 {
 		t.Errorf("lazy planning allocated %v objects per plan; content was materialised", allocs)
+	}
+}
+
+// TestSplicedPlanSkipsGeneration: an edited generated file plans on
+// the lazy path too. Cloud Drive plans a 10 MB file with an insert in
+// the middle from its size alone, so planning it allocates nothing of
+// the file's size. The GCs first empty the materialisation pool, so a
+// generation could not hide in a recycled buffer.
+func TestSplicedPlanSkipsGeneration(t *testing.T) {
+	pl := newPlanner(CloudDrive(), dedup.NewStore())
+	f := workload.NewFolder()
+	f.CreateLazy(time.Time{}, "f.bin", workload.Describe(sim.NewRNG(1), workload.Binary, 10<<20))
+	f.InsertAt(time.Time{}, "f.bin", 5<<20, []byte("edit"))
+	file, _ := f.Get("f.bin")
+
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	plan := pl.PlanFile("f.bin", file.Content())
+	runtime.ReadMemStats(&after)
+	if len(plan.Units) != 1 || plan.Units[0].Bytes != 10<<20+4 {
+		t.Fatalf("spliced plan wrong: %+v", plan)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("planning a 10 MB spliced file allocated %d bytes: content was materialised", got)
 	}
 }
 
@@ -113,7 +140,7 @@ func TestSplicedPlanKeysOnlyBeforeTheSplice(t *testing.T) {
 		splicedPl := newPlanner(p, dedup.NewStore())
 		splicedPl.PlanFile("f.txt", workload.DescriptorContent(d))
 		spliced := splicedPl.PlanFile("f.txt", file.Content())
-		eager := newPlanner(p, dedup.NewStore()).PlanFile("f.txt", workload.BytesContent(file.Bytes()))
+		eager := newPlanner(p, dedup.NewStore()).PlanFile("f.txt", workload.BytesContent(file.Content().Bytes()))
 		if !reflect.DeepEqual(spliced, eager) {
 			t.Fatalf("insert at %d: spliced plan differs\n spliced %+v\n eager   %+v", off, spliced, eager)
 		}

@@ -42,11 +42,11 @@ func (p FilePlan) UploadBytes() int64 {
 }
 
 // planner turns changed files into upload plans, maintaining the
-// client-side state the capabilities need: the manifest of known chunk
-// hashes per path (deduplication) and per-chunk delta signatures
-// (delta encoding). State that no capability of the profile will ever
-// read — chunk hashes without dedup, signatures without delta
-// encoding — is not computed at all.
+// state the capabilities need: the service's chunk store
+// (deduplication) and per-chunk delta signatures (delta encoding).
+// State that no capability of the profile will ever read — chunk
+// hashes without dedup, signatures without delta encoding — is not
+// computed at all.
 //
 // Files arrive as workload.Content: a lazy descriptor, a descriptor
 // with one splice (an edited generated file), or eager bytes. The
@@ -54,21 +54,19 @@ func (p FilePlan) UploadBytes() int64 {
 // capability genuinely needs bytes: content-defined chunking, hashing
 // for dedup, delta signatures, encryption, or a compression-size cache
 // miss. A capability-poor profile (Cloud Drive: no chunking, no
-// compression) plans a whole upload of a plain descriptor from the
-// descriptor alone — zero content bytes ever exist — which removes
-// what used to be ~50% of its campaign repetitions. Spliced content
-// always materialises, once, on the same path as a lazy descriptor a
-// capability needs bytes of; its chunks that end before the splice
-// still resolve compression sizes through the base descriptor's keys.
+// compression) plans a whole upload of a descriptor, plain or
+// spliced, from its size alone — zero content bytes ever exist —
+// which removes what used to be ~50% of its campaign repetitions.
+// Chunks of spliced content that end before the splice resolve
+// compression sizes through the base descriptor's keys.
 // Materialisation goes into pooled buffers (workload.GetBuffer)
 // released at the end of each plan; nothing the planner retains
 // (hashes, signatures, sizes) aliases them.
 type planner struct {
-	profile  Profile
-	chunker  chunker.Chunker // nil for NoChunking
-	store    *dedup.Store    // the service's server-side chunk store
-	manifest *dedup.Manifest
-	sigs     map[string][]*deltaenc.Signature // per path, per chunk index
+	profile Profile
+	chunker chunker.Chunker                  // nil for NoChunking
+	store   *dedup.Store                     // the service's server-side chunk store
+	sigs    map[string][]*deltaenc.Signature // per path, per chunk index
 
 	// Scratch buffers reused across chunks and files.
 	encBuf []byte // ciphertext (Encryption)
@@ -77,10 +75,9 @@ type planner struct {
 
 func newPlanner(p Profile, store *dedup.Store) *planner {
 	pl := &planner{
-		profile:  p,
-		store:    store,
-		manifest: dedup.NewManifest(),
-		sigs:     make(map[string][]*deltaenc.Signature),
+		profile: p,
+		store:   store,
+		sigs:    make(map[string][]*deltaenc.Signature),
 	}
 	switch p.ChunkMode {
 	case FixedChunks:
@@ -129,36 +126,43 @@ func (pl *planner) PlanFile(path string, content workload.Content) FilePlan {
 	return plan
 }
 
-// planLazy plans a plain-descriptor file without materialising it.
+// planLazy plans lazy or spliced content without materialising it.
 // It applies when chunk boundaries are computable from the size alone
 // (no content-defined chunking) and no capability hashes, signs or
 // encrypts content. Transmit sizes come from the chunk length (no
-// compression) or the descriptor-keyed size cache; only a cache miss
-// generates bytes, once, into a pooled buffer.
+// compression), the descriptor-keyed size cache for a chunk the
+// content names as a descriptor window, or, as in unitBytes, the
+// content hash of any other chunk. Only a cache miss or an unkeyed
+// chunk under a compressing policy generates bytes, once, into a
+// pooled buffer.
 func (pl *planner) planLazy(path string, content workload.Content) (FilePlan, bool) {
 	prof := pl.profile
-	desc, lazy := content.Descriptor()
-	if !lazy || prof.ChunkMode == VariableChunks ||
+	if !content.Lazy() || prof.ChunkMode == VariableChunks ||
 		prof.Dedup || prof.DeltaEncoding || prof.Encryption {
 		return FilePlan{}, false
 	}
 
 	size := content.Size()
 	plan := FilePlan{Path: path, FileBytes: size}
-	var data []byte // materialised at most once, on a cache miss
+	var data []byte // materialised at most once, when a size needs bytes
 	for off := int64(0); off < size; {
 		ln := size - off
 		if prof.ChunkMode == FixedChunks && ln > prof.ChunkSize {
 			ln = prof.ChunkSize
 		}
 		o := off
-		wire := compressor.TransmitSizeKeyed(prof.Compression, descChunkKey(desc, o, ln), ln,
-			func() []byte {
-				if data == nil {
-					data = content.AppendTo(workload.GetBuffer(size))
-				}
-				return data[o : o+ln]
-			})
+		chunk := func() []byte {
+			if data == nil {
+				data = content.AppendTo(workload.GetBuffer(size))
+			}
+			return data[o : o+ln]
+		}
+		wire := ln
+		if d, ok := content.Window(o, ln); ok {
+			wire = compressor.TransmitSizeKeyed(prof.Compression, descChunkKey(d, o, ln), ln, chunk)
+		} else if prof.Compression != compressor.None {
+			wire = compressor.TransmitSize(prof.Compression, chunk())
+		}
 		plan.Units = append(plan.Units, TransferUnit{
 			Path:     path,
 			Bytes:    wire,
@@ -182,10 +186,6 @@ func (pl *planner) planBytes(path string, data []byte, content workload.Content)
 
 	chunks := pl.split(data)
 	oldSigs := pl.sigs[path]
-	var newHashes []dedup.Hash
-	if prof.Dedup {
-		newHashes = make([]dedup.Hash, 0, len(chunks))
-	}
 	var newSigs []*deltaenc.Signature
 	if prof.DeltaEncoding {
 		newSigs = make([]*deltaenc.Signature, 0, len(chunks))
@@ -202,21 +202,16 @@ func (pl *planner) planBytes(path string, data []byte, content workload.Content)
 			payload, _ = cryptobox.EncryptInto(pl.encBuf[:0], ch.Data)
 			pl.encBuf = payload
 		}
-		var h dedup.Hash
-		if prof.Dedup {
-			// Content addresses exist to be announced to the server;
-			// a client without the capability never computes them.
-			h = dedup.HashBytes(payload)
-			newHashes = append(newHashes, h)
-		}
 		if prof.DeltaEncoding {
 			newSigs = append(newSigs, deltaenc.Sign(ch.Data, deltaenc.DefaultBlockSize))
 		}
 
-		if prof.Dedup && !pl.store.PutHashed(h, int64(len(payload))) {
-			// One lookup decides both the dedup verdict and the
-			// insert: an already-present chunk is the hit, a new one
-			// is stored and uploaded below.
+		// Content addresses exist to be announced to the server; a
+		// client without the capability never computes them. One
+		// lookup decides both the dedup verdict and the insert: an
+		// already-present chunk is the hit, a new one is stored and
+		// uploaded below.
+		if prof.Dedup && !pl.store.PutHashed(dedup.HashBytes(payload), int64(len(payload))) {
 			plan.DedupSkipped += ch.Len()
 			continue
 		}
@@ -230,9 +225,6 @@ func (pl *planner) planBytes(path string, data []byte, content workload.Content)
 		})
 	}
 
-	if prof.Dedup {
-		pl.manifest.Set(path, newHashes)
-	}
 	if prof.DeltaEncoding {
 		pl.sigs[path] = newSigs
 	}
@@ -275,7 +267,6 @@ func (pl *planner) unitBytes(idx int, ch chunker.Chunk, payload []byte, oldSigs 
 // store is intentionally left alone: that is what lets deduplication
 // succeed when the file is later restored (Sect. 4.3 step iv).
 func (pl *planner) ForgetFile(path string) {
-	pl.manifest.Delete(path)
 	delete(pl.sigs, path)
 }
 

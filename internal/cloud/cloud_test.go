@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dedup"
 	"repro/internal/dnssim"
 	"repro/internal/geo"
 	"repro/internal/netem"
@@ -187,7 +188,7 @@ func TestStoreSharedAcrossService(t *testing.T) {
 	if d.Store == nil || d.Store.UniqueChunks() != 0 {
 		t.Fatal("store must start empty")
 	}
-	d.Store.Put([]byte("chunk"))
+	d.Store.PutHashed(dedup.HashBytes([]byte("chunk")), 5)
 	if d.Store.UniqueChunks() != 1 {
 		t.Fatal("store broken")
 	}

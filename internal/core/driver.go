@@ -83,31 +83,36 @@ type StopRule struct {
 	MaxReps int
 }
 
-// Validate rejects a rule no campaign can honour: a precision target
-// outside [0, 1) (zero takes the default), a negative repetition
-// bound, or MinReps above a set MaxReps, where a zero MinReps stands
-// for DefaultMinReps.
-func (r StopRule) Validate() error {
-	minReps := r.MinReps
-	if minReps == 0 {
-		minReps = DefaultMinReps
-	}
+// repsLimit bounds a rule's repetition counts: the driver allocates a
+// cell's opening batch of MinReps results at once.
+const repsLimit = 1 << 16
+
+// Validate rejects a rule no campaign under vr can honour: a precision
+// target outside [0, 1) (zero takes the default), a repetition bound
+// outside [0, repsLimit], or a set MaxReps below the minimum the rule
+// resolves to (withDefaults), so a cap is never raised.
+func (r StopRule) Validate(vr VarianceReduction) error {
 	switch {
 	case !(r.TargetRelHW >= 0 && r.TargetRelHW < 1):
 		return fmt.Errorf("precision target %g is outside [0, 1)", r.TargetRelHW)
 	case r.MinReps < 0 || r.MaxReps < 0:
 		return fmt.Errorf("repetition bounds must be >= 0 (min %d, max %d)", r.MinReps, r.MaxReps)
-	case r.MaxReps > 0 && minReps > r.MaxReps:
+	case r.MinReps > repsLimit || r.MaxReps > repsLimit:
+		return fmt.Errorf("repetition bounds must be <= %d (min %d, max %d)", repsLimit, r.MinReps, r.MaxReps)
+	}
+	if minReps := r.withDefaults(vr).MinReps; r.MaxReps > 0 && minReps > r.MaxReps {
 		return fmt.Errorf("min reps %d exceeds max reps %d", minReps, r.MaxReps)
 	}
 	return nil
 }
 
-// withDefaults resolves an adaptive rule: zero fields take the
-// defaults and the bounds are ordered. vr widens the minimum under
-// antithetic pairing: the stopping statistic is then computed over
-// pair means, so a decision needs at least two complete pairs, and
-// bounds are rounded to whole pairs.
+// withDefaults resolves an adaptive rule that Validate(vr) accepts:
+// zero fields take the defaults and MinReps is at least 2, so a
+// half-width exists. Under antithetic pairing the stopping statistic
+// is computed over pair means, so a decision needs at least two
+// complete pairs, and both bounds are rounded inward to whole pairs.
+// Only an unset MaxReps is ever raised, to a MinReps above
+// DefaultMaxReps.
 func (r StopRule) withDefaults(vr VarianceReduction) StopRule {
 	if r.TargetRelHW <= 0 {
 		r.TargetRelHW = DefaultTargetRelHW
@@ -126,7 +131,7 @@ func (r StopRule) withDefaults(vr VarianceReduction) StopRule {
 		if r.MinReps < 4 {
 			r.MinReps = 4
 		}
-		r.MaxReps += r.MaxReps % 2
+		r.MaxReps -= r.MaxReps % 2
 	}
 	if r.MaxReps < r.MinReps {
 		r.MaxReps = r.MinReps

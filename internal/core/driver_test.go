@@ -134,48 +134,62 @@ func TestFixedRule(t *testing.T) {
 // TestStopRuleValidate: zero fields are valid (they take defaults);
 // targets outside [0, 1), negative bounds and inverted bounds are not.
 func TestStopRuleValidate(t *testing.T) {
+	plain, anti := VarianceReduction{}, VarianceReduction{Antithetic: true}
 	for _, tc := range []struct {
 		rule StopRule
+		vr   VarianceReduction
 		ok   bool
 	}{
-		{StopRule{}, true},
-		{StopRule{TargetRelHW: 0.05, MinReps: 8, MaxReps: 96}, true},
-		{StopRule{TargetRelHW: 0.999}, true},
-		{StopRule{MinReps: 10}, true},
-		{StopRule{MinReps: 8, MaxReps: 8}, true},
-		{StopRule{TargetRelHW: -0.05}, false},
-		{StopRule{TargetRelHW: 1}, false},
-		{StopRule{TargetRelHW: 1.5}, false},
-		{StopRule{TargetRelHW: math.NaN()}, false},
-		{StopRule{MinReps: -1}, false},
-		{StopRule{MaxReps: -4}, false},
-		{StopRule{MinReps: 10, MaxReps: 5}, false},
+		{StopRule{}, plain, true},
+		{StopRule{TargetRelHW: 0.05, MinReps: 8, MaxReps: 96}, plain, true},
+		{StopRule{TargetRelHW: 0.999}, plain, true},
+		{StopRule{MinReps: 10}, plain, true},
+		{StopRule{MinReps: 8, MaxReps: 8}, plain, true},
+		{StopRule{TargetRelHW: -0.05}, plain, false},
+		{StopRule{TargetRelHW: 1}, plain, false},
+		{StopRule{TargetRelHW: 1.5}, plain, false},
+		{StopRule{TargetRelHW: math.NaN()}, plain, false},
+		{StopRule{MinReps: -1}, plain, false},
+		{StopRule{MaxReps: -4}, plain, false},
+		{StopRule{MinReps: 10, MaxReps: 5}, plain, false},
 		// A zero MinReps stands for DefaultMinReps, so a cap below it
 		// cannot be honoured either.
-		{StopRule{TargetRelHW: 0.05, MaxReps: DefaultMinReps}, true},
-		{StopRule{TargetRelHW: 0.05, MaxReps: DefaultMinReps - 1}, false},
-		{StopRule{TargetRelHW: 0.05, MaxReps: 2}, false},
-		{StopRule{MinReps: 2, MaxReps: 2}, true},
+		{StopRule{TargetRelHW: 0.05, MaxReps: DefaultMinReps}, plain, true},
+		{StopRule{TargetRelHW: 0.05, MaxReps: DefaultMinReps - 1}, plain, false},
+		{StopRule{TargetRelHW: 0.05, MaxReps: 2}, plain, false},
+		{StopRule{MinReps: 2, MaxReps: 2}, plain, true},
+		// A cap below the minimum the rule resolves to is rejected,
+		// not raised: one rep resolves to a minimum of 2, and
+		// antithetic pairing needs two whole pairs.
+		{StopRule{TargetRelHW: 0.05, MinReps: 1, MaxReps: 1}, plain, false},
+		{StopRule{TargetRelHW: 0.05, MinReps: 2, MaxReps: 2}, anti, false},
+		{StopRule{TargetRelHW: 0.05, MinReps: 3, MaxReps: 3}, anti, false},
+		{StopRule{TargetRelHW: 0.05, MinReps: 4, MaxReps: 4}, anti, true},
+		{StopRule{TargetRelHW: 0.05, MinReps: 4, MaxReps: 5}, anti, true},
+		{StopRule{MinReps: repsLimit}, plain, true},
+		{StopRule{MinReps: repsLimit + 1}, plain, false},
+		{StopRule{MaxReps: math.MaxInt}, anti, false},
 	} {
-		if err := tc.rule.Validate(); (err == nil) != tc.ok {
-			t.Errorf("%+v.Validate() = %v, want ok=%v", tc.rule, err, tc.ok)
+		if err := tc.rule.Validate(tc.vr); (err == nil) != tc.ok {
+			t.Errorf("%+v.Validate(%+v) = %v, want ok=%v", tc.rule, tc.vr, err, tc.ok)
 		}
 	}
 }
 
 // TestStopRuleDefaults pins the zero-value resolution and the
-// antithetic evenization (pair means need whole pairs).
+// antithetic evenization (pair means need whole pairs, rounded inside
+// the bounds, so a cap is never exceeded).
 func TestStopRuleDefaults(t *testing.T) {
 	r := StopRule{}.withDefaults(VarianceReduction{})
 	if r.TargetRelHW != DefaultTargetRelHW || r.MinReps != DefaultMinReps || r.MaxReps != DefaultMaxReps {
 		t.Fatalf("zero rule resolved to %+v", r)
 	}
 	r = StopRule{MinReps: 3, MaxReps: 7}.withDefaults(VarianceReduction{Antithetic: true})
-	if r.MinReps != 4 || r.MaxReps != 8 {
-		t.Fatalf("antithetic rule must round to whole pairs, got %+v", r)
+	if r.MinReps != 4 || r.MaxReps != 6 {
+		t.Fatalf("antithetic rule must round inward to whole pairs, got %+v", r)
 	}
-	if r := (StopRule{MinReps: 10, MaxReps: 5}).withDefaults(VarianceReduction{}); r.MaxReps != 10 {
-		t.Fatalf("MaxReps < MinReps must clamp up, got %+v", r)
+	if r := (StopRule{MinReps: 100}).withDefaults(VarianceReduction{}); r.MaxReps != 100 {
+		t.Fatalf("an unset MaxReps below MinReps must clamp up, got %+v", r)
 	}
 }
 

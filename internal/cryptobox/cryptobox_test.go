@@ -6,11 +6,12 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func TestRoundTrip(t *testing.T) {
 	rng := sim.NewRNG(1)
-	plain := rng.Bytes(10_000)
+	plain := workload.Generate(rng, workload.Binary, 10_000)
 	ct, key := Encrypt(plain)
 	back := Decrypt(ct, key)
 	if !bytes.Equal(back, plain) {
@@ -22,7 +23,7 @@ func TestConvergence(t *testing.T) {
 	// The Wuala property: identical plaintexts yield identical
 	// ciphertexts, so server-side dedup still works (Sect. 4.3).
 	rng := sim.NewRNG(2)
-	plain := rng.Bytes(4096)
+	plain := workload.Generate(rng, workload.Binary, 4096)
 	copy1 := append([]byte{}, plain...)
 	ct1, k1 := Encrypt(plain)
 	ct2, k2 := Encrypt(copy1)
@@ -42,7 +43,7 @@ func TestDifferentPlaintextsDiverge(t *testing.T) {
 func TestCiphertextLengthPreserved(t *testing.T) {
 	rng := sim.NewRNG(3)
 	for _, n := range []int{0, 1, 15, 16, 17, 4096, 100_000} {
-		plain := rng.Bytes(n)
+		plain := workload.Generate(rng, workload.Binary, int64(n))
 		ct, _ := Encrypt(plain)
 		if len(ct) != n {
 			t.Fatalf("len(ct) = %d for %d-byte plaintext", len(ct), n)
@@ -68,7 +69,7 @@ func TestCiphertextLooksRandom(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	rng := sim.NewRNG(4)
 	f := func(n uint16) bool {
-		plain := rng.Bytes(int(n))
+		plain := workload.Generate(rng, workload.Binary, int64(n))
 		ct, key := Encrypt(plain)
 		return bytes.Equal(Decrypt(ct, key), plain)
 	}

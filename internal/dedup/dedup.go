@@ -26,33 +26,3 @@ func HashBytes(b []byte) Hash { return sha256.Sum256(b) }
 // HashSize is the wire size of one content address as carried in
 // deduplication manifests.
 const HashSize = sha256.Size
-
-// Manifest is the client-side map from file path to the ordered chunk
-// hashes of its last synchronized revision. Delta encoding and rename
-// detection both start from here.
-type Manifest struct {
-	files map[string][]Hash
-}
-
-// NewManifest returns an empty manifest.
-func NewManifest() *Manifest {
-	return &Manifest{files: make(map[string][]Hash)}
-}
-
-// Set records the chunk list for a path.
-func (m *Manifest) Set(path string, hashes []Hash) {
-	cp := make([]Hash, len(hashes))
-	copy(cp, hashes)
-	m.files[path] = cp
-}
-
-// Get returns the chunk list for a path, or nil.
-func (m *Manifest) Get(path string) []Hash { return m.files[path] }
-
-// Delete forgets a path (the file was removed locally). Note that the
-// server Store keeps the chunks — exactly why deduplication still works
-// when the file comes back.
-func (m *Manifest) Delete(path string) { delete(m.files, path) }
-
-// Len returns the number of tracked paths.
-func (m *Manifest) Len() int { return len(m.files) }

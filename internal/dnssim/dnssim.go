@@ -172,16 +172,6 @@ type System struct {
 // NewSystem returns a DNS system over a fresh, open zone of its own.
 func NewSystem(rng *sim.RNG) *System { return NewZone().NewSystem(rng) }
 
-// Names returns every name with a policy, sorted.
-func (z *Zone) Names() []string {
-	out := make([]string, 0, len(z.policies))
-	for n := range z.policies {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Resolve answers an A query for name as seen from a resolver at the
 // given location. Unknown names resolve to nothing (NXDOMAIN).
 func (s *System) Resolve(name string, from geo.Coord) []string {

@@ -52,13 +52,13 @@ func TestStaticPoolAnswerAllocatesOnlyItsResult(t *testing.T) {
 		ips[i] = fmt.Sprintf("54.239.0.%d", i+1)
 	}
 	p := &StaticPool{IPs: ips, K: 4}
-	for _, rng := range []*sim.RNG{sim.NewRNG(5), sim.NewAntitheticRNG(5)} {
+	for anti, rng := range []*sim.RNG{sim.NewRNG(5), sim.NewAntitheticRNG(5)} {
 		if n := testing.AllocsPerRun(100, func() { p.AppendAnswer(nil, geo.Coord{}, rng) }); n != 1 {
-			t.Fatalf("antithetic=%v: AppendAnswer(nil) allocates %v times per query, want 1", rng.Antithetic(), n)
+			t.Fatalf("antithetic=%v: AppendAnswer(nil) allocates %v times per query, want 1", anti == 1, n)
 		}
 		scratch := make([]string, 0, p.K)
 		if n := testing.AllocsPerRun(100, func() { scratch = p.AppendAnswer(scratch[:0], geo.Coord{}, rng) }); n != 0 {
-			t.Fatalf("antithetic=%v: AppendAnswer(scratch) allocates %v times per query, want 0", rng.Antithetic(), n)
+			t.Fatalf("antithetic=%v: AppendAnswer(scratch) allocates %v times per query, want 0", anti == 1, n)
 		}
 	}
 }
@@ -154,9 +154,6 @@ func TestSystemResolveAndPTR(t *testing.T) {
 	}
 	if got := s.ReverseLookup("9.9.9.9"); got != "" {
 		t.Fatalf("missing PTR = %q", got)
-	}
-	if names := s.Names(); len(names) != 1 || names[0] != "storage.example" {
-		t.Fatalf("Names = %v", names)
 	}
 }
 

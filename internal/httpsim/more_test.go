@@ -32,14 +32,14 @@ func TestUploadWithZeroBody(t *testing.T) {
 }
 
 func TestSessionConnExposesTransport(t *testing.T) {
-	n, _, c, server := testbed(0)
+	n, cap, c, server := testbed(0)
 	s := c.Open(server, "s", sim.Epoch)
 	client, _ := n.HostByName("client.sim")
 	if got := s.Conn().RTT(); got != n.BaseRTT(client, server) {
 		t.Fatalf("session RTT = %v", got)
 	}
-	if s.Conn().ServerName() != "s" {
-		t.Fatal("server name lost")
+	if flows := cap.Flows(); len(flows) != 1 || flows[0].ServerName != "s" {
+		t.Fatalf("flows = %+v, want one to the dialed name", flows)
 	}
 }
 

@@ -16,9 +16,6 @@ func NewAddrPool(prefix string) *AddrPool {
 	return &AddrPool{prefix: prefix}
 }
 
-// Prefix returns the pool's /16 prefix.
-func (p *AddrPool) Prefix() string { return p.prefix }
-
 // Next allocates the next address in the block. It panics when the /16
 // is exhausted (65k hosts — far beyond any experiment here).
 func (p *AddrPool) Next() string {

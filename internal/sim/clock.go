@@ -34,9 +34,6 @@ func NewClock() *Clock { return &Clock{} }
 // Now returns the current virtual instant.
 func (c *Clock) Now() time.Time { return Epoch.Add(c.now) }
 
-// Since returns the elapsed virtual time from t to now.
-func (c *Clock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
-
 // AdvanceTo moves the clock forward to instant t. If t is in the past
 // the clock is left unchanged (it never rewinds).
 func (c *Clock) AdvanceTo(t time.Time) {

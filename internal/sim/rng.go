@@ -52,10 +52,6 @@ func NewAntitheticRNG(seed int64) *RNG {
 // Seed returns the seed this source was created with.
 func (r *RNG) Seed() int64 { return r.seed }
 
-// Antithetic reports whether this source complements its output
-// stream (see NewAntitheticRNG).
-func (r *RNG) Antithetic() bool { return r.pcg.mask != 0 }
-
 // Reseed resets the source in place to the exact state a fresh source
 // for seed would start in, without allocating — the hot-loop form of
 // NewRNG for callers that burn one short-lived stream per simulated
@@ -166,13 +162,6 @@ func (r *RNG) PermInto(dst []int) []int {
 		slices.Reverse(dst)
 	}
 	return dst
-}
-
-// Bytes fills and returns a new buffer of n random bytes.
-func (r *RNG) Bytes(n int) []byte {
-	b := make([]byte, n)
-	r.Fill(b)
-	return b
 }
 
 // Fill fills dst with random bytes: a plain word-copy loop — eight

@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// filled returns n bytes of r's stream.
+func filled(r *RNG, n int) []byte {
+	b := make([]byte, n)
+	r.Fill(b)
+	return b
+}
+
+// antithetic reports whether r complements its output stream.
+func antithetic(r *RNG) bool { return r.pcg.mask != 0 }
+
 // TestEnginesShareForkDerivation pins that the plain and antithetic
 // streams derive child seeds identically, and that Fork creates its
 // child with exactly the seed ForkSeed names: descriptor identity
@@ -39,8 +49,8 @@ func TestReseedMatchesFreshSource(t *testing.T) {
 				t.Fatalf("%s: reseeded stream diverged at draw %d", name, i)
 			}
 		}
-		if !bytes.Equal(reseeded.Bytes(100), fresh.Bytes(100)) {
-			t.Fatalf("%s: reseeded Bytes diverged", name)
+		if !bytes.Equal(filled(reseeded, 100), filled(fresh, 100)) {
+			t.Fatalf("%s: reseeded Fill diverged", name)
 		}
 	}
 
@@ -52,7 +62,7 @@ func TestReseedMatchesFreshSource(t *testing.T) {
 	anti := NewAntitheticRNG(3)
 	anti.Int63()
 	anti.Reseed(99)
-	if !anti.Antithetic() {
+	if !antithetic(anti) {
 		t.Fatal("Reseed dropped the antithetic mask")
 	}
 	check("antithetic", anti, NewAntitheticRNG(99))
@@ -62,26 +72,26 @@ func TestReseedMatchesFreshSource(t *testing.T) {
 // stream kind — a campaign never silently mixes plain and antithetic
 // byte streams.
 func TestForkInheritsEngine(t *testing.T) {
-	if NewRNG(1).Fork(2).Antithetic() {
+	if antithetic(NewRNG(1).Fork(2)) {
 		t.Fatal("plain fork became antithetic")
 	}
-	if !NewAntitheticRNG(1).Fork(2).Antithetic() {
+	if !antithetic(NewAntitheticRNG(1).Fork(2)) {
 		t.Fatal("antithetic fork lost its mask")
 	}
 }
 
 // TestPCGDeterminismAndFill pins the PCG stream: same seed, same
-// bytes, via Bytes and via Fill into a reused buffer.
+// bytes, whether Fill writes a fresh buffer or a reused one.
 func TestPCGDeterminismAndFill(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 8, 9, 4096, 100_001} {
-		want := NewRNG(3).Bytes(n)
-		if len(want) != n {
-			t.Fatalf("Bytes(%d) returned %d bytes", n, len(want))
-		}
+		want := filled(NewRNG(3), n)
 		got := make([]byte, n)
+		for i := range got {
+			got[i] = byte(i) // stale contents must not leak
+		}
 		NewRNG(3).Fill(got)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("Fill(%d) diverged from Bytes", n)
+			t.Fatalf("Fill(%d) into a reused buffer diverged", n)
 		}
 	}
 }
@@ -91,7 +101,7 @@ func TestPCGDeterminismAndFill(t *testing.T) {
 // statistical properties are established literature; this guards
 // against wiring bugs like a truncated output permutation.)
 func TestPCGByteUniformity(t *testing.T) {
-	b := NewRNG(1).Bytes(1 << 16)
+	b := filled(NewRNG(1), 1<<16)
 	var counts [256]int
 	var sum float64
 	for _, v := range b {
@@ -160,7 +170,7 @@ func BenchmarkFill(b *testing.B) {
 func TestAntitheticComplementsStream(t *testing.T) {
 	plain := NewRNG(7)
 	anti := NewAntitheticRNG(7)
-	if !anti.Antithetic() || plain.Antithetic() {
+	if !antithetic(anti) || antithetic(plain) {
 		t.Fatal("Antithetic flag wrong")
 	}
 	for i := 0; i < 1000; i++ {
@@ -188,7 +198,7 @@ func TestAntitheticComplementsStream(t *testing.T) {
 func TestAntitheticForkPropagates(t *testing.T) {
 	plain := NewRNG(9).Fork(3).Fork(5)
 	anti := NewAntitheticRNG(9).Fork(3).Fork(5)
-	if !anti.Antithetic() {
+	if !antithetic(anti) {
 		t.Fatal("Fork dropped the antithetic mask")
 	}
 	if plain.Seed() != anti.Seed() {
@@ -251,7 +261,7 @@ func TestPermIntoMatchesPerm(t *testing.T) {
 				if next := into.Uint64(); next != wantNext {
 					t.Fatalf("seed %d n %d anti %v: next draw after PermInto %x, want %x", seed, n, anti, next, wantNext)
 				}
-				if into.Antithetic() != anti {
+				if antithetic(into) != anti {
 					t.Fatalf("seed %d n %d: PermInto changed the antithetic mask", seed, n)
 				}
 			}
@@ -265,7 +275,7 @@ func TestPermIntoDoesNotAllocate(t *testing.T) {
 	for _, r := range []*RNG{NewRNG(3), NewAntitheticRNG(3)} {
 		var buf [32]int
 		if n := testing.AllocsPerRun(100, func() { r.PermInto(buf[:]) }); n != 0 {
-			t.Fatalf("antithetic=%v: PermInto allocates %v times per call", r.Antithetic(), n)
+			t.Fatalf("antithetic=%v: PermInto allocates %v times per call", antithetic(r), n)
 		}
 	}
 }

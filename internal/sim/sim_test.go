@@ -17,11 +17,11 @@ func TestClockAdvance(t *testing.T) {
 	c := NewClock()
 	c.AdvanceTo(Epoch.Add(3 * time.Second))
 	c.AdvanceTo(c.Now().Add(500 * time.Millisecond))
-	if got, want := c.Since(Epoch), 3500*time.Millisecond; got != want {
-		t.Fatalf("Since(Epoch) = %v, want %v", got, want)
+	if got, want := c.Now().Sub(Epoch), 3500*time.Millisecond; got != want {
+		t.Fatalf("elapsed = %v, want %v", got, want)
 	}
-	if got := c.Since(Epoch.Add(time.Second)); got != 2500*time.Millisecond {
-		t.Fatalf("Since = %v, want 2.5s", got)
+	if got := c.Now().Sub(Epoch.Add(time.Second)); got != 2500*time.Millisecond {
+		t.Fatalf("elapsed since 1s = %v, want 2.5s", got)
 	}
 }
 
@@ -29,11 +29,11 @@ func TestClockAdvanceToNeverRewinds(t *testing.T) {
 	c := NewClock()
 	c.AdvanceTo(Epoch.Add(10 * time.Second))
 	c.AdvanceTo(Epoch.Add(2 * time.Second))
-	if got := c.Since(Epoch); got != 10*time.Second {
+	if got := c.Now().Sub(Epoch); got != 10*time.Second {
 		t.Fatalf("clock rewound to %v", got)
 	}
 	c.AdvanceTo(Epoch.Add(15 * time.Second))
-	if got := c.Since(Epoch); got != 15*time.Second {
+	if got := c.Now().Sub(Epoch); got != 15*time.Second {
 		t.Fatalf("AdvanceTo forward = %v, want 15s", got)
 	}
 }
@@ -50,8 +50,8 @@ func TestSchedulerOrdering(t *testing.T) {
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("event order = %v, want [1 2 3]", got)
 	}
-	if c.Since(Epoch) != 3*time.Second {
-		t.Fatalf("clock after drain = %v, want 3s", c.Since(Epoch))
+	if c.Now().Sub(Epoch) != 3*time.Second {
+		t.Fatalf("clock after drain = %v, want 3s", c.Now().Sub(Epoch))
 	}
 }
 
@@ -82,7 +82,7 @@ func TestSchedulerRunUntil(t *testing.T) {
 	if ran != 1 {
 		t.Fatalf("ran %d events, want 1", ran)
 	}
-	if got := c.Since(Epoch); got != 2*time.Minute {
+	if got := c.Now().Sub(Epoch); got != 2*time.Minute {
 		t.Fatalf("clock = %v, want exactly 2m", got)
 	}
 	// The later event stays queued: one more step runs it.
@@ -137,8 +137,8 @@ func TestSchedulerEventReArming(t *testing.T) {
 	if depth != 4 {
 		t.Fatalf("depth = %d, want 4", depth)
 	}
-	if c.Since(Epoch) != 4*time.Second {
-		t.Fatalf("clock = %v, want 4s", c.Since(Epoch))
+	if c.Now().Sub(Epoch) != 4*time.Second {
+		t.Fatalf("clock = %v, want 4s", c.Now().Sub(Epoch))
 	}
 }
 
@@ -185,11 +185,21 @@ func TestRNGJitterBounds(t *testing.T) {
 	}
 }
 
+// TestRNGBytesLength pins that Fill writes exactly len(dst) bytes,
+// including a tail shorter than one generator word: a window of a
+// larger buffer leaves the bytes after it untouched.
 func TestRNGBytesLength(t *testing.T) {
 	r := NewRNG(3)
 	for _, n := range []int{0, 1, 17, 4096} {
-		if got := len(r.Bytes(n)); got != n {
-			t.Fatalf("Bytes(%d) len = %d", n, got)
+		buf := make([]byte, n+8)
+		for i := range buf {
+			buf[i] = 0xa5
+		}
+		r.Fill(buf[:n])
+		for i, b := range buf[n:] {
+			if b != 0xa5 {
+				t.Fatalf("Fill(%d bytes) wrote byte %d past the end", n, i)
+			}
 		}
 	}
 }

@@ -217,14 +217,8 @@ func (c *Conn) EstablishedAt() time.Time { return c.established }
 // instant a new operation can start.
 func (c *Conn) FreeAt() time.Time { return c.now }
 
-// Flow returns the trace flow ID of this connection.
-func (c *Conn) Flow() trace.FlowID { return c.flow }
-
 // Server returns the host this connection talks to.
 func (c *Conn) Server() *netem.Host { return c.server }
-
-// ServerName returns the DNS name the client dialed.
-func (c *Conn) ServerName() string { return c.serverName }
 
 // ensureOpen panics when traffic is attempted on a connection that
 // already completed its FIN exchange (Close) or was reset (Abort). A

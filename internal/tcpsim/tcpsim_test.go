@@ -283,15 +283,16 @@ func TestZeroCertBytesNoPhantomSegments(t *testing.T) {
 func TestDialerPortsWrap(t *testing.T) {
 	_, cap, d, server := testbed(iadCoord(), 20e6, 0)
 	d.nextPort = clientPortMax
-	c1 := d.Dial(server, "s", sim.Epoch, PlainTCP)
-	c2 := d.Dial(server, "s", sim.Epoch, PlainTCP)
-	if got := cap.Flow(c1.Flow()).Key.ClientPort; got != clientPortMax {
+	d.Dial(server, "s", sim.Epoch, PlainTCP)
+	d.Dial(server, "s", sim.Epoch, PlainTCP)
+	flows := cap.Flows()
+	if got := flows[0].Key.ClientPort; got != clientPortMax {
 		t.Fatalf("first port = %d, want %d", got, clientPortMax)
 	}
-	if got := cap.Flow(c2.Flow()).Key.ClientPort; got != clientPortBase {
+	if got := flows[1].Key.ClientPort; got != clientPortBase {
 		t.Fatalf("wrapped port = %d, want %d", got, clientPortBase)
 	}
-	if c1.Flow() == c2.Flow() {
+	if flows[0].ID == flows[1].ID {
 		t.Fatal("flow IDs must stay unique across port reuse")
 	}
 }

@@ -8,10 +8,7 @@
 // internal/netem's AddrPool.
 package whois
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Record describes one address block registration.
 type Record struct {
@@ -44,23 +41,4 @@ func (r *Registry) Lookup(ip string) (Record, bool) {
 	}
 	rec, ok := r.byPrefix[parts[0]+"."+parts[1]]
 	return rec, ok
-}
-
-// Owners returns the distinct owners of the given addresses, sorted.
-// Unregistered addresses are reported as "UNKNOWN".
-func (r *Registry) Owners(ips []string) []string {
-	seen := make(map[string]bool)
-	for _, ip := range ips {
-		if rec, ok := r.Lookup(ip); ok {
-			seen[rec.Owner] = true
-		} else {
-			seen["UNKNOWN"] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for o := range seen {
-		out = append(out, o)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -57,10 +57,6 @@ func (f *File) Content() Content { return f.content }
 // Size returns the file length without materialising lazy content.
 func (f *File) Size() int64 { return f.content.Size() }
 
-// Bytes returns the file content as a byte slice, materialising lazy
-// and spliced content. The returned slice must not be modified.
-func (f *File) Bytes() []byte { return f.content.Bytes() }
-
 // Folder is the virtual synchronized directory manipulated by the
 // testing application and watched by the client under test. It keeps
 // an append-only change journal (the equivalent of inotify events) and
@@ -169,9 +165,6 @@ func (f *Folder) Get(path string) (*File, bool) {
 	file, ok := f.files[path]
 	return file, ok
 }
-
-// Len returns the number of files currently present.
-func (f *Folder) Len() int { return len(f.files) }
 
 // ChangesSince returns the journal entries strictly after t.
 func (f *Folder) ChangesSince(t time.Time) []Change {

@@ -82,7 +82,7 @@ func TestFolderCreateWriteJournal(t *testing.T) {
 	f.Create(at(0), "a.bin", []byte("v1"))
 	f.Write(at(1), "a.bin", []byte("v2"))
 	file, ok := f.Get("a.bin")
-	if !ok || string(file.Bytes()) != "v2" || !file.ModTime.Equal(at(1)) {
+	if !ok || string(file.Content().Bytes()) != "v2" || !file.ModTime.Equal(at(1)) {
 		t.Fatalf("file state: %+v", file)
 	}
 	j := f.journal
@@ -96,20 +96,20 @@ func TestFolderAppendAndInsert(t *testing.T) {
 	f.Create(at(0), "a.bin", []byte("hello"))
 	f.Append(at(1), "a.bin", []byte(" world"))
 	file, _ := f.Get("a.bin")
-	if string(file.Bytes()) != "hello world" {
-		t.Fatalf("append: %q", file.Bytes())
+	if string(file.Content().Bytes()) != "hello world" {
+		t.Fatalf("append: %q", file.Content().Bytes())
 	}
 	f.InsertAt(at(2), "a.bin", 5, []byte(","))
 	file, _ = f.Get("a.bin")
-	if string(file.Bytes()) != "hello, world" {
-		t.Fatalf("insert: %q", file.Bytes())
+	if string(file.Content().Bytes()) != "hello, world" {
+		t.Fatalf("insert: %q", file.Content().Bytes())
 	}
 	// Boundary offsets.
 	f.InsertAt(at(3), "a.bin", 0, []byte(">"))
 	f.InsertAt(at(4), "a.bin", int64(len(">hello, world")), []byte("<"))
 	file, _ = f.Get("a.bin")
-	if string(file.Bytes()) != ">hello, world<" {
-		t.Fatalf("boundary insert: %q", file.Bytes())
+	if string(file.Content().Bytes()) != ">hello, world<" {
+		t.Fatalf("boundary insert: %q", file.Content().Bytes())
 	}
 }
 
@@ -138,7 +138,7 @@ func TestFolderInsertAtMatchesSplice(t *testing.T) {
 			want := slices.Concat(fresh[:off], insert, fresh[off:])
 			clear(insert)
 			file, _ := f.Get("x")
-			if got := file.Bytes(); !bytes.Equal(got, want) {
+			if got := file.Content().Bytes(); !bytes.Equal(got, want) {
 				t.Fatalf("lazy=%v off=%d: InsertAt differs from splice (len %d, want %d)", lazy, off, len(got), len(want))
 			}
 			if _, plain := file.Content().Descriptor(); file.Content().Lazy() != lazy || plain {
@@ -149,7 +149,7 @@ func TestFolderInsertAtMatchesSplice(t *testing.T) {
 			}
 
 			f.Append(at(2), "x", []byte("again"))
-			if file, _ = f.Get("x"); file.Content().Lazy() || !bytes.Equal(file.Bytes(), append(want, "again"...)) {
+			if file, _ = f.Get("x"); file.Content().Lazy() || !bytes.Equal(file.Content().Bytes(), append(want, "again"...)) {
 				t.Fatalf("lazy=%v off=%d: second edit lazy=%v or wrong bytes", lazy, off, file.Content().Lazy())
 			}
 		}
@@ -162,7 +162,7 @@ func TestFolderCopySharesImmutableContent(t *testing.T) {
 	f.Copy(at(1), "orig", "copy")
 	c, _ := f.Get("copy")
 	o, _ := f.Get("orig")
-	if !bytes.Equal(c.Bytes(), o.Bytes()) {
+	if !bytes.Equal(c.Content().Bytes(), o.Content().Bytes()) {
 		t.Fatal("copy content differs from source")
 	}
 	// A copied lazy file stays lazy: descriptors are immutable, so the
@@ -178,7 +178,7 @@ func TestFolderCopySharesImmutableContent(t *testing.T) {
 	if ld != sd {
 		t.Fatal("copied descriptor differs")
 	}
-	if !bytes.Equal(lc.Bytes(), mustFile(f, "lazy").Bytes()) {
+	if !bytes.Equal(lc.Content().Bytes(), mustFile(f, "lazy").Content().Bytes()) {
 		t.Fatal("lazy copy materialises differently")
 	}
 }
@@ -202,7 +202,7 @@ func TestFolderDeleteRestore(t *testing.T) {
 	}
 	f.Restore(at(2), "a")
 	file, ok := f.Get("a")
-	if !ok || !bytes.Equal(file.Bytes(), payload) {
+	if !ok || !bytes.Equal(file.Content().Bytes(), payload) {
 		t.Fatal("restore did not bring identical content back")
 	}
 	types := []ChangeType{Created, Deleted, Created}
@@ -253,8 +253,8 @@ func TestBatchMaterialize(t *testing.T) {
 	f := NewFolder()
 	b := Batch{Count: 10, Size: 10_000, Kind: Binary}
 	paths := b.Materialize(f, sim.NewRNG(1), at(0), "set1")
-	if len(paths) != 10 || f.Len() != 10 {
-		t.Fatalf("materialized %d files", f.Len())
+	if created := f.ChangesSince(at(-1)); len(paths) != 10 || len(created) != 10 {
+		t.Fatalf("materialized %d paths, %d files", len(paths), len(created))
 	}
 	for _, path := range paths {
 		if file, ok := f.Get(path); !ok || file.Size() != b.Size {
@@ -264,7 +264,7 @@ func TestBatchMaterialize(t *testing.T) {
 	// Files must differ from one another (independent RNG forks).
 	a, _ := f.Get(paths[0])
 	c, _ := f.Get(paths[1])
-	if bytes.Equal(a.Bytes(), c.Bytes()) {
+	if bytes.Equal(a.Content().Bytes(), c.Content().Bytes()) {
 		t.Fatal("batch files are identical")
 	}
 }
@@ -274,13 +274,13 @@ func TestBatchMaterialize(t *testing.T) {
 // for a plain root and for its antithetic twin.
 func TestBatchMaterializeDescribesForks(t *testing.T) {
 	b := Batch{Count: 12, Size: 3_000, Kind: FakeJPEG}
-	for _, root := range []*sim.RNG{sim.NewRNG(31), sim.NewAntitheticRNG(31)} {
+	for anti, root := range []*sim.RNG{sim.NewRNG(31), sim.NewAntitheticRNG(31)} {
 		f := NewFolder()
 		for i, path := range b.Materialize(f, root, at(0), "d") {
 			file, _ := f.Get(path)
 			got, lazy := file.Content().Descriptor()
 			if want := Describe(root.Fork(int64(i)), b.Kind, b.Size); !lazy || got != want {
-				t.Fatalf("antithetic=%v file %d: descriptor %v (lazy %v), want %v", root.Antithetic(), i, got, lazy, want)
+				t.Fatalf("antithetic=%v file %d: descriptor %v (lazy %v), want %v", anti == 1, i, got, lazy, want)
 			}
 		}
 	}
