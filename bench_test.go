@@ -319,32 +319,6 @@ func BenchmarkRecoveryUnderFailures(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignEngine measures the full campaign engine on the
-// paper's stress workload — 24 repetitions of 100x10 kB — through the
-// parallel worker pool and the forced-sequential path. Both produce
-// bit-identical summaries; the ratio of the two is the parallel
-// speedup on the current hardware.
-func BenchmarkCampaignEngine(b *testing.B) {
-	batch := workload.Batch{Count: 100, Size: 10_000, Kind: workload.Binary}
-	for _, svc := range []string{"clouddrive", "dropbox"} {
-		p, _ := client.ProfileFor(svc)
-		for _, mode := range []struct {
-			name    string
-			workers int
-		}{{"parallel", 0}, {"sequential", 1}} {
-			b.Run(svc+"/"+mode.name, func(b *testing.B) {
-				defer func(old int) { core.CampaignWorkers = old }(core.CampaignWorkers)
-				core.CampaignWorkers = mode.workers
-				var s core.Summary
-				for i := 0; i < b.N; i++ {
-					s = core.RunCampaign(p, batch, 24, 42)
-				}
-				b.ReportMetric(s.MeanCompletion.Seconds(), "completion_s")
-			})
-		}
-	}
-}
-
 // BenchmarkPropagation measures two-device end-to-end latency (upload
 // -> notify -> download) for a 1 MB file.
 func BenchmarkPropagation(b *testing.B) {

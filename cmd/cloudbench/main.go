@@ -27,6 +27,17 @@
 // Either way results, including the number of repetitions executed,
 // are bit-identical at any -parallel setting.
 //
+// Table 1 runs the same driver with one cell per service, each
+// repetition (probe) the five Sect. 4 detectors on one seed. By
+// default every service gets a single probe on -seed. Under
+// -precision each service's probes repeat across a seed stream until
+// the relative CI95 half-width of the bundling statistic (connections
+// per file) is at most the target, bounded by -min-reps/-max-reps,
+// and a table of probes, achieved precision and whether every probe
+// detected the same capabilities precedes Table 1. -antithetic and
+// -crn do not apply to the capability suite: its probes run on plain,
+// independent seeds.
+//
 // -parallel sets the fan-out of the whole experiment matrix: every
 // independent cell — benchmark repetitions, Fig. 4/5 sweep sizes,
 // capability detectors, (service, workload, vantage) combinations —
@@ -59,16 +70,16 @@ func main() {
 	var (
 		service    = flag.String("service", "all", "service to benchmark (dropbox, skydrive, wuala, googledrive, clouddrive, all)")
 		experiment = flag.String("experiment", "all", "experiment to run (table1, fig1, fig3, fig4, fig5, fig6, discover, protocols, bundling, recovery, propagation, locations, whatif, all)")
-		reps       = flag.Int("reps", core.DefaultReps, "repetitions per benchmark cell of fig6, locations and the loss sweep (the paper uses 24)")
+		reps       = flag.Int("reps", core.DefaultReps, "repetitions per benchmark cell of fig6, locations and the loss sweep (the paper uses 24; table1 probes once)")
 		seed       = flag.Int64("seed", 42, "base random seed")
 		doPlot     = flag.Bool("plot", false, "render ASCII charts for figs 1, 3 and 6")
 		parallel   = flag.Int("parallel", 0, "concurrent experiment cells across the whole matrix (0 = one per CPU, 1 = sequential; results are identical at any setting)")
 		loss       = flag.String("loss", "", "comma-separated segment-loss rates (e.g. 0.005,0.02,0.08): run the loss-sweep mode instead of -experiment")
-		precision  = flag.Float64("precision", 0, "adaptive sampling: stop each repeated cell once the relative CI95 half-width is at most this (e.g. 0.05); 0 = fixed -reps")
+		precision  = flag.Float64("precision", 0, "adaptive sampling: stop each repeated cell, table1's probes included, once the relative CI95 half-width is at most this (e.g. 0.05); 0 = fixed -reps")
 		minReps    = flag.Int("min-reps", core.DefaultMinReps, "adaptive sampling: smallest sample a cell may stop at")
 		maxReps    = flag.Int("max-reps", core.DefaultMaxReps, "adaptive sampling: hard repetition cap per cell")
-		antithetic = flag.Bool("antithetic", false, "adaptive sampling: pair repetitions on mirrored random streams (variance reduction)")
-		crn        = flag.Bool("crn", false, "adaptive sampling: common random numbers across services (pairs cross-service comparisons)")
+		antithetic = flag.Bool("antithetic", false, "adaptive sampling: pair repetitions on mirrored random streams (variance reduction; not for table1)")
+		crn        = flag.Bool("crn", false, "adaptive sampling: common random numbers across services (pairs cross-service comparisons; not for table1)")
 	)
 	flag.Parse()
 	d := design{
@@ -101,7 +112,7 @@ func main() {
 	any := false
 	if run("table1") {
 		any = true
-		table1(profiles, *seed)
+		table1(profiles, d, *seed)
 	}
 	if run("fig1") {
 		any = true
@@ -208,13 +219,30 @@ func selectProfiles(service string) ([]client.Profile, error) {
 	return []client.Profile{p}, nil
 }
 
-func table1(profiles []client.Profile, seed int64) {
-	fmt.Println("== Table 1: capabilities per service (detected from traffic) ==")
-	caps := core.DetectCapabilitiesAll(profiles, seed)
+// table1 detects every service's capabilities from one probe or,
+// under -precision, from probes repeated until the bundling statistic
+// is tight, preceded by how many probes ran, the precision they
+// reached and whether they agreed. Variance reduction does not apply.
+func table1(profiles []client.Profile, d design, seed int64) {
 	var order []string
 	for _, p := range profiles {
 		order = append(order, p.Service)
 	}
+	if !d.adaptive() {
+		fmt.Println("== Table 1: capabilities per service (detected from traffic) ==")
+		fmt.Print(core.Table1(core.DetectCapabilitiesAll(profiles, seed), order))
+		fmt.Println()
+		return
+	}
+	fmt.Printf("== Table 1: capabilities per service (detected from traffic), %s ==\n", d.label(0, ""))
+	fmt.Printf("%-14s%12s%12s%12s\n", "service", "unanimous", "probes", "achieved")
+	caps := make(map[string]core.Capabilities, len(profiles))
+	for _, cc := range core.DetectCapabilitiesAdaptive(profiles, d.rule, seed) {
+		caps[cc.Capabilities.Service] = cc.Capabilities
+		fmt.Printf("%-14s%12v%12d%11.2f%%\n",
+			cc.Capabilities.Service, cc.Unanimous, cc.RepsUsed, cc.AchievedRelHW*100)
+	}
+	fmt.Println()
 	fmt.Print(core.Table1(caps, order))
 	fmt.Println()
 }

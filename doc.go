@@ -156,7 +156,7 @@
 //     Fig4DeltaSeries/Fig5CompressionSeries over sweep sizes, and the
 //     five Sect. 4 detectors of each capability probe — so one knob
 //     (core.CampaignWorkers, default one worker per CPU; cmd/cloudbench
-//     and cmd/capcheck -parallel) governs the whole experiment matrix
+//     -parallel) governs the whole experiment matrix
 //     from a single shared worker budget.
 //     Nested fan-outs draw from the same budget, so pools never
 //     oversubscribe the machine. An inner pool opened while the budget
@@ -170,47 +170,52 @@
 //
 // # Campaign driver
 //
-// Every repeated campaign layer — the single campaign, the Fig. 6
-// matrix, the loss sweep, the location study, the full campaign and
-// the Table 1 capability suite — runs through one driver,
-// core.RunUntil, under a core.StopRule, and each layer has one body
-// (runCampaign, fig6, lossSweep, locationStudy,
-// detectCapabilities) that takes the rule. A layer is a set of cells;
-// each round fans the next batch of every still-open cell onto one
-// flat RunN (cell-major, rep-minor), then folds each cell's batch in
-// index order and asks the rule whether that cell may stop. A
-// capability cell is one service, and its repetition (a probe) is the
-// five Sect. 4 detectors on one seed. The paper fixes every benchmark
-// at 24 repetitions; that is the rule preset MinReps = MaxReps = reps
-// with no precision target (fixedRule), so a fixed entry point
-// (RunCampaign, Fig6Matrix, LossSweep, LocationStudy,
-// RunFullCampaign, and DetectCapabilitiesAll at one probe) is the
-// preset of its layer's body: a single round over the flat cell x
-// repetition matrix, each cell keeping Summarize's statistics.
+// Every repeated campaign layer — the Fig. 6 matrix, the loss sweep,
+// the location study, the full campaign and the Table 1 capability
+// suite — runs through one driver, core.RunUntil, under a
+// core.StopRule, and each layer has one body (fig6, lossSweep,
+// locationStudy, detectCapabilities) that takes the rule. A layer is
+// a set of cells; each round fans the next batch of every still-open
+// cell onto one flat RunN (cell-major, rep-minor), appends each
+// cell's batch to its sample in index order and asks the rule whether
+// that whole sample may stop. A capability cell is one service, and
+// its repetition (a probe) is the five Sect. 4 detectors on one seed.
+// The paper fixes every benchmark at 24 repetitions; that is the rule
+// preset MinReps = MaxReps = reps with no precision target
+// (fixedRule), so a fixed entry point (Fig6Matrix, LossSweep,
+// LocationStudy, RunFullCampaign, and DetectCapabilitiesAll at one
+// probe) is the preset of its layer's body: a single round over the
+// flat cell x repetition matrix.
 //
-// The adaptive entry points (RunCampaignAdaptive, Fig6MatrixAdaptive,
-// LossSweepAdaptive, LocationStudyAdaptive, DetectCapabilitiesAdaptive,
+// The adaptive entry points (Fig6MatrixAdaptive, LossSweepAdaptive,
+// LocationStudyAdaptive, DetectCapabilitiesAdaptive,
 // RunFullCampaignAdaptive) give the same bodies a precision target
 // instead: after an opening batch of MinReps, repetitions come
-// AdaptiveBatch at a time, capped at MaxReps; each batch folds into
-// an incremental Welford accumulator (stats.Accumulator, O(batch) per
-// check, mean bit-identical to the batch formulas), and a cell stops
-// once the relative CI95 half-width of the headline metrics
-// (completion, goodput) is at or below the target. Confidence
-// intervals use Student-t critical values (stats.TQuantile95 — exact
-// table to df 30, Cornish–Fisher beyond), so small samples are not
-// overconfident. Batch boundaries are constants of the rule, never
-// derived from the worker count, and every cell folds in index order
-// — the reps executed AND the resulting Summary are a pure function
-// of (seed, rule), bit-identical at any -parallel setting. Rep k of a
+// AdaptiveBatch at a time, capped at MaxReps, and a cell stops once
+// the relative CI95 half-width of the headline metrics (completion,
+// goodput) over its whole sample is at or below the target. One
+// statistic serves both designs: the stop check and Summarize's
+// AchievedRelHW are the same function of the same sample (achievedRelHW
+// in internal/core), so a cell stops on the number its Summary
+// reports, and a sample with no spread reports exactly 0. The
+// capability suite stops on the same relative half-width over its
+// probes' connections per file. Confidence intervals use Student-t
+// critical values (stats.TQuantile95 — exact table to df 30,
+// Cornish–Fisher beyond), so small samples are not overconfident.
+// Batch boundaries are constants of the rule, never derived from the
+// worker count, and every cell keeps its sample in index order — the
+// reps executed AND the resulting Summary are a pure function of
+// (seed, rule), bit-identical at any -parallel setting. Rep k of a
 // cell is the same repetition under every rule, so a fixed run is the
-// prefix an adaptive run extends. StopRule.Validate rejects rules no
-// campaign can honour, and the CLIs use it to refuse bad flags.
+// prefix an adaptive run extends, Summary and all. StopRule.Validate
+// rejects rules no campaign can honour, and the CLIs use it to refuse
+// bad flags.
 //
 // Two variance-reduction levers (core.VarianceReduction) hit the
 // target with fewer repetitions. Antithetic pairing gives rep 2k+1
-// its twin's seed on a complemented PCG stream (sim.NewAntitheticRNG)
-// and computes the stopping statistic over pair means; the mirroring
+// its twin's seed on a complemented PCG stream (sim.NewAntitheticRNG),
+// and both the stop check and the recorded AchievedRelHW take the
+// precision statistic over pair means; the mirroring
 // must survive the consumers, so RNG.Jitter reflects the accepted
 // uniform deviate (complemented raw words do not survive Int63n's
 // modulo) and RNG.PermInto returns the reversed twin permutation (the

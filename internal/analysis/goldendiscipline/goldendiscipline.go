@@ -86,9 +86,14 @@ var runnerPrefixes = []string{
 	"Fig", "Settle", "LocationStudy", "WhatIf", "LossSweep",
 }
 
+// runnerExact adds whole names, among them the unexported engine
+// bodies that in-package core tests drive directly: a prefix match is
+// case-sensitive, so "runCampaign" would not count as a "Run" runner.
 var runnerExact = map[string]bool{
-	"NewTestbed": true,
-	"NewDialer":  true,
+	"NewTestbed":     true,
+	"NewDialer":      true,
+	"runCampaign":    true,
+	"summarizeCells": true,
 }
 
 // enginePkgs are the packages whose runner calls gate the check: the

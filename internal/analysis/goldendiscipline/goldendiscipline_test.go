@@ -9,4 +9,5 @@ import (
 
 func TestGoldenDiscipline(t *testing.T) {
 	analysistest.Run(t, "repro/internal/foo", goldendiscipline.Analyzer)
+	analysistest.Run(t, "repro/internal/core", goldendiscipline.Analyzer)
 }

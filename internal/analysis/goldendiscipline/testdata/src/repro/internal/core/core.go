@@ -1,6 +1,7 @@
-// Package core is a fixture stub of the campaign engine: a runner
+// Package core is a fixture stub of the campaign engine: runners
 // whose summary fields count as engine metrics, plus the run-shape
-// fields (repetition counts, stopping rule echoes) that do not.
+// fields (repetition counts, stopping rule echoes) that do not. The
+// unexported bodies are what in-package tests drive.
 package core
 
 type Summary struct {
@@ -23,3 +24,7 @@ func RunCampaign(reps int) Summary {
 func RunCampaignAdaptive(maxReps int) Campaign {
 	return Campaign{Precision: 0.05, MaxReps: maxReps}
 }
+
+func runCampaign(reps int) Summary { return RunCampaign(reps) }
+
+func summarizeCells(cells int) []Summary { return make([]Summary, cells) }

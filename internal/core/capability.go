@@ -74,9 +74,9 @@ func DetectCapabilitiesAll(profiles []client.Profile, seed int64) map[string]Cap
 // profile across a campaignSeed-derived seed stream until each
 // service's continuous bundling statistic (connections per file) is
 // tight, reporting per service, in profile order, whether the boolean
-// verdicts were unanimous across probes. It is capcheck's -precision
-// mode: detection robustness quantified instead of assumed from a
-// single seed.
+// verdicts were unanimous across probes. It is cloudbench's
+// -experiment table1 under -precision: detection robustness
+// quantified instead of assumed from a single seed.
 func DetectCapabilitiesAdaptive(profiles []client.Profile, rule StopRule, seed int64) []CapabilityConfidence {
 	return detectCapabilities(profiles, rule.withDefaults(VarianceReduction{}), seed)
 }
@@ -90,17 +90,14 @@ type capabilityProbe struct {
 
 // detectCapabilities is the capability-suite body: one RunUntil cell
 // per profile, repetition rep probing on campaignSeed(seed, rep), and
-// each cell's stopping statistic the connections per file of its own
-// probes. Under fixedRule(1) the only probe runs on seed itself.
+// each cell's stopping statistic the relative CI95 half-width of the
+// connections per file over its probes so far. Under fixedRule(1)
+// the only probe runs on seed itself.
 func detectCapabilities(profiles []client.Profile, rule StopRule, seed int64) []CapabilityConfidence {
-	accs := make([]stats.Accumulator, len(profiles))
 	probes := RunUntil(len(profiles), rule, CampaignWorkers, func(c, rep int) capabilityProbe {
 		return probeCapabilities(profiles[c], campaignSeed(seed, rep))
-	}, func(c int, batch []capabilityProbe) bool {
-		for _, pr := range batch {
-			accs[c].Add(pr.conns)
-		}
-		return accs[c].RelHalfWidth() <= rule.TargetRelHW
+	}, func(_ int, sample []capabilityProbe) bool {
+		return connsRelHW(sample) <= rule.TargetRelHW
 	})
 	out := make([]CapabilityConfidence, len(profiles))
 	for c, ps := range probes {
@@ -108,7 +105,7 @@ func detectCapabilities(profiles []client.Profile, rule StopRule, seed int64) []
 			Capabilities:  ps[0].caps,
 			Unanimous:     true,
 			RepsUsed:      len(ps),
-			AchievedRelHW: accs[c].RelHalfWidth(),
+			AchievedRelHW: connsRelHW(ps),
 		}
 		for _, pr := range ps[1:] {
 			if pr.caps != out[c].Capabilities {
@@ -117,6 +114,15 @@ func detectCapabilities(profiles []client.Profile, rule StopRule, seed int64) []
 		}
 	}
 	return out
+}
+
+// connsRelHW is relHalfWidth of the probes' connections per file.
+func connsRelHW(probes []capabilityProbe) float64 {
+	conns := make([]float64, len(probes))
+	for i, pr := range probes {
+		conns[i] = pr.conns
+	}
+	return relHalfWidth(conns)
 }
 
 // probeCapabilities runs the five Sect. 4 detectors for one (profile,

@@ -74,7 +74,7 @@ func TestSummarizeEmptyPanics(t *testing.T) {
 
 func TestRunCampaignDispersion(t *testing.T) {
 	const reps = 6
-	s := RunCampaign(client.Wuala(), workload.Batch{Count: 1, Size: 100_000, Kind: workload.Binary}, reps, 3)
+	s := runCampaign(client.Wuala(), workload.Batch{Count: 1, Size: 100_000, Kind: workload.Binary}, fixedRule(reps), VarianceReduction{}, 3)
 	if s.Reps != reps {
 		t.Fatalf("reps = %d, want %d", s.Reps, reps)
 	}

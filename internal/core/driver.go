@@ -9,14 +9,13 @@ import (
 	"repro/internal/geo"
 	"repro/internal/netem"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 // This file is the campaign driver: the one engine behind every
 // repeated campaign layer. Each layer has one body that takes a
-// StopRule — runCampaign, fig6 (Fig6Matrix), lossSweep, locationStudy,
+// StopRule — fig6 (Fig6Matrix), lossSweep, locationStudy,
 // runFullCampaign and detectCapabilities, the Table 1 suite whose
 // repetition is a five-detector probe — and its fixed and adaptive
 // entry points are presets of that body. A layer is a set of cells —
@@ -24,8 +23,8 @@ import (
 // service per capability cell — each repeated under one StopRule. The
 // driver runs the cells in rounds: each round fans the next batch of
 // every still-open cell onto one flat RunN, cell-major and rep-minor,
-// then folds each cell's batch in index order and asks that cell's
-// rule whether to stop.
+// then appends each cell's batch to its sample in index order and
+// asks that cell's rule whether the sample may stop.
 //
 // A syncCell also owns the one upload script (syncCell.open, then
 // syncCell.upload) — settle, open the window, create the batch, sync,
@@ -39,14 +38,16 @@ import (
 // is a single round over the flat cell x repetition matrix. A
 // precision target makes the design sequential ("Sampling in Cloud
 // Benchmarking", PAPERS.md): after the MinReps opening batch a cell
-// grows by AdaptiveBatch, folding each batch into an incremental
-// precision tracker (stats.Accumulator — O(batch) per check, not
-// O(reps so far)), until the relative CI95 half-width of the headline
-// metrics (completion, goodput) is under target or MaxReps is hit.
+// grows by AdaptiveBatch until the relative CI95 half-width of the
+// headline metrics (completion, goodput) over its whole sample is
+// under target or MaxReps is hit. That statistic is achievedRelHW,
+// the one Summarize reports, so a cell stops on the number its
+// Summary carries; under antithetic pairing both take it over pair
+// means.
 //
 // Determinism: which repetitions run is a pure function of (seed,
 // rule). Batch boundaries are constants of the rule — never derived
-// from the worker count — and every cell folds its repetitions in
+// from the worker count — and every cell keeps its repetitions in
 // index order, so the reps executed and the resulting Summaries are
 // bit-identical at any worker count; -parallel only changes
 // wall-clock time. Rep k of a cell is the same repetition under
@@ -141,8 +142,8 @@ func (r StopRule) withDefaults(vr VarianceReduction) StopRule {
 
 // fixedRule is the fixed-budget preset: exactly reps repetitions per
 // cell, reps <= 0 meaning the paper's DefaultReps. It has no precision
-// target, so cells keep Summarize's AchievedRelHW, and unlike an
-// adaptive rule it allows a single repetition.
+// target, so no stop check runs, and unlike an adaptive rule it allows
+// a single repetition.
 func fixedRule(reps int) StopRule {
 	if reps <= 0 {
 		reps = DefaultReps
@@ -173,15 +174,15 @@ type VarianceReduction struct {
 // RunUntil is the campaign driver. It repeats run(cell, 0..) for each
 // of cells cells under rule and returns every cell's results in rep
 // order. Each round evaluates the next batch of every open cell on
-// one flat RunN, cell-major and rep-minor, then hands each cell's
-// batch to stop in cell order; stop folds the batch and reports
-// whether that cell's sample satisfies the rule. The first batch has
-// MinReps repetitions, later ones AdaptiveBatch, the last is clipped
-// to MaxReps, and a cell closes once stop is satisfied or MaxReps is
+// one flat RunN, cell-major and rep-minor, then appends each cell's
+// batch to its sample and, in cell order, asks stop whether that
+// whole sample satisfies the rule. The first batch has MinReps
+// repetitions, later ones AdaptiveBatch, the last is clipped to
+// MaxReps, and a cell closes once stop is satisfied or MaxReps is
 // reached — all constants of the rule, so which repetitions execute
 // is a pure function of (rule, stop), independent of workers. The
 // rule is used as given: resolve it with withDefaults or fixedRule.
-func RunUntil[T any](cells int, rule StopRule, workers int, run func(cell, rep int) T, stop func(cell int, batch []T) bool) [][]T {
+func RunUntil[T any](cells int, rule StopRule, workers int, run func(cell, rep int) T, stop func(cell int, sample []T) bool) [][]T {
 	out := make([][]T, cells)
 	open := make([]int, cells)
 	for c := range open {
@@ -193,52 +194,14 @@ func RunUntil[T any](cells int, rule StopRule, workers int, run func(cell, rep i
 		batch := RunN(len(open)*n, workers, func(i int) T { return run(open[i/n], base+i%n) })
 		still := open[:0]
 		for k, c := range open {
-			b := batch[k*n : (k+1)*n]
-			out[c] = append(out[c], b...)
-			if !stop(c, b) {
+			out[c] = append(out[c], batch[k*n:(k+1)*n]...)
+			if !stop(c, out[c]) {
 				still = append(still, c)
 			}
 		}
 		open, done, size = still, done+n, AdaptiveBatch
 	}
 	return out
-}
-
-// precisionTracker folds repetitions into the incremental stopping
-// statistic: one stats.Accumulator per headline metric, over raw
-// repetitions or — under antithetic pairing — over the means of
-// consecutive (plain, complemented) pairs.
-type precisionTracker struct {
-	pair                bool
-	pending             bool
-	pendC, pendG        float64
-	completion, goodput stats.Accumulator
-}
-
-func (t *precisionTracker) observe(m Metrics) {
-	c, g := float64(m.Completion), m.GoodputBps
-	if !t.pair {
-		t.completion.Add(c)
-		t.goodput.Add(g)
-		return
-	}
-	if !t.pending {
-		t.pendC, t.pendG, t.pending = c, g, true
-		return
-	}
-	t.completion.Add((t.pendC + c) / 2)
-	t.goodput.Add((t.pendG + g) / 2)
-	t.pending = false
-}
-
-// relHW is the current stopping statistic: the worst relative CI95
-// half-width over the headline metrics.
-func (t *precisionTracker) relHW() float64 {
-	r := t.completion.RelHalfWidth()
-	if g := t.goodput.RelHalfWidth(); g > r {
-		r = g
-	}
-	return r
 }
 
 // vrRNG builds the repetition's randomness root: the plain PCG stream,
@@ -350,46 +313,34 @@ func cellWorlds(cells []syncCell) []*world {
 
 // runCells drives sync-benchmark cells under rule. Under antithetic
 // pairing rep 2k+1 reuses rep 2k's seed on the complemented stream.
-// A rule with a precision target folds every batch into the cell's
-// precisionTracker and closes the cell once the target is met; the
-// fixed preset has no target and folds nothing. It returns each
-// cell's repetitions and trackers.
-func runCells(cells []syncCell, rule StopRule, vr VarianceReduction) ([][]Metrics, []precisionTracker) {
+// A rule with a precision target closes a cell once achievedRelHW of
+// its sample so far meets it; the fixed preset has no target and
+// tests nothing. It returns each cell's repetitions.
+func runCells(cells []syncCell, rule StopRule, vr VarianceReduction) [][]Metrics {
 	worlds := cellWorlds(cells)
-	trackers := make([]precisionTracker, len(cells))
-	runs := RunUntil(len(cells), rule, CampaignWorkers, func(ci, rep int) Metrics {
+	return RunUntil(len(cells), rule, CampaignWorkers, func(ci, rep int) Metrics {
 		anti := vr.Antithetic && rep%2 == 1
 		if vr.Antithetic {
 			rep -= rep % 2
 		}
 		c := &cells[ci]
 		return c.runSync(worlds[ci], vrRNG(c.seed(rep), anti))
-	}, func(ci int, batch []Metrics) bool {
-		if rule.TargetRelHW <= 0 {
-			return false
-		}
-		tr := &trackers[ci]
-		tr.pair = vr.Antithetic
-		for _, m := range batch {
-			tr.observe(m)
-		}
-		return tr.relHW() <= rule.TargetRelHW
+	}, func(_ int, sample []Metrics) bool {
+		return rule.TargetRelHW > 0 && achievedRelHW(sample, vr.Antithetic) <= rule.TargetRelHW
 	})
-	return runs, trackers
 }
 
 // summarizeCells is runCells folded into one Summary per cell. Under
-// a precision target the recorded AchievedRelHW is the statistic the
-// rule actually tested (pair means under antithetic pairing), so it
-// is the value that gated stopping; the fixed preset keeps
-// Summarize's.
+// antithetic pairing the recorded AchievedRelHW is taken over pair
+// means, the statistic a precision target stops on; otherwise it is
+// Summarize's, which is that statistic already.
 func summarizeCells(cells []syncCell, rule StopRule, vr VarianceReduction) []Summary {
-	runs, trackers := runCells(cells, rule, vr)
+	runs := runCells(cells, rule, vr)
 	out := make([]Summary, len(runs))
 	for i, r := range runs {
 		out[i] = Summarize(r)
-		if rule.TargetRelHW > 0 {
-			out[i].AchievedRelHW = trackers[i].relHW()
+		if vr.Antithetic {
+			out[i].AchievedRelHW = achievedRelHW(r, true)
 		}
 	}
 	return out

@@ -141,7 +141,7 @@ func BenchmarkRunCampaign(b *testing.B) {
 				defer func(old int) { CampaignWorkers = old }(CampaignWorkers)
 				CampaignWorkers = mode.workers
 				for i := 0; i < b.N; i++ {
-					RunCampaign(p, batch, 24, 42)
+					runCampaign(p, batch, fixedRule(24), VarianceReduction{}, 42)
 				}
 			})
 		}

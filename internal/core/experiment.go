@@ -59,31 +59,6 @@ func campaignSeed(baseSeed int64, rep int) int64 {
 	return baseSeed + int64(rep)*7919
 }
 
-// RunCampaign repeats one benchmark the paper's way — reps
-// repetitions with independent randomness (reps <= 0 means
-// DefaultReps) — and aggregates. Repetitions fan out over the shared
-// scheduler pool (CampaignWorkers); the summary is bit-identical to a
-// sequential run of the same base seed.
-func RunCampaign(p client.Profile, batch workload.Batch, reps int, baseSeed int64) Summary {
-	return runCampaign(p, batch, fixedRule(reps), VarianceReduction{}, baseSeed)
-}
-
-// RunCampaignAdaptive is RunCampaign under a stopping rule: the same
-// campaignSeed repetition stream (rep k of an adaptive run is
-// bit-identical to rep k of a fixed one when vr is zero), stopped as
-// soon as the precision target is met.
-func RunCampaignAdaptive(p client.Profile, batch workload.Batch, rule StopRule, vr VarianceReduction, baseSeed int64) Summary {
-	return runCampaign(p, batch, rule.withDefaults(vr), vr, baseSeed)
-}
-
-// runCampaign is the single-cell campaign body: repetition k runs on
-// campaignSeed(baseSeed, k) from the campus test computer.
-func runCampaign(p client.Profile, batch workload.Batch, rule StopRule, vr VarianceReduction, baseSeed int64) Summary {
-	cell := syncCell{p: p, batch: batch, host: campusHost, jitter: DefaultJitter,
-		seed: func(rep int) int64 { return campaignSeed(baseSeed, rep) }}
-	return summarizeCells([]syncCell{cell}, rule, vr)[0]
-}
-
 // IdleResult is one service's Fig. 1 dataset: the cumulative traffic
 // timeline from client start through 16 minutes, plus derived rates.
 type IdleResult struct {

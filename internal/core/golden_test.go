@@ -87,10 +87,10 @@ func TestCampaignParallelEquivalence(t *testing.T) {
 	batch := workload.Batch{Count: 20, Size: 10_000, Kind: workload.Binary}
 	p := client.CloudDrive()
 	var seq Summary
-	withWorkers(t, 1, func() { seq = RunCampaign(p, batch, 6, 42) })
+	withWorkers(t, 1, func() { seq = runCampaign(p, batch, fixedRule(6), VarianceReduction{}, 42) })
 	for _, workers := range []int{2, 4, 0} {
 		var par Summary
-		withWorkers(t, workers, func() { par = RunCampaign(p, batch, 6, 42) })
+		withWorkers(t, workers, func() { par = runCampaign(p, batch, fixedRule(6), VarianceReduction{}, 42) })
 		if !reflect.DeepEqual(seq, par) {
 			t.Errorf("workers=%d: summary differs from sequential engine\n seq %+v\n par %+v",
 				workers, seq, par)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/stats"
@@ -57,11 +58,11 @@ type Summary struct {
 	RepsUsed int
 	// AchievedRelHW is the achieved relative precision: the largest
 	// CI95 half-width over the headline metrics (completion, goodput),
-	// relative to the magnitude of the respective mean. Cells run
-	// under a precision target stop when it reaches the target and
-	// record the statistic the rule tested; fixed budgets report
-	// Summarize's value so two snapshots can be compared at equal
-	// confidence.
+	// relative to the magnitude of the respective mean, and exactly 0
+	// for a sample with no spread. It is the statistic a precision
+	// target stops on, under a fixed budget or an adaptive rule alike,
+	// so two snapshots can be compared at equal confidence; under
+	// antithetic pairing it is taken over pair means.
 	AchievedRelHW float64
 }
 
@@ -74,11 +75,10 @@ func Summarize(runs []Metrics) Summary {
 	var s Summary
 	s.Reps = len(runs)
 	s.RepsUsed = len(runs)
-	var startups, completions, goodputs []float64
-	for _, r := range runs {
-		startups = append(startups, float64(r.Startup))
-		completions = append(completions, float64(r.Completion))
-		goodputs = append(goodputs, r.GoodputBps)
+	completions, goodputs := headlines(runs, false)
+	startups := make([]float64, len(runs))
+	for i, r := range runs {
+		startups[i] = float64(r.Startup)
 		s.MeanTotalTraffic += r.TotalTraffic
 		s.MeanStorageUp += r.StorageUp
 		s.MeanOverhead += r.Overhead
@@ -99,16 +99,53 @@ func Summarize(runs []Metrics) Summary {
 	s.MedianCompletion = time.Duration(stats.Median(completions))
 	s.P95Completion = time.Duration(stats.Percentile(completions, 95))
 	s.MedianGoodputBps = stats.Median(goodputs)
-	s.AchievedRelHW = math.Max(relHalfWidth(completions), relHalfWidth(goodputs))
+	s.AchievedRelHW = worstRelHW(completions, goodputs)
 	return s
 }
 
-// relHalfWidth is the batch form of stats.Accumulator.RelHalfWidth:
-// the CI95 half-width relative to the magnitude of the mean, 0 for a
-// degenerate (zero-spread) sample, +Inf for a zero mean with spread.
+// achievedRelHW is the precision statistic of a sample of
+// repetitions: the larger relative CI95 half-width of completion and
+// goodput, over the repetitions themselves or, under antithetic
+// pairing, over the means of consecutive (plain, complemented) pairs.
+// Summarize reports it unpaired, and a cell under a precision target
+// stops on it.
+func achievedRelHW(runs []Metrics, pair bool) float64 {
+	return worstRelHW(headlines(runs, pair))
+}
+
+// headlines returns the headline samples of runs — completion and
+// goodput — one value per repetition, or under pairing one per whole
+// pair (an unpaired last repetition is left out).
+func headlines(runs []Metrics, pair bool) (completions, goodputs []float64) {
+	step := 1
+	if pair {
+		step = 2
+	}
+	completions = make([]float64, 0, len(runs)/step)
+	goodputs = make([]float64, 0, len(runs)/step)
+	for i := 0; i+step <= len(runs); i += step {
+		c, g := float64(runs[i].Completion), runs[i].GoodputBps
+		if pair {
+			c, g = (c+float64(runs[i+1].Completion))/2, (g+runs[i+1].GoodputBps)/2
+		}
+		completions = append(completions, c)
+		goodputs = append(goodputs, g)
+	}
+	return completions, goodputs
+}
+
+func worstRelHW(completions, goodputs []float64) float64 {
+	return math.Max(relHalfWidth(completions), relHalfWidth(goodputs))
+}
+
+// relHalfWidth is the CI95 half-width relative to the magnitude of
+// the mean: exactly 0 for a degenerate sample (fewer than two values,
+// or all equal, whose rounded mean would otherwise leave a residue of
+// ~1e-16), +Inf for a zero mean with spread, which never satisfies a
+// finite precision target.
 func relHalfWidth(v []float64) float64 {
 	mean, hw := stats.MeanCI95(v)
-	if hw == 0 {
+	if hw == 0 || slices.Min(v) == slices.Max(v) {
 		return 0
 	}
 	if mean == 0 {

@@ -47,8 +47,7 @@ import (
 // points, capability detectors, location-study cells) run concurrently,
 // each on its own testbed. Zero (the default) means one worker per
 // available CPU. Set to 1 to force the sequential engine; results are
-// bit-identical either way. cmd/cloudbench and cmd/capcheck expose
-// this as -parallel.
+// bit-identical either way. cmd/cloudbench exposes this as -parallel.
 var CampaignWorkers int
 
 // workerBudget resolves the effective process-wide worker budget:

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -111,9 +110,8 @@ func TestLocationStudyHonoursProfiles(t *testing.T) {
 
 // TestLocationFixedIsAdaptivePrefix: the fixed location study is the
 // adaptive one under MinReps = MaxReps, cell by cell — the precision
-// target changes when to stop, never what runs. Only AchievedRelHW may
-// differ: the adaptive summary records the tracker's statistic, the
-// fixed one Summarize's.
+// target changes when to stop, never what runs, and both designs
+// report the one precision statistic.
 func TestLocationFixedIsAdaptivePrefix(t *testing.T) {
 	batch := workload.Batch{Count: 1, Size: 100 << 10, Kind: workload.Binary}
 	sin, _ := VantageByName("SIN")
@@ -127,10 +125,6 @@ func TestLocationFixedIsAdaptivePrefix(t *testing.T) {
 	}
 	for i := range fixed {
 		f, a := fixed[i], adaptive[i]
-		if math.Abs(f.Summary.AchievedRelHW-a.Summary.AchievedRelHW) > 1e-9 {
-			t.Fatalf("cell %d achieved precision: fixed %v, adaptive %v", i, f.Summary.AchievedRelHW, a.Summary.AchievedRelHW)
-		}
-		a.Summary.AchievedRelHW = f.Summary.AchievedRelHW
 		if !reflect.DeepEqual(f, a) {
 			t.Fatalf("cell %d: adaptive 8-rep cell diverged from fixed 8-rep:\nfixed    %+v\nadaptive %+v", i, f, a)
 		}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"time"
@@ -44,13 +45,16 @@ func SizeLabel(n int64) string {
 }
 
 // Validate reports whether the batch describes a set of files that can
-// be created: at least one file, a non-negative size and a known Kind.
+// be created: at least one file, a non-negative size whose total over
+// the batch fits in an int64 (Total), and a known Kind.
 func (b Batch) Validate() error {
 	switch {
 	case b.Count < 1:
 		return fmt.Errorf("workload: batch needs at least one file, has %d", b.Count)
 	case b.Size < 0:
 		return fmt.Errorf("workload: negative file size %d", b.Size)
+	case b.Size > 0 && int64(b.Count) > math.MaxInt64/b.Size:
+		return fmt.Errorf("workload: %d files of %d bytes overflow an int64 total", b.Count, b.Size)
 	case !slices.Contains(Kinds, b.Kind):
 		return fmt.Errorf("workload: unknown file kind %d", int(b.Kind))
 	}

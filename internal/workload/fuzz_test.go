@@ -65,3 +65,24 @@ func FuzzSplicedContent(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBatch checks Validate over any count, size and kind: no input
+// panics, and a batch it accepts has a label and a Total that neither
+// overflowed nor lost a file: non-negative, and Total()/Count == Size.
+func FuzzBatch(f *testing.F) {
+	f.Add(100, int64(10_000), int(Binary))
+	f.Add(1, int64(0), int(Text))
+	f.Add(3, int64(1)<<62, int(Binary))
+	f.Fuzz(func(t *testing.T, count int, size int64, kind int) {
+		b := Batch{Count: count, Size: size, Kind: Kind(kind)}
+		if b.Validate() != nil {
+			return
+		}
+		if total := b.Total(); total < 0 || total/int64(b.Count) != b.Size {
+			t.Fatalf("%+v accepted with Total %d", b, total)
+		}
+		if b.String() == "" {
+			t.Fatalf("%+v accepted without a label", b)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -316,6 +317,10 @@ func TestBatchValidate(t *testing.T) {
 		{Batch{Count: 1, Size: -5, Kind: Binary}, false},
 		{Batch{Count: 1, Size: 10, Kind: Kind(-1)}, false},
 		{Batch{Count: 1, Size: 10, Kind: PixelImage + 1}, false},
+		{Batch{Count: 2, Size: math.MaxInt64 / 2, Kind: Binary}, true},
+		{Batch{Count: 3, Size: 1 << 62, Kind: Binary}, false},
+		{Batch{Count: math.MaxInt, Size: 2, Kind: Binary}, false},
+		{Batch{Count: math.MaxInt, Size: 1, Kind: Binary}, true},
 	}
 	for _, c := range cases {
 		if err := c.b.Validate(); (err == nil) != c.ok {

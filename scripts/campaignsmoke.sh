@@ -14,9 +14,10 @@
 # protocol report walk a recorder registered on each service's
 # streaming trace. The smoke runs a fixed Fig. 6 matrix, an adaptive
 # one, a fixed loss sweep, a fixed and an adaptive location study, the
-# Fig. 4 and Fig. 5 sweeps, Table 1, the what-if studies, Fig. 3,
-# discovery, Fig. 1 and the protocol report at -parallel 1 and
-# -parallel 4 and byte-compares each pair of outputs; any diff is a
+# Fig. 4 and Fig. 5 sweeps, Table 1 from one probe and from adaptively
+# repeated probes, the what-if studies, Fig. 3, discovery, Fig. 1 and
+# the protocol report at -parallel 1 and -parallel 4 and
+# byte-compares each pair of outputs; any diff is a
 # determinism regression in the driver, the scheduler or a layer on
 # top of them.
 #
@@ -56,6 +57,7 @@ check fig5 -experiment fig5
 check locations-fixed -experiment locations -reps 2
 check locations-adaptive -experiment locations -precision 0.05 -max-reps 8
 check table1 -experiment table1
+check table1-adaptive -experiment table1 -service dropbox -precision 0.05 -max-reps 8
 check whatif -experiment whatif
 check fig3 -experiment fig3
 check discover -experiment discover
