@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/client"
@@ -79,8 +80,14 @@ func main() {
 			m.Overhead, m.Connections)
 	}
 
-	// The custom service goes through the identical harness.
-	tb := core.NewTestbedFor(euroSyncProfile(), euroSyncSpec(), 1, core.DefaultJitter)
+	// The custom service goes through the identical harness, once its
+	// profile is one the client engine can run.
+	prof := euroSyncProfile()
+	if err := prof.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	tb := core.NewTestbedFor(prof, euroSyncSpec(), 1, core.DefaultJitter)
 	start := tb.Settle()
 	t0 := tb.Clock.Now()
 	tb.StartWindow(t0)

@@ -68,11 +68,15 @@ type ContentDefined struct {
 	mask          uint32
 }
 
+// MinAverage is the smallest average chunk size NewContentDefined
+// accepts.
+const MinAverage = 64
+
 // NewContentDefined returns a content-defined chunker with the given
 // average chunk size (rounded down to a power of two for the boundary
 // mask). Min defaults to avg/4 and max to avg*4.
 func NewContentDefined(avg int64) *ContentDefined {
-	if avg < 64 {
+	if avg < MinAverage {
 		panic(fmt.Sprintf("chunker: average %d too small", avg))
 	}
 	// Mask with log2(avg) low bits set: boundary probability 1/avg.

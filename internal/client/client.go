@@ -53,8 +53,12 @@ type Config struct {
 	RNG     *sim.RNG
 }
 
-// New creates a client. It performs no traffic until Login.
+// New creates a client. It performs no traffic until Login. It panics
+// with Validate's message on an invalid profile.
 func New(cfg Config) *Client {
+	if err := cfg.Profile.Validate(); err != nil {
+		panic(err.Error())
+	}
 	if cfg.Profile.Service != cfg.Deploy.Spec.Service {
 		panic(fmt.Sprintf("client: profile %q wired to deployment %q",
 			cfg.Profile.Service, cfg.Deploy.Spec.Service))

@@ -11,8 +11,10 @@
 package client
 
 import (
+	"fmt"
 	"time"
 
+	"repro/internal/chunker"
 	"repro/internal/compressor"
 	"repro/internal/httpsim"
 )
@@ -152,6 +154,33 @@ type Profile struct {
 
 	// HTTP dialect.
 	HTTP httpsim.Profile
+}
+
+// Validate reports the first capability setting the client engine
+// cannot run: an unknown compression policy or chunking mode, a fixed
+// chunk size that is not positive, or a content-defined average below
+// chunker.MinAverage.
+func (p Profile) Validate() error {
+	switch p.Compression {
+	case compressor.None, compressor.Always, compressor.Smart:
+	default:
+		return fmt.Errorf("client: profile %q: unknown compression policy %d", p.Name, int(p.Compression))
+	}
+	switch p.ChunkMode {
+	case NoChunking:
+	case FixedChunks:
+		if p.ChunkSize <= 0 {
+			return fmt.Errorf("client: profile %q: fixed chunk size must be > 0 (got %d)", p.Name, p.ChunkSize)
+		}
+	case VariableChunks:
+		if p.ChunkSize < chunker.MinAverage {
+			return fmt.Errorf("client: profile %q: content-defined average chunk size must be >= %d (got %d)",
+				p.Name, chunker.MinAverage, p.ChunkSize)
+		}
+	default:
+		return fmt.Errorf("client: profile %q: unknown chunk mode %d", p.Name, int(p.ChunkMode))
+	}
+	return nil
 }
 
 // Dropbox: the most sophisticated client in the study — 4 MB fixed

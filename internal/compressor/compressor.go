@@ -9,14 +9,17 @@
 //     feeding it fake JPEGs: JPEG header, text body — Google Drive
 //     trusts the header and skips compression, Fig. 5c).
 //
-// Compression is real DEFLATE via compress/flate, so upload volumes
+// A compressed payload is charged the exact length of the level-6
+// DEFLATE stream compress/flate writes for it, so upload volumes
 // inherit genuine content-dependent ratios: dictionary text shrinks
 // ~3-4x, random bytes grow slightly, fake JPEGs shrink only under the
-// Always policy.
+// Always policy. The length comes from a size-only port of flate's
+// level-6 compressor (deflatesize.go) that runs the same match search
+// and block choices but writes no stream; compress/flate itself is the
+// oracle its tests compare against.
 package compressor
 
 import (
-	"compress/flate"
 	"crypto/sha256"
 	"fmt"
 	"sync"
@@ -49,37 +52,18 @@ func (p Policy) String() string {
 	}
 }
 
-// Level is the flate level used by Always and Smart. Level 6 is the
-// usual default trade-off.
-const Level = 6
-
-// writers pools flate compressor state (several hundred kB each, the
-// dominant allocation of the old per-call flate.NewWriter) across the
-// many per-chunk size computations of a benchmark campaign. DEFLATE
-// output depends only on the input and level, so pooling never changes
-// a transmitted size.
-var writers = sync.Pool{New: func() any {
-	w, err := flate.NewWriter(nil, Level)
-	if err != nil {
-		panic(err) // only on invalid level
-	}
-	return w
-}}
-
-// countWriter discards output, keeping only its size.
-type countWriter int64
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	*c += countWriter(len(p))
-	return len(p), nil
-}
+// sizers pools size-only DEFLATE states (about 700 kB each, most of it
+// the hash chains and window) across the many per-chunk size
+// computations of a benchmark campaign. A size depends only on the
+// input, so pooling never changes a transmitted size.
+var sizers = sync.Pool{New: func() any { return new(deflateSizer) }}
 
 // TransmitSize returns the byte count the policy transmits for one
 // payload: its raw length when the policy skips it, otherwise the
-// length of its level-Level DEFLATE stream, counted without
-// materialising the compressed output — the upload planner only ever
-// needs the size. The count is exact: DEFLATE is deterministic, so
-// counting bytes into a sink yields the same number as buffering them,
+// length of its level-6 DEFLATE stream, computed without
+// producing the compressed output — the upload planner only ever
+// needs the size. The count is exact: DEFLATE is deterministic, so the
+// size-only kernel yields the length of the stream flate would write,
 // and the (content hash -> size) cache below can never change a
 // result, only skip recomputing it.
 func TransmitSize(p Policy, data []byte) int64 {
@@ -92,22 +76,25 @@ func TransmitSize(p Policy, data []byte) int64 {
 		}
 	case Always:
 	default:
+		// client.Profile.Validate rejects an unknown policy before a
+		// client plans any upload, so only a bug gets here.
 		panic(fmt.Sprintf("compressor: unknown policy %d", int(p)))
 	}
 	return deflatedSize(data)
 }
 
 // Size-only DEFLATE dominates the CPU of campaigns against compressing
-// services: level-6 flate over every uploaded chunk was 77% of a Fig. 6
-// matrix's CPU while Dropbox and Google Drive each deflated their own
-// copy of the contents the matrix shares across services. Harnesses
-// also re-plan identical content: repeated engine timings over one
-// seed and the parallel-vs-sequential bit-identity checks. The caches
-// below hold only pure functions of the content (sniff verdict,
-// deflated size), never a policy's answer, so one entry serves every
-// policy and sizes stay exact. The hash cache keys by SHA-256, an order
-// of magnitude cheaper than the DEFLATE it saves; collisions are not a
-// practical concern.
+// services: traced at seed 42 on a 2-vCPU x86-64 VM, the compressor is
+// 55% of cmd/perfbench's fig6 CPU and 67% of its delta_edit CPU, and
+// without the caches Dropbox and Google Drive would each deflate their
+// own copy of the contents a Fig. 6 matrix shares across services.
+// Harnesses also re-plan identical content: repeated engine timings
+// over one seed and the parallel-vs-sequential bit-identity checks.
+// The caches below hold only pure functions of the content (sniff
+// verdict, deflated size), never a policy's answer, so one entry
+// serves every policy and sizes stay exact. The hash cache keys by
+// SHA-256, an order of magnitude cheaper than the DEFLATE it saves;
+// collisions are not a practical concern.
 const (
 	// sizeCacheMinLen keeps tiny payloads (delta literal runs, sub-kB
 	// files) out of the hash cache: hashing overhead and map churn
@@ -200,6 +187,8 @@ func TransmitSizeKeyed(p Policy, key ContentKey, rawLen int64, data func() []byt
 		return rawLen
 	case Always, Smart:
 	default:
+		// As in TransmitSize: client.Profile.Validate rejects an
+		// unknown policy before any upload is planned.
 		panic(fmt.Sprintf("compressor: unknown policy %d", int(p)))
 	}
 	e, ok := keyedSizes.get(key)
@@ -217,19 +206,13 @@ func TransmitSizeKeyed(p Policy, key ContentKey, rawLen int64, data func() []byt
 	return e.deflated
 }
 
-// countDeflate runs the real level-6 DEFLATE into a counting sink.
+// countDeflate returns the length of the level-6 DEFLATE stream
+// of data.
 func countDeflate(data []byte) int64 {
-	var n countWriter
-	w := writers.Get().(*flate.Writer)
-	w.Reset(&n)
-	if _, err := w.Write(data); err != nil {
-		panic(err) // countWriter cannot fail
-	}
-	if err := w.Close(); err != nil {
-		panic(err)
-	}
-	writers.Put(w)
-	return int64(n)
+	d := sizers.Get().(*deflateSizer)
+	n := d.size(data)
+	sizers.Put(d)
+	return n
 }
 
 // LooksCompressed sniffs magic numbers of common already-compressed

@@ -10,13 +10,13 @@ import (
 	"repro/internal/workload"
 )
 
-// deflateLen is the length of a real level-Level DEFLATE stream of
-// data, checked to decompress back to data: the reference the counted
-// sizes must equal.
+// deflateLen is the length of a real level-6 DEFLATE stream of data,
+// checked to decompress back to data: the oracle the counted sizes
+// must equal.
 func deflateLen(t testing.TB, data []byte) int64 {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, Level)
+	w, err := flate.NewWriter(&buf, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,8 +162,13 @@ func (tb *Testbed) Settle() time.Time {
 // StartWindow registers the benchmark measurement window [t0,
 // FarFuture), so that every packet recorded from here on is folded
 // into it. It must be called right when the window opens — after
-// login/settle traffic, before the workload is materialized.
+// login/settle traffic, before the workload is materialized. A window
+// it replaces is unregistered: benchWindow can no longer reach it, so
+// folding more records into it would be wasted work.
 func (tb *Testbed) StartWindow(t0 time.Time) {
+	if tb.win != nil {
+		tb.Stream.RemoveWindow(tb.win)
+	}
 	tb.win = tb.Stream.AddWindow(t0, trace.FarFuture)
 }
 

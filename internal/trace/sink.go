@@ -166,6 +166,13 @@ func (s *Streamer) AddWindow(from, to time.Time) *StreamWindow {
 	return w
 }
 
+// RemoveWindow unregisters w: later records no longer fold into it,
+// and what it folded so far stays readable. Removing a window that is
+// not registered does nothing.
+func (s *Streamer) RemoveWindow(w *StreamWindow) {
+	s.wins = slices.DeleteFunc(s.wins, func(x *StreamWindow) bool { return x == w })
+}
+
 // recorder is a Capture the streamer feeds with every record from one
 // instant on.
 type recorder struct {

@@ -295,6 +295,26 @@ func TestAddWindowAfterQuietPointOK(t *testing.T) {
 	}
 }
 
+// TestRemoveWindowStopsFolding: a removed window keeps what it folded
+// but folds nothing recorded after its removal, while the windows
+// still registered go on folding.
+func TestRemoveWindowStopsFolding(t *testing.T) {
+	s := NewStreamer()
+	id := s.OpenFlow(FlowKey{}, "x", at(0))
+	old := s.AddWindow(at(10), FarFuture)
+	kept := s.AddWindow(at(10), FarFuture)
+	s.Record(Packet{Time: at(20), Flow: id, Wire: 10, Payload: 4})
+	s.RemoveWindow(old)
+	s.RemoveWindow(old) // a second removal is a no-op
+	s.Record(Packet{Time: at(30), Flow: id, Wire: 100, Payload: 40})
+	if a := old.Analyze(AllFlows); a.Packets != 1 || a.TotalWire != 10 {
+		t.Fatalf("removed window folded %d packets, %d wire bytes; want only the record before removal", a.Packets, a.TotalWire)
+	}
+	if a := kept.Analyze(AllFlows); a.Packets != 2 || a.TotalWire != 110 {
+		t.Fatalf("registered window folded %d packets, %d wire bytes; want both records", a.Packets, a.TotalWire)
+	}
+}
+
 // TestStreamerRecordDoesNotAllocate pins the fold's steady state: once
 // a flow is open and its window accumulator exists, recording a plain
 // record folds it in place without a single allocation.
