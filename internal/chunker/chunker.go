@@ -11,7 +11,10 @@
 //     content features, so local edits disturb only nearby chunks.
 package chunker
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Chunk is one piece of a file.
 type Chunk struct {
@@ -22,42 +25,23 @@ type Chunk struct {
 // Len returns the chunk length in bytes.
 func (c Chunk) Len() int64 { return int64(len(c.Data)) }
 
-// Chunker splits byte sequences into chunks.
-type Chunker interface {
-	// Split partitions data into consecutive chunks covering it
-	// exactly. Implementations do not copy: chunk Data aliases the
-	// input.
-	Split(data []byte) []Chunk
-}
-
-// Fixed is a fixed-size chunker.
-type Fixed struct {
-	Size int64
-}
-
-// NewFixed returns a fixed-size chunker; size must be positive.
-func NewFixed(size int64) *Fixed {
-	if size <= 0 {
-		panic(fmt.Sprintf("chunker: invalid fixed size %d", size))
+// Fixed appends to dst the lengths of the fixed-size chunks that
+// partition size bytes of content, in order, and returns the extended
+// slice: every chunk is chunk bytes long except a shorter last one
+// when chunk does not divide size, and zero bytes make no chunks. The
+// boundaries depend on the size alone, so content is chunked without
+// being read. chunk must be positive.
+func Fixed(dst []int64, size, chunk int64) []int64 {
+	if chunk <= 0 {
+		panic(fmt.Sprintf("chunker: invalid fixed size %d", chunk))
 	}
-	return &Fixed{Size: size}
-}
-
-// Split implements Chunker.
-func (f *Fixed) Split(data []byte) []Chunk {
-	if len(data) == 0 {
-		return nil
+	if size > 0 {
+		dst = slices.Grow(dst, int((size-1)/chunk+1))
 	}
-	n := (int64(len(data)) + f.Size - 1) / f.Size
-	out := make([]Chunk, 0, n)
-	for off := int64(0); off < int64(len(data)); off += f.Size {
-		end := off + f.Size
-		if end > int64(len(data)) {
-			end = int64(len(data))
-		}
-		out = append(out, Chunk{Offset: off, Data: data[off:end]})
+	for off := int64(0); off < size; off += chunk {
+		dst = append(dst, min(chunk, size-off))
 	}
-	return out
+	return dst
 }
 
 // ContentDefined is a rolling-hash (buzhash) chunker. A boundary is
@@ -112,7 +96,8 @@ var buzTable = func() [256]uint32 {
 
 func rotl(v uint32, n uint) uint32 { return v<<n | v>>(32-n) }
 
-// Split implements Chunker. A boundary can only be declared once a
+// Split partitions data into consecutive chunks covering it exactly;
+// chunk Data aliases data. A boundary can only be declared once a
 // chunk has reached Min bytes, and the rolling hash depends only on
 // the trailing windowSize bytes, so the scan skips straight past the
 // Min region of every chunk: it warms the hash over the (at most

@@ -2,6 +2,7 @@ package chunker
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -18,60 +19,63 @@ func reassemble(chunks []Chunk) []byte {
 }
 
 func TestFixedSplitExact(t *testing.T) {
-	f := NewFixed(4)
-	data := []byte("abcdefghij") // 10 bytes -> 4,4,2
-	chunks := f.Split(data)
-	if len(chunks) != 3 {
-		t.Fatalf("chunks = %d", len(chunks))
-	}
-	for i, want := range []int64{4, 4, 2} {
-		if got := chunks[i].Len(); got != want {
-			t.Fatalf("chunk %d length = %d, want %d", i, got, want)
+	const chunk = 4
+	for _, tc := range []struct {
+		size int64
+		want []int64
+	}{
+		{0, nil},
+		{1, []int64{1}},
+		{chunk - 1, []int64{3}},
+		{chunk, []int64{4}},
+		{chunk + 1, []int64{4, 1}},
+		{10, []int64{4, 4, 2}},
+		{3*chunk - 1, []int64{4, 4, 3}},
+		{3 * chunk, []int64{4, 4, 4}},
+		{3*chunk + 1, []int64{4, 4, 4, 1}},
+	} {
+		if got := Fixed(nil, tc.size, chunk); !slices.Equal(got, tc.want) {
+			t.Errorf("Fixed(nil, %d, %d) = %v, want %v", tc.size, chunk, got, tc.want)
 		}
 	}
-	if chunks[2].Offset != 8 {
-		t.Fatalf("offset = %d", chunks[2].Offset)
-	}
-	if !bytes.Equal(reassemble(chunks), data) {
-		t.Fatal("reassembly mismatch")
+	// dst is extended, not overwritten.
+	if got := Fixed([]int64{7}, 5, chunk); !slices.Equal(got, []int64{7, 4, 1}) {
+		t.Errorf("Fixed onto [7] = %v, want [7 4 1]", got)
 	}
 }
 
 func TestFixedEmptyAndSingle(t *testing.T) {
-	f := NewFixed(1 << 20)
-	if got := f.Split(nil); got != nil {
+	if got := Fixed(nil, 0, 1<<20); got != nil {
 		t.Fatal("empty input should produce no chunks")
 	}
-	chunks := f.Split([]byte("x"))
-	if len(chunks) != 1 || chunks[0].Len() != 1 {
-		t.Fatalf("single byte: %v", chunks)
+	if got := Fixed(nil, 1, 1<<20); !slices.Equal(got, []int64{1}) {
+		t.Fatalf("single byte: %v", got)
 	}
 }
 
-func TestNewFixedPanicsOnBadSize(t *testing.T) {
+func TestFixedPanicsOnBadSize(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for size 0")
 		}
 	}()
-	NewFixed(0)
+	Fixed(nil, 10, 0)
 }
 
 func TestFixedPartitionProperty(t *testing.T) {
-	rng := sim.NewRNG(1)
 	f := func(sizeSeed uint16, n uint16) bool {
 		size := int64(sizeSeed%4096) + 1
-		data := workload.Generate(rng, workload.Binary, int64(n))
-		chunks := NewFixed(size).Split(data)
-		// Exact coverage, in order, all within size.
+		lens := Fixed(nil, int64(n), size)
+		// Exact coverage, in order: full chunks, then at most one
+		// shorter, non-empty tail.
 		var off int64
-		for _, c := range chunks {
-			if c.Offset != off || c.Len() > size || c.Len() == 0 {
+		for i, ln := range lens {
+			if ln <= 0 || ln > size || (ln < size && i != len(lens)-1) {
 				return false
 			}
-			off += c.Len()
+			off += ln
 		}
-		return off == int64(len(data)) && bytes.Equal(reassemble(chunks), data)
+		return off == int64(n) && len(lens) == int((int64(n)+size-1)/size)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -167,8 +171,16 @@ func TestContentDefinedLocality(t *testing.T) {
 	}
 
 	// Contrast: fixed chunking shares only the prefix.
-	fx := NewFixed(4096)
-	fb, fa := hashes(fx.Split(data)), hashes(fx.Split(edit))
+	fixed := func(data []byte) []Chunk {
+		var out []Chunk
+		var off int64
+		for _, ln := range Fixed(nil, int64(len(data)), 4096) {
+			out = append(out, Chunk{Offset: off, Data: data[off : off+ln]})
+			off += ln
+		}
+		return out
+	}
+	fb, fa := hashes(fixed(data)), hashes(fixed(edit))
 	sharedFixed := 0
 	for k := range fa {
 		if fb[k] > 0 {

@@ -7,11 +7,12 @@ import (
 )
 
 // ExampleFixed splits content the way Dropbox does (fixed-size
-// chunks), showing offsets and lengths.
+// chunks), showing offsets and lengths: the size alone decides them.
 func ExampleFixed() {
-	data := make([]byte, 10_000)
-	for _, c := range chunker.NewFixed(4096).Split(data) {
-		fmt.Printf("offset %5d len %4d\n", c.Offset, c.Len())
+	var off int64
+	for _, ln := range chunker.Fixed(nil, 10_000, 4096) {
+		fmt.Printf("offset %5d len %4d\n", off, ln)
+		off += ln
 	}
 	// Output:
 	// offset     0 len 4096

@@ -29,7 +29,7 @@ func (c *Client) Download(plans []FilePlan, at time.Time) time.Time {
 		for _, plan := range plans {
 			conn.Wait(now)
 			for _, u := range plan.Units {
-				now = s.Do(200, u.Bytes)
+				now = s.Do(200, u)
 			}
 			if len(plan.Units) == 0 && p.Dedup {
 				// Content known server-side; device B still
@@ -46,7 +46,7 @@ func (c *Client) Download(plans []FilePlan, at time.Time) time.Time {
 			}
 			s := c.openStorage(now)
 			for _, u := range plan.Units {
-				now = s.Do(200, u.Bytes)
+				now = s.Do(200, u)
 			}
 			now = s.Close()
 		}

@@ -25,8 +25,8 @@ func TestDownloadPerFileStrategyOpensConnections(t *testing.T) {
 	r := newRig(t, CloudDrive(), 102)
 	done := r.client.Login(sim.Epoch)
 	plans := []FilePlan{
-		{Path: "a.bin", FileBytes: 10_000, Units: []TransferUnit{{Path: "a.bin", Bytes: 10_000, RawBytes: 10_000}}},
-		{Path: "b.bin", FileBytes: 10_000, Units: []TransferUnit{{Path: "b.bin", Bytes: 10_000, RawBytes: 10_000}}},
+		{Path: "a.bin", FileBytes: 10_000, Units: []int64{10_000}},
+		{Path: "b.bin", FileBytes: 10_000, Units: []int64{10_000}},
 	}
 	before := r.cap.Analyze(trace.AllFlows).Connections
 	end := r.client.Download(plans, done.Add(time.Minute))
@@ -48,7 +48,7 @@ func TestDownloadPersistentStrategyReuses(t *testing.T) {
 	r := newRig(t, Wuala(), 103)
 	done := r.client.Login(sim.Epoch)
 	plans := []FilePlan{
-		{Path: "a.bin", FileBytes: 50_000, Units: []TransferUnit{{Path: "a.bin", Bytes: 50_000, RawBytes: 50_000}}},
+		{Path: "a.bin", FileBytes: 50_000, Units: []int64{50_000}},
 	}
 	before := r.cap.Analyze(trace.AllFlows).Connections
 	r.client.Download(plans, done.Add(time.Minute))

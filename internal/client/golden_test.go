@@ -48,9 +48,7 @@ func TestGoldenUploadPlans(t *testing.T) {
 		for _, f := range contents {
 			plan := pl.PlanFile(f.path, f.c)
 			pf := plannedFile{Path: f.path, FileBytes: plan.FileBytes, DedupSkipped: plan.DedupSkipped}
-			for _, u := range plan.Units {
-				pf.Units = append(pf.Units, u.Bytes)
-			}
+			pf.Units = plan.Units
 			pp.Files = append(pp.Files, pf)
 		}
 		got = append(got, pp)

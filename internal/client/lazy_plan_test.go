@@ -1,66 +1,78 @@
 package client
 
 import (
-	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/chunker"
+	"repro/internal/compressor"
 	"repro/internal/dedup"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// TestLazyPlanMatchesMaterializedPlan pins the descriptor fast path
-// bit for bit against the materialised path: for every profile and a
-// randomized sweep of kinds and sizes, planning DescriptorContent must
-// produce exactly the plan that planning the pre-generated bytes
-// would — same units, same wire sizes, same commit flags, same dedup
-// accounting. The lazy path may skip generation entirely (Cloud
-// Drive) or resolve through the keyed size cache; neither may change
-// a planned byte. Each file is then edited by a random insert, and the
-// spliced content Folder.InsertAt makes must plan exactly like its
-// bytes too: over compressible kinds, a chunk keyed by the base's
-// window although it reaches the splice would change a wire size.
-func TestLazyPlanMatchesMaterializedPlan(t *testing.T) {
-	meta := rand.New(rand.NewSource(31))
-	kinds := []workload.Kind{workload.Binary, workload.Text, workload.FakeJPEG, workload.PixelImage}
-	for _, p := range Profiles() {
-		for trial := 0; trial < 8; trial++ {
-			kind := kinds[meta.Intn(len(kinds))]
-			size := int64(meta.Intn(6 << 20)) // 0 .. 6 MB: crosses chunk boundaries
-			seed := meta.Int63()
-			d := workload.Describe(sim.NewRNG(seed), kind, size)
+// FuzzPlanFile pins planning against the content form: for any
+// profile, kind, size and seed, planning a descriptor must produce
+// exactly the plan that planning its generated bytes does — same
+// units, same wire sizes, same dedup accounting. A descriptor may skip
+// generation entirely (Cloud Drive) or resolve through the keyed size
+// cache; neither may change a planned byte. The file is then edited by
+// a 100 kB insert at off, and the spliced content Folder.InsertAt
+// makes must plan exactly like its bytes too, both on fresh planners
+// and on planners that saw the same first revision (dedup store, delta
+// signatures): over compressible kinds, a chunk keyed by the base's
+// window although it reaches the splice would change a wire size. A size above maxSize
+// and an offset above the size wrap into range. The committed corpus
+// holds 8 random trials per profile, sizes up to 6 MB, so chunk
+// boundaries are crossed.
+func FuzzPlanFile(f *testing.F) {
+	const maxSize = 6 << 20
+	profiles := Profiles()
+	f.Fuzz(func(t *testing.T, profile, kind uint8, size uint32, seed int64, off uint32) {
+		if size > maxSize {
+			size %= maxSize + 1
+		}
+		if off > size {
+			off %= size + 1
+		}
+		p := profiles[int(profile)%len(profiles)]
+		k := workload.Kinds[int(kind)%len(workload.Kinds)]
+		d := workload.Describe(sim.NewRNG(seed), k, int64(size))
 
-			lazyPl := newPlanner(p, dedup.NewStore())
-			lazy := lazyPl.PlanFile("f.bin", workload.DescriptorContent(d))
+		lazyPl := newPlanner(p, dedup.NewStore())
+		lazy := lazyPl.PlanFile("f.bin", workload.DescriptorContent(d))
+		eagerPl := newPlanner(p, dedup.NewStore())
+		eager := eagerPl.PlanFile("f.bin", workload.BytesContent(workload.DescriptorContent(d).Bytes()))
+		if !reflect.DeepEqual(lazy, eager) {
+			t.Fatalf("%s %v size=%d seed=%d: lazy plan differs\n lazy  %+v\n eager %+v",
+				p.Service, k, size, seed, lazy, eager)
+		}
 
-			eagerPl := newPlanner(p, dedup.NewStore())
-			eager := eagerPl.PlanFile("f.bin", workload.BytesContent(workload.DescriptorContent(d).Bytes()))
-
-			if !reflect.DeepEqual(lazy, eager) {
-				t.Fatalf("%s %v size=%d seed=%d: lazy plan differs\n lazy  %+v\n eager %+v",
-					p.Service, kind, size, seed, lazy, eager)
-			}
-
-			off := meta.Int63n(size + 1)
-			f := workload.NewFolder()
-			f.CreateLazy(time.Time{}, "f.bin", d)
-			f.InsertAt(time.Time{}, "f.bin", off, workload.Generate(sim.NewRNG(seed+1), kind, 100<<10))
-			file, _ := f.Get("f.bin")
-			spliced := lazyPl.PlanFile("f.bin", file.Content())
-			eager = eagerPl.PlanFile("f.bin", workload.BytesContent(file.Content().Bytes()))
+		folder := workload.NewFolder()
+		folder.CreateLazy(time.Time{}, "f.bin", d)
+		folder.InsertAt(time.Time{}, "f.bin", int64(off), workload.Generate(sim.NewRNG(seed+1), k, 100<<10))
+		file, _ := folder.Get("f.bin")
+		edited := file.Content().Bytes()
+		// Fresh planners size chunks before the splice through the
+		// base's keys; planners that saw the first revision
+		// delta-encode against it first.
+		fresh := [2]*planner{newPlanner(p, dedup.NewStore()), newPlanner(p, dedup.NewStore())}
+		for _, pls := range [][2]*planner{fresh, {lazyPl, eagerPl}} {
+			spliced := pls[0].PlanFile("f.bin", file.Content())
+			eager := pls[1].PlanFile("f.bin", workload.BytesContent(edited))
 			if !reflect.DeepEqual(spliced, eager) {
-				t.Fatalf("%s %v size=%d seed=%d insert at %d: spliced plan differs\n spliced %+v\n eager   %+v",
-					p.Service, kind, size, seed, off, spliced, eager)
+				t.Fatalf("%s %v size=%d seed=%d insert at %d, fresh=%v: spliced plan differs\n spliced %+v\n eager   %+v",
+					p.Service, k, size, seed, off, pls == fresh, spliced, eager)
 			}
 		}
-	}
+	})
 }
 
-// TestLazyPlanSkipsGeneration proves the point of the lazy path: a
-// capability-poor profile plans a descriptor-backed upload without
+// TestLazyPlanSkipsGeneration proves the point of reading bytes only
+// on demand: a capability-poor profile plans a descriptor-backed upload without
 // materialising a single content byte. Allocation counting is the
 // witness — a 32 MB materialisation cannot hide from AllocsPerRun.
 func TestLazyPlanSkipsGeneration(t *testing.T) {
@@ -69,7 +81,7 @@ func TestLazyPlanSkipsGeneration(t *testing.T) {
 	d := workload.Describe(sim.NewRNG(1), workload.Binary, 32<<20) // 32 MB
 	allocs := testing.AllocsPerRun(10, func() {
 		plan := pl.PlanFile("huge.bin", workload.DescriptorContent(d))
-		if len(plan.Units) != 1 || plan.Units[0].Bytes != 32<<20 {
+		if len(plan.Units) != 1 || plan.Units[0] != 32<<20 {
 			t.Fatalf("lazy plan wrong: %+v", plan)
 		}
 	})
@@ -80,8 +92,8 @@ func TestLazyPlanSkipsGeneration(t *testing.T) {
 	}
 }
 
-// TestSplicedPlanSkipsGeneration: an edited generated file plans on
-// the lazy path too. Cloud Drive plans a 10 MB file with an insert in
+// TestSplicedPlanSkipsGeneration: an edited generated file plans
+// without its bytes too. Cloud Drive plans a 10 MB file with an insert in
 // the middle from its size alone, so planning it allocates nothing of
 // the file's size. The GCs first empty the materialisation pool, so a
 // generation could not hide in a recycled buffer.
@@ -98,7 +110,7 @@ func TestSplicedPlanSkipsGeneration(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	plan := pl.PlanFile("f.bin", file.Content())
 	runtime.ReadMemStats(&after)
-	if len(plan.Units) != 1 || plan.Units[0].Bytes != 10<<20+4 {
+	if len(plan.Units) != 1 || plan.Units[0] != 10<<20+4 {
 		t.Fatalf("spliced plan wrong: %+v", plan)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
@@ -106,16 +118,34 @@ func TestSplicedPlanSkipsGeneration(t *testing.T) {
 	}
 }
 
-// TestFixedChunkLazyBoundaries pins the lazy path's chunk geometry
-// against the real chunker for fixed-chunk profiles at awkward sizes.
+// TestFixedChunkLazyBoundaries pins the fixed chunk geometry at
+// awkward sizes: chunker.Fixed's lengths, and the plan every content
+// form gets from them. With compression off, a fixed-chunk profile's
+// units are exactly the chunk lengths, planned from the size alone.
 func TestFixedChunkLazyBoundaries(t *testing.T) {
-	p := GoogleDrive() // 8 MB fixed chunks, smart compression
-	for _, size := range []int64{0, 1, 8 << 20, 8<<20 + 1, 24 << 20, 24<<20 - 1} {
-		d := workload.Describe(sim.NewRNG(size), workload.Binary, size)
-		lazy := newPlanner(p, dedup.NewStore()).PlanFile("f.bin", workload.DescriptorContent(d))
-		eager := newPlanner(p, dedup.NewStore()).PlanFile("f.bin", workload.BytesContent(workload.DescriptorContent(d).Bytes()))
-		if !reflect.DeepEqual(lazy, eager) {
-			t.Fatalf("size %d: lazy chunk geometry differs\n lazy  %+v\n eager %+v", size, lazy, eager)
+	p := GoogleDrive() // 8 MB fixed chunks
+	p.Compression = compressor.None
+	const c = 8 << 20
+	for _, tc := range []struct {
+		size int64
+		want []int64
+	}{
+		{0, nil},
+		{1, []int64{1}},
+		{c - 1, []int64{c - 1}},
+		{c, []int64{c}},
+		{c + 1, []int64{c, 1}},
+		{3*c - 1, []int64{c, c, c - 1}},
+		{3 * c, []int64{c, c, c}},
+		{3*c + 1, []int64{c, c, c, 1}},
+	} {
+		if got := chunker.Fixed(nil, tc.size, c); !slices.Equal(got, tc.want) {
+			t.Errorf("size %d: chunker.Fixed = %v, want %v", tc.size, got, tc.want)
+		}
+		d := workload.Describe(sim.NewRNG(tc.size), workload.Binary, tc.size)
+		plan := newPlanner(p, dedup.NewStore()).PlanFile("f.bin", workload.DescriptorContent(d))
+		if !slices.Equal(plan.Units, tc.want) {
+			t.Errorf("size %d: planned units %v, want %v", tc.size, plan.Units, tc.want)
 		}
 	}
 }

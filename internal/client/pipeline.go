@@ -9,24 +9,15 @@ import (
 	"repro/internal/workload"
 )
 
-// TransferUnit is one storage upload the transfer layer must perform:
-// Bytes on the wire (after delta/compression/encryption), for a chunk
-// that originally covered RawBytes of file content. Deduplicated
-// chunks never become units.
-type TransferUnit struct {
-	Path     string
-	Bytes    int64
-	RawBytes int64
-	// Commit indicates the client waits for the per-chunk
-	// acknowledgment before sending the next unit of this file.
-	Commit bool
-}
-
 // FilePlan is the upload plan for one changed file.
 type FilePlan struct {
 	Path      string
 	FileBytes int64 // current file size
-	Units     []TransferUnit
+	// Units are the storage uploads the transfer layer performs, one
+	// per chunk, each its bytes on the wire after delta encoding,
+	// compression and encryption. Deduplicated chunks never become
+	// units.
+	Units []int64
 	// DedupSkipped counts content bytes NOT uploaded thanks to
 	// client-side deduplication.
 	DedupSkipped int64
@@ -36,7 +27,7 @@ type FilePlan struct {
 func (p FilePlan) UploadBytes() int64 {
 	var n int64
 	for _, u := range p.Units {
-		n += u.Bytes
+		n += u
 	}
 	return n
 }
@@ -49,22 +40,23 @@ func (p FilePlan) UploadBytes() int64 {
 // computed at all.
 //
 // Files arrive as workload.Content: a lazy descriptor, a descriptor
-// with one splice (an edited generated file), or eager bytes. The
-// planner materialises at the chunk boundary, and only when a
-// capability genuinely needs bytes: content-defined chunking, hashing
-// for dedup, delta signatures, encryption, or a compression-size cache
-// miss. A capability-poor profile (Cloud Drive: no chunking, no
-// compression) plans a whole upload of a descriptor, plain or
-// spliced, from its size alone — zero content bytes ever exist —
-// which removes what used to be ~50% of its campaign repetitions.
-// Chunks of spliced content that end before the splice resolve
-// compression sizes through the base descriptor's keys.
-// Materialisation goes into pooled buffers (workload.GetBuffer)
-// released at the end of each plan; nothing the planner retains
-// (hashes, signatures, sizes) aliases them.
+// with one splice (an edited generated file), or eager bytes. Every
+// form plans in one loop over the chunk geometry, which the size alone
+// decides except under content-defined chunking. Bytes are read only
+// when a capability genuinely needs them: content-defined chunking,
+// hashing for dedup, delta signatures, encryption, a compression-size
+// cache miss, or compressing a chunk no descriptor names. A
+// capability-poor profile (Cloud Drive: no chunking, no compression)
+// plans a whole upload of a descriptor, plain or spliced, from its
+// size alone — zero content bytes ever exist — which removes what used
+// to be ~50% of its campaign repetitions. Chunks of spliced content
+// that end before the splice resolve compression sizes through the
+// base descriptor's keys. Lazy and spliced content materialise into a
+// pooled buffer (workload.GetBuffer) released at the end of each plan;
+// nothing the planner retains (hashes, signatures, sizes) aliases it.
 type planner struct {
 	profile Profile
-	chunker chunker.Chunker                  // nil for NoChunking
+	cdc     *chunker.ContentDefined          // VariableChunks only
 	store   *dedup.Store                     // the service's server-side chunk store
 	sigs    map[string][]*deltaenc.Signature // per path, per chunk index
 
@@ -79,24 +71,10 @@ func newPlanner(p Profile, store *dedup.Store) *planner {
 		store:   store,
 		sigs:    make(map[string][]*deltaenc.Signature),
 	}
-	switch p.ChunkMode {
-	case FixedChunks:
-		pl.chunker = chunker.NewFixed(p.ChunkSize)
-	case VariableChunks:
-		pl.chunker = chunker.NewContentDefined(p.ChunkSize)
+	if p.ChunkMode == VariableChunks {
+		pl.cdc = chunker.NewContentDefined(p.ChunkSize)
 	}
 	return pl
-}
-
-// split applies the profile's chunking mode.
-func (pl *planner) split(data []byte) []chunker.Chunk {
-	if pl.chunker != nil {
-		return pl.chunker.Split(data)
-	}
-	if len(data) == 0 {
-		return nil
-	}
-	return []chunker.Chunk{{Offset: 0, Data: data}}
 }
 
 // descChunkKey names one chunk of a descriptor's content for the
@@ -107,103 +85,100 @@ func descChunkKey(d workload.Descriptor, off, ln int64) compressor.ContentKey {
 	return compressor.ContentKey{Gen: uint32(d.Kind) + 1, Seed: d.Seed, Size: d.Size, Off: off, Len: ln}
 }
 
+// fileBytes hands the planner the bytes of one file on first demand:
+// eager content's own slice, lazy and spliced content materialised
+// once into a pooled buffer that release returns.
+type fileBytes struct {
+	content workload.Content
+	data    []byte
+}
+
+func (b *fileBytes) get() []byte {
+	if b.data == nil {
+		if b.content.Lazy() {
+			b.data = b.content.AppendTo(workload.GetBuffer(b.content.Size()))
+		} else {
+			b.data = b.content.Bytes()
+		}
+	}
+	return b.data
+}
+
+func (b *fileBytes) release() {
+	if b.data != nil && b.content.Lazy() {
+		workload.PutBuffer(b.data)
+	}
+}
+
 // PlanFile computes the upload plan for one created or modified file,
 // updating client and server state (the server store learns the new
 // chunks; this models the upload's effect and keeps timing concerns in
 // the transfer layer).
+//
+// A unit's wire size comes from delta encoding against the previous
+// revision's same-index chunk (Dropbox applies its rsync per chunk,
+// Sect. 4.4), else from the compression policy. Only transmitted sizes
+// matter to the plan, so compression runs in size-only mode and never
+// materialises output. A plaintext chunk whose window the content can
+// name as a descriptor's bytes (Content.Window) resolves through the
+// keyed size cache, skipping even the content hash on repeats; the key
+// is exact because it names the same bytes. Any other chunk is sized
+// by its content hash, or by its length when the policy never
+// compresses.
 func (pl *planner) PlanFile(path string, content workload.Content) FilePlan {
-	if plan, ok := pl.planLazy(path, content); ok {
-		return plan
-	}
-	if !content.Lazy() {
-		return pl.planBytes(path, content.Bytes(), content)
-	}
-	// A capability needs bytes of lazy or spliced content: materialise
-	// once into a pooled buffer for the duration of this plan.
-	buf := content.AppendTo(workload.GetBuffer(content.Size()))
-	plan := pl.planBytes(path, buf, content)
-	workload.PutBuffer(buf)
-	return plan
-}
-
-// planLazy plans lazy or spliced content without materialising it.
-// It applies when chunk boundaries are computable from the size alone
-// (no content-defined chunking) and no capability hashes, signs or
-// encrypts content. Transmit sizes come from the chunk length (no
-// compression), the descriptor-keyed size cache for a chunk the
-// content names as a descriptor window, or, as in unitBytes, the
-// content hash of any other chunk. Only a cache miss or an unkeyed
-// chunk under a compressing policy generates bytes, once, into a
-// pooled buffer.
-func (pl *planner) planLazy(path string, content workload.Content) (FilePlan, bool) {
 	prof := pl.profile
-	if !content.Lazy() || prof.ChunkMode == VariableChunks ||
-		prof.Dedup || prof.DeltaEncoding || prof.Encryption {
-		return FilePlan{}, false
-	}
-
 	size := content.Size()
 	plan := FilePlan{Path: path, FileBytes: size}
-	var data []byte // materialised at most once, when a size needs bytes
-	for off := int64(0); off < size; {
-		ln := size - off
-		if prof.ChunkMode == FixedChunks && ln > prof.ChunkSize {
-			ln = prof.ChunkSize
-		}
-		o := off
-		chunk := func() []byte {
-			if data == nil {
-				data = content.AppendTo(workload.GetBuffer(size))
-			}
-			return data[o : o+ln]
-		}
-		wire := ln
-		if d, ok := content.Window(o, ln); ok {
-			wire = compressor.TransmitSizeKeyed(prof.Compression, descChunkKey(d, o, ln), ln, chunk)
-		} else if prof.Compression != compressor.None {
-			wire = compressor.TransmitSize(prof.Compression, chunk())
-		}
-		plan.Units = append(plan.Units, TransferUnit{
-			Path:     path,
-			Bytes:    wire,
-			RawBytes: ln,
-			Commit:   prof.ChunkCommit,
-		})
-		off += ln
-	}
-	if data != nil {
-		workload.PutBuffer(data)
-	}
-	return plan, true
-}
+	src := fileBytes{content: content}
 
-// planBytes is the materialised planning path: data holds the bytes of
-// content, whose descriptor windows (Content.Window) key compression
-// sizes.
-func (pl *planner) planBytes(path string, data []byte, content workload.Content) FilePlan {
-	prof := pl.profile
-	plan := FilePlan{Path: path, FileBytes: int64(len(data))}
+	// The chunk geometry, one length per chunk in file order. The plan's
+	// units reuse the slice: the loop overwrites the lengths it has read
+	// with wire sizes, leaving out deduplicated chunks.
+	var lens []int64
+	switch prof.ChunkMode {
+	case NoChunking:
+		if size > 0 {
+			lens = []int64{size}
+		}
+	case FixedChunks:
+		lens = chunker.Fixed(nil, size, prof.ChunkSize)
+	case VariableChunks:
+		cuts := pl.cdc.Split(src.get())
+		lens = make([]int64, len(cuts))
+		for i, c := range cuts {
+			lens[i] = c.Len()
+		}
+	}
 
-	chunks := pl.split(data)
 	oldSigs := pl.sigs[path]
 	var newSigs []*deltaenc.Signature
 	if prof.DeltaEncoding {
-		newSigs = make([]*deltaenc.Signature, 0, len(chunks))
+		newSigs = make([]*deltaenc.Signature, 0, len(lens))
 	}
+	// Content addresses, signatures and ciphertext read every chunk.
+	readsChunks := prof.Dedup || prof.DeltaEncoding || prof.Encryption
 
-	for i, ch := range chunks {
-		payload := ch.Data
+	var next int64
+	kept := 0
+	for i, ln := range lens {
+		off := next
+		next += ln
+		var chunk, payload []byte
+		if readsChunks {
+			chunk = src.get()[off : off+ln]
+			payload = chunk
+		}
 		if prof.Encryption {
 			// Convergent encryption: equal chunks keep equal
 			// ciphertexts, so dedup below still works. The scratch
 			// buffer is safe to reuse because nothing below retains
 			// the ciphertext — the store is content-addressed by
 			// hash and size only.
-			payload, _ = cryptobox.EncryptInto(pl.encBuf[:0], ch.Data)
+			payload, _ = cryptobox.EncryptInto(pl.encBuf[:0], chunk)
 			pl.encBuf = payload
 		}
 		if prof.DeltaEncoding {
-			newSigs = append(newSigs, deltaenc.Sign(ch.Data, deltaenc.DefaultBlockSize))
+			newSigs = append(newSigs, deltaenc.Sign(chunk, deltaenc.DefaultBlockSize))
 		}
 
 		// Content addresses exist to be announced to the server; a
@@ -211,56 +186,53 @@ func (pl *planner) planBytes(path string, data []byte, content workload.Content)
 		// lookup decides both the dedup verdict and the insert: an
 		// already-present chunk is the hit, a new one is stored and
 		// uploaded below.
-		if prof.Dedup && !pl.store.PutHashed(dedup.HashBytes(payload), int64(len(payload))) {
-			plan.DedupSkipped += ch.Len()
+		if prof.Dedup && !pl.store.PutHashed(dedup.HashBytes(payload), ln) {
+			plan.DedupSkipped += ln
 			continue
 		}
 
-		wire := pl.unitBytes(i, ch, payload, oldSigs, content)
-		plan.Units = append(plan.Units, TransferUnit{
-			Path:     path,
-			Bytes:    wire,
-			RawBytes: ch.Len(),
-			Commit:   prof.ChunkCommit,
-		})
+		var wire int64
+		switch d, keyed := content.Window(off, ln); {
+		case prof.DeltaEncoding && i < len(oldSigs) && oldSigs[i] != nil:
+			wire = pl.deltaSize(oldSigs[i], chunk)
+		case keyed && !prof.Encryption:
+			wire = compressor.TransmitSizeKeyed(prof.Compression, descChunkKey(d, off, ln), ln,
+				func() []byte { return src.get()[off : off+ln] })
+		case prof.Compression == compressor.None:
+			wire = ln // ciphertext is as long as the plaintext
+		default:
+			if payload == nil {
+				payload = src.get()[off : off+ln]
+			}
+			wire = compressor.TransmitSize(prof.Compression, payload)
+		}
+		lens[kept] = wire
+		kept++
+	}
+	if kept > 0 {
+		plan.Units = lens[:kept]
 	}
 
 	if prof.DeltaEncoding {
 		pl.sigs[path] = newSigs
 	}
+	src.release()
 	return plan
 }
 
-// unitBytes computes the wire size of one chunk upload, applying
-// delta encoding against the previous revision's same-index chunk
-// (Dropbox applies its rsync per chunk, Sect. 4.4) and then the
-// compression policy. Only transmitted sizes matter to the plan, so
-// compression runs in size-only mode and never materialises output.
-// A plaintext chunk whose window the content can name as a
-// descriptor's bytes (Content.Window) resolves through the keyed size
-// cache, skipping even the content hash on repeats; the key is exact
-// because it names the same bytes. Any other chunk is sized by its
-// content hash.
-func (pl *planner) unitBytes(idx int, ch chunker.Chunk, payload []byte, oldSigs []*deltaenc.Signature, content workload.Content) int64 {
-	prof := pl.profile
-	if prof.DeltaEncoding && idx < len(oldSigs) && oldSigs[idx] != nil {
-		d := deltaenc.Compute(oldSigs[idx], ch.Data)
-		// The literal bytes still benefit from compression; the
-		// copy-op framing does not.
-		lits := pl.litBuf[:0]
-		for _, op := range d.Ops {
-			if !op.Copy {
-				lits = append(lits, op.Literal...)
-			}
+// deltaSize is the wire size of chunk sent as a delta against the
+// previous revision's signature: the literal bytes still benefit from
+// compression; the copy-op framing does not.
+func (pl *planner) deltaSize(old *deltaenc.Signature, chunk []byte) int64 {
+	d := deltaenc.Compute(old, chunk)
+	lits := pl.litBuf[:0]
+	for _, op := range d.Ops {
+		if !op.Copy {
+			lits = append(lits, op.Literal...)
 		}
-		pl.litBuf = lits
-		return compressor.TransmitSize(prof.Compression, lits) + (d.WireSize() - d.LiteralBytes())
 	}
-	if d, ok := content.Window(ch.Offset, ch.Len()); ok && !prof.Encryption {
-		return compressor.TransmitSizeKeyed(prof.Compression, descChunkKey(d, ch.Offset, ch.Len()), ch.Len(),
-			func() []byte { return ch.Data })
-	}
-	return compressor.TransmitSize(prof.Compression, payload)
+	pl.litBuf = lits
+	return compressor.TransmitSize(pl.profile.Compression, lits) + (d.WireSize() - d.LiteralBytes())
 }
 
 // ForgetFile drops client-side state for a deleted path. The server

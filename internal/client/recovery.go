@@ -58,7 +58,7 @@ func (c *Client) RecoveryUpload(folder *workload.Folder, since time.Time, every 
 		}
 		plan := c.plan.PlanFile(ch.Path, f.Content())
 		for _, u := range plan.Units {
-			res.CleanBytes += u.Bytes
+			res.CleanBytes += u
 		}
 
 		s := c.openStorage(start)
@@ -68,8 +68,7 @@ func (c *Client) RecoveryUpload(folder *workload.Folder, since time.Time, every 
 			retries := 0
 			for {
 				conn.Wait(start)
-				sent, cut, last := conn.SendUntil(u.Bytes+perUnitFraming, nextFail)
-				_ = sent
+				_, cut, last := conn.SendUntil(u+perUnitFraming, nextFail)
 				if !cut {
 					// Unit landed; wait the commit ack.
 					start = last.Add(conn.RTT() / 2).Add(conn.Server().ProcDelay).Add(conn.RTT() / 2)

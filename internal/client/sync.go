@@ -11,8 +11,10 @@ import (
 const perUnitFraming = 180
 
 // SyncResult is the client-side view of one synchronization run. The
-// benchmark core computes the published metrics from the trace; this
-// struct exists for tests and debugging.
+// benchmark core computes the published metrics from the trace; it
+// reads Done to advance the clock past a sync and hands Plans to a
+// second device's Download, and cmd/perfbench counts units and bytes
+// from Plans.
 type SyncResult struct {
 	// Start is when the client began network activity for the batch
 	// (after change detection and aggregation).
@@ -112,7 +114,7 @@ func (c *Client) execute(start time.Time, res SyncResult) time.Time {
 		for _, pl := range res.Plans {
 			units += len(pl.Units)
 		}
-		manifest = ManifestBytes(units + int(res.DedupSkipped()/max64(p.ChunkSize, 1)))
+		manifest = ManifestBytes(units + int(res.DedupSkipped()/max(p.ChunkSize, 1)))
 	}
 	now := start
 	pre := (p.ControlRPCsPerSync + 1) / 2
@@ -157,11 +159,11 @@ func (c *Client) execBundled(now time.Time, plans []FilePlan) time.Time {
 			continue
 		}
 		conn.Idle(c.Profile.PerFileClientOverhead)
-		multi := len(plan.Units) > 1
+		commit := c.Profile.ChunkCommit && len(plan.Units) > 1
 		for _, u := range plan.Units {
-			_, serverDone := conn.Send(u.Bytes + perUnitFraming)
+			_, serverDone := conn.Send(u + perUnitFraming)
 			sent = true
-			if u.Commit && multi {
+			if commit {
 				// Per-chunk commit: wait the storage ack.
 				conn.Wait(serverDone.Add(conn.RTT() / 2))
 			}
@@ -187,8 +189,7 @@ func (c *Client) execSequential(now time.Time, plans []FilePlan) time.Time {
 		conn.Wait(now)
 		conn.Idle(c.Profile.PerFileClientOverhead)
 		for _, u := range plan.Units {
-			_, acked := s.Upload(u.Bytes, 120)
-			_ = acked
+			s.Upload(u, 120)
 			now = conn.FreeAt()
 		}
 		if len(plan.Units) == 0 {
@@ -226,8 +227,8 @@ func (c *Client) execPerFile(now time.Time, plans []FilePlan, extra bool) time.T
 		s := c.openStorage(now.Add(p.PerFileClientOverhead))
 		conn := s.Conn()
 		for _, u := range plan.Units {
-			_, acked := s.Upload(u.Bytes, 120)
-			if u.Commit {
+			_, acked := s.Upload(u, 120)
+			if p.ChunkCommit {
 				now = acked
 			} else {
 				now = conn.FreeAt()
@@ -236,11 +237,4 @@ func (c *Client) execPerFile(now time.Time, plans []FilePlan, extra bool) time.T
 		now = s.Close()
 	}
 	return now
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

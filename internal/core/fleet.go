@@ -134,13 +134,6 @@ type FleetConfig struct {
 
 	Classes []FleetClass // default DefaultFleetClasses()
 
-	// UploadBps and ConnOverhead form the service-side transfer model
-	// for the load curves: a session holds one connection for
-	// ConnOverhead plus its wire bytes at UploadBps. Defaults: 8 Mb/s
-	// per connection, 500 ms of handshake/commit overhead.
-	UploadBps    int64
-	ConnOverhead time.Duration
-
 	// Stripes is the fixed user partition fanned over the worker
 	// budget. It is part of the result's identity only in the sense
 	// that it must not depend on the worker count; any value yields
@@ -166,6 +159,15 @@ type classTables struct {
 	zipfLog float64 // math.Log(CatalogSize+1), the zipfRank envelope constant
 	sizeLog float64 // math.Log(MaxFileBytes/MinFileBytes), the log-uniform span
 }
+
+// fleetUploadBps and fleetConnOverhead form the service-side transfer
+// model for the load curves: a session holds one connection for
+// fleetConnOverhead of handshake and commit plus its wire bytes at
+// fleetUploadBps.
+const (
+	fleetUploadBps    = 8_000_000 // bits per second per connection
+	fleetConnOverhead = 500 * time.Millisecond
+)
 
 // maxCatalogTable caps the per-class catalog size table; a class with
 // a larger catalog derives each referenced file's size from its seed.
@@ -244,12 +246,6 @@ func (cfg FleetConfig) withDefaults() FleetConfig {
 	cfg.Day, cfg.Bucket = cfg.dayAndBucket()
 	if cfg.Classes == nil {
 		cfg.Classes = DefaultFleetClasses()
-	}
-	if cfg.UploadBps <= 0 {
-		cfg.UploadBps = 8_000_000
-	}
-	if cfg.ConnOverhead <= 0 {
-		cfg.ConnOverhead = 500 * time.Millisecond
 	}
 	if cfg.Stripes <= 0 {
 		cfg.Stripes = 256
@@ -598,8 +594,8 @@ func (s *resolveSink) EndSession(files int) {
 
 	// Transfer model: one connection held for the handshake/commit
 	// overhead plus the wire bytes at the per-connection rate.
-	dur := s.cfg.ConnOverhead +
-		time.Duration(float64(wire*8)/float64(s.cfg.UploadBps)*float64(time.Second))
+	dur := fleetConnOverhead +
+		time.Duration(float64(wire*8)/float64(fleetUploadBps)*float64(time.Second))
 	start, end := s.at, s.at+dur
 
 	b0 := int(start / s.cfg.Bucket)

@@ -64,8 +64,8 @@ type goldenUploads struct {
 }
 
 // TestGoldenUploadVolumes pins the delta-encoding and compression
-// paths (planner unitBytes: literal-buffer reuse, descriptor-keyed
-// size-only DEFLATE) against testdata/golden_uploads.json.
+// paths (the planner's delta sizes with literal-buffer reuse,
+// descriptor-keyed size-only DEFLATE) against testdata/golden_uploads.json.
 func TestGoldenUploadVolumes(t *testing.T) {
 	dropbox := client.Dropbox()
 	got := goldenUploads{

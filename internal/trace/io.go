@@ -14,15 +14,11 @@ import (
 // analysis and tooling can reload them — the reproduction's analogue
 // of saving pcaps. The format is versioned and round-trips exactly.
 //
-// v2 extends packet rows with the span slicing parameters
-// (slices, slice_bytes, slice_gap_ns), so span records survive a dump
-// and reload without expansion; plain records write zeros there. v1
-// files (9-field packet rows, all plain) are still read.
+// v2 packet rows carry the span slicing parameters (slices,
+// slice_bytes, slice_gap_ns), so span records survive a dump and
+// reload without expansion; plain records write zeros there.
 
-const (
-	formatVersion   = "cloudbench-trace-v2"
-	formatVersionV1 = "cloudbench-trace-v1"
-)
+const formatVersion = "cloudbench-trace-v2"
 
 // WriteCSV serializes the capture, span records included.
 func (c *Capture) WriteCSV(w io.Writer) error {
@@ -94,7 +90,7 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 			continue
 		}
 		if strings.HasPrefix(text, "#") {
-			if strings.Contains(text, formatVersion) || strings.Contains(text, formatVersionV1) {
+			if strings.Contains(text, formatVersion) {
 				sawVersion = true
 			}
 			continue
@@ -128,8 +124,8 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 				Proto: Proto(proto),
 			}, fields[7], time.Unix(0, opened).UTC())
 		case "p":
-			if len(fields) != 9 && len(fields) != 12 {
-				return nil, fmt.Errorf("trace: line %d: packet record needs 9 or 12 fields, has %d", line, len(fields))
+			if len(fields) != 12 {
+				return nil, fmt.Errorf("trace: line %d: packet record needs 12 fields, has %d", line, len(fields))
 			}
 			ns, err1 := strconv.ParseInt(fields[1], 10, 64)
 			flow, err2 := strconv.Atoi(fields[2])
@@ -138,7 +134,10 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 			wire, err5 := strconv.ParseInt(fields[6], 10, 64)
 			segs, err6 := strconv.Atoi(fields[7])
 			ack, err7 := strconv.ParseInt(fields[8], 10, 64)
-			if err := firstErr(err1, err2, err3, err4, err5, err6, err7); err != nil {
+			slices, err8 := strconv.Atoi(fields[9])
+			sliceBytes, err9 := strconv.ParseInt(fields[10], 10, 64)
+			gapNs, err10 := strconv.ParseInt(fields[11], 10, 64)
+			if err := firstErr(err1, err2, err3, err4, err5, err6, err7, err8, err9, err10); err != nil {
 				return nil, fmt.Errorf("trace: line %d: %v", line, err)
 			}
 			if flow < 0 || flow >= len(c.flows) {
@@ -158,21 +157,13 @@ func ReadCSV(r io.Reader) (*Capture, error) {
 				Dir: Direction(dir), Flags: parseFlags(fields[4]),
 				Payload: payload, Wire: wire, Segments: segs, AckWire: ack,
 			}
-			if len(fields) == 12 {
-				slices, err1 := strconv.Atoi(fields[9])
-				sliceBytes, err2 := strconv.ParseInt(fields[10], 10, 64)
-				gapNs, err3 := strconv.ParseInt(fields[11], 10, 64)
-				if err := firstErr(err1, err2, err3); err != nil {
+			if slices > 1 {
+				p.Slices, p.SliceBytes, p.SliceGap = slices, sliceBytes, time.Duration(gapNs)
+				if err := validateSpan(p); err != nil {
 					return nil, fmt.Errorf("trace: line %d: %v", line, err)
 				}
-				if slices > 1 {
-					p.Slices, p.SliceBytes, p.SliceGap = slices, sliceBytes, time.Duration(gapNs)
-					if err := validateSpan(p); err != nil {
-						return nil, fmt.Errorf("trace: line %d: %v", line, err)
-					}
-				} else if slices != 0 || sliceBytes != 0 || gapNs != 0 {
-					return nil, fmt.Errorf("trace: line %d: plain record carries span fields", line)
-				}
+			} else if slices != 0 || sliceBytes != 0 || gapNs != 0 {
+				return nil, fmt.Errorf("trace: line %d: plain record carries span fields", line)
 			}
 			c.Record(p)
 		default:

@@ -49,35 +49,42 @@ func TestReadCSVErrors(t *testing.T) {
 	cases := []struct {
 		name  string
 		input string
+		want  string // in the error: the case's own reason
 	}{
-		{"empty", ""},
-		{"no-version", "f,0,a,1,b,2,0,n,0\n"},
-		{"bad-type", "#cloudbench-trace-v1\nz,1,2\n"},
-		{"short-flow", "#cloudbench-trace-v1\nf,0,a,1\n"},
-		{"bad-int", "#cloudbench-trace-v1\nf,0,a,xx,b,2,0,n,0\n"},
-		{"unknown-flow", "#cloudbench-trace-v1\np,0,5,0,-,0,0,1,0\n"},
-		{"short-packet", "#cloudbench-trace-v1\np,0,0\n"},
-		{"flow-id-not-index", "#cloudbench-trace-v2\nf,1,a,1,b,2,0,n,0\n"},
-		{"udp-flow", "#cloudbench-trace-v2\nf,0,a,1,b,2,1,n,0\n"},
-		{"proto-7", "#cloudbench-trace-v2\nf,0,a,1,b,2,7,n,0\n"},
-		{"dir-9", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,9,A,100,166,1,0,0,0,0\n"},
-		{"dir-negative", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,-3,A,100,166,1,0,0,0,0\n"},
-		{"negative-payload", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,0,A,-100,166,1,0,0,0,0\n"},
-		{"negative-wire", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,0,A,100,-166,1,0,0,0,0\n"},
-		{"negative-segments", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,1,A,100,166,-4,0,0,0,0\n"},
-		{"before-epoch", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,-1,0,0,A,100,166,1,0,0,0,0\n"},
-		{"at-far-future", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,4102444800000000000,0,0,A,100,166,1,0,0,0,0\n"},
-		{"negative-ackwire", "#cloudbench-trace-v1\nf,0,a,1,b,2,0,n,0\np,0,0,1,A,100,166,1,-50\n"},
+		{"empty", "", "empty or unversioned input"},
+		{"no-version", "f,0,a,1,b,2,0,n,0\n", "missing cloudbench-trace-v2 header"},
+		{"v1-header", "#cloudbench-trace-v1\nf,0,a,1,b,2,0,n,0\n", "missing cloudbench-trace-v2 header"},
+		{"bad-type", "#cloudbench-trace-v2\nz,1,2\n", "unknown record type"},
+		{"short-flow", "#cloudbench-trace-v2\nf,0,a,1\n", "flow record needs 9 fields"},
+		{"bad-int", "#cloudbench-trace-v2\nf,0,a,xx,b,2,0,n,0\n", "invalid syntax"},
+		{"bad-slices", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,0,A,100,166,1,0,x,0,0\n", "invalid syntax"},
+		{"unknown-flow", "#cloudbench-trace-v2\np,0,5,0,-,0,0,1,0,0,0,0\n", "unknown flow 5"},
+		{"short-packet", "#cloudbench-trace-v2\np,0,0\n", "packet record needs 12 fields"},
+		{"v1-packet", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,0,A,100,166,1,0\n", "packet record needs 12 fields"},
+		{"flow-id-not-index", "#cloudbench-trace-v2\nf,1,a,1,b,2,0,n,0\n", "not its row index"},
+		{"udp-flow", "#cloudbench-trace-v2\nf,0,a,1,b,2,1,n,0\n", "is not TCP"},
+		{"proto-7", "#cloudbench-trace-v2\nf,0,a,1,b,2,7,n,0\n", "is not TCP"},
+		{"dir-9", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,9,A,100,166,1,0,0,0,0\n", "neither up nor down"},
+		{"dir-negative", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,-3,A,100,166,1,0,0,0,0\n", "neither up nor down"},
+		{"negative-payload", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,0,A,-100,166,1,0,0,0,0\n", "negative byte or segment count"},
+		{"negative-wire", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,0,A,100,-166,1,0,0,0,0\n", "negative byte or segment count"},
+		{"negative-segments", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,1,A,100,166,-4,0,0,0,0\n", "negative byte or segment count"},
+		{"before-epoch", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,-1,0,0,A,100,166,1,0,0,0,0\n", "outside [Unix epoch, FarFuture)"},
+		{"at-far-future", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,4102444800000000000,0,0,A,100,166,1,0,0,0,0\n", "outside [Unix epoch, FarFuture)"},
+		{"negative-ackwire", "#cloudbench-trace-v2\nf,0,a,1,b,2,0,n,0\np,0,0,1,A,100,166,1,-50,0,0,0\n", "negative byte or segment count"},
 	}
 	for _, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c.input)); err == nil {
+		_, err := ReadCSV(strings.NewReader(c.input))
+		if err == nil {
 			t.Errorf("%s: no error", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q, want it to say %q", c.name, err, c.want)
 		}
 	}
 }
 
 func TestReadCSVTolerantOfBlanksAndComments(t *testing.T) {
-	input := "#cloudbench-trace-v1\n\n# a comment\nf,0,10.0.0.1,4000,5.5.5.5,443,0,s.example,1382486400000000000\n\np,1382486400000000000,0,0,S,0,74,1,0\n"
+	input := "#cloudbench-trace-v2\n\n# a comment\nf,0,10.0.0.1,4000,5.5.5.5,443,0,s.example,1382486400000000000\n\np,1382486400000000000,0,0,S,0,74,1,0,0,0,0\n"
 	c, err := ReadCSV(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +103,7 @@ func TestReadCSVTolerantOfBlanksAndComments(t *testing.T) {
 // counts at instants in [Unix epoch, FarFuture), and must survive a
 // write and a re-read unchanged: the same flows and the same records,
 // span parameters included. The committed corpus seeds a plain trace,
-// a span-bearing one, a v1 file with comments and out-of-order
-// records, a corrupt span, and a file with a foreign protocol, foreign
+// a span-bearing one, a file with comments and out-of-order records, a corrupt span, and a file with a foreign protocol, foreign
 // directions and negative counts.
 func FuzzReadCSV(f *testing.F) {
 	f.Fuzz(func(t *testing.T, input string) {
