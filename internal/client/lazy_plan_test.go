@@ -24,7 +24,10 @@ import (
 // makes must plan exactly like its bytes too, both on fresh planners
 // and on planners that saw the same first revision (dedup store, delta
 // signatures): over compressible kinds, a chunk keyed by the base's
-// window although it reaches the splice would change a wire size. A size above maxSize
+// window although it reaches the splice would change a wire size. A
+// second insert, of 10 kB at off/2, makes a third revision that every
+// planner delta-encodes against the one it planned before: spliced
+// content on one side, its bytes on the other. A size above maxSize
 // and an offset above the size wrap into range. The committed corpus
 // holds 8 random trials per profile, sizes up to 6 MB, so chunk
 // boundaries are crossed.
@@ -60,12 +63,24 @@ func FuzzPlanFile(f *testing.F) {
 		// base's keys; planners that saw the first revision
 		// delta-encode against it first.
 		fresh := [2]*planner{newPlanner(p, dedup.NewStore()), newPlanner(p, dedup.NewStore())}
-		for _, pls := range [][2]*planner{fresh, {lazyPl, eagerPl}} {
+		pairs := [][2]*planner{fresh, {lazyPl, eagerPl}}
+		for _, pls := range pairs {
 			spliced := pls[0].PlanFile("f.bin", file.Content())
 			eager := pls[1].PlanFile("f.bin", workload.BytesContent(edited))
 			if !reflect.DeepEqual(spliced, eager) {
 				t.Fatalf("%s %v size=%d seed=%d insert at %d, fresh=%v: spliced plan differs\n spliced %+v\n eager   %+v",
 					p.Service, k, size, seed, off, pls == fresh, spliced, eager)
+			}
+		}
+
+		folder.InsertAt(time.Time{}, "f.bin", int64(off)/2, workload.Generate(sim.NewRNG(seed+2), k, 10<<10))
+		third := file.Content()
+		for _, pls := range pairs {
+			afterSpliced := pls[0].PlanFile("f.bin", third)
+			afterEager := pls[1].PlanFile("f.bin", third)
+			if !reflect.DeepEqual(afterSpliced, afterEager) {
+				t.Fatalf("%s %v size=%d seed=%d inserts at %d and %d, fresh=%v: third revision plans differ\n after spliced %+v\n after eager   %+v",
+					p.Service, k, size, seed, off, off/2, pls == fresh, afterSpliced, afterEager)
 			}
 		}
 	})

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"slices"
+
 	"repro/internal/chunker"
 	"repro/internal/compressor"
 	"repro/internal/cryptobox"
@@ -34,42 +36,52 @@ func (p FilePlan) UploadBytes() int64 {
 
 // planner turns changed files into upload plans, maintaining the
 // state the capabilities need: the service's chunk store
-// (deduplication) and per-chunk delta signatures (delta encoding).
-// State that no capability of the profile will ever read — chunk
-// hashes without dedup, signatures without delta encoding — is not
-// computed at all.
+// (deduplication) and each path's previous revision (delta encoding).
+// It computes only what a plan reads: chunk addresses only under dedup,
+// and a delta signature only for the old chunk of a modified file that
+// is about to be delta-encoded, never while planning a create.
+// Encryption is modelled by its convergent key: an encrypted chunk is
+// addressed by the hash of its key, which dedups exactly as the hash of
+// its ciphertext would, and is as long as its plaintext, so no
+// ciphertext is ever built (Validate rules out compressing one).
 //
 // Files arrive as workload.Content: a lazy descriptor, a descriptor
 // with one splice (an edited generated file), or eager bytes. Every
 // form plans in one loop over the chunk geometry, which the size alone
 // decides except under content-defined chunking. Bytes are read only
 // when a capability genuinely needs them: content-defined chunking,
-// hashing for dedup, delta signatures, encryption, a compression-size
-// cache miss, or compressing a chunk no descriptor names. A
-// capability-poor profile (Cloud Drive: no chunking, no compression)
-// plans a whole upload of a descriptor, plain or spliced, from its
-// size alone — zero content bytes ever exist — which removes what used
-// to be ~50% of its campaign repetitions. Chunks of spliced content
-// that end before the splice resolve compression sizes through the
-// base descriptor's keys. Lazy and spliced content materialise into a
-// pooled buffer (workload.GetBuffer) released at the end of each plan;
-// nothing the planner retains (hashes, signatures, sizes) aliases it.
+// hashing for dedup, delta encoding, a compression-size cache miss, or
+// compressing a chunk no descriptor names. A capability-poor profile
+// (Cloud Drive: no chunking, no compression) plans a whole upload of a
+// descriptor, plain or spliced, from its size alone — zero content
+// bytes ever exist — which removes what used to be ~50% of its
+// campaign repetitions. Chunks of spliced content that end before the
+// splice resolve compression sizes through the base descriptor's keys.
+// Lazy and spliced content materialise into a pooled buffer
+// (workload.GetBuffer) released at the end of each plan; nothing the
+// planner retains (hashes, sizes, the immutable Content of a previous
+// revision) aliases it.
 type planner struct {
 	profile Profile
-	cdc     *chunker.ContentDefined          // VariableChunks only
-	store   *dedup.Store                     // the service's server-side chunk store
-	sigs    map[string][]*deltaenc.Signature // per path, per chunk index
+	cdc     *chunker.ContentDefined // VariableChunks only
+	store   *dedup.Store            // the service's server-side chunk store
+	prev    map[string]revision     // DeltaEncoding only: per path, the last planned revision
 
-	// Scratch buffers reused across chunks and files.
-	encBuf []byte // ciphertext (Encryption)
-	litBuf []byte // delta literal runs (DeltaEncoding)
+	litBuf []byte // scratch for delta literal runs (DeltaEncoding)
+}
+
+// revision is a planned file revision, kept for delta-encoding the
+// next one: its content and its chunk lengths in file order.
+type revision struct {
+	content workload.Content
+	lens    []int64
 }
 
 func newPlanner(p Profile, store *dedup.Store) *planner {
 	pl := &planner{
 		profile: p,
 		store:   store,
-		sigs:    make(map[string][]*deltaenc.Signature),
+		prev:    make(map[string]revision),
 	}
 	if p.ChunkMode == VariableChunks {
 		pl.cdc = chunker.NewContentDefined(p.ChunkSize)
@@ -119,12 +131,12 @@ func (b *fileBytes) release() {
 // revision's same-index chunk (Dropbox applies its rsync per chunk,
 // Sect. 4.4), else from the compression policy. Only transmitted sizes
 // matter to the plan, so compression runs in size-only mode and never
-// materialises output. A plaintext chunk whose window the content can
-// name as a descriptor's bytes (Content.Window) resolves through the
-// keyed size cache, skipping even the content hash on repeats; the key
-// is exact because it names the same bytes. Any other chunk is sized
-// by its content hash, or by its length when the policy never
-// compresses.
+// materialises output. A policy that never compresses sizes a chunk by
+// its length, which is also an encrypted chunk's ciphertext length. A
+// chunk whose window the content can name as a descriptor's bytes
+// (Content.Window) resolves through the keyed size cache, skipping even
+// the content hash on repeats; the key is exact because it names the
+// same bytes. Any other chunk is sized by its content hash.
 func (pl *planner) PlanFile(path string, content workload.Content) FilePlan {
 	prof := pl.profile
 	size := content.Size()
@@ -150,35 +162,22 @@ func (pl *planner) PlanFile(path string, content workload.Content) FilePlan {
 		}
 	}
 
-	oldSigs := pl.sigs[path]
-	var newSigs []*deltaenc.Signature
+	// The previous revision, read through a second fileBytes only when
+	// one of its chunks is delta-encoded against.
+	prev := pl.prev[path]
+	old := fileBytes{content: prev.content}
 	if prof.DeltaEncoding {
-		newSigs = make([]*deltaenc.Signature, 0, len(lens))
+		pl.prev[path] = revision{content: content, lens: slices.Clone(lens)}
 	}
-	// Content addresses, signatures and ciphertext read every chunk.
-	readsChunks := prof.Dedup || prof.DeltaEncoding || prof.Encryption
 
-	var next int64
+	var next, oldNext int64
 	kept := 0
 	for i, ln := range lens {
 		off := next
 		next += ln
-		var chunk, payload []byte
-		if readsChunks {
-			chunk = src.get()[off : off+ln]
-			payload = chunk
-		}
-		if prof.Encryption {
-			// Convergent encryption: equal chunks keep equal
-			// ciphertexts, so dedup below still works. The scratch
-			// buffer is safe to reuse because nothing below retains
-			// the ciphertext — the store is content-addressed by
-			// hash and size only.
-			payload, _ = cryptobox.EncryptInto(pl.encBuf[:0], chunk)
-			pl.encBuf = payload
-		}
-		if prof.DeltaEncoding {
-			newSigs = append(newSigs, deltaenc.Sign(chunk, deltaenc.DefaultBlockSize))
+		oldOff := oldNext // old chunk i is [oldOff, oldNext)
+		if i < len(prev.lens) {
+			oldNext += prev.lens[i]
 		}
 
 		// Content addresses exist to be announced to the server; a
@@ -186,25 +185,31 @@ func (pl *planner) PlanFile(path string, content workload.Content) FilePlan {
 		// lookup decides both the dedup verdict and the insert: an
 		// already-present chunk is the hit, a new one is stored and
 		// uploaded below.
-		if prof.Dedup && !pl.store.PutHashed(dedup.HashBytes(payload), ln) {
-			plan.DedupSkipped += ln
-			continue
+		if prof.Dedup {
+			addressed := src.get()[off : off+ln]
+			if prof.Encryption {
+				// The convergent key stands in for the ciphertext: both
+				// are injective in the plaintext.
+				k := cryptobox.DeriveKey(addressed)
+				addressed = k[:]
+			}
+			if !pl.store.PutHashed(dedup.HashBytes(addressed), ln) {
+				plan.DedupSkipped += ln
+				continue
+			}
 		}
 
 		var wire int64
 		switch d, keyed := content.Window(off, ln); {
-		case prof.DeltaEncoding && i < len(oldSigs) && oldSigs[i] != nil:
-			wire = pl.deltaSize(oldSigs[i], chunk)
-		case keyed && !prof.Encryption:
+		case i < len(prev.lens):
+			wire = pl.deltaSize(old.get()[oldOff:oldNext], src.get()[off:off+ln])
+		case prof.Compression == compressor.None:
+			wire = ln // an encrypted chunk is as long as its plaintext
+		case keyed:
 			wire = compressor.TransmitSizeKeyed(prof.Compression, descChunkKey(d, off, ln), ln,
 				func() []byte { return src.get()[off : off+ln] })
-		case prof.Compression == compressor.None:
-			wire = ln // ciphertext is as long as the plaintext
 		default:
-			if payload == nil {
-				payload = src.get()[off : off+ln]
-			}
-			wire = compressor.TransmitSize(prof.Compression, payload)
+			wire = compressor.TransmitSize(prof.Compression, src.get()[off:off+ln])
 		}
 		lens[kept] = wire
 		kept++
@@ -212,19 +217,16 @@ func (pl *planner) PlanFile(path string, content workload.Content) FilePlan {
 	if kept > 0 {
 		plan.Units = lens[:kept]
 	}
-
-	if prof.DeltaEncoding {
-		pl.sigs[path] = newSigs
-	}
 	src.release()
+	old.release()
 	return plan
 }
 
 // deltaSize is the wire size of chunk sent as a delta against the
-// previous revision's signature: the literal bytes still benefit from
-// compression; the copy-op framing does not.
-func (pl *planner) deltaSize(old *deltaenc.Signature, chunk []byte) int64 {
-	d := deltaenc.Compute(old, chunk)
+// previous revision's same-index chunk: the literal bytes still benefit
+// from compression; the copy-op framing does not.
+func (pl *planner) deltaSize(oldChunk, chunk []byte) int64 {
+	d := deltaenc.Compute(deltaenc.Sign(oldChunk, deltaenc.DefaultBlockSize), chunk)
 	lits := pl.litBuf[:0]
 	for _, op := range d.Ops {
 		if !op.Copy {
@@ -239,7 +241,7 @@ func (pl *planner) deltaSize(old *deltaenc.Signature, chunk []byte) int64 {
 // store is intentionally left alone: that is what lets deduplication
 // succeed when the file is later restored (Sect. 4.3 step iv).
 func (pl *planner) ForgetFile(path string) {
-	delete(pl.sigs, path)
+	delete(pl.prev, path)
 }
 
 // ManifestBytes is the metadata volume for announcing n chunk hashes

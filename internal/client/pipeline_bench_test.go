@@ -39,7 +39,8 @@ func BenchmarkPlanFile(b *testing.B) {
 }
 
 // BenchmarkPlanFileRevision exercises the delta-encoding path: plan a
-// file, mutate a slice of it, and re-plan against the old signatures.
+// file, mutate a slice of it, and re-plan it, signing the previous
+// revision's chunk that the mutation touched.
 func BenchmarkPlanFileRevision(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	data := make([]byte, 1<<20)

@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/compressor"
@@ -114,6 +115,43 @@ func TestPlanFileDeltaOnModification(t *testing.T) {
 	up := plan.UploadBytes()
 	if up < 45_000 || up > 120_000 {
 		t.Fatalf("delta upload = %d, want ~50 kB", up)
+	}
+}
+
+func TestPlanFileDeltaAfterDedupHit(t *testing.T) {
+	// Revision 1's first chunk is a dedup hit (another file stored it
+	// first), so it never travels; a modify of that chunk must still
+	// delta-encode against it.
+	pl := newTestPlanner(Dropbox()) // 4 MB chunks
+	rng := sim.NewRNG(11)
+	head := workload.Generate(rng, workload.Binary, 4<<20)
+	planRaw(pl, "head.bin", head)
+	rev1 := append(bytes.Clone(head), workload.Generate(rng, workload.Binary, 100_000)...)
+	if plan := planRaw(pl, "f.bin", rev1); plan.DedupSkipped != 4<<20 || len(plan.Units) != 1 {
+		t.Fatalf("revision 1: first chunk not a dedup hit: %+v", plan)
+	}
+	rev2 := bytes.Clone(rev1)
+	copy(rev2[1<<20:], workload.Generate(rng, workload.Binary, 1000))
+	plan := planRaw(pl, "f.bin", rev2)
+	// Chunk 1 is unchanged and dedups; chunk 0 travels as a delta (a
+	// block or two of literals plus the copy ops), not as 4 MB.
+	if len(plan.Units) != 1 || plan.Units[0] > 50_000 {
+		t.Fatalf("modified dedup-hit chunk not delta-encoded: %+v", plan)
+	}
+}
+
+func TestPlanFileNoDeltaAfterForget(t *testing.T) {
+	// A deleted path forgets its revision: a file re-created under it
+	// plans as a first revision, with no delta against the old one.
+	pl := newTestPlanner(Dropbox())
+	data := workload.Generate(sim.NewRNG(12), workload.Binary, 300_000)
+	planRaw(pl, "f.bin", data)
+	pl.ForgetFile("f.bin")
+	again := bytes.Clone(data)
+	again[0] ^= 1
+	plan := planRaw(pl, "f.bin", again)
+	if want := planRaw(newTestPlanner(Dropbox()), "f.bin", again); !reflect.DeepEqual(plan, want) {
+		t.Fatalf("re-created file planned against the forgotten revision\n got  %+v\n want %+v", plan, want)
 	}
 }
 

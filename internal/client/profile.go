@@ -158,13 +158,18 @@ type Profile struct {
 
 // Validate reports the first capability setting the client engine
 // cannot run: an unknown compression policy or chunking mode, a fixed
-// chunk size that is not positive, or a content-defined average below
-// chunker.MinAverage.
+// chunk size that is not positive, a content-defined average below
+// chunker.MinAverage, or encryption with compression. The planner sizes
+// an encrypted chunk by its length and builds no ciphertext to
+// compress; ciphertext does not compress anyway.
 func (p Profile) Validate() error {
 	switch p.Compression {
 	case compressor.None, compressor.Always, compressor.Smart:
 	default:
 		return fmt.Errorf("client: profile %q: unknown compression policy %d", p.Name, int(p.Compression))
+	}
+	if p.Encryption && p.Compression != compressor.None {
+		return fmt.Errorf("client: profile %q: encryption needs compression policy None (got %d)", p.Name, int(p.Compression))
 	}
 	switch p.ChunkMode {
 	case NoChunking:

@@ -29,6 +29,8 @@ func TestProfileValidate(t *testing.T) {
 		{"variable below floor", func(p *Profile) { p.ChunkMode, p.ChunkSize = VariableChunks, chunker.MinAverage-1 }, "content-defined"},
 		{"variable at floor", func(p *Profile) { p.ChunkMode, p.ChunkSize = VariableChunks, chunker.MinAverage }, ""},
 		{"no chunking ignores size", func(p *Profile) { p.ChunkMode, p.ChunkSize = NoChunking, 0 }, ""},
+		{"encryption with compression", func(p *Profile) { p.Encryption = true }, "encryption"},
+		{"encryption without compression", func(p *Profile) { p.Encryption, p.Compression = true, compressor.None }, ""},
 	}
 	for _, c := range cases {
 		p := Dropbox()

@@ -9,6 +9,11 @@
 // the key from the plaintext itself: key = H(plaintext), so equal
 // plaintexts encrypt to equal ciphertexts while remaining opaque to
 // the provider.
+//
+// The upload planner reads only DeriveKey: key and ciphertext are both
+// injective in the plaintext, so a chunk addressed by its key's hash
+// dedups exactly as one addressed by its ciphertext's hash. Encrypt and
+// Decrypt stay as the oracle of that equivalence and of the round trip.
 package cryptobox
 
 import (
@@ -32,23 +37,11 @@ func DeriveKey(plain []byte) Key {
 // IV is derived from the key, so the whole construction is a pure
 // function of the plaintext: Encrypt(p) == Encrypt(q) iff p == q
 // (up to hash collisions). Ciphertext length equals plaintext length;
-// there is no MAC because the content address (hash of ciphertext)
-// already provides integrity in the storage protocol.
+// there is no MAC because the content address already provides
+// integrity in the storage protocol.
 func Encrypt(plain []byte) ([]byte, Key) {
-	return EncryptInto(nil, plain)
-}
-
-// EncryptInto is Encrypt writing the ciphertext into dst (grown as
-// needed), letting a caller that encrypts chunk after chunk reuse one
-// scratch buffer instead of allocating per chunk.
-func EncryptInto(dst, plain []byte) ([]byte, Key) {
 	key := DeriveKey(plain)
-	if cap(dst) < len(plain) {
-		dst = make([]byte, len(plain))
-	}
-	dst = dst[:len(plain)]
-	cryptInto(dst, plain, key)
-	return dst, key
+	return crypt(plain, key), key
 }
 
 // Decrypt reverses Encrypt given the convergent key.
@@ -58,16 +51,12 @@ func Decrypt(ciphertext []byte, key Key) []byte {
 
 // crypt applies AES-CTR with the key-derived IV (CTR is an involution).
 func crypt(data []byte, key Key) []byte {
-	out := make([]byte, len(data))
-	cryptInto(out, data, key)
-	return out
-}
-
-func cryptInto(dst, data []byte, key Key) {
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		panic(err) // fixed, valid key size
 	}
 	ivSrc := sha256.Sum256(key[:])
-	cipher.NewCTR(block, ivSrc[:aes.BlockSize]).XORKeyStream(dst, data)
+	out := make([]byte, len(data))
+	cipher.NewCTR(block, ivSrc[:aes.BlockSize]).XORKeyStream(out, data)
+	return out
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dedup"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -86,5 +87,52 @@ func TestWrongKeyFailsToDecrypt(t *testing.T) {
 	wrong[0] ^= 0xFF
 	if bytes.Equal(Decrypt(ct, wrong), plain) {
 		t.Fatal("wrong key decrypted successfully")
+	}
+}
+
+// TestKeyAddressDedupsLikeCiphertext is the oracle of the upload
+// planner's encrypted-chunk address: put after put, a chunk addressed
+// by the hash of its convergent key gets the dedup verdict it would get
+// addressed by the hash of its ciphertext. The seeded sequence repeats
+// earlier chunks and mixes in equal-length near-duplicates (one bit
+// flipped), the pairs an address that read less than the whole chunk
+// would merge. Neither store may learn a plaintext's hash.
+func TestKeyAddressDedupsLikeCiphertext(t *testing.T) {
+	rng := sim.NewRNG(5)
+	byCiphertext, byKey := dedup.NewStore(), dedup.NewStore()
+	var seen [][]byte
+	hits := 0
+	for i := 0; i < 600; i++ {
+		var plain []byte
+		switch r := rng.Intn(3); {
+		case r == 0 && len(seen) > 0:
+			plain = seen[rng.Intn(len(seen))]
+		case r == 1 && len(seen) > 0:
+			plain = bytes.Clone(seen[rng.Intn(len(seen))])
+			plain[rng.Intn(len(plain))] ^= 1 << rng.Intn(8)
+		default:
+			plain = workload.Generate(rng, workload.Binary, 1+rng.Int63n(4096))
+		}
+		seen = append(seen, plain)
+
+		ct, _ := Encrypt(plain)
+		key := DeriveKey(plain)
+		n := int64(len(plain))
+		newByCiphertext := byCiphertext.PutHashed(dedup.HashBytes(ct), n)
+		if newByKey := byKey.PutHashed(dedup.HashBytes(key[:]), n); newByKey != newByCiphertext {
+			t.Fatalf("put %d: new by key address = %v, by ciphertext address = %v", i, newByKey, newByCiphertext)
+		}
+		if !newByCiphertext {
+			hits++
+		}
+	}
+	if hits == 0 || byKey.UniqueChunks() == len(seen) {
+		t.Fatalf("%d hits, %d unique of %d: the sequence exercised no dedup", hits, byKey.UniqueChunks(), len(seen))
+	}
+	for _, plain := range seen {
+		h := dedup.HashBytes(plain)
+		if byCiphertext.Size(h) != 0 || byKey.Size(h) != 0 {
+			t.Fatal("a store holds a plaintext content address")
+		}
 	}
 }

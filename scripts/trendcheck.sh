@@ -44,11 +44,20 @@ threshold="${1:-1.05}"
 new="${2:-}"
 
 # Committed BENCH_*.json baselines, oldest first, by commit time with
-# the filename as a deterministic tie-break (shallow clones give every
-# file the same graft timestamp; CI fetches full history).
-baselines="$(git ls-files 'BENCH_*.json' | while read -r f; do
+# the filename as a deterministic tie-break for snapshots committed
+# together. When every snapshot ties (a shallow clone, or a one-commit
+# copy of the tree, gives every file the same timestamp) the order is
+# unknown, so the newest baseline cannot be told: fail rather than
+# gate against whichever filename sorts last. CI fetches full history.
+stamped="$(git ls-files 'BENCH_*.json' | while read -r f; do
   printf '%s %s\n' "$(git log -1 --format=%ct -- "$f")" "$f"
-done | sort -k1,1n -k2,2 | cut -d' ' -f2-)"
+done | sort -k1,1n -k2,2)"
+if [ "$(printf '%s\n' "${stamped}" | grep -c .)" -gt 1 ] &&
+  [ "$(printf '%s\n' "${stamped}" | cut -d' ' -f1 | sort -u | wc -l)" -eq 1 ]; then
+  echo "trendcheck: history too shallow to order baselines: every BENCH_*.json has the same commit time (fetch full history)" >&2
+  exit 1
+fi
+baselines="$(printf '%s\n' "${stamped}" | cut -d' ' -f2-)"
 base="$(printf '%s\n' "${baselines}" | tail -1)"
 prev="$(printf '%s\n' "${baselines}" | tail -2 | head -1)"
 if [ -z "${base}" ]; then
