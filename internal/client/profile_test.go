@@ -30,7 +30,6 @@ func TestProfileValidate(t *testing.T) {
 		{"variable at floor", func(p *Profile) { p.ChunkMode, p.ChunkSize = VariableChunks, chunker.MinAverage }, ""},
 		{"no chunking ignores size", func(p *Profile) { p.ChunkMode, p.ChunkSize = NoChunking, 0 }, ""},
 		{"encryption with compression", func(p *Profile) { p.Encryption = true }, "encryption"},
-		{"encryption without compression", func(p *Profile) { p.Encryption, p.Compression = true, compressor.None }, ""},
 	}
 	for _, c := range cases {
 		p := Dropbox()
